@@ -1,6 +1,5 @@
-//! Criterion benches for block-segment storage (DESIGN.md §15): lazy v3
-//! open vs the eager legacy path, incremental persist cost, and GC sweep
-//! throughput. The headline claims — open cost independent of blob bytes,
+//! Criterion benches for block-segment storage (DESIGN.md §15): lazy
+//! open, incremental persist cost, and GC sweep throughput. The headline claims — open cost independent of blob bytes,
 //! persist cost O(ops since last persist) — are *gated* in `bench_guard`;
 //! these benches chart the same paths for profiling.
 
@@ -29,22 +28,12 @@ fn persisted_lake(tag: &str) -> PathBuf {
 
 fn bench_open(c: &mut Criterion) {
     let v3 = persisted_lake("open-v3");
-    let v2 = tmp("open-v2");
-    let _ = std::fs::remove_dir_all(&v2);
-    {
-        let lake = ModelLake::open(&v3, LakeConfig::default()).unwrap();
-        lake.export_v2(&v2).unwrap();
-    }
     let mut group = c.benchmark_group("blockstore_open");
     group.bench_function("lazy_v3", |b| {
         b.iter(|| ModelLake::open(&v3, LakeConfig::default()).unwrap())
     });
-    group.bench_function("eager_v2", |b| {
-        b.iter(|| ModelLake::open(&v2, LakeConfig::default()).unwrap())
-    });
     group.finish();
     let _ = std::fs::remove_dir_all(&v3);
-    let _ = std::fs::remove_dir_all(&v2);
 }
 
 fn bench_incremental_persist(c: &mut Criterion) {

@@ -25,9 +25,9 @@
 //!    percentiles read from the obs histograms (client-side timing, so
 //!    the gate holds in both observability modes).
 //!
-//! 6. **Blockstore open / delta size** (ISSUE PR 9) — lazy v3 open beats
-//!    the eager legacy path and delta segments stay O(ops since last
-//!    persist), not O(lake).
+//! 6. **Blockstore open / delta size** (ISSUE PR 9) — lazy open fits an
+//!    absolute budget and delta segments stay O(ops since last persist),
+//!    not O(lake).
 //! 7. **Text & hybrid retrieval** (ISSUE PR 10) — populates an honest
 //!    lake from datagen ground truth, times a family-vocabulary BM25
 //!    query batch against `MLAKE_BENCH_GUARD_TEXT_MS`, and fails unless
@@ -46,8 +46,7 @@
 //!   MLAKE_BENCH_GUARD_WAL_OPS   — WAL group-commit append floor in ops/s (default 5000)
 //!   MLAKE_BENCH_GUARD_HTTP_OPS  — HTTP closed-loop floor in requests/s (default 100)
 //!   MLAKE_BENCH_GUARD_HTTP_P99_MS — HTTP p99 latency budget in ms (default 250)
-//!   MLAKE_BENCH_GUARD_OPEN_MS   — lazy v3 open budget in ms (default 150)
-//!   MLAKE_BENCH_GUARD_OPEN_RATIO — required eager/lazy open speedup (default 5)
+//!   MLAKE_BENCH_GUARD_OPEN_MS   — lazy open budget in ms (default 150)
 //!   MLAKE_BENCH_GUARD_TEXT_MS   — BM25 query-batch budget in ms (default 50)
 //!   MLAKE_GUARD_REPS            — timed repetitions (default 10)
 
@@ -68,7 +67,6 @@ const DEFAULT_WAL_OPS: f64 = 5_000.0;
 const DEFAULT_HTTP_OPS: f64 = 100.0;
 const DEFAULT_HTTP_P99_MS: f64 = 250.0;
 const DEFAULT_OPEN_MS: f64 = 150.0;
-const DEFAULT_OPEN_RATIO: f64 = 5.0;
 const DEFAULT_TEXT_MS: f64 = 50.0;
 const DEFAULT_REPS: usize = 10;
 
@@ -416,52 +414,32 @@ fn newest_seg_bytes(dir: &std::path::Path) -> u64 {
         .expect("no sealed segments")
 }
 
-/// Block-segment storage gates (DESIGN.md §15): (a) lazy v3 open beats
-/// the eager legacy path by `MLAKE_BENCH_GUARD_OPEN_RATIO` and fits the
+/// Block-segment storage gates (DESIGN.md §15): (a) lazy open fits the
 /// `MLAKE_BENCH_GUARD_OPEN_MS` budget; (b) the delta segment written by a
 /// persist covering one ingest has the same size no matter how big the
 /// lake is — persist cost is O(ops since last persist), not O(lake).
 fn guard_blockstore(reps: usize) -> bool {
     let open_budget_ms: f64 = env_or("MLAKE_BENCH_GUARD_OPEN_MS", DEFAULT_OPEN_MS);
-    let ratio_floor: f64 = env_or("MLAKE_BENCH_GUARD_OPEN_RATIO", DEFAULT_OPEN_RATIO);
     let n_large = 200u64;
     let n_small = 20u64;
     let pid = std::process::id();
     let v3 = std::env::temp_dir().join(format!("mlake-guard-bs-v3-{pid}"));
-    let v2 = std::env::temp_dir().join(format!("mlake-guard-bs-v2-{pid}"));
     let small = std::env::temp_dir().join(format!("mlake-guard-bs-small-{pid}"));
 
-    // (a) Open: lazy v3 vs the eager blob-loading, fingerprint-recomputing
-    // legacy path over the identical catalogue.
-    {
-        let lake = build_lake(&v3, n_large);
-        let _ = std::fs::remove_dir_all(&v2);
-        lake.export_v2(&v2).expect("export v2 baseline");
-    }
+    // (a) Open reads the superblock and the segment chain, no blobs.
+    drop(build_lake(&v3, n_large));
     let lazy_ms = best_of_ms(reps, || {
         ModelLake::open(&v3, LakeConfig::default()).expect("lazy open");
     });
-    let eager_ms = best_of_ms(reps, || {
-        ModelLake::open(&v2, LakeConfig::default()).expect("eager open");
-    });
-    let ratio = eager_ms / lazy_ms.max(1e-6);
     println!(
         "bench_guard: blockstore open ({n_large} models), lazy best-of-{reps} = \
-         {lazy_ms:.2}ms, eager = {eager_ms:.2}ms ({ratio:.1}x, floor {ratio_floor:.1}x, \
-         budget {open_budget_ms:.0}ms)"
+         {lazy_ms:.2}ms (budget {open_budget_ms:.0}ms)"
     );
     let mut ok = true;
     if lazy_ms > open_budget_ms {
         eprintln!(
             "bench_guard: FAIL — lazy open took {lazy_ms:.2}ms, over the \
              {open_budget_ms:.0}ms budget; open is reading more than superblock + segments"
-        );
-        ok = false;
-    }
-    if ratio < ratio_floor {
-        eprintln!(
-            "bench_guard: FAIL — lazy open is only {ratio:.1}x faster than eager \
-             (floor {ratio_floor:.1}x); blob paging has regressed toward eager loading"
         );
         ok = false;
     }
@@ -497,7 +475,6 @@ fn guard_blockstore(reps: usize) -> bool {
         ok = false;
     }
     let _ = std::fs::remove_dir_all(&v3);
-    let _ = std::fs::remove_dir_all(&v2);
     let _ = std::fs::remove_dir_all(&small);
     ok
 }

@@ -8,7 +8,12 @@
 //! dataset/benchmark registrations, and the event-log slice. Folding the
 //! chain in sequence order reproduces the catalogue exactly; later blocks
 //! override earlier ones (a `CardOverride` replaces the card a `Model`
-//! block carried).
+//! block carried). A fold is also the compaction primitive: [`Folded`]
+//! absorbs further blocks ([`Folded::apply`]) and flattens back to the
+//! minimal block list ([`Folded::into_blocks`]), which is how a major
+//! compaction or an export rewrites `chain + delta` as one segment.
+//! Everything else a lake serves — vector indexes, the text index — is
+//! derived from the folded catalogue on open, never stored.
 //!
 //! On-disk segment layout:
 //!
@@ -68,18 +73,11 @@ pub(crate) enum Block {
         /// Events, oldest first.
         events: Vec<Event>,
     },
-    /// The full-text inverted index as of this segment (DESIGN.md §16).
-    /// A whole-index snapshot — O(lake) — so only full exports write it;
-    /// delta segments never do (persist must stay O(ops since last
-    /// persist)). Folding keeps it only while no later `Model` /
-    /// `CardOverride` block supersedes it: any later doc change, or a
-    /// chain persisted before this kind existed, folds to `None` and the
-    /// open path rebuilds from the folded cards instead (still metadata
-    /// only — no blob reads).
-    TextIndex {
-        /// The serialized index.
-        index: mlake_text::TextIndex,
-    },
+    /// A text-index snapshot. No longer written: the text index is derived
+    /// state, rebuilt from the folded cards on open (DESIGN.md §16). Full
+    /// exports by PR 10–11 builds carry one, so the kind still decodes —
+    /// its payload ignored — and folds to nothing.
+    TextIndex {},
 }
 
 /// The model payload of a [`Block::Model`].
@@ -218,10 +216,43 @@ pub(crate) struct Folded {
     pub benchmarks: Vec<(Benchmark, Option<String>)>,
     /// The full event log as of the last persisted segment.
     pub events: Vec<Event>,
-    /// The text index snapshot, if one exists and no later model/card
-    /// block superseded it (`None` also on chains persisted before the
-    /// block kind existed — open rebuilds from the folded cards).
-    pub text: Option<mlake_text::TextIndex>,
+}
+
+impl Folded {
+    /// Applies one block on top of the state folded so far.
+    pub(crate) fn apply(&mut self, block: Block) -> Result<()> {
+        match block {
+            Block::Model(m) => self.models.push(m),
+            Block::CardOverride { id, card } => {
+                let m = self.models.get_mut(id as usize).ok_or_else(|| {
+                    LakeError::CorruptArtifact(format!(
+                        "card override for unknown model id {id}"
+                    ))
+                })?;
+                m.card = card;
+            }
+            Block::Dataset { dataset } => self.datasets.push(dataset),
+            Block::Benchmark { benchmark, domain } => self.benchmarks.push((benchmark, domain)),
+            Block::Events { events } => self.events.extend(events),
+            Block::TextIndex {} => {}
+        }
+        Ok(())
+    }
+
+    /// Flattens the state back to the fewest blocks that fold to it.
+    pub(crate) fn into_blocks(self) -> Vec<Block> {
+        let mut blocks: Vec<Block> = self.models.into_iter().map(Block::Model).collect();
+        blocks.extend(self.datasets.into_iter().map(|dataset| Block::Dataset { dataset }));
+        blocks.extend(
+            self.benchmarks
+                .into_iter()
+                .map(|(benchmark, domain)| Block::Benchmark { benchmark, domain }),
+        );
+        if !self.events.is_empty() {
+            blocks.push(Block::Events { events: self.events });
+        }
+        blocks
+    }
 }
 
 /// Folds a live segment chain, applying blocks in sequence order.
@@ -233,29 +264,7 @@ pub(crate) fn fold_segments(
     let mut folded = Folded::default();
     for &seq in seqs {
         for block in read_segment(dir, vfs, seq)? {
-            match block {
-                Block::Model(m) => {
-                    folded.models.push(m);
-                    // Any doc change after a text snapshot makes the
-                    // snapshot stale; drop it so open rebuilds instead.
-                    folded.text = None;
-                }
-                Block::CardOverride { id, card } => {
-                    let m = folded.models.get_mut(id as usize).ok_or_else(|| {
-                        LakeError::CorruptArtifact(format!(
-                            "segment {seq}: card override for unknown model id {id}"
-                        ))
-                    })?;
-                    m.card = card;
-                    folded.text = None;
-                }
-                Block::Dataset { dataset } => folded.datasets.push(dataset),
-                Block::Benchmark { benchmark, domain } => {
-                    folded.benchmarks.push((benchmark, domain));
-                }
-                Block::Events { events } => folded.events.extend(events),
-                Block::TextIndex { index } => folded.text = Some(index),
-            }
+            folded.apply(block)?;
         }
     }
     Ok(folded)
@@ -375,6 +384,40 @@ mod tests {
         )
         .unwrap();
         assert!(fold_segments(&dir, &vfs, &[1, 2, 3]).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn text_index_block_of_older_exports_decodes_and_folds_to_nothing() {
+        let dir = std::env::temp_dir().join(format!("mlake-seg-text-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(seg_dir(&dir)).unwrap();
+        let plain = encode_segment(&[
+            Block::Model(model_block("a", 1)),
+            Block::Model(model_block("b", 2)),
+            Block::Events { events: vec![] },
+        ])
+        .unwrap();
+        // What a PR 10–11 full export appended as its last block.
+        let mut index = mlake_text::TextIndex::new(mlake_text::Bm25Params::default());
+        index.insert(0, &[(mlake_text::Field::Name, "a".to_string())]);
+        let payload = format!(
+            r#"{{"TextIndex":{{"index":{}}}}}"#,
+            serde_json::to_string(&index).unwrap()
+        );
+        let mut with_text = plain.clone();
+        with_text.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        with_text.extend_from_slice(&crc32c(payload.as_bytes()).to_le_bytes());
+        with_text.extend_from_slice(payload.as_bytes());
+        std::fs::write(seg_path(&dir, 1), &plain).unwrap();
+        std::fs::write(seg_path(&dir, 2), &with_text).unwrap();
+        let vfs = RealFs::shared();
+        assert_eq!(read_segment(&dir, &vfs, 2).unwrap().len(), 4, "the block decodes");
+        let flat = |seq| {
+            let folded = fold_segments(&dir, &vfs, &[seq]).unwrap();
+            encode_segment(&folded.into_blocks()).unwrap()
+        };
+        assert_eq!(flat(1), flat(2), "same catalogue with and without the block");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

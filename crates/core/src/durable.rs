@@ -6,8 +6,9 @@
 //! [`WalOp`] and appended (fsynced per the configured
 //! [`mlake_wal::SyncPolicy`]) *before* the in-memory state mutates, so a
 //! crash at any instant loses at most unacknowledged work.
-//! [`ModelLake::open`] is snapshot-load + WAL replay; `persist()` is
-//! "compact now": snapshot everything, then drop the covered segments.
+//! [`ModelLake::open`] is segment-chain fold + WAL replay; `persist()` is
+//! "compact now": seal the delta since the last persist as a segment,
+//! then drop the WAL segments it covers.
 //!
 //! Model artifact blobs are not stored in WAL records (they would bloat
 //! it); instead [`ModelLake::ingest_model`] writes the blob to
@@ -20,7 +21,6 @@ use crate::error::{LakeError, Result};
 use crate::hash::Digest;
 use crate::lake::{LakeConfig, ModelLake};
 use crate::registry::ModelId;
-use crate::store::BlobStore;
 use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
 use mlake_nn::Model;
@@ -57,11 +57,21 @@ pub(crate) enum WalOp {
 pub(crate) struct WalLink {
     /// The log under `<dir>/wal/`.
     pub(crate) wal: Wal,
-    /// The lake's root directory (blobs, manifest and WAL live here).
+    /// The lake's root directory (blobs, manifest and WAL live here), as
+    /// resolved by [`canonical_dir`].
     pub(crate) dir: PathBuf,
     /// Filesystem all durable writes go through (the fault-injection
     /// harness plugs in here).
     pub(crate) vfs: Arc<dyn Vfs>,
+}
+
+/// The one identity of a directory however it is spelled (relative, via
+/// `..`, through a symlink). A durable lake records its root this way and
+/// `persist` resolves its argument the same way, so persisting into the
+/// lake's own directory is recognised as such. A path that does not exist
+/// yet cannot alias anything and stays as given.
+pub(crate) fn canonical_dir(dir: &Path) -> PathBuf {
+    std::fs::canonicalize(dir).unwrap_or_else(|_| dir.to_path_buf())
 }
 
 impl ModelLake {
@@ -97,7 +107,7 @@ impl ModelLake {
         )?;
         lake.shared_mut()?.wal = Some(WalLink {
             wal,
-            dir: dir.to_path_buf(),
+            dir: canonical_dir(dir),
             vfs,
         });
         lake.spawn_compactor()?;

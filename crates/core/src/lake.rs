@@ -11,7 +11,7 @@ use crate::error::{LakeError, Result};
 use crate::event::{EventKind, EventLog};
 use crate::hash::sha256;
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId, ModelRef, Registry};
-use crate::store::{BlobStore, ResidentStore};
+use crate::store::ResidentStore;
 use mlake_benchlab::{Benchmark, Leaderboard, Score};
 use mlake_cards::{
     audit::{run_audit, standard_questionnaire, AuditReport},
@@ -278,7 +278,7 @@ impl LakeConfigBuilder {
 /// delta. Guarded by its own mutex — rank **46 (core.segstate)** in the
 /// §10 hierarchy — held only for in-memory bookkeeping, never across
 /// file I/O.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct SegState {
     /// Sequence numbers of the live segments, in fold order.
     pub(crate) live: Vec<u64>,
@@ -325,11 +325,9 @@ pub(crate) struct LakeShared {
     /// See `crate::durable` and DESIGN.md §12.
     pub(crate) wal: Option<crate::durable::WalLink>,
     /// Full-text inverted index over card sections and model metadata
-    /// (DESIGN.md §16). Lives on the shared state — unlike the other
-    /// derived indexes — because persist snapshots it into a
-    /// `Block::TextIndex`, and the background compactor only sees
-    /// [`LakeShared`]. Rank **27 (core.text)**: leaf — never held across
-    /// another ranked acquisition.
+    /// (DESIGN.md §16). Derived state, rebuilt from the cards on open.
+    /// Rank **27 (core.text)**: leaf — never held across another ranked
+    /// acquisition.
     pub(crate) text: RwLock<mlake_text::TextIndex>,
     /// Incremental-persist bookkeeping (DESIGN.md §15).
     pub(crate) seg: parking_lot::Mutex<SegState>,
@@ -1266,18 +1264,11 @@ impl ModelLake {
         *self.shared.events.write() = log;
     }
 
-    /// Installs a persisted text-index snapshot (segment-fold open path,
-    /// DESIGN.md §16). No card is re-tokenized, so lazy open stays lazy.
-    pub(crate) fn restore_text_index(&self, index: mlake_text::TextIndex) {
-        // lock-order: 27 (core.text)
-        *self.shared.text.write() = index;
-    }
-
-    /// Rebuilds the text index from every registry entry's card — the
-    /// open fallback for chains persisted before `Block::TextIndex`
-    /// existed. Insertion order is id order, exactly what incremental
-    /// ingestion produced, so the rebuilt index (and every search over
-    /// it) is bit-identical to the live lake's.
+    /// Rebuilds the text index from every registry entry's card — how
+    /// open restores it: the index is derived state, never persisted.
+    /// Insertion order is id order, exactly what incremental ingestion
+    /// produced, so the rebuilt index (and every search over it) is
+    /// bit-identical to the live lake's.
     pub(crate) fn rebuild_text_index(&self) {
         let mut text = mlake_text::TextIndex::new(mlake_text::Bm25Params::default());
         {
@@ -1370,32 +1361,6 @@ impl Drop for ModelLake {
         if let Some(c) = self.compactor.take() {
             c.shutdown();
         }
-    }
-}
-
-impl LakeShared {
-    pub(crate) fn datasets_snapshot(&self) -> Vec<mlake_datagen::Dataset> {
-        self.registry.read().datasets.clone()
-    }
-
-    pub(crate) fn benchmarks_snapshot(&self) -> Vec<(Benchmark, Option<String>)> {
-        let reg = self.registry.read();
-        let mut out: Vec<(Benchmark, Option<String>)> = reg
-            .benchmarks
-            .values()
-            .map(|e| (e.benchmark.clone(), e.domain.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.name.cmp(&b.0.name));
-        out
-    }
-
-    pub(crate) fn event_log_snapshot(&self) -> EventLog {
-        self.events.read().clone()
-    }
-
-    pub(crate) fn text_index_snapshot(&self) -> mlake_text::TextIndex {
-        // lock-order: 27 (core.text)
-        self.text.read().clone()
     }
 }
 

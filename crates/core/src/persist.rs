@@ -1,5 +1,5 @@
 //! Lake persistence: block segments + superblock + the write-ahead log
-//! (DESIGN.md §12, §15).
+//! (DESIGN.md §12, §15). One writer, one reader.
 //!
 //! ```text
 //! <dir>/
@@ -10,40 +10,42 @@
 //!   wal/<lsn>.wal              write-ahead log segments (mlake-wal)
 //! ```
 //!
-//! [`ModelLake::persist`] on a durable lake writes only the **delta**
-//! since the last persist — one new segment holding the models, card
-//! overrides, dataset/benchmark registrations and events the live chain
-//! does not yet cover — then atomically swaps in a new superblock naming
-//! the extended chain. Persist cost is O(ops since last persist), not
-//! O(lake). Once the chain grows past a threshold the persist folds
-//! everything into a single segment instead (a major compaction), so
-//! folding stays bounded. Every file lands via temp-file + rename; a
-//! crash mid-persist leaves either the old superblock or the new one,
-//! never a torn mix (at worst an unreachable segment for GC).
+//! **Writer.** [`ModelLake::persist`] walks the catalogue once, for the
+//! **delta** since the persist marks: the models, card overrides,
+//! dataset/benchmark registrations and events the live chain does not yet
+//! cover. Into the lake's own directory that delta lands as one new
+//! segment and the superblock swaps to the extended chain — cost O(ops
+//! since last persist), not O(lake). A major compaction (the chain would
+//! outgrow [`MAX_LIVE_SEGMENTS`]) and an export into any other directory
+//! are the same write with one more step: `fold(live chain) + delta`,
+//! flattened back to blocks, as a single segment. An ephemeral lake's
+//! marks are zero and its chain empty, so its delta *is* the catalogue.
+//! Every file lands via temp-file + rename; a crash mid-persist leaves
+//! either the old superblock or the new one, never a torn mix (at worst
+//! an unreachable segment for GC).
 //!
-//! [`ModelLake::open`] on a v3 lake reads the superblock and folds the
+//! **Reader.** [`ModelLake::open`] reads the superblock and folds the
 //! segment chain — pure metadata, no model blobs. Artifact bytes page in
-//! lazily through the store's residency layer on first touch, and the
-//! HNSW index build (fed from the fingerprints persisted in the Model
-//! blocks) is deferred to the first search. WAL replay past the
-//! superblock's `last_lsn` is unchanged. Legacy v1/v2 whole-manifest
-//! snapshots still open through the original eager path and are
-//! upgraded to v3 by their next persist.
+//! lazily through the store's residency layer on first touch, the HNSW
+//! build (fed from the fingerprints persisted in the Model blocks) is
+//! deferred to the first search, and the text index is rebuilt from the
+//! folded cards. Then the WAL replays past the superblock's `last_lsn`.
+//! A legacy v1/v2 whole-state manifest is read as what it is — a list of
+//! ops — and replayed through the same funnel as WAL records; its next
+//! persist writes the catalogue as segment 1 and upgrades it to v3.
 
-use crate::blockstore::{self, Block, ModelBlock};
-use crate::durable::{WalLink, WalOp};
+use crate::blockstore::{self, Block, Folded, ModelBlock};
+use crate::durable::{canonical_dir, WalLink, WalOp};
 use crate::error::{LakeError, Result};
 use crate::event::EventLog;
 use crate::hash::Digest;
-use crate::lake::{LakeConfig, LakeShared, ModelLake};
+use crate::lake::{LakeConfig, LakeShared, ModelLake, SegState};
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId};
-use crate::store::{BlobStore, ResidentStore};
+use crate::store::ResidentStore;
 use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
-use mlake_nn::Model;
 use mlake_wal::{RealFs, Vfs, Wal};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -73,308 +75,188 @@ struct SuperBlock {
     last_lsn: u64,
 }
 
-/// Just enough of any manifest version to dispatch on.
+/// What every manifest version has in common: enough to dispatch on,
+/// name the lake and position WAL replay.
 #[derive(Debug, Deserialize)]
-struct VersionProbe {
+struct ManifestHead {
     #[serde(default)]
     version: u32,
-}
-
-/// The v1/v2 whole-state manifest, kept for the legacy open path and the
-/// pinned-fixture writer ([`ModelLake::export_v2`]).
-#[derive(Debug, Serialize, Deserialize)]
-struct LegacyManifest {
-    version: u32,
+    #[serde(default)]
     name: String,
-    models: Vec<LegacyManifestModel>,
-    datasets: Vec<mlake_datagen::Dataset>,
-    benchmarks: Vec<(Benchmark, Option<String>)>,
-    events: EventLog,
     #[serde(default)]
     last_lsn: u64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+/// The catalogue part of a v1/v2 whole-state manifest. Read-only: the
+/// upgrade reader ([`ModelLake::replay_legacy`]) is its one consumer.
+#[derive(Debug, Deserialize)]
+struct LegacyManifest {
+    models: Vec<LegacyManifestModel>,
+    datasets: Vec<mlake_datagen::Dataset>,
+    benchmarks: Vec<(Benchmark, Option<String>)>,
+    events: EventLog,
+}
+
+#[derive(Debug, Deserialize)]
 struct LegacyManifestModel {
     name: String,
     digest: String,
     card: ModelCard,
 }
 
-/// The snapshot + compaction body shared by the explicit
-/// [`ModelLake::persist`] path and the background compactor
-/// (`crate::compact`): one consistent cut of the shared state under the
-/// `op_lock`. Persisting into the lake's own directory is incremental
-/// (delta segment + superblock swap + WAL compaction); persisting
-/// anywhere else — including an ephemeral lake's first persist — is a
-/// full export of blobs and catalogue.
+/// The catalogue delta since the persist marks in `seg`, as blocks, plus
+/// the marks that cover the catalogue once those blocks are durable. The
+/// only place the registry is walked for persistence. Caller holds the
+/// `op_lock`, so registry, event log and marks are one consistent cut.
+fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegState)> {
+    let mut blocks = Vec::new();
+    let reg = shared.registry.read();
+    for entry in &reg.models[seg.models..] {
+        // Every model past the mark was ingested (or replayed) by this
+        // process, which stashed its fingerprints.
+        let fps = seg.fresh_fps.get(&entry.id.0).ok_or_else(|| {
+            LakeError::Internal(format!(
+                "no fingerprints stashed to persist model '{}'",
+                entry.name
+            ))
+        })?;
+        blocks.push(Block::Model(ModelBlock {
+            name: entry.name.clone(),
+            digest: entry.digest.to_hex(),
+            arch: entry.arch.clone(),
+            params: entry.params,
+            card: entry.card.clone(),
+            fps: blockstore::fp_bits(fps),
+        }));
+    }
+    // Cards replaced on already-persisted models; the Model blocks above
+    // carry their current card already.
+    for &id in seg.dirty_cards.iter().filter(|&&id| (id as usize) < seg.models) {
+        let entry = reg.model(ModelId(id)).ok_or_else(|| {
+            LakeError::Internal(format!("dirty card for unknown model id {id}"))
+        })?;
+        blocks.push(Block::CardOverride {
+            id,
+            card: entry.card.clone(),
+        });
+    }
+    for dataset in &reg.datasets[seg.datasets..] {
+        blocks.push(Block::Dataset {
+            dataset: dataset.clone(),
+        });
+    }
+    let mut benchmarks: Vec<&BenchmarkEntry> = reg
+        .benchmarks
+        .values()
+        .filter(|e| !seg.benchmarks.contains(&e.benchmark.name))
+        .collect();
+    benchmarks.sort_by(|a, b| a.benchmark.name.cmp(&b.benchmark.name));
+    for e in benchmarks {
+        blocks.push(Block::Benchmark {
+            benchmark: e.benchmark.clone(),
+            domain: e.domain.clone(),
+        });
+    }
+    let mut covered = SegState {
+        models: reg.models.len(),
+        datasets: reg.datasets.len(),
+        benchmarks: reg.benchmarks.keys().cloned().collect(),
+        ..SegState::default()
+    };
+    drop(reg);
+    let log = shared.events.read();
+    let events = log.events();
+    if events.len() > seg.events {
+        blocks.push(Block::Events {
+            events: events[seg.events..].to_vec(),
+        });
+    }
+    covered.events = events.len();
+    Ok((blocks, covered))
+}
+
+/// The persist body shared by the explicit [`ModelLake::persist`] path
+/// and the background compactor (`crate::compact`): one consistent cut
+/// of the shared state under the `op_lock`, written as the delta since
+/// the last persist (own directory) or as `fold(live chain) + delta` in
+/// one segment (major compaction, or any other directory — which leaves
+/// the lake's own chain, marks and WAL untouched).
 pub(crate) fn persist_shared(shared: &LakeShared, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
     let _span = mlake_obs::span("lake.persist");
     // Hold the op lock so the cut and its last_lsn are one consistent
-    // view of the lake.
+    // view of the lake; it excludes every mutator of the marks too.
     let _op = shared.op_lock.lock();
-    match shared.wal.as_ref() {
-        Some(link) if link.dir == dir => persist_incremental(shared, link, dir, vfs),
-        _ => export_full(shared, dir, vfs),
-    }
-}
-
-/// Builds the [`Block::Model`] for a registry entry from stashed or
-/// folded fingerprints.
-fn model_block(
-    entry: &ModelEntry,
-    fresh_fps: &HashMap<u64, [Vec<f32>; 3]>,
-    folded_fps: &HashMap<String, [Vec<u32>; 3]>,
-) -> Result<ModelBlock> {
-    let digest = entry.digest.to_hex();
-    let fps = match fresh_fps.get(&entry.id.0) {
-        Some(fps) => blockstore::fp_bits(fps),
-        None => folded_fps
-            .get(&digest)
-            .cloned()
-            .ok_or_else(|| {
-                LakeError::Internal(format!(
-                    "no fingerprints available to persist model '{}'",
-                    entry.name
-                ))
-            })?,
-    };
-    Ok(ModelBlock {
-        name: entry.name.clone(),
-        digest,
-        arch: entry.arch.clone(),
-        params: entry.params,
-        card: entry.card.clone(),
-        fps,
-    })
-}
-
-/// Fingerprint bit-patterns by digest from the lake's own live chain
-/// (for models whose in-process stash was already cleared).
-fn folded_fps_from_chain(shared: &LakeShared, live: &[u64]) -> Result<HashMap<String, [Vec<u32>; 3]>> {
-    let mut out = HashMap::new();
-    if let Some(link) = &shared.wal {
-        for &seq in live {
-            for block in blockstore::read_segment(&link.dir, &link.vfs, seq)? {
-                if let Block::Model(m) = block {
-                    out.insert(m.digest, m.fps);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Incremental persist into the attached directory (caller holds the
-/// `op_lock`): delta segment → superblock swap → WAL compaction.
-fn persist_incremental(
-    shared: &LakeShared,
-    link: &crate::durable::WalLink,
-    dir: &Path,
-    vfs: &Arc<dyn Vfs>,
-) -> Result<()> {
     vfs.create_dir_all(dir)?;
-    // Snapshot the persist marks. The op lock excludes every mutator, so
-    // the marks stay consistent with the registry/event reads below.
-    let (live, seq, models_mark, datasets_mark, bench_mark, events_mark, dirty, fresh_fps) = {
+    // The lake's own directory under any spelling (relative, `..`, a
+    // symlink) is still its own directory: compare resolved identities.
+    let own = shared
+        .wal
+        .as_ref()
+        .filter(|link| link.dir == canonical_dir(dir));
+    let seg = {
         // lock-order: 46 (core.segstate)
-        let seg = shared.seg.lock();
-        (
-            seg.live.clone(),
-            seg.next_seq(),
-            seg.models,
-            seg.datasets,
-            seg.benchmarks.clone(),
-            seg.events,
-            seg.dirty_cards.clone(),
-            seg.fresh_fps.clone(),
-        )
+        shared.seg.lock().clone()
     };
-    let major = live.len() + 1 > MAX_LIVE_SEGMENTS;
-    let empty_fps = HashMap::new();
-    let folded_fps = if major {
-        // A major fold rewrites every model: recover fingerprints for the
-        // ones whose stash was cleared from the chain being replaced.
-        folded_fps_from_chain(shared, &live)?
-    } else {
-        empty_fps
-    };
+    let (delta, mut covered) = delta_since(shared, &seg)?;
 
-    let mut blocks = Vec::new();
-    let (total_models, total_datasets, all_bench_names) = {
-        let reg = shared.registry.read();
-        if major {
-            for entry in &reg.models {
-                blocks.push(Block::Model(model_block(entry, &fresh_fps, &folded_fps)?));
-            }
-            for ds in &reg.datasets {
-                blocks.push(Block::Dataset {
-                    dataset: ds.clone(),
-                });
-            }
-            for (benchmark, domain) in shared.benchmarks_snapshot() {
-                blocks.push(Block::Benchmark { benchmark, domain });
-            }
-        } else {
-            for entry in &reg.models[models_mark..] {
-                blocks.push(Block::Model(model_block(entry, &fresh_fps, &folded_fps)?));
-            }
-            // Cards replaced on already-persisted models; fresh Model
-            // blocks above carry their current card already.
-            for &id in dirty.iter().filter(|&&id| (id as usize) < models_mark) {
-                let entry = reg.model(ModelId(id)).ok_or_else(|| {
-                    LakeError::Internal(format!("dirty card for unknown model id {id}"))
-                })?;
-                blocks.push(Block::CardOverride {
-                    id,
-                    card: entry.card.clone(),
-                });
-            }
-            for ds in &reg.datasets[datasets_mark..] {
-                blocks.push(Block::Dataset {
-                    dataset: ds.clone(),
-                });
-            }
-            for (benchmark, domain) in shared
-                .benchmarks_snapshot()
-                .into_iter()
-                .filter(|(b, _)| !bench_mark.contains(&b.name))
-            {
-                blocks.push(Block::Benchmark { benchmark, domain });
+    let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
+    let seq = if own.is_some() { seg.next_seq() } else { 1 };
+    let blocks = if rewrite {
+        let mut folded = match &shared.wal {
+            Some(link) => blockstore::fold_segments(&link.dir, &link.vfs, &seg.live)?,
+            None => Folded::default(),
+        };
+        for block in delta {
+            folded.apply(block)?;
+        }
+        folded.into_blocks()
+    } else {
+        delta
+    };
+    if own.is_none() {
+        // Blob export: the store faults evicted blobs back in from the
+        // lake's own backing as needed.
+        let blob_dir = dir.join("blobs");
+        vfs.create_dir_all(&blob_dir)?;
+        let digests: Vec<Digest> =
+            shared.registry.read().models.iter().map(|e| e.digest).collect();
+        for digest in &digests {
+            let path = ResidentStore::blob_path(&blob_dir, digest);
+            if !vfs.exists(&path) {
+                vfs.write_atomic(&path, &shared.store.get(digest)?)?;
             }
         }
-        (
-            reg.models.len(),
-            reg.datasets.len(),
-            reg.benchmarks.keys().cloned().collect(),
-        )
-    };
-    let events = shared.events.read().events().to_vec();
-    let total_events = events.len();
-    let event_tail = if major { 0 } else { events_mark };
-    if total_events > event_tail {
-        blocks.push(Block::Events {
-            events: events[event_tail..].to_vec(),
-        });
     }
-    // Deliberately NO `Block::TextIndex` here: a whole-index snapshot is
-    // O(lake) and would break the invariant that a delta segment costs
-    // O(ops since last persist) (bench_guard's delta-size gate). The text
-    // state a delta carries is exactly its Model/CardOverride blocks, and
-    // folding those invalidates any older snapshot, so open re-derives
-    // the affected docs from the folded cards — no blob reads.
 
     // Segment first, superblock second: a crash between the two leaves
     // the old superblock pointing at the old chain and one unreachable
     // segment for GC. Never a torn state.
-    let live_after = if blocks.is_empty() {
-        live
-    } else {
+    covered.live = if rewrite { Vec::new() } else { seg.live };
+    if !blocks.is_empty() {
         blockstore::write_segment(dir, vfs, seq, &blocks)?;
-        if major {
-            vec![seq]
-        } else {
-            let mut v = live;
-            v.push(seq);
-            v
-        }
-    };
-    let last_lsn = link.wal.head();
+        covered.live.push(seq);
+    }
+    covered.next_seq = seq + 1;
+    let last_lsn = shared.wal.as_ref().map_or(0, |link| link.wal.head());
     let superblock = SuperBlock {
         version: MANIFEST_VERSION,
         name: shared.config.name.clone(),
-        segments: live_after.clone(),
+        segments: covered.live.clone(),
         last_lsn,
     };
     let json = serde_json::to_vec_pretty(&superblock)
         .map_err(|e| LakeError::CorruptArtifact(format!("superblock encode: {e}")))?;
     vfs.write_atomic(&dir.join("manifest.json"), &json)?;
 
-    // The swap landed: advance the marks to the persisted cut.
-    {
-        // lock-order: 46 (core.segstate)
-        let mut seg = shared.seg.lock();
-        seg.live = live_after;
-        seg.next_seq = seq + 1;
-        seg.models = total_models;
-        seg.datasets = total_datasets;
-        seg.benchmarks = all_bench_names;
-        seg.events = total_events;
-        seg.dirty_cards.clear();
-        seg.fresh_fps.clear();
-    }
-    // The chain is the new recovery base: drop the covered WAL prefix.
-    link.wal.compact_to(last_lsn)?;
-    Ok(())
-}
-
-/// Full export into a foreign directory (or an ephemeral lake's first
-/// persist): every blob, one full segment, a fresh superblock. Does not
-/// touch the lake's own persist marks.
-fn export_full(shared: &LakeShared, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
-    vfs.create_dir_all(dir)?;
-    let blob_dir = dir.join("blobs");
-    vfs.create_dir_all(&blob_dir)?;
-    let (models, datasets, benchmarks) = {
-        let reg = shared.registry.read();
-        (
-            reg.models.clone(),
-            shared.datasets_snapshot(),
-            shared.benchmarks_snapshot(),
-        )
-    };
-    let events = shared.events.read().events().to_vec();
-    let (live, fresh_fps) = {
-        // lock-order: 46 (core.segstate)
-        let seg = shared.seg.lock();
-        (seg.live.clone(), seg.fresh_fps.clone())
-    };
-    let folded_fps = folded_fps_from_chain(shared, &live)?;
-    // Blob export: the store faults evicted blobs back in from the
-    // lake's own backing as needed.
-    for entry in &models {
-        let path = ResidentStore::blob_path(&blob_dir, &entry.digest);
-        if !vfs.exists(&path) {
-            let bytes = shared.store.get(&entry.digest)?;
-            vfs.write_atomic(&path, &bytes)?;
+    if let Some(link) = own {
+        // The swap landed: advance the marks to the persisted cut.
+        {
+            // lock-order: 46 (core.segstate)
+            *shared.seg.lock() = covered;
         }
+        // The chain is the new recovery base: drop the covered WAL prefix.
+        link.wal.compact_to(last_lsn)?;
     }
-    let mut blocks = Vec::new();
-    for entry in &models {
-        blocks.push(Block::Model(model_block(entry, &fresh_fps, &folded_fps)?));
-    }
-    for dataset in datasets {
-        blocks.push(Block::Dataset { dataset });
-    }
-    for (benchmark, domain) in benchmarks {
-        blocks.push(Block::Benchmark { benchmark, domain });
-    }
-    if !events.is_empty() {
-        blocks.push(Block::Events { events });
-    }
-    // A full export is O(lake) by definition, so the whole-index snapshot
-    // rides along here (and only here): a chain that is exactly one full
-    // segment reopens its text index without re-tokenizing a single card.
-    if !blocks.is_empty() {
-        blocks.push(Block::TextIndex {
-            index: shared.text_index_snapshot(),
-        });
-    }
-    let segments = if blocks.is_empty() {
-        Vec::new()
-    } else {
-        blockstore::write_segment(dir, vfs, 1, &blocks)?;
-        vec![1]
-    };
-    let superblock = SuperBlock {
-        version: MANIFEST_VERSION,
-        name: shared.config.name.clone(),
-        segments,
-        last_lsn: shared.wal.as_ref().map_or(0, |l| l.wal.head()),
-    };
-    let json = serde_json::to_vec_pretty(&superblock)
-        .map_err(|e| LakeError::CorruptArtifact(format!("superblock encode: {e}")))?;
-    vfs.write_atomic(&dir.join("manifest.json"), &json)?;
     Ok(())
 }
 
@@ -404,13 +286,13 @@ impl ModelLake {
         persist_shared(&self.shared, dir, vfs)
     }
 
-    /// Opens a persisted lake. A v3 lake loads the superblock and folds
-    /// the segment chain — metadata only; model blobs page in lazily on
-    /// first touch and the fingerprint indexes (restored from persisted
-    /// fingerprints, never recomputed) build on first search. Legacy
-    /// v1/v2 manifests load eagerly as before. Then the write-ahead log
-    /// replays past the manifest's `last_lsn`. The returned lake is
-    /// durable: further mutations append to the same WAL.
+    /// Opens a persisted lake: loads the superblock and folds the segment
+    /// chain — metadata only; model blobs page in lazily on first touch
+    /// and the fingerprint indexes (restored from persisted fingerprints,
+    /// never recomputed) build on first search. A legacy v1/v2 manifest
+    /// replays as ops instead. Then the write-ahead log replays past the
+    /// manifest's `last_lsn`. The returned lake is durable: further
+    /// mutations append to the same WAL.
     ///
     /// `config` must use the same probe/sketch parameters the lake was
     /// created with for fingerprints to match; the lake name is restored
@@ -424,25 +306,37 @@ impl ModelLake {
     pub fn open_with(dir: &Path, config: LakeConfig, vfs: Arc<dyn Vfs>) -> Result<ModelLake> {
         let _span = mlake_obs::span("lake.open");
         let manifest_bytes = vfs.read(&dir.join("manifest.json"))?;
-        let probe: VersionProbe = serde_json::from_slice(&manifest_bytes)
+        let head: ManifestHead = serde_json::from_slice(&manifest_bytes)
             .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))?;
-        if probe.version == 0 || probe.version > MANIFEST_VERSION {
+        if head.version == 0 || head.version > MANIFEST_VERSION {
             return Err(LakeError::UnsupportedManifest {
-                found: probe.version,
+                found: head.version,
                 supported: MANIFEST_VERSION,
             });
         }
-        let (mut lake, last_lsn) = if probe.version == MANIFEST_VERSION {
-            Self::open_v3(dir, config, &vfs, &manifest_bytes)?
+        let mut lake = ModelLake::new(LakeConfig {
+            name: head.name,
+            ..config
+        });
+        // Non-resident blobs fault in, digest-verified, from the lake's
+        // own blob directory.
+        lake.shared
+            .store
+            .attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
+        // Queue the HNSW inserts instead of building now; the first search
+        // drains the queue in id order (bit-identical to an eager build).
+        lake.defer_index_builds();
+        if head.version == MANIFEST_VERSION {
+            lake.load_chain(dir, &vfs, &manifest_bytes)?;
         } else {
-            Self::open_legacy(dir, config, &vfs, &manifest_bytes)?
-        };
+            lake.replay_legacy(&manifest_bytes)?;
+        }
         // Replay everything the manifest does not cover, in LSN order.
         let (wal, replay) = Wal::open_with(
             &dir.join("wal"),
             lake.wal_options(),
             Arc::clone(&vfs),
-            last_lsn,
+            head.last_lsn,
         )?;
         for (lsn, payload) in &replay.records {
             let op: WalOp = serde_json::from_slice(payload).map_err(|e| {
@@ -452,50 +346,39 @@ impl ModelLake {
         }
         lake.shared_mut()?.wal = Some(WalLink {
             wal,
-            dir: dir.to_path_buf(),
+            dir: canonical_dir(dir),
             vfs,
         });
         lake.spawn_compactor()?;
         Ok(lake)
     }
 
-    /// The v3 open path: superblock + segment fold, no blob reads, no
-    /// fingerprint recomputation, index build deferred to first search.
-    fn open_v3(
-        dir: &Path,
-        config: LakeConfig,
-        vfs: &Arc<dyn Vfs>,
-        manifest_bytes: &[u8],
-    ) -> Result<(ModelLake, u64)> {
+    /// Loads the catalogue a v3 superblock names: segment fold, no blob
+    /// reads, no fingerprint recomputation — the persisted fingerprints
+    /// flow straight into the deferred index queue.
+    fn load_chain(&self, dir: &Path, vfs: &Arc<dyn Vfs>, manifest_bytes: &[u8]) -> Result<()> {
         let sb: SuperBlock = serde_json::from_slice(manifest_bytes)
             .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
         let folded = blockstore::fold_segments(dir, vfs, &sb.segments)?;
-        let lake = ModelLake::new(LakeConfig {
-            name: sb.name,
-            ..config
-        });
-        // Non-resident blobs fault in from the lake's own blob directory.
-        lake.shared
-            .store
-            .attach_backing(&dir.join("blobs"), Arc::clone(vfs));
-        // Queue the HNSW inserts instead of building now: the persisted
-        // fingerprints flow straight into the queue, and the first search
-        // drains it in this same id order (bit-identical to eager).
-        lake.defer_index_builds();
-        let n_models = folded.models.len();
-        let n_datasets = folded.datasets.len();
+        // Mark everything the chain covers as persisted; WAL-replayed ops
+        // past this point count as fresh again.
+        let covered = SegState {
+            next_seq: sb.segments.iter().copied().max().unwrap_or(0) + 1,
+            live: sb.segments,
+            models: folded.models.len(),
+            datasets: folded.datasets.len(),
+            benchmarks: folded.benchmarks.iter().map(|(b, _)| b.name.clone()).collect(),
+            events: folded.events.len(),
+            ..SegState::default()
+        };
         {
-            let mut reg = lake.shared.registry.write();
+            let mut reg = self.shared.registry.write();
             for (i, m) in folded.models.into_iter().enumerate() {
                 let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
                     LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
                 })?;
                 let id = ModelId(i as u64);
-                lake.queue_index_insert(
-                    digest.route_key(),
-                    id.0,
-                    blockstore::fp_floats(&m.fps),
-                );
+                self.queue_index_insert(digest.route_key(), id.0, blockstore::fp_floats(&m.fps));
                 reg.by_name.insert(m.name.clone(), id);
                 reg.models.push(ModelEntry {
                     id,
@@ -513,119 +396,36 @@ impl ModelLake {
                     .insert(benchmark.name.clone(), BenchmarkEntry { benchmark, domain });
             }
         }
-        let n_events = folded.events.len();
-        lake.restore_event_log(EventLog::from_events(folded.events));
-        // Install the persisted text index when the chain carries one;
-        // older chains (pre-§16) fold to `None` and rebuild from the
-        // cards just loaded — still no blob reads, so open stays lazy.
-        match folded.text {
-            Some(index) => lake.restore_text_index(index),
-            None => lake.rebuild_text_index(),
-        }
-        {
-            // Mark everything the chain covers as persisted; WAL-replayed
-            // ops past this point count as fresh again.
-            // lock-order: 46 (core.segstate)
-            let mut seg = lake.shared.seg.lock();
-            seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
-            seg.live = sb.segments;
-            seg.models = n_models;
-            seg.datasets = n_datasets;
-            seg.benchmarks = lake.shared.registry.read().benchmarks.keys().cloned().collect();
-            seg.events = n_events;
-        }
-        Ok((lake, sb.last_lsn))
+        self.restore_event_log(EventLog::from_events(folded.events));
+        // Derived state: re-tokenize the folded cards. Still no blob reads,
+        // so open stays lazy.
+        self.rebuild_text_index();
+        // lock-order: 46 (core.segstate)
+        *self.shared.seg.lock() = covered;
+        Ok(())
     }
 
-    /// The legacy v1/v2 open path: eager blob load, re-ingesting every
-    /// artifact so fingerprints and indexes rebuild. The next persist
-    /// writes the whole catalogue as segment 1 and upgrades the manifest
-    /// to v3.
-    fn open_legacy(
-        dir: &Path,
-        config: LakeConfig,
-        vfs: &Arc<dyn Vfs>,
-        manifest_bytes: &[u8],
-    ) -> Result<(ModelLake, u64)> {
+    /// The v1/v2 upgrade reader. A whole-state manifest is a list of ops,
+    /// so it goes through the funnel WAL replay uses: each model faults
+    /// its blob in (digest-verified) and re-derives fingerprints, index
+    /// entries and text document. The persist marks stay at zero, so the
+    /// next persist writes the whole catalogue as segment 1 under a v3
+    /// superblock.
+    fn replay_legacy(&self, manifest_bytes: &[u8]) -> Result<()> {
         let manifest: LegacyManifest = serde_json::from_slice(manifest_bytes)
             .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))?;
-        let store = ResidentStore::load_dir(&dir.join("blobs"), config.resident_bytes)?;
-        let mut lake = ModelLake::new(LakeConfig {
-            name: manifest.name,
-            ..config
-        });
-        // The loaded blobs become the working set (replayed ingests
-        // resolve their digests against it; re-ingesting below is an
-        // idempotent content-addressed no-op).
-        lake.shared_mut()?.store = store;
-        lake.shared
-            .store
-            .attach_backing(&dir.join("blobs"), Arc::clone(vfs));
-        for ds in manifest.datasets {
-            lake.register_dataset(ds)?;
+        for dataset in manifest.datasets {
+            self.apply_op(0, WalOp::RegisterDataset { dataset })?;
         }
-        for (bench, domain) in manifest.benchmarks {
-            lake.register_benchmark(bench, domain)?;
+        for (benchmark, domain) in manifest.benchmarks {
+            self.apply_op(0, WalOp::RegisterBenchmark { benchmark, domain })?;
         }
-        for m in manifest.models {
-            let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
-                LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
-            })?;
-            let bytes = lake.shared.store.get(&digest)?;
-            let model = Model::from_bytes(&bytes)
-                .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
-            lake.ingest_model(&m.name, &model, Some(m.card))?;
+        for LegacyManifestModel { name, digest, card } in manifest.models {
+            self.apply_op(0, WalOp::Ingest { name, digest, card })?;
         }
-        // Restore the original event history *after* re-ingestion so the
+        // Restore the original event history *after* the replay so the
         // graph timestamps (citation keys) survive the round trip.
-        lake.restore_event_log(manifest.events);
-        // Persist marks stay at zero: no segments cover anything yet, so
-        // the first persist writes the full catalogue (as one delta).
-        Ok((lake, manifest.last_lsn))
-    }
-
-    /// Writes `dir` as a legacy v2 whole-manifest snapshot. Fixture
-    /// generation only (`tests/fixtures/v2-lake`) — the live format is
-    /// the v3 superblock; this writer exists so the pinned back-compat
-    /// fixture can be regenerated from current code.
-    #[doc(hidden)]
-    // lint: no-span — test-fixture writer, not a production path
-    pub fn export_v2(&self, dir: &Path) -> Result<()> {
-        let vfs = RealFs::shared();
-        let shared = &self.shared;
-        let _op = shared.op_lock.lock();
-        vfs.create_dir_all(dir)?;
-        let blob_dir = dir.join("blobs");
-        vfs.create_dir_all(&blob_dir)?;
-        let models: Vec<LegacyManifestModel> = {
-            let reg = shared.registry.read();
-            for entry in &reg.models {
-                let path = ResidentStore::blob_path(&blob_dir, &entry.digest);
-                if !vfs.exists(&path) {
-                    vfs.write_atomic(&path, &shared.store.get(&entry.digest)?)?;
-                }
-            }
-            reg.models
-                .iter()
-                .map(|entry| LegacyManifestModel {
-                    name: entry.name.clone(),
-                    digest: entry.digest.to_hex(),
-                    card: entry.card.clone(),
-                })
-                .collect()
-        };
-        let manifest = LegacyManifest {
-            version: 2,
-            name: shared.config.name.clone(),
-            models,
-            datasets: shared.datasets_snapshot(),
-            benchmarks: shared.benchmarks_snapshot(),
-            events: shared.event_log_snapshot(),
-            last_lsn: shared.wal.as_ref().map_or(0, |l| l.wal.head()),
-        };
-        let json = serde_json::to_vec_pretty(&manifest)
-            .map_err(|e| LakeError::CorruptArtifact(format!("manifest encode: {e}")))?;
-        vfs.write_atomic(&dir.join("manifest.json"), &json)?;
+        self.restore_event_log(manifest.events);
         Ok(())
     }
 }
@@ -740,10 +540,33 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Everything a reopen must reproduce bit for bit: the event log,
+    /// every card, and `similar` hits (ids + score bits) around each model.
+    type Observed = (Vec<crate::event::Event>, Vec<ModelCard>, Vec<Vec<(u64, u32)>>);
+
+    fn observable(lake: &ModelLake) -> Observed {
+        let ids = || (0..lake.len() as u64).map(ModelId);
+        (
+            lake.events(),
+            ids().map(|id| lake.entry(id).unwrap().card).collect(),
+            ids()
+                .map(|id| {
+                    lake.similar(id, mlake_fingerprint::FingerprintKind::Hybrid, 4)
+                        .unwrap()
+                        .into_iter()
+                        .map(|(m, s)| (m.0, s.to_bits()))
+                        .collect()
+                })
+                .collect(),
+        )
+    }
+
     #[test]
     fn repeated_persists_append_deltas_and_major_fold_bounds_the_chain() {
         let dir = tmp("delta");
+        let export = tmp("delta-export");
         let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&export);
         let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
         // tiny() yields ~a dozen models — enough ingest+persist cycles to
         // push the chain past MAX_LIVE_SEGMENTS and trigger a major fold.
@@ -752,6 +575,12 @@ mod tests {
         let mut chain_lens = Vec::new();
         for (i, gm) in gt.models.iter().enumerate() {
             lake.ingest_model(&gm.name, &gm.model, None).unwrap();
+            if i == 1 {
+                // A card override the fold must carry into model 0's block.
+                let mut card = lake.entry(ModelId(0)).unwrap().card;
+                card.notes = "overridden before the fold".into();
+                lake.update_card(ModelId(0), card).unwrap();
+            }
             lake.persist(&dir).unwrap();
             let sb: SuperBlock =
                 serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).unwrap())
@@ -774,9 +603,24 @@ mod tests {
             serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).unwrap()).unwrap();
         assert_eq!(before.segments, after.segments, "no-op persist writes no segment");
         // Reopening folds the chain back to the same catalogue.
+        let live = observable(&lake);
         drop(lake);
         let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
         assert_eq!(reopened.len(), gt.models.len());
+        assert_eq!(observable(&reopened), live, "folded chain diverged from the live lake");
+        assert_eq!(live.1[0].notes, "overridden before the fold");
+        // Export of a reopened, then-mutated lake: chain (nothing stashed
+        // in this process) + delta (a fresh model, an override on a folded
+        // one) must flatten to a lake that reopens identical.
+        let late = &generate_lake(&LakeSpec::tiny(10)).models[0];
+        reopened.ingest_model("late", &late.model, None).unwrap();
+        let mut card = reopened.entry(ModelId(2)).unwrap().card;
+        card.notes = "overridden after the reopen".into();
+        reopened.update_card(ModelId(2), card).unwrap();
+        reopened.persist(&export).unwrap();
+        let exported = ModelLake::open(&export, LakeConfig::default()).unwrap();
+        assert_eq!(observable(&exported), observable(&reopened), "export diverged");
         std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&export).unwrap();
     }
 }

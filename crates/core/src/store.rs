@@ -6,12 +6,14 @@
 //! *resident* subset of the lake's blobs in memory; on a durable lake the
 //! rest live as `<hex-digest>.blob` files and page in lazily on first
 //! touch ([`ResidentStore::get`] faults the file in, verifies its digest,
-//! and caches it). `LakeConfig::builder().resident_bytes(n)` bounds the
-//! resident set: once the cap is exceeded the least-recently-used
-//! *evictable* blobs are dropped — a blob is evictable only after its
-//! bytes are known durable on disk (either faulted in from a file or
-//! explicitly marked via [`ResidentStore::mark_durable`] after the
-//! durable-ingest blob write), so eviction can never lose data.
+//! and caches it) — the only way bytes enter the store from disk, whatever
+//! manifest version the lake was opened from.
+//! `LakeConfig::builder().resident_bytes(n)` bounds the resident set: once
+//! the cap is exceeded the least-recently-used *evictable* blobs are
+//! dropped — a blob is evictable only after its bytes are known durable on
+//! disk (either faulted in from a file or explicitly marked via
+//! [`ResidentStore::mark_durable`] after the durable-ingest blob write),
+//! so eviction can never lose data.
 //!
 //! Observability: `store.fault` / `store.evict` counters and the
 //! `store.resident.bytes` gauge. The resident map's mutex is rank
@@ -26,26 +28,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// Storage interface the lake uses.
-pub trait BlobStore: Send + Sync {
-    /// Stores `bytes`, returning their digest. Idempotent.
-    fn put(&self, bytes: &[u8]) -> Digest;
-
-    /// Retrieves and integrity-checks a blob.
-    fn get(&self, digest: &Digest) -> Result<Vec<u8>>;
-
-    /// Whether the digest is resident or available from backing files.
-    fn contains(&self, digest: &Digest) -> bool;
-
-    /// Number of *resident* blobs.
-    fn len(&self) -> usize;
-
-    /// `true` when nothing is resident.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
 
 /// One resident blob.
 struct Entry {
@@ -152,66 +134,6 @@ impl ResidentStore {
         dir.join(format!("{}.blob", digest.to_hex()))
     }
 
-    /// Loads every `<hex>.blob` file from `dir` eagerly, verifying
-    /// digests (the v1/v2 manifest open path; v3 lakes page in lazily).
-    /// The whole set loads resident regardless of `cap_bytes`; once a
-    /// backing directory is attached, later accesses evict down to the
-    /// cap.
-    pub fn load_dir(dir: &Path, cap_bytes: u64) -> Result<ResidentStore> {
-        let store = ResidentStore::with_cap(cap_bytes);
-        for entry in std::fs::read_dir(dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("blob") {
-                continue;
-            }
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default();
-            let Some(expected) = Digest::from_hex(stem) else {
-                return Err(LakeError::CorruptArtifact(format!(
-                    "bad blob filename: {}",
-                    path.display()
-                )));
-            };
-            let bytes = std::fs::read(&path)?;
-            let actual = sha256(&bytes);
-            if actual != expected {
-                return Err(LakeError::CorruptArtifact(format!(
-                    "digest mismatch for {}",
-                    path.display()
-                )));
-            }
-            store.insert_durable(actual, bytes);
-        }
-        Ok(store)
-    }
-
-    /// Inserts bytes already known durable (eager load). Does not evict:
-    /// the eager path deliberately holds everything.
-    fn insert_durable(&self, digest: Digest, bytes: Vec<u8>) {
-        // lock-order: 45 (store.resident)
-        let mut res = self.resident.lock();
-        res.clock += 1;
-        let stamp = res.clock;
-        let len = bytes.len() as u64;
-        if res
-            .blobs
-            .insert(
-                digest,
-                Entry {
-                    bytes,
-                    stamp,
-                    durable: true,
-                },
-            )
-            .is_none()
-        {
-            res.bytes += len;
-        }
-        publish_resident_bytes(res.bytes);
-    }
-
     /// Sum of resident payload sizes (the `store.resident.bytes` gauge).
     pub fn resident_bytes(&self) -> u64 {
         // lock-order: 45 (store.resident)
@@ -281,82 +203,72 @@ impl ResidentStore {
         if mlake_obs::enabled() {
             mlake_obs::counter!("store.fault").inc();
         }
-        // lock-order: 45 (store.resident)
-        let mut res = self.resident.lock();
-        res.clock += 1;
-        let stamp = res.clock;
-        if !res.blobs.contains_key(digest) {
-            res.bytes += bytes.len() as u64;
-            res.blobs.insert(
-                *digest,
-                Entry {
-                    bytes: bytes.clone(),
-                    stamp,
-                    durable: true,
-                },
-            );
-        }
-        self.evict_over_cap(&mut res);
+        // Read *from* disk, so evictable from the start.
+        self.admit(*digest, bytes.clone(), true);
         Ok(bytes)
     }
-}
 
-/// Pushes the resident footprint to the `store.resident.bytes` gauge.
-fn publish_resident_bytes(bytes: u64) {
-    if mlake_obs::enabled() {
-        mlake_obs::gauge!("store.resident.bytes").set(bytes as i64);
-    }
-}
-
-impl BlobStore for ResidentStore {
-    fn put(&self, bytes: &[u8]) -> Digest {
-        let digest = sha256(bytes);
+    /// Makes `bytes` resident under `digest` (a no-op when they already
+    /// are), then evicts down to the cap.
+    fn admit(&self, digest: Digest, bytes: Vec<u8>, durable: bool) {
+        let len = bytes.len() as u64;
         // lock-order: 45 (store.resident)
         let mut res = self.resident.lock();
         res.clock += 1;
         let stamp = res.clock;
         if !res.blobs.contains_key(&digest) {
-            res.bytes += bytes.len() as u64;
+            res.bytes += len;
             res.blobs.insert(
                 digest,
                 Entry {
-                    bytes: bytes.to_vec(),
+                    bytes,
                     stamp,
-                    // Pinned until the caller proves the bytes reached
-                    // disk (durable_ingest writes the blob file, then
-                    // calls mark_durable). Ephemeral stores stay pinned
-                    // forever, which is exactly "never evict".
-                    durable: false,
+                    durable,
                 },
             );
         }
         self.evict_over_cap(&mut res);
+    }
+
+    /// Stores `bytes`, returning their digest. Idempotent.
+    pub fn put(&self, bytes: &[u8]) -> Digest {
+        let digest = sha256(bytes);
+        // Pinned until the caller proves the bytes reached disk
+        // (durable_ingest writes the blob file, then calls mark_durable).
+        // Ephemeral stores stay pinned forever, which is exactly "never
+        // evict".
+        self.admit(digest, bytes.to_vec(), false);
         digest
     }
 
-    fn get(&self, digest: &Digest) -> Result<Vec<u8>> {
-        {
+    /// Retrieves and integrity-checks a blob, faulting it in from the
+    /// backing directory when it is not resident.
+    pub fn get(&self, digest: &Digest) -> Result<Vec<u8>> {
+        let resident = {
             // lock-order: 45 (store.resident)
             let mut res = self.resident.lock();
             res.clock += 1;
             let stamp = res.clock;
-            if let Some(e) = res.blobs.get_mut(digest) {
+            res.blobs.get_mut(digest).map(|e| {
                 e.stamp = stamp;
-                let bytes = e.bytes.clone();
-                // Defence in depth: re-verify on read.
-                if sha256(&bytes) != *digest {
-                    return Err(LakeError::CorruptArtifact(format!(
-                        "stored blob {} fails integrity check",
-                        digest.short()
-                    )));
-                }
-                return Ok(bytes);
-            }
+                e.bytes.clone()
+            })
+        };
+        let Some(bytes) = resident else {
+            return self.fault_in(digest);
+        };
+        // Defence in depth: re-verify on read.
+        if sha256(&bytes) != *digest {
+            return Err(LakeError::CorruptArtifact(format!(
+                "stored blob {} fails integrity check",
+                digest.short()
+            )));
         }
-        self.fault_in(digest)
+        Ok(bytes)
     }
 
-    fn contains(&self, digest: &Digest) -> bool {
+    /// Whether the digest is resident or available from backing files.
+    pub fn contains(&self, digest: &Digest) -> bool {
         {
             // lock-order: 45 (store.resident)
             let res = self.resident.lock();
@@ -375,9 +287,22 @@ impl BlobStore for ResidentStore {
         vfs.exists(&Self::blob_path(&dir, digest))
     }
 
-    fn len(&self) -> usize {
+    /// Number of *resident* blobs.
+    pub fn len(&self) -> usize {
         // lock-order: 45 (store.resident)
         self.resident.lock().blobs.len()
+    }
+
+    /// `true` when nothing is resident.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Pushes the resident footprint to the `store.resident.bytes` gauge.
+fn publish_resident_bytes(bytes: u64) {
+    if mlake_obs::enabled() {
+        mlake_obs::gauge!("store.resident.bytes").set(bytes as i64);
     }
 }
 
@@ -411,46 +336,6 @@ mod tests {
             Err(LakeError::NotFound { kind: "blob", .. })
         ));
         assert!(!store.contains(&ghost));
-    }
-
-    #[test]
-    fn load_dir_verifies_and_loads() {
-        let dir = tmp("load");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let d1 = sha256(b"blob one");
-        let d2 = sha256(b"blob two");
-        std::fs::write(ResidentStore::blob_path(&dir, &d1), b"blob one").unwrap();
-        std::fs::write(ResidentStore::blob_path(&dir, &d2), b"blob two").unwrap();
-        let loaded = ResidentStore::load_dir(&dir, 0).unwrap();
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded.get(&d1).unwrap(), b"blob one");
-        assert_eq!(loaded.get(&d2).unwrap(), b"blob two");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_tampered_blob() {
-        let dir = tmp("tamper");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let d = sha256(b"honest bytes");
-        std::fs::write(ResidentStore::blob_path(&dir, &d), b"evil bytes").unwrap();
-        assert!(matches!(
-            ResidentStore::load_dir(&dir, 0),
-            Err(LakeError::CorruptArtifact(_))
-        ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn load_rejects_bad_filename() {
-        let dir = tmp("name");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("nothex.blob"), b"x").unwrap();
-        assert!(ResidentStore::load_dir(&dir, 0).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use mlake_core::lake::{LakeConfig, ModelLake};
 use mlake_core::LakeError;
+use mlake_fingerprint::FingerprintKind;
 use mlake_nn::{Activation, Mlp, Model};
 use mlake_tensor::{init::Init, Pcg64};
 use std::path::{Path, PathBuf};
@@ -51,7 +52,7 @@ fn v1_fixture_opens_and_upgrades_on_persist() {
     let fixture = std::fs::read_to_string(fixture_dir().join("manifest.json")).unwrap();
     assert!(
         fixture.contains("\"version\": 1"),
-        "fixture must stay at manifest v1 — regenerate_v1_fixture changed?"
+        "fixture must stay at manifest v1"
     );
     assert!(!fixture.contains("last_lsn"), "v1 predates the WAL");
 
@@ -68,6 +69,9 @@ fn v1_fixture_opens_and_upgrades_on_persist() {
         lake.model("v1-alpha").unwrap().flat_params(),
         model(1).flat_params()
     );
+    // Searches work: the upgrade reader queued the index inserts.
+    let hits = lake.similar("v1-alpha", FingerprintKind::Hybrid, 1).unwrap();
+    assert_eq!(hits[0].0, lake.resolve("v1-beta").unwrap());
     // The v1 lake is live: it takes new durable mutations, and persisting
     // upgrades the manifest to the current superblock format.
     lake.ingest_model("v3-native", &model(3), None).unwrap();
@@ -87,7 +91,7 @@ fn v2_fixture_opens_and_upgrades_on_persist() {
     let fixture = std::fs::read_to_string(v2_fixture_dir().join("manifest.json")).unwrap();
     assert!(
         fixture.contains("\"version\": 2"),
-        "fixture must stay at manifest v2 — regenerate_v2_fixture changed?"
+        "fixture must stay at manifest v2"
     );
     assert!(fixture.contains("last_lsn"), "v2 records the WAL high-water mark");
 
@@ -121,6 +125,33 @@ fn v2_fixture_opens_and_upgrades_on_persist() {
 }
 
 #[test]
+fn v1_fixture_with_a_flipped_blob_byte_fails_open_with_corrupt_artifact() {
+    // The upgrade reader faults each blob in through the store, which
+    // verifies the bytes against the digest in the file name.
+    let dir = tmp("v1-flip");
+    let _ = std::fs::remove_dir_all(&dir);
+    copy_fixture(&dir);
+    let blob = std::fs::read_dir(dir.join("blobs"))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .min()
+        .unwrap();
+    let mut bytes = std::fs::read(&blob).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&blob, bytes).unwrap();
+    let err = match ModelLake::open(&dir, LakeConfig::default()) {
+        Ok(_) => panic!("a lake with a tampered blob must not open"),
+        Err(e) => e,
+    };
+    assert!(
+        matches!(err, LakeError::CorruptArtifact(_)),
+        "expected CorruptArtifact, got: {err}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn future_manifest_version_is_rejected_with_typed_error() {
     let dir = tmp("future");
     let _ = std::fs::remove_dir_all(&dir);
@@ -140,70 +171,4 @@ fn future_manifest_version_is_rejected_with_typed_error() {
         "expected UnsupportedManifest, got: {err}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Regenerates the checked-in fixture. Run manually after an intentional
-/// blob/card format change:
-/// `cargo test -p mlake-core --test manifest_compat -- --ignored`
-#[test]
-#[ignore = "rewrites tests/fixtures/v1-lake; run manually"]
-fn regenerate_v1_fixture() {
-    let dir = fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let lake = ModelLake::new(LakeConfig::default());
-    lake.ingest_model("v1-alpha", &model(1), None).unwrap();
-    lake.ingest_model("v1-beta", &model(2), None).unwrap();
-    lake.export_v2(&dir).unwrap();
-    // Downgrade the manifest to the v1 shape: version 1, no last_lsn.
-    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    let v1: String = manifest
-        .replace("\"version\": 2", "\"version\": 1")
-        .lines()
-        .filter(|l| !l.contains("last_lsn"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    // The last_lsn line was last in the object: drop the now-trailing
-    // comma on the line before it.
-    let v1 = fix_trailing_comma(&v1);
-    std::fs::write(dir.join("manifest.json"), v1).unwrap();
-    let _ = std::fs::remove_dir_all(dir.join("wal"));
-}
-
-/// Regenerates the checked-in v2 fixture: a full-manifest snapshot in the
-/// pre-segment format (`"version": 2`, `last_lsn`, no `segs/`). Pinned so
-/// the eager v2 open path keeps working forever.
-#[test]
-#[ignore = "rewrites tests/fixtures/v2-lake; run manually"]
-fn regenerate_v2_fixture() {
-    let dir = v2_fixture_dir();
-    let _ = std::fs::remove_dir_all(&dir);
-    let lake = ModelLake::new(LakeConfig::default());
-    lake.ingest_model("v2-alpha", &model(11), None).unwrap();
-    lake.ingest_model("v2-beta", &model(12), None).unwrap();
-    lake.export_v2(&dir).unwrap();
-    let _ = std::fs::remove_dir_all(dir.join("wal"));
-    let _ = std::fs::remove_dir_all(dir.join("segs"));
-}
-
-/// Removes a comma left dangling before a closing brace/bracket after a
-/// line was filtered out (enough JSON surgery for the fixture downgrade).
-fn fix_trailing_comma(json: &str) -> String {
-    let lines: Vec<&str> = json.lines().collect();
-    let mut out = Vec::with_capacity(lines.len());
-    for (i, line) in lines.iter().enumerate() {
-        let next_closes = lines
-            .get(i + 1)
-            .map(|n| {
-                let t = n.trim_start();
-                t.starts_with('}') || t.starts_with(']')
-            })
-            .unwrap_or(false);
-        if next_closes && line.trim_end().ends_with(',') {
-            let trimmed = line.trim_end().trim_end_matches(',');
-            out.push(trimmed.to_string());
-        } else {
-            out.push((*line).to_string());
-        }
-    }
-    out.join("\n")
 }

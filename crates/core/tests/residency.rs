@@ -128,3 +128,32 @@ fn gc_collects_orphan_blobs_and_counts_them() {
     assert_eq!(reopened.model("kept-b").unwrap().flat_params(), model(81).flat_params());
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn persisting_into_an_alias_of_the_own_directory_stays_incremental() {
+    // Regression: the own-directory check compared path spellings, so an
+    // alias ran a full export over the live chain's segment 1 while the
+    // in-memory chain kept growing — reopening folded "b" twice.
+    let base = tmp("alias");
+    let _ = std::fs::remove_dir_all(&base);
+    std::fs::create_dir_all(base.join("sub")).unwrap();
+    let dir = base.join("lake");
+    let alias = base.join("sub").join("..").join("lake");
+
+    let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+    lake.ingest_model("a", &model(90), None).unwrap();
+    lake.persist(&dir).unwrap();
+    lake.ingest_model("b", &model(91), None).unwrap();
+    lake.persist(&dir).unwrap();
+    lake.persist(&alias).unwrap();
+    lake.ingest_model("c", &model(92), None).unwrap();
+    lake.persist(&dir).unwrap();
+    let (names, events) = (lake.model_names(), lake.events());
+    assert_eq!(names, ["a", "b", "c"]);
+    drop(lake);
+
+    let reopened = ModelLake::open(&alias, LakeConfig::default()).unwrap();
+    assert_eq!(reopened.model_names(), names);
+    assert_eq!(reopened.events(), events);
+    std::fs::remove_dir_all(&base).unwrap();
+}

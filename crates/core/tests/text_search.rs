@@ -72,8 +72,8 @@ fn text_search_survives_persist_reopen_bit_identically() {
     };
     assert!(!live_text.is_empty());
 
-    // Reopen restores the index from its `Block::TextIndex` snapshot —
-    // same postings, same lengths, bit-identical BM25 and RRF output.
+    // Reopen rebuilds the index from the folded cards — same postings,
+    // same lengths, bit-identical BM25 and RRF output.
     let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
     let re_text = reopened.text_search(&query, 10).unwrap();
     assert_eq!(bits(&live_text), bits(&re_text), "persisted text index diverged");

@@ -2,7 +2,7 @@
 # CI gate for the Model Lakes workspace.
 #
 #   scripts/ci.sh          # tier-1 + full workspace tests + determinism + clippy
-#   scripts/ci.sh --quick  # tier-1 only
+#   scripts/ci.sh --quick  # tier-1 + lakebench build + lint only
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; everything
 # after it widens coverage: the mlake-lint static-analysis gate (also run in
@@ -26,7 +26,7 @@
 # v1/v2 back-compat — in both observability modes), a performance guard
 # covering the tiled matmul,
 # the quantized flat scan, the sharded scatter-gather merge, WAL append
-# throughput, the lazy-vs-eager open ratio with its absolute budget, the
+# throughput, the lazy open's absolute budget, the
 # size-independent delta-persist check, the HTTP closed-loop serving
 # floor and the text/hybrid retrieval gate (BM25 batch budget + the
 # hybrid-recall fusion bar) — run in both
@@ -34,7 +34,7 @@
 # MLAKE_BENCH_GUARD_SQ8_MS / MLAKE_BENCH_GUARD_SQ8_RATIO /
 # MLAKE_BENCH_GUARD_SHARD_OPS / MLAKE_BENCH_GUARD_WAL_OPS /
 # MLAKE_BENCH_GUARD_HTTP_OPS / MLAKE_BENCH_GUARD_HTTP_P99_MS /
-# MLAKE_BENCH_GUARD_OPEN_MS / MLAKE_BENCH_GUARD_OPEN_RATIO /
+# MLAKE_BENCH_GUARD_OPEN_MS /
 # MLAKE_BENCH_GUARD_TEXT_MS — and clippy
 # with warnings denied across the crates the parallel, observability and
 # serving layers touch. The text stage runs the mlake-text unit suite and
@@ -51,6 +51,13 @@ cargo build --release
 
 step "tier-1: cargo test -q"
 cargo test -q
+
+# lakebench is a package of its own, outside the workspace: only this build
+# notices a facade or Vfs API removal that breaks it. Same target dir as
+# benchmark/run.sh; compile only, no run.
+step "benchmark: lakebench builds against the workspace crates"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 step "lint: mlake-lint over crates/ and src/ (lint.allow baseline; json artifact)"
 mkdir -p target/lint

@@ -8,7 +8,7 @@ use model_lakes::attribution::loo::loo_scores;
 use model_lakes::attribution::influence::influence_scores;
 use model_lakes::attribution::softmax::{SoftmaxConfig, SoftmaxRegression};
 use model_lakes::core::hash::sha256;
-use model_lakes::core::store::{BlobStore, ResidentStore};
+use model_lakes::core::store::ResidentStore;
 use model_lakes::datagen::{generate_lake, tabular, Domain, LakeSpec};
 use model_lakes::fingerprint::cka::linear_cka;
 use model_lakes::fingerprint::weightspace::{majority_baseline, PropertyClassifier, WeightSpaceConfig};
