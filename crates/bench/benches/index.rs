@@ -1,9 +1,9 @@
 //! Criterion benches for E5: index build and query latency
-//! (HNSW vs LSH vs flat) over synthetic model embeddings.
+//! (HNSW vs flat) over synthetic model embeddings.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use mlake_bench::exp::e5_index::embeddings;
-use mlake_index::{FlatIndex, HnswConfig, HnswIndex, LshConfig, LshIndex, VectorIndex};
+use mlake_index::{FlatIndex, HnswConfig, HnswIndex, VectorIndex};
 use std::hint::black_box;
 
 fn bench_build(c: &mut Criterion) {
@@ -14,18 +14,6 @@ fn bench_build(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("hnsw", n), &vectors, |b, vecs| {
             b.iter_batched(
                 || HnswIndex::new(HnswConfig::default()),
-                |mut idx| {
-                    for (i, v) in vecs.iter().enumerate() {
-                        idx.insert(i as u64, v).unwrap();
-                    }
-                    idx
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("lsh", n), &vectors, |b, vecs| {
-            b.iter_batched(
-                || LshIndex::new(LshConfig::default()),
                 |mut idx| {
                     for (i, v) in vecs.iter().enumerate() {
                         idx.insert(i as u64, v).unwrap();
@@ -57,18 +45,13 @@ fn bench_query(c: &mut Criterion) {
         let vectors = embeddings(n, 64, 2);
         let query = &vectors[n / 2];
         let mut hnsw = HnswIndex::new(HnswConfig::default());
-        let mut lsh = LshIndex::new(LshConfig::default());
         let mut flat = FlatIndex::new();
         for (i, v) in vectors.iter().enumerate() {
             hnsw.insert(i as u64, v).unwrap();
-            lsh.insert(i as u64, v).unwrap();
             flat.insert(i as u64, v).unwrap();
         }
         group.bench_function(BenchmarkId::new("hnsw", n), |b| {
             b.iter(|| hnsw.search(black_box(query), 10).unwrap())
-        });
-        group.bench_function(BenchmarkId::new("lsh", n), |b| {
-            b.iter(|| lsh.search(black_box(query), 10).unwrap())
         });
         group.bench_function(BenchmarkId::new("flat", n), |b| {
             b.iter(|| flat.search(black_box(query), 10).unwrap())

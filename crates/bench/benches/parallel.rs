@@ -1,5 +1,5 @@
 //! Criterion benches for the parallel execution layer: tiled vs naive
-//! matmul, batched vs sequential HNSW build and search, and parallel vs
+//! matmul, batched vs sequential HNSW search, and parallel vs
 //! serial lake fingerprinting.
 //!
 //! Each pair runs the identical workload through the parallel kernel and
@@ -40,35 +40,6 @@ fn hnsw_items(n: usize) -> Vec<(u64, Vec<f32>)> {
         .enumerate()
         .map(|(i, v)| (i as u64, v))
         .collect()
-}
-
-fn bench_hnsw_build(c: &mut Criterion) {
-    let items = hnsw_items(4_000);
-    let config = HnswConfig {
-        m: 16,
-        ef_construction: 100,
-        ef_search: 64,
-        seed: 5,
-        ..Default::default()
-    };
-    let mut group = c.benchmark_group("hnsw-build");
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            mlake_par::serial(|| {
-                let mut idx = HnswIndex::new(config);
-                idx.insert_batch(black_box(&items)).unwrap();
-                idx.len()
-            })
-        })
-    });
-    group.bench_function("concurrent", |b| {
-        b.iter(|| {
-            let mut idx = HnswIndex::new(config);
-            idx.insert_batch(black_box(&items)).unwrap();
-            idx.len()
-        })
-    });
-    group.finish();
 }
 
 fn bench_hnsw_search(c: &mut Criterion) {
@@ -127,7 +98,6 @@ fn bench_lake_fingerprint(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_matmul,
-    bench_hnsw_build,
     bench_hnsw_search,
     bench_lake_fingerprint
 );

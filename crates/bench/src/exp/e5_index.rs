@@ -1,12 +1,10 @@
-//! E5 — Indexer scaling (§5 Indexer; Malkov & Yashunin). HNSW vs LSH vs
+//! E5 — Indexer scaling (§5 Indexer; Malkov & Yashunin). HNSW vs the
 //! exact flat scan over synthetic model embeddings: recall@10, query
 //! latency, build time — the sublinear-vs-linear crossover the paper's
 //! indexer component banks on — plus the HNSW `ef` recall/latency knob.
 
 use crate::table::{f3, metrics_tables, ms, Table};
-use mlake_index::{
-    recall_at_k, FlatIndex, HnswConfig, HnswIndex, LshConfig, LshIndex, Precision, VectorIndex,
-};
+use mlake_index::{recall_at_k, FlatIndex, HnswConfig, HnswIndex, Precision, VectorIndex};
 use mlake_tensor::Pcg64;
 use std::time::{Duration, Instant};
 
@@ -116,14 +114,6 @@ pub fn run(quick: bool) -> Vec<Table> {
         });
         let r = run_index(&mut hnsw_sq8, &vectors, &queries, &truth);
         t.row(vec![n.to_string(), "hnsw".into(), sq8_tag, ms(r.build), ms(r.query), f3(r.recall)]);
-
-        let mut lsh = LshIndex::new(LshConfig {
-            tables: 12,
-            bits: 12,
-            seed: 5,
-        });
-        let r = run_index(&mut lsh, &vectors, &queries, &truth);
-        t.row(vec![n.to_string(), "lsh".into(), "f32".into(), ms(r.build), ms(r.query), f3(r.recall)]);
     }
 
     // ---- ef sweep --------------------------------------------------------
@@ -192,7 +182,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         ]);
     }
     let mut tables = vec![t, t2];
-    // Observability readout: HNSW build/search latency distributions,
+    // Observability readout: HNSW search latency distributions,
     // per-layer visit counters and beam expansions collected by mlake-obs
     // while the experiment ran. Empty (and therefore omitted) when
     // MLAKE_OBS=off — recall/latency numbers above are unaffected.
@@ -208,8 +198,8 @@ mod tests {
     fn e5_hnsw_has_high_recall() {
         let tables = run(true);
         let t = &tables[0];
-        // Rows come in quintuples (flat f32, flat sq8, hnsw f32, hnsw sq8,
-        // lsh) per size; recall is the last column.
+        // Rows come in fours (flat f32, flat sq8, hnsw f32, hnsw sq8) per
+        // size; recall is the last column.
         let flat_recall: f32 = t.rows[0][5].parse().unwrap();
         assert!((flat_recall - 1.0).abs() < 1e-6);
         let flat_sq8_recall: f32 = t.rows[1][5].parse().unwrap();

@@ -296,10 +296,6 @@ pub(crate) struct SegState {
     /// Ids whose card changed after their covering segment was written;
     /// the next delta emits `CardOverride` blocks for them.
     pub(crate) dirty_cards: std::collections::BTreeSet<u64>,
-    /// Fingerprints of models ingested in this process (id → fps), so
-    /// persisting them into Model blocks never recomputes probes.
-    /// Cleared once a persist folds them into a segment.
-    pub(crate) fresh_fps: HashMap<u64, [Vec<f32>; 3]>,
 }
 
 impl SegState {
@@ -391,27 +387,16 @@ pub(crate) fn text_document(
     doc
 }
 
-/// One deferred fingerprint-index insert (lazy v3 open, DESIGN.md §15):
-/// everything [`ModelLake::finish_ingest`] would have handed the HNSW
-/// indexes, queued until the first search drains it.
-pub(crate) struct PendingInsert {
-    pub(crate) route: u64,
-    pub(crate) id: u64,
-    pub(crate) fps: [Vec<f32>; 3],
-}
-
 /// The model lake.
 pub struct ModelLake {
     /// Snapshot-relevant state, shared with the compactor thread.
     pub(crate) shared: Arc<LakeShared>,
     fingerprinter: Fingerprinter,
-    indexes: RwLock<HashMap<FingerprintKind, ShardedIndex<HnswIndex>>>,
-    /// `Some` while index builds are deferred (lazy v3 open): queued
-    /// inserts, drained by [`ModelLake::ensure_indexes`] on first search.
-    /// `None` on the eager path — inserts go straight to the indexes.
-    /// Rank **25 (core.index.pending)**: taken strictly before the HNSW
-    /// entry/node locks (30/40) during the drain.
-    pending_index: parking_lot::Mutex<Option<Vec<PendingInsert>>>,
+    /// One HNSW index per fingerprint kind, in [`FingerprintKind::ALL`]
+    /// order: a projection of the registry's `ModelEntry::fps`, caught up
+    /// to the registry by [`ModelLake::ensure_indexes`] before a search
+    /// reads it. Its own `len()` is the watermark; nothing else writes it.
+    indexes: RwLock<[ShardedIndex<HnswIndex>; 3]>,
     graph: RwLock<Option<RecoveredGraph>>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
     /// `similar()` results keyed by (query digest, k, event generation).
@@ -442,14 +427,10 @@ impl ModelLake {
             mlake_tensor::Seed::new(config.seed).derive("lake-probes"),
         );
         let fingerprinter = Fingerprinter::new(config.sketch_dim, config.seed, probes);
-        let mut indexes = HashMap::new();
-        for kind in FingerprintKind::ALL {
-            indexes.insert(
-                kind,
-                ShardedIndex::new(config.shards, || HnswIndex::new(config.hnsw))
-                    .with_rescore_factor(config.hnsw.rescore_factor),
-            );
-        }
+        let indexes = FingerprintKind::ALL.map(|_| {
+            ShardedIndex::new(config.shards, || HnswIndex::new(config.hnsw))
+                .with_rescore_factor(config.hnsw.rescore_factor)
+        });
         let config_cache = config.query_cache;
         let resident_cap = config.resident_bytes;
         ModelLake {
@@ -467,7 +448,6 @@ impl ModelLake {
             }),
             fingerprinter,
             indexes: RwLock::new(indexes),
-            pending_index: parking_lot::Mutex::new(None),
             graph: RwLock::new(None),
             score_cache: RwLock::new(HashMap::new()),
             similar_cache: QueryCache::new(config_cache),
@@ -577,63 +557,51 @@ impl ModelLake {
         self.finish_ingest(name, model, digest, card, fps)
     }
 
-    /// All three fingerprints of a model, in [`FingerprintKind::ALL`] order.
-    pub(crate) fn compute_fingerprints(&self, model: &Model) -> Result<[Vec<f32>; 3]> {
-        Ok([
+    /// All three fingerprints of a model, in [`FingerprintKind::ALL`] order,
+    /// width-checked for the registry.
+    pub(crate) fn compute_fingerprints(&self, model: &Model) -> Result<Arc<[Vec<f32>; 3]>> {
+        self.checked_fingerprints([
             self.fingerprinter.intrinsic(model),
             self.fingerprinter.extrinsic(model)?,
             self.fingerprinter.hybrid(model)?,
         ])
     }
 
+    /// The gate every fingerprint triple passes on its way onto a registry
+    /// entry — computed at ingest and WAL replay, decoded from a segment
+    /// at open: its widths must be the ones `sketch_dim` implies (`model_dna`
+    /// is 8 moments ++ the sketch, the behaviour sketch is `sketch_dim`
+    /// wide, hybrid concatenates the two), so the catch-up insert in
+    /// [`ModelLake::ensure_indexes`] cannot fail on its input. A lake
+    /// opened under a different `sketch_dim` than it was written with
+    /// fails here, at open.
+    pub(crate) fn checked_fingerprints(&self, fps: [Vec<f32>; 3]) -> Result<Arc<[Vec<f32>; 3]>> {
+        let d = self.shared.config.sketch_dim;
+        let want = [8 + d, d, 8 + 2 * d];
+        let got = [fps[0].len(), fps[1].len(), fps[2].len()];
+        if got != want {
+            return Err(LakeError::Config(format!(
+                "fingerprint widths {got:?} do not match sketch_dim {d} (expected {want:?})"
+            )));
+        }
+        Ok(Arc::new(fps))
+    }
+
     /// Pure in-memory half of ingestion, shared by the live path and WAL
-    /// replay: registry entry, index inserts, events, graph invalidation.
+    /// replay: registry entry (fingerprints on it), text document, events,
+    /// graph invalidation. The vector indexes are not touched: the next
+    /// search catches them up from the registry.
     pub(crate) fn finish_ingest(
         &self,
         name: &str,
         model: &Model,
         digest: crate::hash::Digest,
         card: ModelCard,
-        fps: [Vec<f32>; 3],
+        fps: Arc<[Vec<f32>; 3]>,
     ) -> Result<ModelId> {
         let arch = model.architecture().signature();
         let mut reg = self.shared.registry.write();
         let id = ModelId(reg.models.len() as u64);
-        {
-            // Vectors route to sub-shards by artifact digest, not by the
-            // lake-local id: the digest is a pure function of content, so
-            // WAL replay and snapshot reload route every model to the same
-            // shard and searches stay bit-identical across restarts.
-            let route = digest.route_key();
-            // lock-order: 25 (core.index.pending)
-            let mut pending = self.pending_index.lock();
-            if let Some(queue) = pending.as_mut() {
-                // Deferred-build mode (lazy v3 open): queue the insert;
-                // ensure_indexes drains the queue — in this same id
-                // order, so the HNSW build stays deterministic — on
-                // first search.
-                queue.push(PendingInsert {
-                    route,
-                    id: id.0,
-                    fps: fps.clone(),
-                });
-            } else {
-                drop(pending);
-                let [intrinsic, extrinsic, hybrid] = &fps;
-                let mut idx = self.indexes.write();
-                for (kind, fp) in [
-                    (FingerprintKind::Intrinsic, intrinsic),
-                    (FingerprintKind::Extrinsic, extrinsic),
-                    (FingerprintKind::Hybrid, hybrid),
-                ] {
-                    idx.get_mut(&kind)
-                        .ok_or_else(|| {
-                            LakeError::Internal(format!("fingerprint index {kind:?} missing"))
-                        })?
-                        .insert_by_key(route, id.0, fp)?;
-                }
-            }
-        }
         let text_doc = text_document(name, &arch, &card);
         let tags = card.task_tags.clone();
         reg.models.push(ModelEntry {
@@ -644,18 +612,13 @@ impl ModelLake {
             params: model.num_params() as u64,
             card,
             tags,
+            fps,
         });
         reg.by_name.insert(name.into(), id);
         drop(reg);
         {
             // lock-order: 27 (core.text)
             self.shared.text.write().insert(id.0, &text_doc);
-        }
-        {
-            // Stash the fingerprints for the next persist's Model block
-            // (cleared once a segment covers this model).
-            // lock-order: 46 (core.segstate)
-            self.shared.seg.lock().fresh_fps.insert(id.0, fps);
         }
         {
             let mut ev = self.shared.events.write();
@@ -853,7 +816,19 @@ impl ModelLake {
     ) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.similar");
         let id = self.resolve(model)?;
-        self.ensure_indexes()?;
+        // One registry read: the lake's size, to clamp `k` (it arrives as
+        // sent from the socket, no answer is longer than the lake, and
+        // `k + 1` below must not overflow), and the anchor — the model's
+        // own record, the very bits the index was built from; no blob
+        // fault, decode or probe run.
+        let (k, fps) = {
+            let reg = self.shared.registry.read();
+            let entry = reg.model(id).ok_or_else(|| LakeError::NotFound {
+                kind: "model",
+                name: id.to_string(),
+            })?;
+            (k.min(reg.models.len()), Arc::clone(&entry.fps))
+        };
         // Cache key: canonical query text digested, k, and the event-log
         // head as generation — any lake mutation bumps the head, so stale
         // results are unreachable by construction (see `crate::cache`).
@@ -875,13 +850,8 @@ impl ModelLake {
         if let Some(hits) = self.similar_cache.get(&key) {
             return Ok(hits);
         }
-        let model = self.model(id)?;
-        let fp = self.fingerprinter.compute(kind, &model)?;
-        let idx = self.indexes.read();
-        let index = idx
-            .get(&kind)
-            .ok_or_else(|| LakeError::Internal(format!("fingerprint index {kind:?} missing")))?;
-        let hits = index.search(&fp, k + 1)?;
+        self.ensure_indexes()?;
+        let hits = self.indexes.read()[kind as usize].search(&fps[kind as usize], k + 1)?;
         let out: Vec<(ModelId, f32)> = hits
             .into_iter()
             .filter(|h| h.id != id.0)
@@ -933,6 +903,8 @@ impl ModelLake {
     ) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.hybrid");
         let id = self.resolve(model)?;
+        // Same clamp as `similar`: the pool arithmetic must not overflow.
+        let k = k.min(self.len());
         let key = CacheKey {
             digest: sha256(
                 format!(
@@ -1284,55 +1256,36 @@ impl ModelLake {
         *self.shared.text.write() = text;
     }
 
-    /// Switches the lake into deferred index-build mode (lazy v3 open):
-    /// subsequent [`ModelLake::finish_ingest`] calls queue their HNSW
-    /// inserts instead of applying them. [`ModelLake::ensure_indexes`]
-    /// drains the queue on first search.
-    pub(crate) fn defer_index_builds(&self) {
-        // lock-order: 25 (core.index.pending)
-        let mut pending = self.pending_index.lock();
-        if pending.is_none() {
-            *pending = Some(Vec::new());
-        }
-    }
-
-    /// Queues one deferred index insert (the segment-fold open path,
-    /// which carries persisted fingerprints instead of recomputing).
-    /// Implies deferred mode.
-    pub(crate) fn queue_index_insert(&self, route: u64, id: u64, fps: [Vec<f32>; 3]) {
-        // lock-order: 25 (core.index.pending)
-        let mut pending = self.pending_index.lock();
-        pending
-            .get_or_insert_with(Vec::new)
-            .push(PendingInsert { route, id, fps });
-    }
-
-    /// Drains deferred fingerprint-index inserts, if any (DESIGN.md §15).
-    /// A lazily opened lake pays the HNSW build here — on the first
-    /// search — instead of inside `open()`; drain order equals id order,
-    /// so the built graph is identical to an eager build.
-    // lint: no-span — the drain opens lake.index.build itself; the no-op
-    // fast path is one uncontended lock probe on every search
+    /// Catches the fingerprint indexes up to the registry (DESIGN.md §15):
+    /// inserts entries `[index len .. registry len)` in id order, so the
+    /// HNSW graphs are the same whether the models arrived by live ingest,
+    /// segment fold or WAL replay, and whenever the searches fell between
+    /// them. A freshly opened lake pays its whole HNSW build here, on the
+    /// first search, instead of inside `open()`. All three kinds advance
+    /// together. Vectors route to sub-shards by artifact digest, not by
+    /// the lake-local id: the digest is a pure function of content, so
+    /// every restart routes every model to the same shard.
+    // lint: no-span — the catch-up opens lake.index.build itself; the
+    // no-op fast path is two uncontended read probes on a search miss
     pub(crate) fn ensure_indexes(&self) -> Result<()> {
-        // lock-order: 25 (core.index.pending)
-        let mut pending = self.pending_index.lock();
-        let Some(queue) = pending.take() else {
-            return Ok(());
+        let built = self.indexes.read()[0].len();
+        // The registry suffix is copied out (one `Arc` bump per model)
+        // so no lock is held across another, or across the HNSW build.
+        let fresh: Vec<_> = {
+            let reg = self.shared.registry.read();
+            let past = reg.models.iter().skip(built);
+            past.map(|e| (e.digest.route_key(), e.id.0, Arc::clone(&e.fps))).collect()
         };
+        if fresh.is_empty() {
+            return Ok(());
+        }
         let _span = mlake_obs::span("lake.index.build");
         let mut idx = self.indexes.write();
-        for ins in queue {
-            let [intrinsic, extrinsic, hybrid] = &ins.fps;
-            for (kind, fp) in [
-                (FingerprintKind::Intrinsic, intrinsic),
-                (FingerprintKind::Extrinsic, extrinsic),
-                (FingerprintKind::Hybrid, hybrid),
-            ] {
-                idx.get_mut(&kind)
-                    .ok_or_else(|| {
-                        LakeError::Internal(format!("fingerprint index {kind:?} missing"))
-                    })?
-                    .insert_by_key(ins.route, ins.id, fp)?;
+        // A concurrent search may have caught part of the suffix up.
+        let done = idx[0].len() - built;
+        for (route, id, fps) in fresh.iter().skip(done) {
+            for (index, fp) in idx.iter_mut().zip(fps.iter()) {
+                index.insert_by_key(*route, *id, fp)?;
             }
         }
         Ok(())

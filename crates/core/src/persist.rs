@@ -26,10 +26,11 @@
 //!
 //! **Reader.** [`ModelLake::open`] reads the superblock and folds the
 //! segment chain — pure metadata, no model blobs. Artifact bytes page in
-//! lazily through the store's residency layer on first touch, the HNSW
-//! build (fed from the fingerprints persisted in the Model blocks) is
-//! deferred to the first search, and the text index is rebuilt from the
-//! folded cards. Then the WAL replays past the superblock's `last_lsn`.
+//! lazily through the store's residency layer on first touch, the
+//! fingerprints persisted in the Model blocks land on the registry
+//! entries (the first search builds the HNSW indexes from them), and the
+//! text index is rebuilt from the folded cards. Then the WAL replays past
+//! the superblock's `last_lsn`.
 //! A legacy v1/v2 whole-state manifest is read as what it is — a list of
 //! ops — and replayed through the same funnel as WAL records; its next
 //! persist writes the catalogue as segment 1 and upgrades it to v3.
@@ -112,21 +113,13 @@ fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegSt
     let mut blocks = Vec::new();
     let reg = shared.registry.read();
     for entry in &reg.models[seg.models..] {
-        // Every model past the mark was ingested (or replayed) by this
-        // process, which stashed its fingerprints.
-        let fps = seg.fresh_fps.get(&entry.id.0).ok_or_else(|| {
-            LakeError::Internal(format!(
-                "no fingerprints stashed to persist model '{}'",
-                entry.name
-            ))
-        })?;
         blocks.push(Block::Model(ModelBlock {
             name: entry.name.clone(),
             digest: entry.digest.to_hex(),
             arch: entry.arch.clone(),
             params: entry.params,
             card: entry.card.clone(),
-            fps: blockstore::fp_bits(fps),
+            fps: blockstore::fp_bits(&entry.fps),
         }));
     }
     // Cards replaced on already-persisted models; the Model blocks above
@@ -323,9 +316,6 @@ impl ModelLake {
         lake.shared
             .store
             .attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
-        // Queue the HNSW inserts instead of building now; the first search
-        // drains the queue in id order (bit-identical to an eager build).
-        lake.defer_index_builds();
         if head.version == MANIFEST_VERSION {
             lake.load_chain(dir, &vfs, &manifest_bytes)?;
         } else {
@@ -355,7 +345,7 @@ impl ModelLake {
 
     /// Loads the catalogue a v3 superblock names: segment fold, no blob
     /// reads, no fingerprint recomputation — the persisted fingerprints
-    /// flow straight into the deferred index queue.
+    /// land on the registry entries, width-checked against this config.
     fn load_chain(&self, dir: &Path, vfs: &Arc<dyn Vfs>, manifest_bytes: &[u8]) -> Result<()> {
         let sb: SuperBlock = serde_json::from_slice(manifest_bytes)
             .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
@@ -378,7 +368,7 @@ impl ModelLake {
                     LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
                 })?;
                 let id = ModelId(i as u64);
-                self.queue_index_insert(digest.route_key(), id.0, blockstore::fp_floats(&m.fps));
+                let fps = self.checked_fingerprints(blockstore::fp_floats(&m.fps))?;
                 reg.by_name.insert(m.name.clone(), id);
                 reg.models.push(ModelEntry {
                     id,
@@ -388,6 +378,7 @@ impl ModelLake {
                     params: m.params,
                     tags: m.card.task_tags.clone(),
                     card: m.card,
+                    fps,
                 });
             }
             reg.datasets = folded.datasets;
@@ -609,9 +600,9 @@ mod tests {
         assert_eq!(reopened.len(), gt.models.len());
         assert_eq!(observable(&reopened), live, "folded chain diverged from the live lake");
         assert_eq!(live.1[0].notes, "overridden before the fold");
-        // Export of a reopened, then-mutated lake: chain (nothing stashed
-        // in this process) + delta (a fresh model, an override on a folded
-        // one) must flatten to a lake that reopens identical.
+        // Export of a reopened, then-mutated lake: chain + delta (a fresh
+        // model, an override on a folded one) must flatten to a lake that
+        // reopens identical.
         let late = &generate_lake(&LakeSpec::tiny(10)).models[0];
         reopened.ingest_model("late", &late.model, None).unwrap();
         let mut card = reopened.entry(ModelId(2)).unwrap().card;

@@ -87,6 +87,12 @@ pub struct ModelEntry {
     pub card: ModelCard,
     /// Free-form tags (task tags, hub labels).
     pub tags: Vec<String>,
+    /// The intrinsic / extrinsic / hybrid fingerprints, in
+    /// `FingerprintKind::ALL` order — their one in-memory home. Segments
+    /// persist these bits, the vector indexes are built from them and
+    /// `similar` anchors on them; nothing recomputes them after ingest.
+    /// Shared, so cloning an entry does not copy the vectors.
+    pub fps: std::sync::Arc<[Vec<f32>; 3]>,
 }
 
 /// Registry record of one benchmark (with optional domain label used by

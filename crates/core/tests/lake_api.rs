@@ -3,7 +3,7 @@
 //! card → verification → audit → citation → MLQL.
 
 use mlake_core::lake::{LakeConfig, ModelLake};
-use mlake_core::populate::{populate_from_ground_truth, CardPolicy};
+use mlake_core::populate::{honest_card, populate_from_ground_truth, CardPolicy};
 use mlake_core::{LakeError, ModelId};
 use mlake_datagen::{generate_lake, GroundTruth, LakeSpec};
 use mlake_fingerprint::FingerprintKind;
@@ -319,4 +319,70 @@ fn count_queries() {
             .unwrap(),
         legal
     );
+}
+
+/// `similar` under every kind plus `hybrid_search`, around every model,
+/// as raw bits.
+fn search_bits(lake: &ModelLake, query: &str) -> Vec<Vec<(u64, u32)>> {
+    let bits = |hits: Vec<(ModelId, f32)>| hits.iter().map(|(m, s)| (m.0, s.to_bits())).collect();
+    let mut out = Vec::new();
+    for id in (0..lake.len() as u64).map(ModelId) {
+        for kind in FingerprintKind::ALL {
+            out.push(bits(lake.similar(id, kind, 4).unwrap()));
+        }
+        out.push(bits(lake.hybrid_search(query, id, FingerprintKind::Hybrid, 4).unwrap()));
+    }
+    out
+}
+
+#[test]
+fn search_is_bit_identical_however_a_vector_reached_the_registry() {
+    let gt = generate_lake(&LakeSpec::tiny(17));
+    let n = gt.models.len();
+    let query = gt.family_vocab(gt.models[0].family).join(" ");
+    let ingest = |lake: &ModelLake, ids: std::ops::Range<usize>| {
+        for i in ids {
+            let m = &gt.models[i];
+            lake.ingest_model(&m.name, &m.model, Some(honest_card(&gt, i))).unwrap();
+        }
+    };
+    let tmp = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("mlake-api-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+
+    // Live ingest: the indexes catch up once, on the first search.
+    let live = ModelLake::new(LakeConfig::default());
+    ingest(&live, 0..n);
+    let want = search_bits(&live, &query);
+
+    // Segment fold on reopen, and WAL-tail replay on reopen with no persist.
+    for persist in [true, false] {
+        let dir = tmp(if persist { "fold" } else { "replay" });
+        {
+            let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+            ingest(&lake, 0..n);
+            if persist {
+                lake.persist(&dir).unwrap();
+            }
+        }
+        let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
+        assert_eq!(search_bits(&reopened, &query), want, "persist={persist}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Ingest following a lazy open: a search catches the persisted ids
+    // up, then the fresh ids catch up behind them, in id order.
+    let dir = tmp("mixed");
+    {
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        ingest(&lake, 0..n / 2);
+        lake.persist(&dir).unwrap();
+    }
+    let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
+    reopened.similar(ModelId(0), FingerprintKind::Hybrid, 3).unwrap();
+    ingest(&reopened, n / 2..n);
+    assert_eq!(search_bits(&reopened, &query), want, "ingest after lazy open");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

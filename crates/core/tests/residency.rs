@@ -58,6 +58,43 @@ fn lazy_open_pages_blobs_in_on_first_touch() {
         .similar("r-0", FingerprintKind::Hybrid, 2)
         .unwrap();
     assert!(!hits.is_empty());
+    drop(lake);
+
+    // Search never touches a blob: the anchor vector and the index both
+    // come from the registry records the segments restored. Under a
+    // 1-byte cap nothing stays resident, and with the blob directory
+    // moved away a fault could not even succeed (the process-global
+    // `store.fault` counter is shared with the tests running beside this
+    // one, so the missing directory is the proof, not the counter).
+    let config = LakeConfig::builder().resident_bytes(1).build().unwrap();
+    let lake = ModelLake::open(&dir, config).unwrap();
+    std::fs::rename(dir.join("blobs"), dir.join("blobs.away")).unwrap();
+    for kind in FingerprintKind::ALL {
+        assert_eq!(lake.similar("r-1", kind, 2).unwrap().len(), 2, "{kind:?}");
+        assert_eq!(lake.resident_bytes(), 0, "{kind:?} search paged a blob in");
+    }
+    assert!(lake.model("r-1").is_err(), "blobs were reachable after all");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn open_under_another_sketch_dim_fails_typed_at_open() {
+    // The persisted vectors are the index's input; a config that implies
+    // other widths must be refused when they enter the registry — at
+    // open — not at the first search's index insert.
+    let dir = tmp("dim");
+    let _ = std::fs::remove_dir_all(&dir);
+    {
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        lake.ingest_model("d-0", &model(30), None).unwrap();
+        lake.persist(&dir).unwrap();
+    }
+    let narrower = LakeConfig::builder().sketch_dim(32).build().unwrap();
+    assert!(matches!(
+        ModelLake::open(&dir, narrower),
+        Err(mlake_core::LakeError::Config(_))
+    ));
+    assert_eq!(ModelLake::open(&dir, LakeConfig::default()).unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -9,21 +9,9 @@
 //! neighbour), which preserves graph navigability on clustered data.
 
 use crate::{par_search_many, Hit, Precision, VectorIndex, DEFAULT_RESCORE_FACTOR, SQ8_TRAIN_MIN};
-use mlake_par::lockorder::{self, ranks};
 use mlake_tensor::{quant, vector, Pcg64, Sq8Codec, TensorError};
-use parking_lot::{Mutex, RwLock};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
-
-/// Below this batch size (and always when the effective thread count is 1)
-/// [`HnswIndex::insert_batch`] runs the plain sequential insert loop, which
-/// is bit-identical to calling [`VectorIndex::insert`] in a loop.
-const PARALLEL_BUILD_MIN: usize = 64;
-
-/// Number of leading batch items linked serially before the parallel link
-/// phase when the graph starts empty: seeds a connected navigable core so
-/// concurrent inserts never race against a near-empty graph.
-const SERIAL_SEED: usize = 32;
+use std::collections::BinaryHeap;
 
 /// Static per-layer visit-counter names (layers ≥ 7 fold into the last
 /// entry) so the search hot path never formats a metric name.
@@ -194,28 +182,6 @@ impl HnswIndex {
             }
         }
         self.codec = Some(codec);
-    }
-
-    /// Batch variant of [`Self::maintain_codes`]: the per-item quantization
-    /// of the un-encoded tail runs on the shared pool, one row per chunk.
-    fn maintain_codes_batch(&mut self) {
-        if !self.ensure_codec() {
-            return;
-        }
-        let Some(codec) = self.codec.as_ref() else { return };
-        let dim = self.dim;
-        let start_row = self.codes.len() / dim;
-        if start_row == self.nodes.len() {
-            return;
-        }
-        let mut buf = vec![0u8; (self.nodes.len() - start_row) * dim];
-        let data = &self.data;
-        mlake_par::par_chunks_mut(&mut buf, dim, |i, chunk| {
-            let row = start_row + i;
-            // Unreachable error: chunk and row widths match the codec.
-            let _ = codec.encode_to_slice(&data[row * dim..(row + 1) * dim], chunk);
-        });
-        self.codes.extend_from_slice(&buf);
     }
 
     /// Trains the codec when due; `true` when a codec is available.
@@ -463,275 +429,6 @@ impl HnswIndex {
         }
         found
     }
-
-    /// Inserts a batch of vectors, linking them into the graph in parallel
-    /// on the shared pool (the [`VectorIndex::insert_batch`] override
-    /// delegates here).
-    ///
-    /// The whole batch is validated up front (shape, emptiness, duplicate
-    /// ids against the index *and* within the batch); on error nothing is
-    /// inserted. Layer assignments always come from the index RNG in batch
-    /// order, so the RNG stream matches the equivalent sequence of
-    /// [`VectorIndex::insert`] calls exactly.
-    ///
-    /// Determinism: with `MLAKE_THREADS=1` (or inside `mlake_par::serial`)
-    /// or for batches under [`PARALLEL_BUILD_MIN`] this *is* the
-    /// sequential insert loop — the resulting graph is bit-identical to
-    /// serial construction. With more threads the link phase runs
-    /// concurrently under per-node-per-layer locks: the final graph then
-    /// depends on insertion interleaving, but every node is linked with
-    /// the same beam parameters, so search recall is preserved (asserted
-    /// by the equivalence tests).
-    pub fn insert_batch_parallel(&mut self, items: &[(u64, Vec<f32>)]) -> Result<(), TensorError> {
-        if items.is_empty() {
-            return Ok(());
-        }
-        let _span = mlake_obs::span("hnsw.build");
-        // ---- Validate everything before mutating anything --------------
-        let dim = if self.dim == 0 {
-            items[0].1.len()
-        } else {
-            self.dim
-        };
-        let mut seen: HashSet<u64> = self.nodes.iter().map(|n| n.id).collect();
-        for (id, v) in items {
-            if v.is_empty() {
-                return Err(TensorError::Empty("hnsw insert"));
-            }
-            if v.len() != dim {
-                return Err(TensorError::ShapeMismatch {
-                    op: "hnsw_insert",
-                    lhs: (dim, 1),
-                    rhs: (v.len(), 1),
-                });
-            }
-            if !seen.insert(*id) {
-                return Err(TensorError::Numerical("duplicate id in index"));
-            }
-        }
-
-        let sequential = mlake_par::num_threads() == 1
-            || mlake_par::is_serial()
-            || items.len() < PARALLEL_BUILD_MIN;
-        if sequential {
-            for (id, v) in items {
-                self.insert(*id, v)?;
-            }
-            return Ok(());
-        }
-        self.dim = dim;
-
-        // ---- Assign layers and append vectors + nodes -------------------
-        let first_new = self.nodes.len();
-        let layers: Vec<usize> = items.iter().map(|_| self.random_layer()).collect();
-        for ((id, v), &layer) in items.iter().zip(&layers) {
-            let mut vn = v.clone();
-            vector::normalize(&mut vn);
-            self.data.extend_from_slice(&vn);
-            self.nodes.push(Node {
-                id: *id,
-                neighbors: vec![Vec::new(); layer + 1],
-            });
-        }
-        // Quantize the new rows per-item on the shared pool (linking below
-        // reads only the f32 arena, so the order is immaterial).
-        self.maintain_codes_batch();
-
-        // ---- Move neighbour lists into per-node-per-layer locks ---------
-        let locks: Vec<Vec<RwLock<Vec<u32>>>> = self
-            .nodes
-            .iter_mut()
-            .map(|n| n.neighbors.drain(..).map(RwLock::new).collect())
-            .collect();
-        let entry = Mutex::new((self.entry, self.max_layer));
-
-        // Seed a connected core serially when the graph starts empty, then
-        // link the rest in parallel. Each parallel unit is one node; the
-        // grain of 1 lets the pool steal smoothly across skewed link costs.
-        let seed_end = if self.entry.is_none() {
-            (first_new + SERIAL_SEED).min(self.nodes.len())
-        } else {
-            first_new
-        };
-        for idx in first_new..seed_end {
-            self.link_node(&locks, &entry, idx as u32, layers[idx - first_new]);
-        }
-        let remaining = self.nodes.len() - seed_end;
-        mlake_par::par_for(remaining, 1, |range| {
-            for off in range {
-                let idx = seed_end + off;
-                self.link_node(&locks, &entry, idx as u32, layers[idx - first_new]);
-            }
-        });
-
-        // ---- Unwrap the locks back into the plain graph -----------------
-        for (node, node_locks) in self.nodes.iter_mut().zip(locks) {
-            node.neighbors = node_locks.into_iter().map(RwLock::into_inner).collect();
-        }
-        let (e, ml) = entry.into_inner();
-        self.entry = e;
-        self.max_layer = ml;
-        Ok(())
-    }
-
-    /// Links one pre-appended node into the locked graph (shared by the
-    /// serial seed phase and the parallel link phase of `insert_batch`).
-    fn link_node(
-        &self,
-        locks: &[Vec<RwLock<Vec<u32>>>],
-        entry: &Mutex<(Option<u32>, usize)>,
-        new_idx: u32,
-        layer: usize,
-    ) {
-        // Snapshot the entry point; the very first node just registers.
-        let (ep0, top) = {
-            // lock-order: 30 (hnsw.entry)
-            let _ord = lockorder::acquire(ranks::HNSW_ENTRY, "hnsw.entry");
-            let mut g = entry.lock();
-            match g.0 {
-                Some(e) => (e, g.1),
-                None => {
-                    *g = (Some(new_idx), layer);
-                    return;
-                }
-            }
-        };
-        let q = self.vec_of(new_idx).to_vec();
-        let mut ep = ep0;
-        let mut ep_dist = self.dist(&q, ep);
-        // Greedy descent to the node's top layer.
-        for l in ((layer + 1)..=top).rev() {
-            loop {
-                let mut improved = false;
-                let nbrs: Vec<u32> = locks[ep as usize]
-                    .get(l)
-                    .map(|lk| {
-                        // lock-order: 40 (hnsw.node)
-                        let _ord = lockorder::acquire(ranks::HNSW_NODE, "hnsw.node");
-                        lk.read().clone()
-                    })
-                    .unwrap_or_default();
-                for nb in nbrs {
-                    let d = self.dist(&q, nb);
-                    if d < ep_dist {
-                        ep = nb;
-                        ep_dist = d;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-        }
-        // Connect on each layer from min(layer, top) down to 0.
-        for l in (0..=layer.min(top)).rev() {
-            let mut candidates =
-                self.search_layer_locked(locks, &q, ep, self.config.ef_construction, l);
-            let selected = self.select_neighbors(&mut candidates, self.max_degree(l));
-            if let Some(&(_, best)) = candidates.first() {
-                ep = best;
-            }
-            // Merge rather than assign: once the node is reachable on a
-            // higher layer, concurrent inserters may already have pushed
-            // backlinks into this list; overwriting would drop them and
-            // leave asymmetric edges.
-            {
-                // lock-order: 40 (hnsw.node)
-                let _ord = lockorder::acquire(ranks::HNSW_NODE, "hnsw.node");
-                let mut own = locks[new_idx as usize][l].write();
-                for &nb in &selected {
-                    if !own.contains(&nb) {
-                        own.push(nb);
-                    }
-                }
-                let cap = self.max_degree(l);
-                if own.len() > cap {
-                    let mut cands: Vec<(f32, u32)> =
-                        own.iter().map(|&x| (self.dist(&q, x), x)).collect();
-                    *own = self.select_neighbors(&mut cands, cap);
-                }
-            }
-            // Bidirectional links with degree pruning; only one lock is
-            // ever held at a time (select_neighbors touches vectors, not
-            // the graph), so lock order cannot deadlock.
-            for nb in selected {
-                let Some(nb_lock) = locks[nb as usize].get(l) else {
-                    continue;
-                };
-                // lock-order: 40 (hnsw.node)
-                let _ord = lockorder::acquire(ranks::HNSW_NODE, "hnsw.node");
-                let mut list = nb_lock.write();
-                list.push(new_idx);
-                let cap = self.max_degree(l);
-                if list.len() > cap {
-                    let base = self.vec_of(nb);
-                    let mut cands: Vec<(f32, u32)> = list
-                        .iter()
-                        .map(|&x| (1.0 - vector::dot(base, self.vec_of(x)), x))
-                        .collect();
-                    *list = self.select_neighbors(&mut cands, cap);
-                }
-            }
-        }
-        // Raise the global entry point if this node tops the hierarchy.
-        // lock-order: 30 (hnsw.entry)
-        let _ord = lockorder::acquire(ranks::HNSW_ENTRY, "hnsw.entry");
-        let mut g = entry.lock();
-        if layer > g.1 {
-            *g = (Some(new_idx), layer);
-        }
-    }
-
-    /// [`HnswIndex::search_layer`] over the locked graph used during
-    /// parallel construction.
-    fn search_layer_locked(
-        &self,
-        locks: &[Vec<RwLock<Vec<u32>>>],
-        q: &[f32],
-        entry: u32,
-        ef: usize,
-        layer: usize,
-    ) -> Vec<(f32, u32)> {
-        let mut visited = vec![false; locks.len()];
-        visited[entry as usize] = true;
-        let d0 = self.dist(q, entry);
-        let mut frontier = BinaryHeap::new();
-        frontier.push(NearFirst(d0, entry));
-        let mut results: BinaryHeap<FarFirst> = BinaryHeap::new();
-        results.push(FarFirst(d0, entry));
-
-        while let Some(NearFirst(d_cand, cand)) = frontier.pop() {
-            let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-            if d_cand > worst && results.len() >= ef {
-                break;
-            }
-            let nbrs: Vec<u32> = locks[cand as usize]
-                .get(layer)
-                .map(|lk| {
-                    // lock-order: 40 (hnsw.node)
-                    let _ord = lockorder::acquire(ranks::HNSW_NODE, "hnsw.node");
-                    lk.read().clone()
-                })
-                .unwrap_or_default();
-            for nb in nbrs {
-                if visited[nb as usize] {
-                    continue;
-                }
-                visited[nb as usize] = true;
-                let d = self.dist(q, nb);
-                let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    frontier.push(NearFirst(d, nb));
-                    results.push(FarFirst(d, nb));
-                    if results.len() > ef {
-                        results.pop();
-                    }
-                }
-            }
-        }
-        results.into_iter().map(|FarFirst(d, i)| (d, i)).collect()
-    }
 }
 
 impl VectorIndex for HnswIndex {
@@ -829,10 +526,6 @@ impl VectorIndex for HnswIndex {
 
     fn search_many(&self, queries: &[Vec<f32>], k: usize) -> Result<Vec<Vec<Hit>>, TensorError> {
         par_search_many(self, queries, k)
-    }
-
-    fn insert_batch(&mut self, items: &[(u64, Vec<f32>)]) -> Result<(), TensorError> {
-        self.insert_batch_parallel(items)
     }
 
     fn len(&self) -> usize {
@@ -957,67 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_serial_scope_is_bitwise_sequential() {
-        // Inside mlake_par::serial the batch path must be literally the
-        // sequential insert loop: identical graph, identical RNG state
-        // (compared via the full Debug rendering).
-        let vecs = random_vectors(300, 8, 21);
-        let items: Vec<(u64, Vec<f32>)> =
-            vecs.iter().enumerate().map(|(i, v)| (i as u64, v.clone())).collect();
-        let mut looped = HnswIndex::new(HnswConfig { seed: 5, ..Default::default() });
-        for (id, v) in &items {
-            looped.insert(*id, v).unwrap();
-        }
-        let mut batched = HnswIndex::new(HnswConfig { seed: 5, ..Default::default() });
-        mlake_par::serial(|| batched.insert_batch(&items)).unwrap();
-        assert_eq!(format!("{looped:?}"), format!("{batched:?}"));
-    }
-
-    #[test]
-    fn insert_batch_parallel_preserves_recall() {
-        let vecs = random_vectors(1200, 16, 22);
-        let items: Vec<(u64, Vec<f32>)> =
-            vecs.iter().enumerate().map(|(i, v)| (i as u64, v.clone())).collect();
-        let config = HnswConfig { m: 12, ef_construction: 80, ef_search: 48, seed: 3, ..Default::default() };
-        let mut serial_idx = HnswIndex::new(config);
-        mlake_par::serial(|| serial_idx.insert_batch(&items)).unwrap();
-        let mut par_idx = HnswIndex::new(config);
-        par_idx.insert_batch(&items).unwrap();
-        assert_eq!(par_idx.len(), items.len());
-
-        let mut flat = FlatIndex::new();
-        for (id, v) in &items {
-            flat.insert(*id, v).unwrap();
-        }
-        let queries = random_vectors(40, 16, 23);
-        let recall = |idx: &HnswIndex| crate::eval::recall_at_k(idx, &flat, &queries, 10).unwrap();
-        let (rs, rp) = (recall(&serial_idx), recall(&par_idx));
-        assert!(rp > 0.9, "parallel-built recall {rp}");
-        assert!(rp >= rs - 0.05, "parallel recall {rp} far below serial {rs}");
-    }
-
-    #[test]
-    fn insert_batch_validates_whole_batch_first() {
-        let mut idx = HnswIndex::new(HnswConfig::default());
-        idx.insert(0, &[1.0, 0.0]).unwrap();
-        // Duplicate id inside the batch → nothing inserted.
-        let bad = vec![
-            (1, vec![0.0, 1.0]),
-            (1, vec![0.5, 0.5]),
-        ];
-        assert!(idx.insert_batch(&bad).is_err());
-        assert_eq!(idx.len(), 1);
-        // Dimension mismatch anywhere in the batch → nothing inserted.
-        let bad_dim = vec![(2, vec![0.0, 1.0]), (3, vec![1.0])];
-        assert!(idx.insert_batch(&bad_dim).is_err());
-        assert_eq!(idx.len(), 1);
-        // Duplicate against the existing index → nothing inserted.
-        let dup_existing = vec![(0, vec![0.0, 1.0])];
-        assert!(idx.insert_batch(&dup_existing).is_err());
-        assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
     fn search_many_matches_individual_searches() {
         let vecs = random_vectors(400, 8, 24);
         let mut idx = HnswIndex::new(HnswConfig { seed: 7, ..Default::default() });
@@ -1030,26 +662,6 @@ mod tests {
             let single = idx.search(q, 5).unwrap();
             assert_eq!(&single, hits);
         }
-    }
-
-    /// The debug-mode lock-order tracker must reject the one acquisition
-    /// pattern the concurrent build is designed to never produce: taking
-    /// the entry-point lock (rank 30) while a node lock (rank 40) is held.
-    /// The inversion runs in a spawned thread so the panic unwinds cleanly.
-    #[test]
-    #[cfg(debug_assertions)]
-    fn lock_order_tracker_rejects_entry_after_node() {
-        let r = std::thread::spawn(|| {
-            let _node = lockorder::acquire(ranks::HNSW_NODE, "hnsw.node");
-            let _entry = lockorder::acquire(ranks::HNSW_ENTRY, "hnsw.entry");
-        })
-        .join();
-        let msg = r
-            .expect_err("inverted acquisition must panic")
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("hnsw.entry") && msg.contains("hnsw.node"), "{msg}");
     }
 
     #[test]
@@ -1084,30 +696,30 @@ mod tests {
     }
 
     #[test]
-    fn sq8_batch_build_quantizes_every_row() {
+    fn insert_batch_is_the_insert_loop() {
+        // HNSW has one build routine: a batch, at any thread count, leaves
+        // the same graph, RNG state (the Debug rendering), SQ8 codec and
+        // code arena as the insert loop, and answers searches identically.
         let vecs = random_vectors(400, 8, 43);
         let items: Vec<(u64, Vec<f32>)> =
             vecs.iter().enumerate().map(|(i, v)| (i as u64, v.clone())).collect();
-        let config = HnswConfig {
-            seed: 4,
-            precision: Precision::Sq8Rescore,
-            rescore_factor: 3,
-            ..Default::default()
-        };
-        let mut batched = HnswIndex::new(config);
-        batched.insert_batch(&items).unwrap();
-        assert!(batched.sq8_ready().is_some());
-        assert_eq!(batched.codes.len(), items.len() * 8);
-        // The parallel arena fill must byte-match the sequential encode.
-        let mut looped = HnswIndex::new(config);
-        for (id, v) in &items {
-            looped.insert(*id, v).unwrap();
+        for precision in [Precision::F32, Precision::Sq8Rescore] {
+            let config = HnswConfig { seed: 4, precision, rescore_factor: 3, ..Default::default() };
+            let mut batched = HnswIndex::new(config);
+            batched.insert_batch(&items).unwrap();
+            let mut looped = HnswIndex::new(config);
+            for (id, v) in &items {
+                looped.insert(*id, v).unwrap();
+            }
+            assert_eq!(batched.sq8_ready().is_some(), precision == Precision::Sq8Rescore);
+            assert_eq!(batched.codec, looped.codec);
+            assert_eq!(batched.codes, looped.codes);
+            assert_eq!(format!("{batched:?}"), format!("{looped:?}"));
+            assert_eq!(
+                batched.search_many(&vecs[..20], 5).unwrap(),
+                looped.search_many(&vecs[..20], 5).unwrap()
+            );
         }
-        assert_eq!(batched.codes, looped.codes);
-        assert_eq!(batched.codec, looped.codec);
-        let q = &vecs[7];
-        let got: Vec<u64> = batched.search(q, 5).unwrap().iter().map(|h| h.id).collect();
-        assert!(!got.is_empty());
     }
 
     #[test]

@@ -5,17 +5,18 @@
 //! used to embed and provide scalable sublinear search over the model
 //! embeddings... Indices like HNSW have proven effective in practice").
 //!
-//! Three interchangeable implementations behind [`VectorIndex`]:
+//! Two implementations behind [`VectorIndex`]:
 //! * [`flat::FlatIndex`] — exact scan, the recall ground truth and the
-//!   baseline every approximate index must beat on latency;
+//!   baseline the approximate index must beat on latency;
 //! * [`hnsw::HnswIndex`] — Hierarchical Navigable Small World graphs
-//!   (Malkov & Yashunin 2020), built from scratch;
-//! * [`lsh::LshIndex`] — random-hyperplane locality-sensitive hashing, the
-//!   classical sublinear alternative.
+//!   (Malkov & Yashunin 2020), built from scratch. One build routine:
+//!   sequential [`VectorIndex::insert`], so a graph is a pure function of
+//!   the insert order.
 //!
-//! [`sharded::ShardedIndex`] composes any of them into `N` digest-routed
+//! [`sharded::ShardedIndex`] composes either into `N` digest-routed
 //! sub-shards searched scatter-gather, so search cost scales with shard
-//! size and cores rather than lake size.
+//! size and cores rather than lake size; it is also where a build goes
+//! parallel — shards build concurrently, each one sequentially.
 //!
 //! All indexes use cosine distance over L2-normalised vectors, matching the
 //! fingerprint metric.
@@ -23,13 +24,11 @@
 pub mod eval;
 pub mod flat;
 pub mod hnsw;
-pub mod lsh;
 pub mod sharded;
 
 pub use eval::recall_at_k;
 pub use flat::FlatIndex;
 pub use hnsw::{HnswConfig, HnswIndex};
-pub use lsh::{LshConfig, LshIndex};
 pub use sharded::ShardedIndex;
 
 use mlake_tensor::TensorError;
@@ -77,10 +76,10 @@ pub trait VectorIndex {
 
     /// Inserts a batch of vectors.
     ///
-    /// The default is the sequential insert loop (stopping at the first
-    /// error); implementations with a concurrent build path — see
-    /// [`hnsw::HnswIndex`] — override it to validate the whole batch up
-    /// front and link in parallel.
+    /// The default — which both leaf indexes take — is the sequential
+    /// insert loop, stopping at the first error.
+    /// [`sharded::ShardedIndex`] overrides it to build its shards
+    /// concurrently, each through this loop.
     fn insert_batch(&mut self, items: &[(u64, Vec<f32>)]) -> Result<(), TensorError> {
         for (id, v) in items {
             self.insert(*id, v)?;
@@ -110,7 +109,7 @@ pub trait VectorIndex {
         self.len() == 0
     }
 
-    /// Short implementation name for reports ("hnsw", "lsh", "flat").
+    /// Short implementation name for reports ("hnsw", "flat").
     fn name(&self) -> &'static str;
 }
 

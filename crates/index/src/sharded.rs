@@ -25,7 +25,16 @@
 //! per-query latency scales with shard size on multi-core hosts.
 //!
 //! `N = 1` (the default lake configuration) bypasses the scatter entirely
-//! and forwards to the single inner index — exactly today's behavior.
+//! and forwards to the single inner index.
+//!
+//! # Build determinism
+//!
+//! Both inner indexes build by the sequential insert loop, so a shard is a
+//! pure function of the order its vectors arrive in.
+//! [`VectorIndex::insert_batch`] here is the one parallel build: shards
+//! build concurrently, each in its bucket's item order, so the built index
+//! — HNSW graphs included — and every search over it are bit-identical at
+//! any `MLAKE_THREADS`.
 
 use crate::{par_search_many, Hit, VectorIndex, DEFAULT_RESCORE_FACTOR};
 use mlake_tensor::TensorError;

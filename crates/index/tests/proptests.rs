@@ -1,6 +1,6 @@
-//! Property-based invariants across the three index implementations.
+//! Property-based invariants across the two index implementations.
 
-use mlake_index::{FlatIndex, HnswConfig, HnswIndex, LshConfig, LshIndex, VectorIndex};
+use mlake_index::{FlatIndex, HnswConfig, HnswIndex, VectorIndex};
 use proptest::prelude::*;
 
 fn vectors(n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -44,13 +44,11 @@ proptest! {
     fn results_are_wellformed(vs in vectors(16, 5), k in 1usize..10) {
         let mut flat = FlatIndex::new();
         let mut hnsw = HnswIndex::new(HnswConfig::default());
-        let mut lsh = LshIndex::new(LshConfig::default());
         for (i, v) in vs.iter().enumerate() {
             flat.insert(i as u64, v).unwrap();
             hnsw.insert(i as u64, v).unwrap();
-            lsh.insert(i as u64, v).unwrap();
         }
-        let indexes: [&dyn VectorIndex; 3] = [&flat, &hnsw, &lsh];
+        let indexes: [&dyn VectorIndex; 2] = [&flat, &hnsw];
         for idx in indexes {
             let hits = idx.search(&vs[0], k).unwrap();
             prop_assert!(hits.len() <= k);
@@ -67,8 +65,7 @@ proptest! {
         }
     }
 
-    /// Searching for an inserted vector returns it first (flat + hnsw; LSH
-    /// may bucket-miss by design, but when it returns the id it ranks first).
+    /// Searching for an inserted vector returns it first.
     #[test]
     fn self_query_returns_self(vs in vectors(12, 4)) {
         let mut flat = FlatIndex::new();

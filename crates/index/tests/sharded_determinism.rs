@@ -104,6 +104,31 @@ fn sharded_hnsw_exhaustive_beam_matches_flat() {
     }
 }
 
+/// HNSW inner shards built by `insert_batch` — the one parallel build —
+/// under a narrow beam (graphs that differ answer differently): the
+/// shards build concurrently, each sequentially, so the serial program and
+/// the default-threads run must answer every query bit-identically.
+#[test]
+fn sharded_hnsw_batch_build_is_thread_count_independent() {
+    for shards in [1usize, 4] {
+        let data = embeddings(400 * shards, 12, 5);
+        let cfg = HnswConfig { m: 6, ef_construction: 24, ef_search: 12, ..HnswConfig::default() };
+        let build = || {
+            let mut idx = ShardedIndex::new(shards, || HnswIndex::new(cfg));
+            idx.insert_batch(&data).unwrap();
+            idx
+        };
+        let parallel = build();
+        let serial = mlake_par::serial(build);
+        let queries: Vec<Vec<f32>> = data.iter().step_by(7).map(|(_, v)| v.clone()).collect();
+        let got = parallel.search_many(&queries, 10).unwrap();
+        let want = mlake_par::serial(|| serial.search_many(&queries, 10).unwrap());
+        for (g, w) in got.iter().zip(&want) {
+            assert_bit_identical(g, w, &format!("hnsw batch build N={shards} par vs serial"));
+        }
+    }
+}
+
 /// Repeated searches on the same sharded index are identical run to run
 /// (no ordering dependence on the scatter's completion order).
 #[test]

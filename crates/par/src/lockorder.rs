@@ -1,6 +1,6 @@
 //! Debug-mode lock-order race detector (DESIGN.md §10).
 //!
-//! Deadlock freedom across `mlake-par` and `mlake-index` rests on one
+//! Deadlock freedom across the workspace rests on one
 //! global rule: locks are acquired in strictly ascending rank order. The
 //! ranks (see [`ranks`]) form the workspace lock hierarchy:
 //!
@@ -12,8 +12,6 @@
 //! | 7    | `server.conns` — connection join-handle list     |
 //! | 10   | `par.queue` — pool job deque mutex               |
 //! | 20   | `par.latch` — per-region latch mutex             |
-//! | 30   | `hnsw.entry` — HNSW entry-point mutex            |
-//! | 40   | `hnsw.node` — HNSW per-node neighbour `RwLock`s  |
 //! | 50   | `wal.inner` — WAL writer state mutex             |
 //!
 //! In debug builds every tracked acquisition is recorded in a
@@ -21,7 +19,7 @@
 //! greater** than every lock already held panics with both sites, so the
 //! inverted acquisition that *could* deadlock under unlucky scheduling
 //! fails loudly and deterministically on the first test run instead. Note
-//! equal ranks also panic: two same-rank locks (e.g. two HNSW node locks)
+//! equal ranks also panic: two same-rank locks (e.g. two region latches)
 //! taken together can deadlock against a thread taking them in the
 //! opposite order, so the hierarchy demands they be held one at a time.
 //!
@@ -34,9 +32,9 @@
 //! and the runtime check in sync:
 //!
 //! ```ignore
-//! // lock-order: 30 (hnsw.entry)
-//! let _ord = lockorder::acquire(ranks::HNSW_ENTRY, "hnsw.entry");
-//! let g = entry.lock();
+//! // lock-order: 10 (par.queue)
+//! let _ord = lockorder::acquire(ranks::PAR_QUEUE, "par.queue");
+//! let g = queue.lock();
 //! ```
 
 /// The workspace lock hierarchy. Gaps between ranks leave room for new
@@ -61,30 +59,18 @@ pub mod ranks {
     pub const PAR_QUEUE: u32 = 10;
     /// Per-region latch mutex (`Latch::lock`).
     pub const PAR_LATCH: u32 = 20;
-    /// `mlake-core` index staging queue (`ModelLake::pending_index`):
-    /// deferred insert batches drained into the HNSW indexes on first
-    /// search. Ranked below `HNSW_ENTRY` because the drain inserts into
-    /// the indexes while holding it. (`mlake-par` is a dev-dependency of
-    /// `mlake-core`, so the rank appears there as `// lock-order: 25`
-    /// comment annotations rather than runtime tracker calls.)
-    pub const CORE_INDEX_PENDING: u32 = 25;
-    /// HNSW entry-point mutex (`insert_batch_parallel`'s `entry`).
-    pub const HNSW_ENTRY: u32 = 30;
-    /// HNSW per-node neighbour-list `RwLock`s (read or write).
-    pub const HNSW_NODE: u32 = 40;
     /// `mlake-core` blob residency table (`ResidentStore::resident`): the
     /// LRU map of paged-in blobs. A leaf among the core locks — faulting
     /// a blob in reads the filesystem *outside* this lock and never takes
     /// another lock while holding it.
     pub const STORE_RESIDENT: u32 = 45;
     /// `mlake-core` segment-chain state (`LakeShared::seg`): live segment
-    /// seqs, persist high-water marks, dirty-card and fresh-fingerprint
-    /// stashes. Taken under the op lock by persist/GC; leaf otherwise.
+    /// seqs, persist high-water marks and the dirty-card set. Taken under
+    /// the op lock by persist/GC; leaf otherwise.
     pub const CORE_SEGSTATE: u32 = 46;
     /// WAL writer state mutex (`Wal::inner` in `mlake-wal`). Ranked above
-    /// the index locks: a facade mutation may append to the WAL while the
-    /// caller holds no index lock, but replay and compaction never take
-    /// index locks while holding the WAL mutex.
+    /// the core locks: a facade mutation appends to the WAL under the op
+    /// lock, and the WAL never calls back into the lake.
     pub const WAL_INNER: u32 = 50;
 }
 
@@ -205,8 +191,6 @@ mod tests {
         let ok = !catches(|| {
             let _q = acquire(ranks::PAR_QUEUE, "par.queue");
             let _l = acquire(ranks::PAR_LATCH, "par.latch");
-            let _e = acquire(ranks::HNSW_ENTRY, "hnsw.entry");
-            let _n = acquire(ranks::HNSW_NODE, "hnsw.node");
         });
         assert!(ok);
         assert_eq!(held_count(), 0);
@@ -216,7 +200,7 @@ mod tests {
     #[cfg(debug_assertions)]
     fn inverted_acquisition_panics_with_both_sites() {
         let r = std::thread::spawn(|| {
-            let _high = acquire(ranks::HNSW_ENTRY, "hnsw.entry");
+            let _high = acquire(ranks::PAR_LATCH, "par.latch");
             let _low = acquire(ranks::PAR_QUEUE, "par.queue");
         })
         .join();
@@ -226,16 +210,16 @@ mod tests {
             .cloned()
             .unwrap_or_default();
         assert!(msg.contains("par.queue"), "missing acquiring site: {msg}");
-        assert!(msg.contains("hnsw.entry"), "missing held site: {msg}");
-        assert!(msg.contains("rank 10") && msg.contains("rank 30"), "{msg}");
+        assert!(msg.contains("par.latch"), "missing held site: {msg}");
+        assert!(msg.contains("rank 10") && msg.contains("rank 20"), "{msg}");
     }
 
     #[test]
     #[cfg(debug_assertions)]
     fn equal_rank_nesting_panics() {
         assert!(catches(|| {
-            let _a = acquire(ranks::HNSW_NODE, "hnsw.node");
-            let _b = acquire(ranks::HNSW_NODE, "hnsw.node");
+            let _a = acquire(ranks::PAR_LATCH, "par.latch");
+            let _b = acquire(ranks::PAR_LATCH, "par.latch");
         }));
     }
 

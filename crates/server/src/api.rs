@@ -176,3 +176,46 @@ pub fn not_found(what: &str) -> Vec<u8> {
         format!("no such route or resource: {what}"),
     )
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mlake_core::LakeConfig;
+    use mlake_fingerprint::FingerprintKind;
+    use mlake_nn::{Activation, Mlp, Model};
+    use mlake_proto::WireRef;
+    use mlake_tensor::{init::Init, Pcg64};
+
+    /// `k` travels from the query string / JSON body to the facade as
+    /// sent. `usize::MAX` used to overflow `k + 1` (and the hybrid pool
+    /// arithmetic) — a debug-build panic on the dispatcher thread, an
+    /// empty result in release. It now means "everything": every model
+    /// but the anchor.
+    #[test]
+    fn unbounded_k_returns_every_other_model() {
+        let lake = ModelLake::new(LakeConfig::default());
+        let n = 6u64;
+        for i in 0..n {
+            let mut rng = Pcg64::new(20 + i);
+            let mlp = Mlp::new(vec![8, 4, 3], Activation::Relu, Init::HeNormal, &mut rng).unwrap();
+            lake.ingest_model(&format!("m-{i}"), &Model::Mlp(mlp), None).unwrap();
+        }
+        let api = Api::new(Arc::new(lake));
+        let (model, kind, k) = (WireRef::Id(0), FingerprintKind::Hybrid, usize::MAX);
+        let requests = [
+            ApiRequest::Similar { model: model.clone(), kind, k },
+            ApiRequest::HybridSearch { query: "mlp".into(), model, kind, k },
+        ];
+        for req in requests {
+            let (status, resp) = api.handle(req);
+            assert_eq!(status, 200, "{resp:?}");
+            let mut ids: Vec<u64> = match resp {
+                ApiResponse::Similar { hits } => hits.iter().map(|h| h.id).collect(),
+                ApiResponse::Scored { hits } => hits.iter().map(|h| h.id).collect(),
+                other => panic!("unexpected response {other:?}"),
+            };
+            ids.sort_unstable();
+            assert_eq!(ids, (1..n).collect::<Vec<_>>());
+        }
+    }
+}

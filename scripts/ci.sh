@@ -11,7 +11,7 @@
 # blocking-under-lock passes, writing the machine-readable report to
 # target/lint/ and proving on a seeded fixture that an inverted lock
 # acquisition fails the run), the full
-# workspace test suite, a debug-profile par/index run (exercising the
+# workspace test suite, a debug-profile par run (exercising the
 # lock-order race detector, which compiles out in release), the same suite
 # re-run with observability disabled (MLAKE_OBS=off must be behaviorally
 # inert), the parallel-vs-serial equivalence suites re-run under
@@ -110,8 +110,8 @@ fi
 step "workspace tests"
 cargo test --workspace -q
 
-step "lock-order race detector: debug-profile par/index tests"
-cargo test -q -p mlake-par -p mlake-index
+step "lock-order race detector: debug-profile par tests"
+cargo test -q -p mlake-par
 
 step "observability off: tier-1 re-run under MLAKE_OBS=off"
 MLAKE_OBS=off cargo test -q
