@@ -1,6 +1,6 @@
 //! Performance regression guard for CI.
 //!
-//! Four gates, all best-of-N (robust to scheduler noise on loaded hosts):
+//! Six gates, all best-of-N (robust to scheduler noise on loaded hosts):
 //!
 //! 1. **Tiled matmul** — times the 512x512 tiled matmul (the parallel
 //!    layer's flagship kernel; 13.94ms baseline recorded in CHANGES.md)
@@ -18,17 +18,10 @@
 //!    group commit (`SyncPolicy::Batch { every: 64 }`) and fails below
 //!    the ops/s floor; the WAL's whole point is that per-mutation
 //!    durability stays cheap.
-//! 5. **HTTP serving** (ISSUE PR 7) — binds an in-process `mlake-server`
-//!    over an ephemeral lake and drives it with `mlake-load`'s
-//!    closed-loop generator (4 clients, mixed read/write); fails below
-//!    the requests/s floor or above the p99 latency budget, with
-//!    percentiles read from the obs histograms (client-side timing, so
-//!    the gate holds in both observability modes).
-//!
-//! 6. **Blockstore open / delta size** (ISSUE PR 9) — lazy open fits an
+//! 5. **Blockstore open / delta size** (ISSUE PR 9) — lazy open fits an
 //!    absolute budget and delta segments stay O(ops since last persist),
 //!    not O(lake).
-//! 7. **Text & hybrid retrieval** (ISSUE PR 10) — populates an honest
+//! 6. **Text & hybrid retrieval** (ISSUE PR 10) — populates an honest
 //!    lake from datagen ground truth, times a family-vocabulary BM25
 //!    query batch against `MLAKE_BENCH_GUARD_TEXT_MS`, and fails unless
 //!    hybrid recall@10 is at least the better of text-only and
@@ -44,8 +37,6 @@
 //!   MLAKE_BENCH_GUARD_SQ8_RATIO — required f32/sq8 speedup (default 1.3)
 //!   MLAKE_BENCH_GUARD_SHARD_OPS — sharded scatter-gather floor in queries/s (default 200)
 //!   MLAKE_BENCH_GUARD_WAL_OPS   — WAL group-commit append floor in ops/s (default 5000)
-//!   MLAKE_BENCH_GUARD_HTTP_OPS  — HTTP closed-loop floor in requests/s (default 100)
-//!   MLAKE_BENCH_GUARD_HTTP_P99_MS — HTTP p99 latency budget in ms (default 250)
 //!   MLAKE_BENCH_GUARD_OPEN_MS   — lazy open budget in ms (default 150)
 //!   MLAKE_BENCH_GUARD_TEXT_MS   — BM25 query-batch budget in ms (default 50)
 //!   MLAKE_GUARD_REPS            — timed repetitions (default 10)
@@ -53,10 +44,8 @@
 use mlake_bench::exp::e5_index::embeddings;
 use mlake_core::lake::{LakeConfig, ModelLake};
 use mlake_index::{FlatIndex, Precision, ShardedIndex, VectorIndex};
-use mlake_server::{LakeRouter, Server, ServerConfig};
 use mlake_tensor::{Matrix, Pcg64};
 use mlake_wal::{SyncPolicy, Wal, WalOptions};
-use std::sync::Arc;
 use std::time::Instant;
 
 const DEFAULT_BUDGET_MS: f64 = 17.4;
@@ -64,8 +53,6 @@ const DEFAULT_SQ8_BUDGET_MS: f64 = 60.0;
 const DEFAULT_SQ8_RATIO: f64 = 1.3;
 const DEFAULT_SHARD_OPS: f64 = 200.0;
 const DEFAULT_WAL_OPS: f64 = 5_000.0;
-const DEFAULT_HTTP_OPS: f64 = 100.0;
-const DEFAULT_HTTP_P99_MS: f64 = 250.0;
 const DEFAULT_OPEN_MS: f64 = 150.0;
 const DEFAULT_TEXT_MS: f64 = 50.0;
 const DEFAULT_REPS: usize = 10;
@@ -236,82 +223,6 @@ fn guard_wal_append(reps: usize) -> bool {
         return false;
     }
     true
-}
-
-fn guard_http() -> bool {
-    let floor_ops: f64 = env_or("MLAKE_BENCH_GUARD_HTTP_OPS", DEFAULT_HTTP_OPS);
-    let p99_budget_ms: f64 = env_or("MLAKE_BENCH_GUARD_HTTP_P99_MS", DEFAULT_HTTP_P99_MS);
-    let (clients, ops_per_client) = (4usize, 64usize);
-
-    // An ephemeral lake with a handful of models to read against.
-    let lake = ModelLake::new(LakeConfig::builder().name("guard-http").build().expect("config"));
-    let mut names = Vec::new();
-    for i in 0..4u64 {
-        let mut rng = Pcg64::new(900 + i);
-        let model = mlake_nn::Model::Mlp(
-            mlake_nn::Mlp::new(
-                vec![8, 4, 3],
-                mlake_nn::Activation::Relu,
-                mlake_tensor::init::Init::HeNormal,
-                &mut rng,
-            )
-            .expect("layer sizes"),
-        );
-        let name = format!("guard-m{i}");
-        lake.ingest_model(&name, &model, None).expect("ingest");
-        names.push(name);
-    }
-    let router = Arc::new(LakeRouter::new());
-    router.register("main", lake);
-    let server = Server::bind(Arc::clone(&router), "127.0.0.1:0", ServerConfig::default())
-        .expect("bind guard server");
-
-    // Closed loop: every client keeps exactly one request in flight,
-    // mixing list / resolve / MLQL / similar reads with card-update
-    // writes (1 in 5). Percentiles come from the obs `load.http`
-    // histogram — the same machinery the server's own spans use.
-    let workload = mlake_load::mixed_workload("main", names, 5);
-    let report = mlake_load::run_closed_loop(
-        server.addr(),
-        clients,
-        ops_per_client,
-        std::time::Duration::ZERO,
-        workload,
-    );
-    server.shutdown().expect("guard server shutdown");
-    println!(
-        "bench_guard: http closed-loop {clients} clients x {ops_per_client} ops: {}",
-        report.summary()
-    );
-
-    let mut ok = true;
-    if report.failed > 0 || report.transport_errors > 0 {
-        eprintln!(
-            "bench_guard: FAIL — HTTP load run saw {} failed responses and {} transport \
-             errors; the serving path is broken",
-            report.failed, report.transport_errors
-        );
-        ok = false;
-    }
-    if report.ops_per_s < floor_ops {
-        eprintln!(
-            "bench_guard: FAIL — HTTP closed loop {:.0} requests/s is below the \
-             {floor_ops:.0} requests/s floor; the serving path has regressed",
-            report.ops_per_s
-        );
-        ok = false;
-    }
-    // The load generator times requests client-side, so this gate holds
-    // in both observability modes.
-    if report.p99_ms > p99_budget_ms {
-        eprintln!(
-            "bench_guard: FAIL — HTTP p99 {:.2}ms exceeds the {p99_budget_ms:.2}ms budget; \
-             served-path tail latency has regressed",
-            report.p99_ms
-        );
-        ok = false;
-    }
-    ok
 }
 
 /// Text & hybrid retrieval gates (DESIGN.md §16): (a) RRF fusion never
@@ -486,7 +397,6 @@ fn main() {
         & guard_sharded(reps)
         & guard_wal_append(reps)
         & guard_blockstore(reps)
-        & guard_http()
         & guard_text(reps);
     if !ok {
         std::process::exit(1);

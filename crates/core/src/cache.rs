@@ -3,7 +3,7 @@
 //! Repeated `similar`/MLQL queries against an unchanged lake are common —
 //! interactive exploration, audit sweeps, MLQL sub-queries — and each one
 //! re-runs fingerprinting plus an index search. [`QueryCache`] memoises the
-//! final result, keyed by `(query digest, k, index generation)`.
+//! final result, keyed by `(query, index generation)`.
 //!
 //! **Invalidation is by key, not by flush**: the generation component is the
 //! event-log head, which advances on *every* lake mutation (ingest, card
@@ -14,19 +14,29 @@
 //! (e.g. a card update invalidating `similar` results) is deliberate: the
 //! cache must never serve a result the current lake would not produce.
 
-use crate::hash::Digest;
+use crate::registry::ModelId;
+use mlake_fingerprint::FingerprintKind;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
-/// Cache key: content digest of the query, result size, lake generation.
+/// Cache key: the query as asked, plus the lake generation. A lake's
+/// caches are its own, so nothing about its layout (shard count, index
+/// parameters) belongs in the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// SHA-256 of the canonicalised query text/parameters.
-    pub digest: Digest,
-    /// Requested result size `k` (0 when not applicable).
-    pub k: u64,
+    pub query: CachedQuery,
     /// Event-log head at lookup time.
     pub generation: u64,
+}
+
+/// The parameters that determine a facade query's result on a fixed
+/// lake generation; `k` is the clamped result size.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum CachedQuery {
+    Similar { id: ModelId, kind: FingerprintKind, k: usize },
+    Text { query: String, k: usize },
+    Hybrid { id: ModelId, kind: FingerprintKind, query: String, k: usize },
+    Mlql { text: String },
 }
 
 struct Entry<V> {
@@ -131,12 +141,10 @@ impl<V: Clone> QueryCache<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hash::sha256;
 
-    fn key(text: &str, k: u64, generation: u64) -> CacheKey {
+    fn key(text: &str, k: usize, generation: u64) -> CacheKey {
         CacheKey {
-            digest: sha256(text.as_bytes()),
-            k,
+            query: CachedQuery::Text { query: text.into(), k },
             generation,
         }
     }

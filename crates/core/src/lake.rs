@@ -6,10 +6,9 @@
 //! recovery, benchmarking, document generation, card verification, auditing,
 //! citation and declarative MLQL querying.
 
-use crate::cache::{CacheKey, QueryCache};
+use crate::cache::{CacheKey, CachedQuery, QueryCache};
 use crate::error::{LakeError, Result};
 use crate::event::{EventKind, EventLog};
-use crate::hash::sha256;
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId, ModelRef, Registry};
 use crate::store::ResidentStore;
 use mlake_benchlab::{Benchmark, Leaderboard, Score};
@@ -829,22 +828,11 @@ impl ModelLake {
             })?;
             (k.min(reg.models.len()), Arc::clone(&entry.fps))
         };
-        // Cache key: canonical query text digested, k, and the event-log
-        // head as generation — any lake mutation bumps the head, so stale
-        // results are unreachable by construction (see `crate::cache`).
-        // The shard count is part of the text: results from differently-
-        // sharded layouts are never interchangeable, even at identical
-        // generations (approximate inner indexes partition their beams
-        // differently per shard count).
+        // Cache key: the query and the event-log head as generation —
+        // any lake mutation bumps the head, so stale results are
+        // unreachable by construction (see `crate::cache`).
         let key = CacheKey {
-            digest: sha256(
-                format!(
-                    "similar|{kind:?}|{}|shards={}",
-                    id.0, self.shared.config.shards
-                )
-                .as_bytes(),
-            ),
-            k: k as u64,
+            query: CachedQuery::Similar { id, kind, k },
             generation: self.shared.events.read().head(),
         };
         if let Some(hits) = self.similar_cache.get(&key) {
@@ -870,8 +858,7 @@ impl ModelLake {
     pub fn text_search(&self, query: &str, k: usize) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.text");
         let key = CacheKey {
-            digest: sha256(format!("text|{query}").as_bytes()),
-            k: k as u64,
+            query: CachedQuery::Text { query: query.to_string(), k },
             generation: self.shared.events.read().head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
@@ -906,14 +893,7 @@ impl ModelLake {
         // Same clamp as `similar`: the pool arithmetic must not overflow.
         let k = k.min(self.len());
         let key = CacheKey {
-            digest: sha256(
-                format!(
-                    "hybrid|{kind:?}|{}|shards={}|{query}",
-                    id.0, self.shared.config.shards
-                )
-                .as_bytes(),
-            ),
-            k: k as u64,
+            query: CachedQuery::Hybrid { id, kind, query: query.to_string(), k },
             generation: self.shared.events.read().head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
@@ -1346,13 +1326,7 @@ impl PreparedQuery<'_> {
     pub fn run(&self) -> Result<Vec<QueryHit>> {
         let _span = mlake_obs::span("lake.query.run");
         let key = CacheKey {
-            // Shard count in the key for the same reason as `similar()`:
-            // scan stages fan out per shard, so layouts are not
-            // interchangeable cache-wise.
-            digest: sha256(
-                format!("mlql|shards={}|{}", self.lake.shared.config.shards, self.text).as_bytes(),
-            ),
-            k: 0,
+            query: CachedQuery::Mlql { text: self.text.clone() },
             generation: self.lake.shared.events.read().head(),
         };
         if let Some(hits) = self.lake.mlql_cache.get(&key) {

@@ -97,14 +97,13 @@ fn zero_capacity_disables_caching_without_changing_results() {
     assert_eq!(a, cached.similar(ModelId(0), FingerprintKind::Intrinsic, 3).unwrap());
 }
 
-/// Shard count is part of both cache keys (`similar` and MLQL): cached
-/// answers from a sharded layout are only ever served back to that exact
-/// layout. At an exhaustive beam (ef ≥ lake size) the sharded and
-/// unsharded answers are bit-identical, so serving each layout from its
-/// own warm cache must reproduce the same results — and the hits must
-/// come from the cache, not a recompute.
+/// A lake's caches are its own, so the shard count is not in the cache
+/// key. At an exhaustive beam (ef ≥ lake size) the sharded and unsharded
+/// answers are bit-identical, so serving each layout from its own warm
+/// cache must reproduce the same results — and the hits must come from
+/// the cache, not a recompute.
 #[test]
-fn shard_count_partitions_the_cache_key_space() {
+fn sharded_lake_serves_repeats_from_its_own_cache() {
     let exhaustive = mlake_index::HnswConfig {
         ef_search: 4096,
         ef_construction: 4096,
@@ -138,7 +137,7 @@ fn shard_count_partitions_the_cache_key_space() {
     }
 
     // Same for MLQL: both layouts agree, and the sharded lake's repeat is
-    // a cache hit under its shard-qualified key.
+    // a cache hit.
     let q = "FIND MODELS WHERE task = 'classification' ORDER BY name ASC";
     let qa = sharded.prepare(q).unwrap().run().unwrap();
     let qb = flat.prepare(q).unwrap().run().unwrap();

@@ -513,7 +513,7 @@ mod tests {
         );
         assert!(findings("crates/obs/src/recorder.rs", src).is_empty());
         assert_eq!(
-            passes(&findings("crates/server/src/dispatch.rs", src)),
+            passes(&findings("crates/server/src/server.rs", src)),
             vec!["lock-order"]
         );
     }

@@ -4,14 +4,14 @@
 //! |-----------------------|-------------------------------------------------------|
 //! | `lock-cycle`          | the static lock-acquisition graph is strictly rank-increasing (strict monotonicity implies acyclicity, so one check subsumes both inversion and cycle detection); ranks and names are a bijection |
 //! | `transitive-panic`    | no facade `pub fn`'s call chain reaches a panic site  |
-//! | `blocking-under-lock` | no fsync / `accept()` / `join()` / dispatch enqueue while a lock rank is held |
+//! | `blocking-under-lock` | no fsync / `accept()` / `join()` while a lock rank is held |
 //!
 //! The analysis is built on three conservative models:
 //!
 //! * **Guard regions.** A lock acquired at token `t` is modelled as held
 //!   until the `}` of the innermost block containing `t`. The workspace
 //!   convention of scoping guards into `{ … }` blocks (par, hnsw,
-//!   dispatch, server) makes this precise in practice; an acquisition at
+//!   server) makes this precise in practice; an acquisition at
 //!   fn top level is held to the end of the fn — over-approximate when
 //!   the guard is `drop`ped early, which only produces extra edges, never
 //!   missed ones (modulo the call-resolution gaps listed in
@@ -214,15 +214,13 @@ impl<'a> Wpa<'a> {
                     continue;
                 }
 
-                // Blocking sites: fsync-class calls, `accept()`, `join()`,
-                // dispatch enqueue.
+                // Blocking sites: fsync-class calls, `accept()`, `join()`.
                 let is_block = match name {
                     "sync_all" | "sync_data" | "fsync" => {
                         punct_at(toks, i + 1, '(')
                             && ident_at(toks, i.wrapping_sub(1)) != Some("fn")
                     }
                     "accept" | "join" => prev_dot && zero_arg,
-                    "try_submit" => prev_dot && punct_at(toks, i + 1, '('),
                     _ => false,
                 };
                 if is_block && !annotated(s, t.line, "lint: blocking-ok") {
@@ -231,7 +229,6 @@ impl<'a> Wpa<'a> {
                         what: match name {
                             "accept" => "TcpListener::accept()".into(),
                             "join" => "JoinHandle::join()".into(),
-                            "try_submit" => "dispatch enqueue".into(),
                             f => format!("{f}() (fsync-class I/O)"),
                         },
                     });
@@ -560,8 +557,8 @@ impl<'a> Wpa<'a> {
         }
     }
 
-    /// `blocking-under-lock`: no fsync-class I/O, `accept()`, `join()` or
-    /// dispatch enqueue while any lock rank is held.
+    /// `blocking-under-lock`: no fsync-class I/O, `accept()` or `join()`
+    /// while any lock rank is held.
     fn blocking_under_lock(&self, out: &mut Vec<Finding>) {
         for (id, acqs) in self.acqs.iter().enumerate() {
             let f = &self.ws.fns[id];

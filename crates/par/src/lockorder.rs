@@ -7,8 +7,6 @@
 //! | rank | lock                                             |
 //! |------|--------------------------------------------------|
 //! | 4    | `server.router` — lake-router map `RwLock`       |
-//! | 5    | `server.queue` — HTTP dispatch queue mutex       |
-//! | 6    | `server.job` — per-job take-once hand-off slot   |
 //! | 7    | `server.conns` — connection join-handle list     |
 //! | 10   | `par.queue` — pool job deque mutex               |
 //! | 20   | `par.latch` — per-region latch mutex             |
@@ -44,13 +42,6 @@ pub mod ranks {
     /// routing resolves a lake handle before any lake/pool lock is taken,
     /// and never while one is held.
     pub const SERVER_ROUTER: u32 = 4;
-    /// `mlake-server` HTTP dispatch queue mutex. Held only to push/drain
-    /// jobs; always released before a batch enters a pool region.
-    pub const SERVER_QUEUE: u32 = 5;
-    /// `mlake-server` per-job take-once hand-off slot (FnOnce → pool
-    /// `Fn` bridge). Acquired from an empty held-set inside a pool task
-    /// and released before the job body runs.
-    pub const SERVER_JOB: u32 = 6;
     /// `mlake-server` connection join-handle list. Touched only by the
     /// acceptor (push) and shutdown (drain); never taken by connection
     /// threads themselves, so it cannot invert against request locks.

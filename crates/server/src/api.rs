@@ -188,7 +188,7 @@ mod tests {
 
     /// `k` travels from the query string / JSON body to the facade as
     /// sent. `usize::MAX` used to overflow `k + 1` (and the hybrid pool
-    /// arithmetic) — a debug-build panic on the dispatcher thread, an
+    /// arithmetic) — a debug-build panic on the thread handling it, an
     /// empty result in release. It now means "everything": every model
     /// but the anchor.
     #[test]

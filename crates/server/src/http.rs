@@ -32,15 +32,12 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Whether the client asked to drop the connection after this
-    /// exchange (`Connection: close`, or an HTTP/1.0 client that did not
-    /// opt in to keep-alive).
+    /// Whether to drop the connection after this exchange:
+    /// `Connection: close`, which the parser also records for an HTTP/1.0
+    /// client that did not opt in to keep-alive. HTTP/1.1 persists.
     pub fn wants_close(&self) -> bool {
-        match self.header("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => true,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
-            _ => false, // HTTP/1.1 default: persistent
-        }
+        self.header("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
     }
 }
 
@@ -67,6 +64,9 @@ pub struct HttpConn {
     stream: TcpStream,
     buf: Vec<u8>,
     max_body: usize,
+    /// A parsed head and its `Content-Length`, while the body is still
+    /// arriving: a read that timed out mid-body resumes here.
+    pending: Option<(Request, usize)>,
 }
 
 impl HttpConn {
@@ -76,6 +76,7 @@ impl HttpConn {
             stream,
             buf: Vec::new(),
             max_body,
+            pending: None,
         }
     }
 
@@ -84,8 +85,13 @@ impl HttpConn {
         &self.stream
     }
 
-    /// Reads the next request, honoring the stream's read timeout.
+    /// Reads the next request, honoring the stream's read timeout: on
+    /// [`ReadOutcome::TimedOut`] whatever has arrived is kept, head or
+    /// body, and the next call carries on from there.
     pub fn read_request(&mut self) -> io::Result<ReadOutcome> {
+        if let Some((req, content_len)) = self.pending.take() {
+            return self.read_body(req, content_len);
+        }
         // 1. Accumulate until the header terminator.
         let head_end = loop {
             if let Some(pos) = find_head_end(&self.buf) {
@@ -141,6 +147,12 @@ impl HttpConn {
             headers,
             body: Vec::new(),
         };
+        // HTTP/1.0 closes unless the client opted in to keep-alive; say so
+        // where `wants_close` looks, so the version need not outlive the
+        // parse.
+        if version == "HTTP/1.0" && req.header("connection").is_none() {
+            req.headers.push(("connection".into(), "close".into()));
+        }
         if req.header("transfer-encoding").is_some() {
             return Ok(ReadOutcome::Malformed(
                 "transfer-encoding is not supported; send Content-Length".into(),
@@ -164,18 +176,21 @@ impl HttpConn {
         // 3. Read the body. The head (including its CRLFCRLF terminator)
         // is consumed from the buffer first; over-read bytes past the
         // body stay buffered for the next request on this connection.
-        let body_start = head_end + 4;
-        self.buf.drain(..body_start);
+        self.buf.drain(..head_end + 4);
+        self.read_body(req, content_len)
+    }
+
+    fn read_body(&mut self, mut req: Request, content_len: usize) -> io::Result<ReadOutcome> {
         while self.buf.len() < content_len {
             match self.fill()? {
                 FillOutcome::Data => {}
                 FillOutcome::Eof => {
                     return Ok(ReadOutcome::Malformed("eof mid-body".into()));
                 }
-                // Mid-request timeouts keep accumulating: the request has
-                // started arriving, so the caller must not tear the
-                // connection down between reads of one body.
-                FillOutcome::TimedOut => {}
+                FillOutcome::TimedOut => {
+                    self.pending = Some((req, content_len));
+                    return Ok(ReadOutcome::TimedOut);
+                }
             }
         }
         req.body = self.buf.drain(..content_len).collect();

@@ -6,16 +6,16 @@
 //! * **Protocol** — `mlake-proto`'s `ApiRequest`/`ApiResponse` JSON on a
 //!   hand-rolled HTTP/1.1 subset ([`http`]): keep-alive,
 //!   `Content-Length` bodies, one in-flight request per connection.
-//! * **Execution** — connection threads only parse and write; lake work
-//!   is queued on a bounded [`dispatch::Dispatcher`] and batched onto
-//!   the shared `mlake-par` pool. A full queue sheds load with `503` +
-//!   `Retry-After` instead of building unbounded memory ([`dispatch`]).
+//! * **Execution** — a request runs on the connection thread that read
+//!   it; parallel regions inside it share the one `mlake-par` pool. Past
+//!   [`ServerConfig::max_in_flight`] lake requests at once the server
+//!   sheds load with `503` + `Retry-After` at the edge ([`server`]).
 //! * **Tenancy** — `/v1/lakes/{lake}/...` routes through a
 //!   [`router::LakeRouter`] holding any number of lakes, in-process or
 //!   opened from disk.
 //! * **Shutdown** — [`server::Server::shutdown`] stops accepting, lets
-//!   in-flight requests finish, drains the queue, then syncs and
-//!   quiesces every lake: no acknowledged write is ever lost.
+//!   in-flight requests finish, then syncs and quiesces every lake: no
+//!   acknowledged write is ever lost.
 //!
 //! ```ignore
 //! let router = Arc::new(LakeRouter::new());
@@ -27,12 +27,10 @@
 //! ```
 
 pub mod api;
-pub mod dispatch;
 pub mod http;
 pub mod router;
 pub mod server;
 
 pub use api::Api;
-pub use dispatch::{DispatchHandle, Dispatcher};
 pub use router::LakeRouter;
 pub use server::{Server, ServerConfig};

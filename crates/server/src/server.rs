@@ -1,23 +1,23 @@
 //! The server proper: accept loop, connection threads, route table, and
 //! the graceful-shutdown sequence (DESIGN.md §14).
 //!
-//! Threading model: one OS thread per connection parses HTTP and writes
-//! responses; the lake work itself is enqueued on the bounded
-//! [`Dispatcher`] and executed on the `mlake-par` pool. A connection
-//! thread therefore blocks twice per request — once reading the socket,
-//! once waiting for its job's response channel — and never computes.
+//! Threading model: one OS thread per connection, and a request runs on
+//! the thread that read it — parse, route, [`Api::handle`], encode,
+//! write. A slow or panicking handler therefore costs its own connection
+//! and nobody else's. Parallel regions inside a handler share the one
+//! `mlake-par` pool; how many handlers run at once is bounded by
+//! [`ServerConfig::max_in_flight`], past which a request is answered
+//! `503` + `Retry-After` on the spot and the connection stays usable.
 //!
 //! Shutdown: [`Server::shutdown`] (1) sets the shutdown flag, (2) wakes
 //! the blocking `accept` with a loopback connect, (3) joins the acceptor,
 //! (4) joins every connection thread — each finishes its in-flight
-//! request first, so every acknowledged response is fully written —
-//! (5) stops the dispatcher, which drains all accepted jobs, and
-//! (6) syncs + quiesces every routed lake. An `Ok` response to a write
+//! request first, so every acknowledged response is fully written — and
+//! (5) syncs + quiesces every routed lake. An `Ok` response to a write
 //! therefore implies the write survives the shutdown (and, with
 //! `SyncPolicy::Always`, a crash).
 
 use crate::api::{not_found, protocol_error, Api};
-use crate::dispatch::{DispatchHandle, Dispatcher, Job};
 use crate::http::{HttpConn, ReadOutcome, Request, Response};
 use crate::router::LakeRouter;
 use mlake_core::ErrorKind;
@@ -27,32 +27,33 @@ use mlake_proto::{decode_request, encode_response, ApiRequest, WireRef};
 use serde::{Content, Deserialize};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Dispatch queue bound; a full queue sheds with 503 + `Retry-After`.
-    pub queue_capacity: usize,
+    /// Lake requests handled at once (minimum 1); one more is shed with
+    /// 503 + `Retry-After`.
+    pub max_in_flight: usize,
     /// Largest accepted request body in bytes.
     pub max_body: usize,
     /// Socket read timeout — the granularity at which idle keep-alive
     /// connections notice shutdown.
     pub read_timeout: Duration,
-    /// `Retry-After` seconds advertised on shed requests.
-    pub retry_after_s: u32,
 }
+
+/// `Retry-After` seconds advertised on shed requests.
+const RETRY_AFTER_S: &str = "1";
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            queue_capacity: 128,
+            max_in_flight: 128,
             max_body: 16 * 1024 * 1024,
             read_timeout: Duration::from_millis(50),
-            retry_after_s: 1,
         }
     }
 }
@@ -65,7 +66,6 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    dispatcher: Option<Dispatcher>,
     router: Arc<LakeRouter>,
 }
 
@@ -75,14 +75,13 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let dispatcher = Dispatcher::new(config.queue_capacity)?;
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let ctx = Arc::new(ConnCtx {
             router: Arc::clone(&router),
-            dispatch: dispatcher.handle(),
+            in_flight: AtomicUsize::new(0),
             shutdown: Arc::clone(&shutdown),
-            config: config.clone(),
+            config,
         });
         let accept_conns = Arc::clone(&conns);
         let accept_flag = Arc::clone(&shutdown);
@@ -95,13 +94,15 @@ impl Server {
                     }
                     let Ok(stream) = stream else { continue };
                     mlake_obs::registry().counter("http.conns").inc();
-                    mlake_obs::registry().gauge("http.conns.live").add(1);
+                    // Moved into the thread: released when it ends, by
+                    // return or by unwinding, or when it fails to spawn.
+                    let live = GaugeGuard::raise("http.conns.live");
                     let ctx = Arc::clone(&ctx);
                     let spawned = std::thread::Builder::new()
                         .name("mlake-conn".into())
                         .spawn(move || {
+                            let _live = live;
                             serve_connection(stream, &ctx);
-                            mlake_obs::registry().gauge("http.conns.live").add(-1);
                         });
                     match spawned {
                         Ok(handle) => {
@@ -110,17 +111,19 @@ impl Server {
                                 "server.conns",
                             );
                             // lock-order: 7 (server.conns)
-                            accept_conns
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .push(handle);
+                            let mut conns =
+                                accept_conns.lock().unwrap_or_else(|e| e.into_inner());
+                            // Keep only threads still running: the list
+                            // tracks live connections, not every one ever
+                            // accepted.
+                            conns.retain(|h| !h.is_finished());
+                            conns.push(handle);
                         }
                         // Thread exhaustion: drop the stream (the client
                         // sees a reset and retries) instead of crashing
                         // the acceptor.
                         Err(_) => {
                             mlake_obs::registry().counter("http.conns.spawn_failed").inc();
-                            mlake_obs::registry().gauge("http.conns.live").add(-1);
                         }
                     }
                 }
@@ -131,7 +134,6 @@ impl Server {
             shutdown,
             acceptor: Some(acceptor),
             conns,
-            dispatcher: Some(dispatcher),
             router,
         })
     }
@@ -158,18 +160,62 @@ impl Server {
         for conn in conns {
             let _ = conn.join();
         }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            dispatcher.shutdown();
-        }
         self.router.sync_all()
     }
 }
 
 struct ConnCtx {
     router: Arc<LakeRouter>,
-    dispatch: DispatchHandle,
+    /// Lake requests being handled right now, across all connections.
+    in_flight: AtomicUsize,
     shutdown: Arc<AtomicBool>,
     config: ServerConfig,
+}
+
+/// Holds an obs gauge one higher for as long as it lives — released on
+/// drop, so an unwinding thread gives back what it took.
+struct GaugeGuard(&'static mlake_obs::Gauge);
+
+impl GaugeGuard {
+    fn raise(name: &'static str) -> GaugeGuard {
+        let gauge = mlake_obs::registry().gauge(name);
+        gauge.add(1);
+        GaugeGuard(gauge)
+    }
+}
+
+impl Drop for GaugeGuard {
+    fn drop(&mut self) {
+        self.0.add(-1);
+    }
+}
+
+/// One admitted lake request: a slot of [`ServerConfig::max_in_flight`],
+/// given back on drop.
+struct Admitted<'a> {
+    in_flight: &'a AtomicUsize,
+    _gauge: GaugeGuard,
+}
+
+impl<'a> Admitted<'a> {
+    /// Takes a slot, or `None` at the bound. The counter guards no data —
+    /// it only counts — so `Relaxed` is enough.
+    fn admit(in_flight: &'a AtomicUsize, max: usize) -> Option<Admitted<'a>> {
+        if in_flight.fetch_add(1, Ordering::Relaxed) >= max.max(1) {
+            in_flight.fetch_sub(1, Ordering::Relaxed);
+            return None;
+        }
+        Some(Admitted {
+            in_flight,
+            _gauge: GaugeGuard::raise("http.in_flight"),
+        })
+    }
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 fn serve_connection(stream: TcpStream, ctx: &ConnCtx) {
@@ -217,9 +263,9 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) {
     }
 }
 
-/// Routes one request. Protocol-level work (routing, decode) runs on the
-/// connection thread; anything touching a lake is dispatched to the pool
-/// and awaited on a response channel.
+/// Routes one request and handles it in place. Health, the lake list and
+/// process metrics answer outside admission; anything touching a lake
+/// takes an in-flight slot first, or is shed.
 fn handle_request(req: Request, ctx: &ConnCtx) -> Response {
     let (lake_name, api_req) = match route(&req) {
         Ok(Routed::Api { lake, request }) => (lake, request),
@@ -241,39 +287,21 @@ fn handle_request(req: Request, ctx: &ConnCtx) -> Response {
         return Response::json(404, not_found(&format!("lake '{lake_name}'")));
     };
 
-    let api = Api::new(lake);
-    let (tx, rx) = mpsc::channel::<(u16, Vec<u8>)>();
-    let job: Job = Box::new(move || {
-        let (status, resp) = api.handle(*api_req);
-        let _ = tx.send((status, encode_response(&resp)));
-    });
-    match ctx.dispatch.try_submit(job) {
-        Ok(()) => match rx.recv() {
-            Ok((status, body)) => Response::json(status, body),
-            // The dispatcher dropped the job without running it — only
-            // possible on teardown races; nothing was acknowledged.
-            Err(_) => Response {
-                status: 503,
-                body: protocol_error(
-                    ErrorKind::Unavailable,
-                    503,
-                    "server shutting down".into(),
-                ),
-                extra_headers: vec![("Retry-After", ctx.config.retry_after_s.to_string())],
-                close: true,
-            },
-        },
-        Err(_refused) => Response {
+    let Some(_slot) = Admitted::admit(&ctx.in_flight, ctx.config.max_in_flight) else {
+        mlake_obs::registry().counter("http.shed").inc();
+        return Response {
             status: 503,
             body: protocol_error(
                 ErrorKind::Unavailable,
                 503,
-                "dispatch queue full; retry".into(),
+                "too many requests in flight; retry".into(),
             ),
-            extra_headers: vec![("Retry-After", ctx.config.retry_after_s.to_string())],
+            extra_headers: vec![("Retry-After", RETRY_AFTER_S.to_string())],
             close: false,
-        },
-    }
+        };
+    };
+    let (status, resp) = Api::new(lake).handle(*api_req);
+    Response::json(status, encode_response(&resp))
 }
 
 enum Routed {
@@ -427,6 +455,27 @@ mod tests {
             headers: Vec::new(),
             body: Vec::new(),
         }
+    }
+
+    /// The acceptor tracks connections that are live, not every one it
+    /// ever accepted.
+    #[test]
+    fn finished_connections_are_not_tracked() {
+        use std::io::{Read, Write};
+        let router = Arc::new(LakeRouter::new());
+        let server = Server::bind(router, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..64 {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            stream
+                .write_all(b"GET /v1/health HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            let mut resp = Vec::new();
+            stream.read_to_end(&mut resp).unwrap();
+            assert!(resp.starts_with(b"HTTP/1.1 200"));
+        }
+        let tracked = server.conns.lock().unwrap().len();
+        assert!(tracked <= 8, "{tracked} join handles tracked after 64 closed connections");
+        server.shutdown().unwrap();
     }
 
     #[test]

@@ -166,14 +166,14 @@ fn hammer_backpressure_and_graceful_shutdown() {
     }
 
     // ---- Phase B: deliberate backpressure ---------------------------
-    // A second server over the same router with a queue bound of 1: six
-    // clients hammering write ops must trip the bound. Shed responses
-    // are 503 + Retry-After and the connection stays usable.
+    // A second server over the same router that admits one request at a
+    // time: six clients hammering write ops must trip the bound. Shed
+    // responses are 503 + Retry-After and the connection stays usable.
     let tiny = Server::bind(
         Arc::clone(&router),
         "127.0.0.1:0",
         ServerConfig {
-            queue_capacity: 1,
+            max_in_flight: 1,
             ..ServerConfig::default()
         },
     )
@@ -216,7 +216,7 @@ fn hammer_backpressure_and_graceful_shutdown() {
     });
     assert!(
         sheds.load(Ordering::Relaxed) > 0,
-        "queue_capacity=1 under 6 writers never shed — backpressure broken"
+        "max_in_flight=1 under 6 writers never shed — backpressure broken"
     );
     tiny.shutdown().unwrap();
 
@@ -276,7 +276,7 @@ fn hammer_backpressure_and_graceful_shutdown() {
         assert!(count("http.similar") > 0);
         assert!(count("http.query") > 0);
         assert!(count("http.resolve") > 0);
-        assert!(snap.counter("http.queue.shed") > 0);
+        assert!(snap.counter("http.shed") > 0);
     }
 
     let _ = std::fs::remove_dir_all(&dir);
