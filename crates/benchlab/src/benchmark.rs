@@ -1,7 +1,7 @@
 //! The `Benchmark` artifact: `S(M, B) ∈ R` (§3).
 
 use crate::metrics::{expected_calibration_error, frechet_distance, Confusion};
-use mlake_nn::{LabeledData, Model};
+use mlake_nn::{Architecture, LabeledData, Model};
 use mlake_tensor::{Matrix, TensorError};
 use serde::{Deserialize, Serialize};
 
@@ -69,19 +69,29 @@ impl Benchmark {
         }
     }
 
-    /// Whether this benchmark can score the given model family.
-    pub fn applicable(&self, model: &Model) -> bool {
-        match (&self.kind, model) {
-            (BenchmarkKind::Classification(d), Model::Mlp(m)) => {
-                d.dim() == m.layer_sizes()[0]
+    /// Whether this benchmark can score a model of architecture `arch`: the
+    /// family must match, a classifier's input width must equal the data's,
+    /// and an LM's vocabulary must cover every token of a perplexity text.
+    /// The one applicability rule — it needs no weights, so a catalogue that
+    /// stores only the architecture signature can answer it without
+    /// decoding the artifact ([`Architecture::parse_signature`]).
+    pub fn applicable_to(&self, arch: &Architecture) -> bool {
+        match (&self.kind, arch) {
+            (
+                BenchmarkKind::Classification(d) | BenchmarkKind::Calibration(d),
+                Architecture::Mlp { .. },
+            ) => d.dim() == arch.input_dim(),
+            (BenchmarkKind::Perplexity(t), Architecture::NgramLm { vocab, .. }) => {
+                t.iter().all(|tok| tok < vocab)
             }
-            (BenchmarkKind::Calibration(d), Model::Mlp(m)) => d.dim() == m.layer_sizes()[0],
-            (BenchmarkKind::Perplexity(t), Model::Lm(lm)) => {
-                t.iter().all(|&tok| tok < lm.vocab())
-            }
-            (BenchmarkKind::Distribution(_), Model::Lm(_)) => true,
+            (BenchmarkKind::Distribution(_), Architecture::NgramLm { .. }) => true,
             _ => false,
         }
+    }
+
+    /// [`applicable_to`](Self::applicable_to) the model's architecture.
+    pub fn applicable(&self, model: &Model) -> bool {
+        self.applicable_to(&model.architecture())
     }
 
     /// Scores a model; errors when the benchmark does not apply.
@@ -203,6 +213,22 @@ mod tests {
             Mlp::new(vec![5, 4, 2], Activation::Relu, Init::HeNormal, &mut rng).unwrap(),
         );
         assert!(!cls.applicable(&wrong_dim));
+        assert!(!cls.applicable_to(&wrong_dim.architecture()));
+    }
+
+    #[test]
+    fn applicability_needs_only_the_signature() {
+        let cls = Benchmark::classification("blobs", data(3));
+        let ppl = Benchmark::perplexity("cycle", vec![0, 1, 5]);
+        let too_wide = Benchmark::perplexity("wide", vec![0, 6]);
+        for m in [classifier(), lm()] {
+            let arch = Architecture::parse_signature(&m.architecture().signature()).unwrap();
+            for b in [&cls, &ppl, &too_wide] {
+                assert_eq!(b.applicable_to(&arch), b.applicable(&m), "{}", b.name);
+            }
+        }
+        assert!(ppl.applicable(&lm()));
+        assert!(!too_wide.applicable(&lm()));
     }
 
     #[test]

@@ -43,17 +43,23 @@ impl Leaderboard {
                 skipped.push(id);
             }
         }
+        Ok(Leaderboard::ranked(&benchmark.name, rows, skipped))
+    }
+
+    /// Ranks already-scored rows: best first, ties by model id. `skipped`
+    /// keeps the caller's order.
+    pub fn ranked(benchmark: &str, mut rows: Vec<LeaderboardRow>, skipped: Vec<u64>) -> Leaderboard {
         rows.sort_by(|a, b| {
             b.score
                 .goodness()
                 .total_cmp(&a.score.goodness())
                 .then(a.model_id.cmp(&b.model_id))
         });
-        Ok(Leaderboard {
-            benchmark: benchmark.name.clone(),
+        Leaderboard {
+            benchmark: benchmark.to_string(),
             rows,
             skipped,
-        })
+        }
     }
 
     /// Rank (0-based) of a model, if present.

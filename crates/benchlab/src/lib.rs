@@ -9,9 +9,14 @@
 //!   calibration error, Fréchet distance (the FID construction on Gaussian
 //!   fits of feature sets);
 //! * [`benchmark`] — the `Benchmark` artifact: named, versionable, typed by
-//!   task (classification / perplexity / distribution);
-//! * [`leaderboard`] — ranked evaluation of many models, and the
-//!   "outperforms X on Y" relation the declarative query layer exposes;
+//!   task (classification / perplexity / distribution). Whether it applies
+//!   to a model is a function of the architecture alone
+//!   ([`Benchmark::applicable_to`]), so a lake decides it from its catalogue
+//!   and decodes weights only to compute a score it has not cached;
+//! * [`leaderboard`] — ranked evaluation of many models
+//!   ([`Leaderboard::run`] scores them, [`Leaderboard::ranked`] ranks rows
+//!   scored elsewhere), and the "outperforms X on Y" relation the
+//!   declarative query layer exposes;
 //! * [`lifelong`] — growing benchmarks that only evaluate deltas, plus
 //!   subsampled estimates with confidence intervals;
 //! * [`fairness`] — demographic-parity and per-group accuracy summaries for

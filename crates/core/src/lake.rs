@@ -11,7 +11,7 @@ use crate::error::{LakeError, Result};
 use crate::event::{EventKind, EventLog};
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId, ModelRef, Registry};
 use crate::store::ResidentStore;
-use mlake_benchlab::{Benchmark, Leaderboard, Score};
+use mlake_benchlab::{Benchmark, Leaderboard, LeaderboardRow, Score};
 use mlake_cards::{
     audit::{run_audit, standard_questionnaire, AuditReport},
     Citation, ModelCard, ReportedMetric,
@@ -19,7 +19,7 @@ use mlake_cards::{
 };
 use mlake_fingerprint::{extrinsic::ProbeSet, FingerprintKind, Fingerprinter};
 use mlake_index::{HnswConfig, HnswIndex, ShardedIndex, VectorIndex};
-use mlake_nn::Model;
+use mlake_nn::{Architecture, Model};
 use mlake_query::{execute, parse, FieldValue, QueryError, QueryHit, QueryTarget};
 use mlake_versioning::{recover_graph, RecoveredGraph, RecoveryOptions};
 use parking_lot::RwLock;
@@ -333,6 +333,19 @@ pub(crate) struct LakeShared {
     pub(crate) op_lock: parking_lot::Mutex<()>,
 }
 
+/// The architecture a registry entry records as its signature — what the
+/// benchmarking and documentation reads ask instead of decoding the blob.
+/// Every entry's `arch` was written by `Architecture::signature`, which
+/// `parse_signature` round-trips, so a failure here is a corrupt catalogue.
+fn entry_architecture(entry: &ModelEntry) -> Result<Architecture> {
+    Architecture::parse_signature(&entry.arch).ok_or_else(|| {
+        LakeError::CorruptArtifact(format!(
+            "model '{}' has unparseable architecture signature '{}'",
+            entry.name, entry.arch
+        ))
+    })
+}
+
 /// How far past `k` each branch of [`ModelLake::hybrid_search`] fetches
 /// before reciprocal-rank fusion: deeper pools let RRF reward mid-list
 /// agreement between the text and vector rankings.
@@ -396,7 +409,10 @@ pub struct ModelLake {
     /// to the registry by [`ModelLake::ensure_indexes`] before a search
     /// reads it. Its own `len()` is the watermark; nothing else writes it.
     indexes: RwLock<[ShardedIndex<HnswIndex>; 3]>,
-    graph: RwLock<Option<RecoveredGraph>>,
+    /// The recovered version graph, `None` once an ingest made it stale.
+    /// Shared out as an `Arc` so a task read borrows it instead of copying
+    /// every edge.
+    graph: RwLock<Option<Arc<RecoveredGraph>>>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
     /// `similar()` results keyed by (query digest, k, event generation).
     similar_cache: QueryCache<Vec<(ModelId, f32)>>,
@@ -927,14 +943,26 @@ impl ModelLake {
     // Versioning (§3 Model Versioning)
     // ------------------------------------------------------------------
 
-    /// Rebuilds the version graph. `known_roots` follows hub practice where
-    /// foundation models are known; pass `None` for blind recovery.
+    /// Rebuilds the version graph — always, even when the cached one is
+    /// current. `known_roots` follows hub practice where foundation models
+    /// are known; pass `None` for blind recovery.
+    // lint: no-span — the locked half spans itself
     pub fn rebuild_version_graph(
         &self,
         known_roots: Option<Vec<ModelId>>,
     ) -> Result<RecoveredGraph> {
-        let _span = mlake_obs::span("lake.graph.rebuild");
         let _op = self.shared.op_lock.lock();
+        Ok(RecoveredGraph::clone(&*self.rebuild_graph_locked(known_roots)?))
+    }
+
+    /// The rebuild itself; the caller holds `op_lock`. Whole-lake: decodes
+    /// every model and runs [`recover_graph`], whose cost model is in its
+    /// module doc.
+    fn rebuild_graph_locked(
+        &self,
+        known_roots: Option<Vec<ModelId>>,
+    ) -> Result<Arc<RecoveredGraph>> {
+        let _span = mlake_obs::span("lake.graph.rebuild");
         let n = self.len();
         let mut models = Vec::with_capacity(n);
         for i in 0..n {
@@ -944,9 +972,9 @@ impl ModelLake {
             known_roots: known_roots.map(|ids| ids.into_iter().map(|i| i.0 as usize).collect()),
             ..RecoveryOptions::default()
         };
-        let graph = recover_graph(&models, Some(&self.fingerprinter.probes), &opts);
+        let graph = Arc::new(recover_graph(&models, Some(&self.fingerprinter.probes), &opts));
         self.wal_graph_rebuilt()?;
-        *self.graph.write() = Some(graph.clone());
+        *self.graph.write() = Some(Arc::clone(&graph));
         self.shared.events.write().append(EventKind::GraphRebuilt, "*");
         Ok(graph)
     }
@@ -959,20 +987,34 @@ impl ModelLake {
         self.shared.events.write().append(EventKind::GraphRebuilt, "*");
     }
 
-    /// The current version graph (rebuilding blind if stale/absent).
+    /// The current version graph, rebuilt blind if an ingest made it stale.
+    /// Returns an owned copy; the facade's own readers share the cached one.
     // lint: no-span — cache hit is a clone; the rebuild path spans itself
     pub fn version_graph(&self) -> Result<RecoveredGraph> {
+        Ok(RecoveredGraph::clone(&*self.current_graph()?))
+    }
+
+    /// The cached graph, rebuilding it first when stale. Staleness is
+    /// re-checked under `op_lock`: of k readers that find the graph stale
+    /// after one ingest, the first rebuilds and the rest, queued behind it,
+    /// take its result — one rebuild, one `GraphRebuilt` record and event,
+    /// one cache-generation bump, not k.
+    fn current_graph(&self) -> Result<Arc<RecoveredGraph>> {
         if let Some(g) = self.graph.read().clone() {
             return Ok(g);
         }
-        self.rebuild_version_graph(None)
+        let _op = self.shared.op_lock.lock();
+        if let Some(g) = self.graph.read().clone() {
+            return Ok(g);
+        }
+        self.rebuild_graph_locked(None)
     }
 
     /// Lineage path of a model from its recovered root, root first, as names.
     pub fn lineage_path<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<Vec<String>> {
         let _span = mlake_obs::span("lake.lineage");
         let id = self.resolve(model)?;
-        let graph = self.version_graph()?;
+        let graph = self.current_graph()?;
         let mut path = vec![id.0 as usize];
         let mut cur = id.0 as usize;
         while let Some(p) = graph.parent_of(cur) {
@@ -1020,58 +1062,72 @@ impl ModelLake {
         Ok(score)
     }
 
-    /// Full leaderboard of a registered benchmark over the lake.
+    /// Full leaderboard of a registered benchmark over the lake. Which
+    /// models it applies to comes from the registry's architecture
+    /// signatures and each score through [`ModelLake::score_of`], so only a
+    /// model never scored on this benchmark is decoded; rows, order and
+    /// `skipped` are those of [`Leaderboard::run`] over every model.
     pub fn leaderboard(&self, benchmark: &str) -> Result<Leaderboard> {
         let _span = mlake_obs::span("lake.leaderboard");
-        let bench = {
+        let (mut applicable, mut skipped) = (Vec::new(), Vec::new());
+        {
             let reg = self.shared.registry.read();
-            reg.benchmarks
-                .get(benchmark)
-                .ok_or_else(|| LakeError::NotFound {
-                    kind: "benchmark",
-                    name: benchmark.into(),
-                })?
-                .benchmark
-                .clone()
-        };
-        let n = self.len();
-        let mut models = Vec::with_capacity(n);
-        for i in 0..n {
-            models.push((i as u64, self.model(ModelId(i as u64))?));
+            let entry = reg.benchmarks.get(benchmark).ok_or_else(|| LakeError::NotFound {
+                kind: "benchmark",
+                name: benchmark.into(),
+            })?;
+            for e in &reg.models {
+                if entry.benchmark.applicable_to(&entry_architecture(e)?) {
+                    applicable.push(e.id);
+                } else {
+                    skipped.push(e.id.0);
+                }
+            }
         }
-        let lb = Leaderboard::run(&bench, models.iter().map(|(id, m)| (*id, m)))?;
-        // Warm the score cache from the leaderboard run.
-        let mut cache = self.score_cache.write();
-        for row in &lb.rows {
-            cache.insert((row.model_id, benchmark.to_string()), row.score.clone());
+        let mut scored = Vec::with_capacity(applicable.len());
+        for id in applicable {
+            let score = self.score_of(id, benchmark)?;
+            scored.push(LeaderboardRow { model_id: id.0, score });
         }
-        Ok(lb)
+        Ok(Leaderboard::ranked(benchmark, scored, skipped))
     }
 
     // ------------------------------------------------------------------
     // Documentation generation, verification, audit (§6)
     // ------------------------------------------------------------------
 
-    /// Measured evidence about a model: re-scored benchmarks, recovered
+    /// Measured evidence about a model: benchmark scores, recovered
     /// lineage, predicted domain. This is what verification trusts instead
-    /// of the card.
+    /// of the card. Which benchmarks apply is read off the registry's
+    /// architecture signature and every score goes through
+    /// [`ModelLake::score_of`], so once a model's scores are cached this
+    /// reads no blob — only a never-scored (model, benchmark) pair decodes
+    /// the artifact.
+    // lint: no-span — `evidence_of` opens `lake.evidence`
     pub fn evidence_for<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<CardEvidence> {
-        let _span = mlake_obs::span("lake.evidence");
         let id = self.resolve(model)?;
-        let model = self.model(id)?;
-        let bench_names = self.benchmark_names();
-        let mut measured = Vec::new();
+        self.evidence_of(id, &entry_architecture(&self.entry(id)?)?)
+    }
+
+    /// [`ModelLake::evidence_for`] for a caller that already parsed the
+    /// entry's architecture.
+    fn evidence_of(&self, id: ModelId, arch: &Architecture) -> Result<CardEvidence> {
+        let _span = mlake_obs::span("lake.evidence");
+        let mut applicable: Vec<(String, Option<String>)> = {
+            let reg = self.shared.registry.read();
+            reg.benchmarks
+                .iter()
+                .filter(|(_, e)| e.benchmark.applicable_to(arch))
+                .map(|(name, e)| (name.clone(), e.domain.clone()))
+                .collect()
+        };
+        // Name order: the map's is arbitrary, and both the metric list and
+        // the domain tie-break follow it.
+        applicable.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut measured = Vec::with_capacity(applicable.len());
         let mut best_domain: Option<(String, f32)> = None;
-        for name in &bench_names {
-            let (applicable, domain) = {
-                let reg = self.shared.registry.read();
-                let e = &reg.benchmarks[name];
-                (e.benchmark.applicable(&model), e.domain.clone())
-            };
-            if !applicable {
-                continue;
-            }
-            let score = self.score_of(id, name)?;
+        for (name, domain) in applicable {
+            let score = self.score_of(id, &name)?;
             if let Some(d) = domain {
                 let goodness = score.goodness();
                 if best_domain.as_ref().is_none_or(|(_, g)| goodness > *g) {
@@ -1079,12 +1135,12 @@ impl ModelLake {
                 }
             }
             measured.push(ReportedMetric {
-                benchmark: score.benchmark.clone(),
-                metric: score.metric.clone(),
+                benchmark: score.benchmark,
+                metric: score.metric,
                 value: score.value,
             });
         }
-        let graph = self.version_graph()?;
+        let graph = self.current_graph()?;
         let (recovered_base, recovered_transform) = {
             let reg = self.shared.registry.read();
             match graph.edges.iter().find(|e| e.child == id.0 as usize) {
@@ -1110,19 +1166,19 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.card.generate");
         let id = self.resolve(model)?;
         let entry = self.entry(id)?;
-        let model = self.model(id)?;
-        let evidence = self.evidence_for(id)?;
+        let arch = entry_architecture(&entry)?;
+        let evidence = self.evidence_of(id, &arch)?;
         let mut card = ModelCard::skeleton(&entry.name, &entry.arch);
-        card.task_tags = vec![match model {
-            Model::Mlp(_) => "classification".to_string(),
-            Model::Lm(_) => "language-modeling".to_string(),
+        card.task_tags = vec![match arch {
+            Architecture::Mlp { .. } => "classification".to_string(),
+            Architecture::NgramLm { .. } => "language-modeling".to_string(),
         }];
-        if let Some(d) = &evidence.predicted_domain {
-            card.domains = vec![d.clone()];
+        if let Some(d) = evidence.predicted_domain {
+            card.domains = vec![d];
         }
-        card.metrics = evidence.measured_metrics.clone();
-        card.lineage.base_model = evidence.recovered_base.clone();
-        card.lineage.transform = evidence.recovered_transform.clone();
+        card.metrics = evidence.measured_metrics;
+        card.lineage.base_model = evidence.recovered_base;
+        card.lineage.transform = evidence.recovered_transform;
         card.quantitative = Some(mlake_cards::NutritionalLabel {
             demographic_parity_gap: None,
             group_accuracies: None,
@@ -1146,7 +1202,7 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.verify");
         let id = self.resolve(model)?;
         let entry = self.entry(id)?;
-        let evidence = self.evidence_for(id)?;
+        let evidence = self.evidence_of(id, &entry_architecture(&entry)?)?;
         Ok(verify_card(&entry.card, &evidence))
     }
 
@@ -1155,7 +1211,7 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.audit");
         let id = self.resolve(model)?;
         let entry = self.entry(id)?;
-        let evidence = self.evidence_for(id)?;
+        let evidence = self.evidence_of(id, &entry_architecture(&entry)?)?;
         Ok(run_audit(&entry.card, &evidence, &standard_questionnaire()))
     }
 

@@ -4,8 +4,10 @@
 
 use mlake_core::lake::{LakeConfig, ModelLake};
 use mlake_core::populate::{honest_card, populate_from_ground_truth, CardPolicy};
+use mlake_benchlab::{Benchmark, Leaderboard};
 use mlake_core::{LakeError, ModelId};
-use mlake_datagen::{generate_lake, GroundTruth, LakeSpec};
+use mlake_datagen::{generate_lake, tabular, Domain, GroundTruth, LakeSpec};
+use mlake_tensor::Seed;
 use mlake_fingerprint::FingerprintKind;
 
 fn populated(policy: CardPolicy) -> (ModelLake, GroundTruth) {
@@ -137,6 +139,54 @@ fn benchmarking_and_outperform() {
     let s = lake.score_of(ModelId(top.model_id), "legal-holdout").unwrap();
     assert_eq!(s.value, top.score.value);
     assert!(lake.leaderboard("no-such-bench").is_err());
+}
+
+#[test]
+fn leaderboard_from_cached_scores_equals_a_cold_one() {
+    // A leaderboard decodes only models it has no score for; what it returns
+    // must not depend on which those are.
+    let (cold, _) = populated(CardPolicy::Honest);
+    let (warm, gt) = populated(CardPolicy::Honest);
+    for i in 0..gt.models.len() {
+        warm.evidence_for(ModelId(i as u64)).unwrap();
+    }
+    let bits = |lb: &Leaderboard| -> Vec<(u64, u32)> {
+        lb.rows.iter().map(|r| (r.model_id, r.score.value.to_bits())).collect()
+    };
+    for name in warm.benchmark_names() {
+        let (a, b) = (warm.leaderboard(&name).unwrap(), cold.leaderboard(&name).unwrap());
+        assert_eq!(a, b, "{name}");
+        assert_eq!(bits(&a), bits(&b), "{name}");
+        assert!(!a.rows.is_empty() && !a.skipped.is_empty(), "{name}");
+    }
+    // And equal to ranking the decoded models directly, on a benchmark the
+    // test holds a copy of.
+    let data = tabular::sample_tabular(
+        &Domain::builtin()[0],
+        &tabular::TabularSpec::default(),
+        90,
+        Seed::new(gt.seed),
+        Seed::new(7),
+    );
+    let bench = Benchmark::classification("direct", data);
+    warm.register_benchmark(bench.clone(), None).unwrap();
+    let direct =
+        Leaderboard::run(&bench, gt.models.iter().enumerate().map(|(i, m)| (i as u64, &m.model)))
+            .unwrap();
+    let via_lake = warm.leaderboard("direct").unwrap();
+    assert_eq!(via_lake, direct);
+    assert_eq!(bits(&via_lake), bits(&direct));
+    // A model ingested after the warm-up is scored on demand and ranked: a
+    // copy of the current leader ties with it, bit for bit.
+    let before = warm.leaderboard("legal-holdout").unwrap();
+    let leader = before.best().unwrap().clone();
+    let copy = &gt.models[leader.model_id as usize].model;
+    let id = warm.ingest_model("newcomer", copy, None).unwrap();
+    let after = warm.leaderboard("legal-holdout").unwrap();
+    assert_eq!(after.rows.len(), before.rows.len() + 1);
+    assert_eq!(after.skipped, before.skipped);
+    let rank = after.rank_of(id.0).expect("newcomer missing from the leaderboard");
+    assert_eq!(after.rows[rank].score.value.to_bits(), leader.score.value.to_bits());
 }
 
 #[test]

@@ -7,7 +7,8 @@
 //! `store.evict` / `gc.orphans` counters and the `store.resident.bytes`
 //! gauge when `MLAKE_OBS=on`.
 
-use mlake_core::{LakeConfig, ModelLake};
+use mlake_core::populate::{populate_from_ground_truth, CardPolicy};
+use mlake_core::{LakeConfig, ModelId, ModelLake};
 use mlake_fingerprint::FingerprintKind;
 use mlake_nn::{Activation, Mlp, Model};
 use mlake_tensor::{init::Init, Pcg64};
@@ -74,6 +75,44 @@ fn lazy_open_pages_blobs_in_on_first_touch() {
         assert_eq!(lake.resident_bytes(), 0, "{kind:?} search paged a blob in");
     }
     assert!(lake.model("r-1").is_err(), "blobs were reachable after all");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn task_reads_with_cached_scores_touch_no_blob() {
+    // Audit, verification, card generation and evidence ask the registry's
+    // architecture signature which benchmarks apply and read scores from
+    // the score cache; only a never-scored pair decodes the artifact. Same
+    // proof as above: a 1-byte cap and, once every model has been scored,
+    // no blob directory to read from.
+    let dir = tmp("tasks");
+    let _ = std::fs::remove_dir_all(&dir);
+    let gt = mlake_datagen::generate_lake(&mlake_datagen::LakeSpec::tiny(42));
+    {
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        populate_from_ground_truth(&lake, &gt, CardPolicy::Honest).unwrap();
+        lake.persist(&dir).unwrap();
+    }
+    let config = LakeConfig::builder().resident_bytes(1).build().unwrap();
+    let lake = ModelLake::open(&dir, config).unwrap();
+    let ids: Vec<ModelId> = (0..gt.models.len() as u64).map(ModelId).collect();
+    // First pass: builds the version graph and scores every model.
+    let first: Vec<_> = ids.iter().map(|&id| lake.evidence_for(id).unwrap()).collect();
+    assert!(first.iter().any(|e| !e.measured_metrics.is_empty()));
+    let audits: Vec<_> = ids.iter().map(|&id| lake.audit_model(id).unwrap()).collect();
+    let verifications: Vec<_> =
+        ids.iter().map(|&id| lake.verify_model_card(id).unwrap()).collect();
+    let cards: Vec<_> = ids.iter().map(|&id| lake.generate_card(id).unwrap()).collect();
+
+    std::fs::rename(dir.join("blobs"), dir.join("blobs.away")).unwrap();
+    for (i, &id) in ids.iter().enumerate() {
+        assert_eq!(lake.evidence_for(id).unwrap(), first[i], "evidence of {id}");
+        assert_eq!(lake.audit_model(id).unwrap(), audits[i], "audit of {id}");
+        assert_eq!(lake.verify_model_card(id).unwrap(), verifications[i], "verification of {id}");
+        assert_eq!(lake.generate_card(id).unwrap(), cards[i], "card of {id}");
+        assert_eq!(lake.resident_bytes(), 0, "a task read of {id} paged a blob in");
+    }
+    assert!(lake.model(ids[0]).is_err(), "blobs were reachable after all");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -104,7 +104,20 @@ impl ProbeSet {
     /// Mean total-variation distance between two models' behaviour on the
     /// applicable probes. Errors if the models are of different families.
     pub fn behavioral_distance(&self, a: &Model, b: &Model) -> mlake_tensor::Result<f32> {
-        let (ba, bb) = (self.behavior(a)?, self.behavior(b)?);
+        self.behavior_distance(a, &self.behavior(a)?, &self.behavior(b)?)
+    }
+
+    /// [`behavioral_distance`](Self::behavioral_distance) for a caller that
+    /// already holds both [`behavior`](Self::behavior) vectors (`ba` is
+    /// `a`'s): the one home of the TV arithmetic, so version-graph recovery,
+    /// which probes each model once, gets the same bits. Errors when the
+    /// vectors differ in length — different families or output widths.
+    pub fn behavior_distance(
+        &self,
+        a: &Model,
+        ba: &[f32],
+        bb: &[f32],
+    ) -> mlake_tensor::Result<f32> {
         if ba.len() != bb.len() {
             return Err(TensorError::ShapeMismatch {
                 op: "behavioral_distance",
@@ -116,7 +129,7 @@ impl ProbeSet {
             Model::Mlp(_) => self.tabular.rows(),
             Model::Lm(_) => self.contexts.len(),
         };
-        let tv: f32 = ba.iter().zip(&bb).map(|(x, y)| (x - y).abs()).sum::<f32>() / 2.0;
+        let tv: f32 = ba.iter().zip(bb).map(|(x, y)| (x - y).abs()).sum::<f32>() / 2.0;
         Ok(tv / probes.max(1) as f32)
     }
 }
@@ -131,6 +144,9 @@ mod tests {
     fn probes() -> ProbeSet {
         ProbeSet::standard(4, 16, 2.0, 8, 12, 2, Seed::new(5))
     }
+
+    const D_CHILD_BITS: u32 = 0x3c21_7a38;
+    const D_STRANGER_BITS: u32 = 0x3ed5_ad7b;
 
     fn trained_mlp(seed: u64) -> Model {
         let mut rng = Seed::new(seed).derive("init").rng();
@@ -208,6 +224,19 @@ mod tests {
         let d_stranger = ps.behavioral_distance(&parent, &stranger).unwrap();
         assert!(d_child < d_stranger, "{d_child} !< {d_stranger}");
         assert_eq!(ps.behavioral_distance(&parent, &parent).unwrap(), 0.0);
+        // Bits pinned on the commit before the TV arithmetic moved into
+        // `behavior_distance`; precomputed vectors must reproduce them.
+        assert_eq!(d_child.to_bits(), D_CHILD_BITS);
+        assert_eq!(d_stranger.to_bits(), D_STRANGER_BITS);
+        let (bp, bc, bs) = (
+            ps.behavior(&parent).unwrap(),
+            ps.behavior(&child).unwrap(),
+            ps.behavior(&stranger).unwrap(),
+        );
+        let via = |bb: &[f32]| ps.behavior_distance(&parent, &bp, bb).unwrap().to_bits();
+        assert_eq!(via(&bc), D_CHILD_BITS);
+        assert_eq!(via(&bs), D_STRANGER_BITS);
+        assert_eq!(via(&bp), 0.0f32.to_bits());
     }
 
     #[test]
@@ -216,7 +245,10 @@ mod tests {
         let m = trained_mlp(1);
         let mut lm = NgramLm::new(8, 2, 0.1).unwrap();
         lm.add_counts(&[0, 1, 2], 1.0).unwrap();
-        assert!(ps.behavioral_distance(&m, &Model::Lm(lm)).is_err());
+        let lm = Model::Lm(lm);
+        assert!(ps.behavioral_distance(&m, &lm).is_err());
+        let (bm, bl) = (ps.behavior(&m).unwrap(), ps.behavior(&lm).unwrap());
+        assert!(ps.behavior_distance(&m, &bm, &bl).is_err());
     }
 
     #[test]

@@ -12,6 +12,23 @@
 //! Cross-architecture children (distilled students) carry no weight lineage;
 //! they are attached by behavioural proximity when a probe set is supplied —
 //! exactly the intrinsic/extrinsic complementarity the paper's §2 motivates.
+//!
+//! # Cost
+//!
+//! Every per-model quantity is computed once, in `features`: one O(n)
+//! pass flattens the parameters, takes the layer norms, the zero / distinct
+//! fractions and kurtosis the direction heuristics compare, and — with
+//! probes — runs the model's forward passes over the probe set. Per
+//! architecture group of m_g models, `pair_distances` then fills one
+//! symmetric m_g × m_g matrix from its upper triangle (Σ m_g²/2 weight
+//! sweeps in all); Edmonds, the known-roots Prim loop, the medoid and the
+//! emitted `distance` only read it. Attachment and merge detection stay
+//! O(orphans × n) and O(edges × n) but over the precomputed vectors.
+//!
+//! Nothing is kept across calls: a rebuild sees every model anew, so there
+//! is no cache to invalidate when a model is ingested, and the pair pass —
+//! quadratic inside a group — is the term a cross-rebuild cache would have
+//! to attack, at the price of state that must track the registry.
 
 use crate::arborescence::{minimum_arborescence, DirectedEdge};
 use crate::delta::classify_transform;
@@ -54,68 +71,107 @@ impl Default for RecoveryOptions {
     }
 }
 
-/// Symmetric weight distance for architecture-compatible models.
-fn weight_distance(a: &[f32], b: &[f32]) -> f32 {
-    let denom = vector::l2_norm(a).max(vector::l2_norm(b)).max(1e-12);
-    vector::l2_distance(a, b) / denom
+/// What recovery needs of one model, computed once per call.
+struct Features {
+    /// Flat parameter vector.
+    params: Vec<f32>,
+    /// L2 norm of every MLP weight matrix in layer order; for an LM, the one
+    /// norm of `params`.
+    norms: Vec<f32>,
+    /// Fractions of parameters that are exactly zero / of distinct bit
+    /// patterns, and excess kurtosis: what [`direction_penalty`] compares.
+    zero: f32,
+    distinct: f32,
+    kurtosis: f32,
+    /// Response over the probe set; `None` without probes or when probing errs.
+    behavior: Option<Vec<f32>>,
 }
 
-/// Layer-aware weight distance for same-architecture MLPs: the mean of
-/// per-layer (capped) relative changes, discounted by the fraction of layers
-/// that are *bitwise identical*. Identical layers are near-proof of shared
-/// lineage (LoRA, edits and stitches leave most layers untouched), which the
-/// flat norm cannot see — a single wholesale-replaced layer would otherwise
-/// put a LoRA child as far from its parent as a stranger.
-fn model_distance(ma: &Model, mb: &Model, pa: &[f32], pb: &[f32]) -> f32 {
-    if let (Some(a), Some(b)) = (ma.as_mlp(), mb.as_mlp()) {
-        if a.architecture() == b.architecture() {
-            let layers = a.num_layers();
-            let mut acc = 0.0f32;
-            let mut identical = 0usize;
-            for l in 0..layers {
-                let wa = a.weight(l).as_slice();
-                let wb = b.weight(l).as_slice();
-                let d = vector::l2_distance(wa, wb)
-                    / vector::l2_norm(wa).max(vector::l2_norm(wb)).max(1e-12);
-                if d < 1e-7 {
-                    identical += 1;
-                }
-                acc += d.min(1.0);
-            }
-            let mean = acc / layers.max(1) as f32;
-            let bonus = 0.5 * identical as f32 / layers.max(1) as f32;
-            return (mean - bonus).max(0.0);
+fn features(model: &Model, probes: Option<&ProbeSet>) -> Features {
+    let params = model.flat_params();
+    let norms = match model.as_mlp() {
+        Some(m) => (0..m.num_layers())
+            .map(|l| vector::l2_norm(m.weight(l).as_slice()))
+            .collect(),
+        None => vec![vector::l2_norm(&params)],
+    };
+    let len = params.len().max(1) as f32;
+    let zero = params.iter().filter(|&&w| w == 0.0).count() as f32 / len;
+    let mut bits: Vec<u32> = params.iter().map(|w| w.to_bits()).collect();
+    bits.sort_unstable();
+    bits.dedup();
+    Features {
+        norms,
+        zero,
+        distinct: bits.len() as f32 / len,
+        kurtosis: stats::kurtosis(&params),
+        behavior: probes.and_then(|p| p.behavior(model).ok()),
+        params,
+    }
+}
+
+/// Symmetric weight distance between two models of one architecture group.
+/// MLPs get the layer-aware form: the mean of per-layer (capped) relative
+/// changes, discounted by the fraction of layers that are *bitwise
+/// identical*. Identical layers are near-proof of shared lineage (LoRA,
+/// edits and stitches leave most layers untouched), which the flat norm
+/// cannot see — a single wholesale-replaced layer would otherwise put a LoRA
+/// child as far from its parent as a stranger. LMs get the flat relative
+/// distance. Bitwise symmetric: (a−b)² = (b−a)², `max` commutes and layers
+/// are summed in a fixed order.
+fn model_distance(ma: &Model, mb: &Model, fa: &Features, fb: &Features) -> f32 {
+    let (Some(a), Some(b)) = (ma.as_mlp(), mb.as_mlp()) else {
+        let denom = fa.norms[0].max(fb.norms[0]).max(1e-12);
+        return vector::l2_distance(&fa.params, &fb.params) / denom;
+    };
+    let layers = a.num_layers();
+    let mut acc = 0.0f32;
+    let mut identical = 0usize;
+    for l in 0..layers {
+        let d = vector::l2_distance(a.weight(l).as_slice(), b.weight(l).as_slice())
+            / fa.norms[l].max(fb.norms[l]).max(1e-12);
+        if d < 1e-7 {
+            identical += 1;
+        }
+        acc += d.min(1.0);
+    }
+    let mean = acc / layers.max(1) as f32;
+    let bonus = 0.5 * identical as f32 / layers.max(1) as f32;
+    (mean - bonus).max(0.0)
+}
+
+/// Row-major m × m matrix of [`model_distance`] over one architecture
+/// group, indexed by position in `members`; filled from the upper triangle.
+fn pair_distances(members: &[usize], models: &[Model], feats: &[Features]) -> Vec<f32> {
+    let m = members.len();
+    let mut d = vec![0.0f32; m * m];
+    for (li, &gi) in members.iter().enumerate() {
+        for (lj, &gj) in members.iter().enumerate().skip(li) {
+            let v = model_distance(&models[gi], &models[gj], &feats[gi], &feats[gj]);
+            d[li * m + lj] = v;
+            d[lj * m + li] = v;
         }
     }
-    weight_distance(pa, pb)
+    d
 }
 
 /// Direction penalty for hypothesised edge `u → v` (0 = consistent with
 /// being the parent; positive = suspicious). Irreversible-operation
 /// heuristics plus kurtosis drift (Horwitz et al.).
-fn direction_penalty(pu: &[f32], pv: &[f32]) -> f32 {
-    let zero = |p: &[f32]| p.iter().filter(|&&w| w == 0.0).count() as f32 / p.len().max(1) as f32;
+fn direction_penalty(u: &Features, v: &Features) -> f32 {
     let mut penalty = 0.0;
     // Pruned children have more zeros than parents; an edge from the sparser
     // node to the denser one runs the operation backwards.
-    if zero(pu) > zero(pv) + 0.05 {
+    if u.zero > v.zero + 0.05 {
         penalty += 0.3;
     }
     // Quantised children have fewer distinct values.
-    let distinct = |p: &[f32]| {
-        let mut v: Vec<u32> = p.iter().map(|w| w.to_bits()).collect();
-        v.sort_unstable();
-        v.dedup();
-        v.len() as f32 / p.len().max(1) as f32
-    };
-    if distinct(pu) + 0.05 < distinct(pv) {
+    if u.distinct + 0.05 < v.distinct {
         penalty += 0.3;
     }
     // Kurtosis drifts upward along derivation chains (fine-tuning sharpens
     // tails); mildly prefer the lower-kurtosis node as parent.
-    let ku = stats::kurtosis(pu);
-    let kv = stats::kurtosis(pv);
-    if ku > kv + 0.5 {
+    if u.kurtosis > v.kurtosis + 0.5 {
         penalty += 0.1;
     }
     penalty
@@ -129,7 +185,7 @@ pub fn recover_graph(
     opts: &RecoveryOptions,
 ) -> RecoveredGraph {
     let n = models.len();
-    let params: Vec<Vec<f32>> = models.iter().map(Model::flat_params).collect();
+    let feats: Vec<Features> = models.iter().map(|m| features(m, probes)).collect();
     // ---- 1. Architecture groups -----------------------------------------
     // BTreeMap: group iteration order must be deterministic so recovery is
     // bit-reproducible (roots/edges are appended per group).
@@ -148,33 +204,33 @@ pub fn recover_graph(
             roots.push(members[0]);
             continue;
         }
-        let dist = |a: usize, b: usize| {
-            model_distance(&models[a], &models[b], &params[a], &params[b])
+        // Everything below works in local indices (positions in `members`).
+        let m = members.len();
+        let matrix = pair_distances(members, models, &feats);
+        let dist = |a: usize, b: usize| matrix[a * m + b];
+        let edge = |parent: usize, child: usize| RecoveredEdge {
+            parent: members[parent],
+            child: members[child],
+            kind: classify_transform(&models[members[parent]], &models[members[child]]),
+            second_parent: None,
+            distance: dist(parent, child),
         };
         match &opts.known_roots {
             Some(known) => {
                 // Prim-style forest from known roots (fall back to the group
                 // medoid when no known root lives in this group).
                 let mut attached: Vec<usize> =
-                    members.iter().copied().filter(|i| known.contains(i)).collect();
+                    (0..m).filter(|&l| known.contains(&members[l])).collect();
                 if attached.is_empty() {
-                    let medoid = members
-                        .iter()
-                        .min_by(|&&a, &&b| {
-                            let sa: f32 = members.iter().map(|&x| dist(a, x)).sum();
-                            let sb: f32 = members.iter().map(|&x| dist(b, x)).sum();
-                            sa.total_cmp(&sb)
-                        })
-                        .copied()
-                        .unwrap_or(members[0]);
+                    let spread = |a: usize| (0..m).map(|x| dist(a, x)).sum::<f32>();
+                    let medoid = (0..m)
+                        .min_by(|&a, &b| spread(a).total_cmp(&spread(b)))
+                        .unwrap_or(0);
                     attached.push(medoid);
                 }
-                roots.extend(attached.iter().copied());
-                let mut unattached: Vec<usize> = members
-                    .iter()
-                    .copied()
-                    .filter(|i| !attached.contains(i))
-                    .collect();
+                roots.extend(attached.iter().map(|&l| members[l]));
+                let mut unattached: Vec<usize> =
+                    (0..m).filter(|l| !attached.contains(l)).collect();
                 while !unattached.is_empty() {
                     let mut best: Option<(f32, usize, usize)> = None;
                     for &v in &unattached {
@@ -190,7 +246,7 @@ pub fn recover_graph(
                         // is empty, which the medoid fallback rules out. Treat
                         // every remaining member as its own root rather than
                         // panicking.
-                        roots.extend(unattached.iter().copied());
+                        roots.extend(unattached.iter().map(|&l| members[l]));
                         break;
                     };
                     if d > opts.max_weight_distance {
@@ -198,18 +254,10 @@ pub fn recover_graph(
                         // component (an orphan root — a distilled student or
                         // unrelated upload). Its own descendants can still
                         // attach to it in later rounds.
-                        roots.push(v);
-                        attached.push(v);
-                        unattached.retain(|&x| x != v);
-                        continue;
+                        roots.push(members[v]);
+                    } else {
+                        edges.push(edge(u, v));
                     }
-                    edges.push(RecoveredEdge {
-                        parent: u,
-                        child: v,
-                        kind: classify_transform(&models[u], &models[v]),
-                        second_parent: None,
-                        distance: d,
-                    });
                     attached.push(v);
                     unattached.retain(|&x| x != v);
                 }
@@ -217,43 +265,32 @@ pub fn recover_graph(
             None => {
                 // Blind: Edmonds with a virtual root (local index m = group
                 // size) over direction-penalised distances.
-                let m = members.len();
                 let mut dedges = Vec::with_capacity(m * m + m);
-                for (li, &gi) in members.iter().enumerate() {
+                for li in 0..m {
                     dedges.push(DirectedEdge {
                         from: m,
                         to: li,
                         weight: opts.virtual_root_cost,
                     });
-                    for (lj, &gj) in members.iter().enumerate() {
+                    for lj in 0..m {
                         if li == lj {
                             continue;
                         }
-                        let d = dist(gi, gj);
+                        let d = dist(li, lj);
                         if d > opts.max_weight_distance {
                             continue; // not weight-continuous: leave to the virtual root
                         }
-                        dedges.push(DirectedEdge {
-                            from: li,
-                            to: lj,
-                            weight: d + direction_penalty(&params[gi], &params[gj]),
-                        });
+                        let (u, v) = (&feats[members[li]], &feats[members[lj]]);
+                        let weight = d + direction_penalty(u, v);
+                        dedges.push(DirectedEdge { from: li, to: lj, weight });
                     }
                 }
                 if let Some(parents) = minimum_arborescence(m + 1, &dedges, m) {
                     for (li, &p) in parents.iter().enumerate().take(m) {
-                        let child = members[li];
                         if p == m {
-                            roots.push(child);
+                            roots.push(members[li]);
                         } else {
-                            let parent = members[p];
-                            edges.push(RecoveredEdge {
-                                parent,
-                                child,
-                                kind: classify_transform(&models[parent], &models[child]),
-                                second_parent: None,
-                                distance: dist(parent, child),
-                            });
+                            edges.push(edge(p, li));
                         }
                     }
                 } else {
@@ -271,14 +308,21 @@ pub fn recover_graph(
             .copied()
             .filter(|r| !known.contains(r))
             .collect();
+        // At most one primary edge per child, so a parent array is the graph.
+        let mut parent_of: Vec<Option<usize>> = vec![None; n];
+        for e in &edges {
+            parent_of[e.child] = Some(e.parent);
+        }
         for r in orphan_roots {
+            let Some(br) = &feats[r].behavior else { continue };
             let mut best: Option<(f32, usize)> = None;
             for cand in 0..n {
                 // Never attach to self or to own descendants (acyclicity).
-                if cand == r || is_descendant(&edges, r, cand) {
+                if cand == r || is_descendant(&parent_of, r, cand) {
                     continue;
                 }
-                if let Ok(d) = probes.behavioral_distance(&models[cand], &models[r]) {
+                let Some(bc) = &feats[cand].behavior else { continue };
+                if let Ok(d) = probes.behavior_distance(&models[cand], bc, br) {
                     if best.is_none_or(|(bd, _)| d < bd) {
                         best = Some((d, cand));
                     }
@@ -293,6 +337,7 @@ pub fn recover_graph(
                         second_parent: None,
                         distance: d,
                     });
+                    parent_of[r] = Some(parent);
                     roots.retain(|&x| x != r);
                 }
             }
@@ -341,9 +386,8 @@ pub fn recover_graph(
                     if p.vocab() == c.vocab() && p.order() == c.order() =>
                 {
                     // Merge detection: child ≈ (1-λ)·parent + λ·q.
-                    let pp = p.flat_params();
-                    let cc = c.flat_params();
-                    let delta: Vec<f32> = cc.iter().zip(&pp).map(|(a, b)| a - b).collect();
+                    let (pp, cc) = (&feats[e.parent].params, &feats[e.child].params);
+                    let delta: Vec<f32> = cc.iter().zip(pp).map(|(a, b)| a - b).collect();
                     if vector::l2_norm(&delta) < 1e-6 {
                         continue;
                     }
@@ -355,8 +399,8 @@ pub fn recover_graph(
                         if q.vocab() != p.vocab() || q.order() != p.order() {
                             continue;
                         }
-                        let qq = q.flat_params();
-                        let dir: Vec<f32> = qq.iter().zip(&pp).map(|(a, b)| a - b).collect();
+                        let qq = &feats[k].params;
+                        let dir: Vec<f32> = qq.iter().zip(pp).map(|(a, b)| a - b).collect();
                         let dn = vector::dot(&dir, &dir);
                         if dn < 1e-9 {
                             continue;
@@ -366,11 +410,12 @@ pub fn recover_graph(
                             continue;
                         }
                         let mut resid = 0.0f64;
-                        for ((&d, &g), _) in delta.iter().zip(&dir).zip(&cc) {
+                        for (&d, &g) in delta.iter().zip(&dir) {
                             let r = d - lambda * g;
                             resid += f64::from(r) * f64::from(r);
                         }
-                        let rel = (resid.sqrt() as f32) / vector::l2_norm(&cc).max(1e-9);
+                        // An LM's one norm is that of its flat parameters.
+                        let rel = (resid.sqrt() as f32) / feats[e.child].norms[0].max(1e-9);
                         if rel < 0.02 {
                             e.second_parent = Some(k);
                             e.kind = TransformKind::Stitch;
@@ -390,17 +435,15 @@ pub fn recover_graph(
     }
 }
 
-fn is_descendant(edges: &[RecoveredEdge], ancestor: usize, node: usize) -> bool {
+/// Whether `node` descends from `ancestor` along primary edges. The hop cap
+/// keeps a malformed (cyclic) parent array from looping.
+fn is_descendant(parent_of: &[Option<usize>], ancestor: usize, node: usize) -> bool {
     let mut cur = node;
-    let mut hops = 0;
-    while let Some(e) = edges.iter().find(|e| e.child == cur) {
-        if e.parent == ancestor {
-            return true;
-        }
-        cur = e.parent;
-        hops += 1;
-        if hops > edges.len() {
-            return false;
+    for _ in 0..parent_of.len() {
+        match parent_of[cur] {
+            Some(p) if p == ancestor => return true,
+            Some(p) => cur = p,
+            None => return false,
         }
     }
     false
@@ -511,6 +554,28 @@ mod tests {
             let parents = graph.edges.iter().filter(|e| e.child == i).count();
             assert!(parents <= 1, "model {i} has {parents} parents");
         }
+    }
+
+    /// `pair_distances` fills both triangles from one evaluation; that is
+    /// only sound because the distance is symmetric to the bit.
+    #[test]
+    fn pair_distance_is_bitwise_symmetric() {
+        let (gt, _) = lake_and_probes();
+        let models: Vec<Model> = gt.models.iter().map(|m| m.model.clone()).collect();
+        let feats: Vec<Features> = models.iter().map(|m| features(m, None)).collect();
+        let mut pairs = 0;
+        for a in 0..models.len() {
+            for b in 0..models.len() {
+                if models[a].architecture() != models[b].architecture() {
+                    continue;
+                }
+                let ab = model_distance(&models[a], &models[b], &feats[a], &feats[b]);
+                let ba = model_distance(&models[b], &models[a], &feats[b], &feats[a]);
+                assert_eq!(ab.to_bits(), ba.to_bits(), "pair ({a}, {b})");
+                pairs += 1;
+            }
+        }
+        assert!(pairs > models.len(), "no multi-member architecture group");
     }
 
     #[test]

@@ -2,10 +2,13 @@
 # CI gate for the Model Lakes workspace.
 #
 #   scripts/ci.sh          # tier-1 + full workspace tests + determinism + clippy
-#   scripts/ci.sh --quick  # tier-1 + lakebench build + lint only
+#   scripts/ci.sh --quick  # tier-1 + lakebench build + lineage smoke run + lint only
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; everything
-# after it widens coverage: the mlake-lint static-analysis gate (also run in
+# after it widens coverage: the lakebench build and a 2-second
+# `lineage-tasks` smoke run (the benchmark's output checks on citation,
+# lineage path and generated card, `failed` 0 — also in --quick mode), the
+# mlake-lint static-analysis gate (also run in
 # --quick mode — it is cheap and catches new debt earliest; the per-file
 # passes plus the whole-program lock-cycle / transitive-panic /
 # blocking-under-lock passes, writing the machine-readable report to
@@ -57,6 +60,12 @@ cargo test -q
 step "benchmark: lakebench builds against the workspace crates"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
   cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
+# Two seconds' worth of cycles (one) of the lineage workload: its output
+# checks — cite / lineage_path end at the queried model, generate_card names
+# it, no failed op — run against the task read path; any miss exits non-zero.
+step "benchmark: lineage-tasks smoke run (output checks, failed = 0)"
+"${CARGO_TARGET_DIR:-target}/release/lakebench" --workload lineage-tasks --seconds 2 --trace 0
 
 step "lint: mlake-lint over crates/ and src/ (lint.allow baseline; json artifact)"
 mkdir -p target/lint
