@@ -1,40 +1,37 @@
-//! Criterion benches for E5: index build and query latency
+//! Criterion benches for E5: index build (a size ladder) and query latency
 //! (HNSW vs flat) over synthetic model embeddings.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
 use mlake_bench::exp::e5_index::embeddings;
 use mlake_index::{FlatIndex, HnswConfig, HnswIndex, VectorIndex};
 use std::hint::black_box;
 
+fn build<I: VectorIndex>(mut idx: I, vecs: &[Vec<f32>]) -> I {
+    for (i, v) in vecs.iter().enumerate() {
+        idx.insert(i as u64, v).unwrap();
+    }
+    idx
+}
+
+/// HNSW build cost over a size ladder at the lake's narrowest and widest
+/// fingerprint widths (64 and 136), so the indexer has a scaling exponent
+/// and not a point. One iteration is a whole build; `thrpt` counts inserts,
+/// so µs per insert = 1000 ÷ (Kelem/s). The flat scan's build (an append) is
+/// the floor.
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("index_build");
     group.sample_size(10);
-    for &n in &[1_000usize, 5_000] {
-        let vectors = embeddings(n, 64, 1);
-        group.bench_with_input(BenchmarkId::new("hnsw", n), &vectors, |b, vecs| {
-            b.iter_batched(
-                || HnswIndex::new(HnswConfig::default()),
-                |mut idx| {
-                    for (i, v) in vecs.iter().enumerate() {
-                        idx.insert(i as u64, v).unwrap();
-                    }
-                    idx
-                },
-                BatchSize::LargeInput,
-            );
-        });
-        group.bench_with_input(BenchmarkId::new("flat", n), &vectors, |b, vecs| {
-            b.iter_batched(
-                FlatIndex::new,
-                |mut idx| {
-                    for (i, v) in vecs.iter().enumerate() {
-                        idx.insert(i as u64, v).unwrap();
-                    }
-                    idx
-                },
-                BatchSize::LargeInput,
-            );
-        });
+    for &dim in &[64usize, 136] {
+        for &n in &[600usize, 2_400, 9_600] {
+            let vectors = embeddings(n, dim, 1);
+            group.throughput(Throughput::Elements(n as u64));
+            group.bench_with_input(BenchmarkId::new(format!("hnsw/d{dim}"), n), &vectors, |b, vecs| {
+                b.iter_batched(|| HnswIndex::new(HnswConfig::default()), |idx| build(idx, vecs), BatchSize::LargeInput);
+            });
+            group.bench_with_input(BenchmarkId::new(format!("flat/d{dim}"), n), &vectors, |b, vecs| {
+                b.iter_batched(FlatIndex::new, |idx| build(idx, vecs), BatchSize::LargeInput);
+            });
+        }
     }
     group.finish();
 }

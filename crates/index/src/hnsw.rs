@@ -7,11 +7,42 @@
 //! Neighbour sets are pruned with the paper's *heuristic* selection (keep a
 //! candidate only if it is closer to the query than to any already-kept
 //! neighbour), which preserves graph navigability on clustered data.
+//!
+//! # Insertion computes each distance once
+//!
+//! An adjacency entry ([`Link`]) stores the neighbour, its distance to the
+//! *owning* node (known when the link is made: the beam just computed it, and
+//! `dot` is bitwise commutative, so a back-link's distance is the same bits)
+//! and the verdict of the owner's last run of the selection heuristic:
+//! **kept**, **dominated by kept neighbour `w`**, or **unexamined** (appended
+//! since). `select_neighbors` — the only implementation of Algorithm 4 —
+//! reads those verdicts instead of re-deriving them. After a run over the
+//! distance-sorted list, a *kept* entry was checked against every kept entry
+//! before it; an entry *dominated by `w`* has `w` kept and before it; and the
+//! entry a full list drops is dominated or the unexamined last, so it was
+//! never a witness and influenced no verdict. The next run's list is thus the
+//! stored one plus unexamined newcomers, and walking it in order with
+//! `new_kept` (kept now, not last time) and `flipped` (kept last time,
+//! dominated now) is exact: an *unexamined* entry gets the full check against
+//! the current kept set; a *kept* entry already passed every surviving old
+//! kept entry before it (the stable sort keeps their relative order), so only
+//! `new_kept` can dominate it; a *dominated* entry stays dominated while its
+//! witness stays kept (domination is existential, and a kept witness at an
+//! equal distance is stored, hence sorted, first) and gets the full check
+//! when the witness is in `flipped`. An initial selection passes every
+//! candidate as unexamined, which is the from-scratch algorithm (kept under
+//! `#[cfg(test)]` as the oracle).
+//!
+//! Cost per insert and layer: one beam, one selection over its output, and
+//! at most `cap` incremental re-prunes of a handful of dots each. Beam and
+//! domination distances are evaluated four at a time by `vector::dot_rows`;
+//! SQ8 traversal goes through the same batched interface with its integer
+//! kernel.
 
 use crate::{par_search_many, Hit, Precision, VectorIndex, DEFAULT_RESCORE_FACTOR, SQ8_TRAIN_MIN};
 use mlake_tensor::{quant, vector, Pcg64, Sq8Codec, TensorError};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BTreeSet, BinaryHeap};
 
 /// Static per-layer visit-counter names (layers ≥ 7 fold into the last
 /// entry) so the search hot path never formats a metric name.
@@ -71,11 +102,50 @@ impl Default for HnswConfig {
     }
 }
 
+/// [`Link::state`]: kept by the owner's last selection run.
+const KEPT: u32 = u32::MAX;
+/// [`Link::state`]: appended since the owner's last selection run. Any other
+/// value is the node index of the kept neighbour that dominates the entry.
+const UNEXAMINED: u32 = u32::MAX - 1;
+
+/// One adjacency entry (see the module doc).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    to: u32,
+    /// Cosine distance between `to` and the owning node.
+    dist: f32,
+    state: u32,
+}
+
 #[derive(Debug, Clone)]
 struct Node {
     id: u64,
     /// Neighbour lists per layer, `neighbors[l]` valid for `l <= top_layer`.
-    neighbors: Vec<Vec<u32>>,
+    neighbors: Vec<Vec<Link>>,
+}
+
+/// Reusable buffers: the beam's epoch-stamped visited set and the batch it
+/// is evaluating, and the selection walk's id sets. `insert` reuses the
+/// index's own; a `&self` search makes one per query.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// `stamp[i] == epoch` ⇔ the current beam has visited node `i`.
+    stamp: Vec<u32>,
+    epoch: u32,
+    batch: Vec<u32>,
+    dists: Vec<f32>,
+    kept: Vec<u32>,
+    new_kept: Vec<u32>,
+    flipped: Vec<u32>,
+}
+
+/// The f32 kernel of normalised query `q` over the vector arena: cosine
+/// distance to each of `ids`, in order.
+fn f32_kernel<'a>(data: &'a [f32], q: &'a [f32]) -> impl Fn(&[u32], &mut Vec<f32>) + 'a {
+    move |ids, out| {
+        vector::dot_rows(q, data, ids, out);
+        out.iter_mut().for_each(|d| *d = 1.0 - *d);
+    }
 }
 
 /// The HNSW index.
@@ -86,6 +156,8 @@ pub struct HnswIndex {
     /// Normalised vectors, contiguous.
     data: Vec<f32>,
     nodes: Vec<Node>,
+    /// The ids in `nodes` (ordered, so `Debug` output is deterministic).
+    ids: BTreeSet<u64>,
     entry: Option<u32>,
     max_layer: usize,
     rng: Pcg64,
@@ -96,6 +168,7 @@ pub struct HnswIndex {
     codec: Option<Sq8Codec>,
     /// Contiguous SQ8 codes, row-parallel to `data` once the codec exists.
     codes: Vec<u8>,
+    scratch: Scratch,
 }
 
 /// Max-heap entry ordered by distance (for the result set).
@@ -137,12 +210,14 @@ impl HnswIndex {
             dim: 0,
             data: Vec::new(),
             nodes: Vec::new(),
+            ids: BTreeSet::new(),
             entry: None,
             max_layer: 0,
             rng: Pcg64::with_stream(config.seed, 0x484e_5357),
             level_lambda: 1.0 / (m as f64).ln(),
             codec: None,
             codes: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -216,32 +291,30 @@ impl HnswIndex {
 
     /// Greedy best-first search on one layer; returns up to `ef` closest
     /// nodes as a max-heap-drained, *unsorted* vector of (distance, idx).
-    /// When `stats` is provided, tallies visited nodes and beam expansions.
-    fn search_layer(
+    /// `dists` is the distance kernel, "distances to these nodes, in order":
+    /// [`f32_kernel`] or raw SQ8 code distance (monomorphized per kernel).
+    /// The unvisited neighbours of a popped node are evaluated together and
+    /// then processed in list order. When `stats` is provided, tallies
+    /// visited nodes and beam expansions.
+    fn search_layer<F: Fn(&[u32], &mut Vec<f32>)>(
         &self,
-        q: &[f32],
+        dists: &F,
         entry: u32,
         ef: usize,
         layer: usize,
-        stats: Option<&mut SearchStats>,
-    ) -> Vec<(f32, u32)> {
-        self.search_layer_impl(&|i| self.dist(q, i), entry, ef, layer, stats)
-    }
-
-    /// [`Self::search_layer`] under an arbitrary distance kernel — the f32
-    /// closure above, or raw SQ8 code distance (monomorphized per kernel,
-    /// so the f32 hot path is unchanged).
-    fn search_layer_impl<F: Fn(u32) -> f32>(
-        &self,
-        dist: &F,
-        entry: u32,
-        ef: usize,
-        layer: usize,
+        scratch: &mut Scratch,
         mut stats: Option<&mut SearchStats>,
     ) -> Vec<(f32, u32)> {
-        let mut visited = vec![false; self.nodes.len()];
-        visited[entry as usize] = true;
-        let d0 = dist(entry);
+        let Scratch { stamp, epoch, batch, dists: ds, .. } = scratch;
+        if *epoch == u32::MAX {
+            stamp.fill(0);
+            *epoch = 0;
+        }
+        *epoch += 1;
+        stamp.resize(self.nodes.len(), 0);
+        stamp[entry as usize] = *epoch;
+        dists(&[entry], ds);
+        let d0 = ds[0];
         if let Some(s) = stats.as_deref_mut() {
             s.visits += 1;
         }
@@ -255,18 +328,19 @@ impl HnswIndex {
             if d_cand > worst && results.len() >= ef {
                 break;
             }
+            batch.clear();
+            for link in &self.nodes[cand as usize].neighbors[layer] {
+                if stamp[link.to as usize] != *epoch {
+                    stamp[link.to as usize] = *epoch;
+                    batch.push(link.to);
+                }
+            }
             if let Some(s) = stats.as_deref_mut() {
                 s.expansions += 1;
+                s.visits += batch.len() as u64;
             }
-            for &nb in &self.nodes[cand as usize].neighbors[layer] {
-                if visited[nb as usize] {
-                    continue;
-                }
-                visited[nb as usize] = true;
-                if let Some(s) = stats.as_deref_mut() {
-                    s.visits += 1;
-                }
-                let d = dist(nb);
+            dists(batch, ds);
+            for (&nb, &d) in batch.iter().zip(ds.iter()) {
                 let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
                 if results.len() < ef || d < worst {
                     frontier.push(NearFirst(d, nb));
@@ -280,37 +354,53 @@ impl HnswIndex {
         results.into_iter().map(|FarFirst(d, i)| (d, i)).collect()
     }
 
+    /// The first of `against` closer to node `c` than `d` — the neighbour
+    /// that dominates a candidate at distance `d` from the base, if any.
+    fn dominator(&self, c: u32, d: f32, against: &[u32], dots: &mut Vec<f32>) -> Option<u32> {
+        against.chunks(4).find_map(|ks| {
+            vector::dot_rows(self.vec_of(c), &self.data, ks, dots);
+            ks.iter().zip(dots.iter()).find(|&(_, &dot)| 1.0 - dot < d).map(|(&k, _)| k)
+        })
+    }
+
     /// The neighbour-selection heuristic from the paper (Algorithm 4): scan
     /// candidates nearest-first, keep one only if it is closer to the base
-    /// point than to every already-kept neighbour.
-    fn select_neighbors(&self, candidates: &mut [(f32, u32)], m: usize) -> Vec<u32> {
-        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut kept: Vec<(f32, u32)> = Vec::with_capacity(m);
-        for &(d, c) in candidates.iter() {
+    /// point than to every already-kept neighbour; stop at `m` kept, else
+    /// fill up to `m` with the nearest dominated ones (keeps degree up on
+    /// dense clusters). Rewrites `list` to that selection with each entry's
+    /// verdict, and reuses the verdicts it arrives with (module doc): all
+    /// [`UNEXAMINED`] is the algorithm from scratch.
+    fn select_neighbors(&self, list: &mut Vec<Link>, m: usize, scratch: &mut Scratch) {
+        let Scratch { kept, new_kept, flipped, dists: dots, .. } = scratch;
+        kept.clear();
+        new_kept.clear();
+        flipped.clear();
+        list.sort_by(|a, b| a.dist.total_cmp(&b.dist));
+        for i in 0..list.len() {
             if kept.len() >= m {
+                list.truncate(i);
                 break;
             }
-            let dominated = kept.iter().any(|&(_, k)| {
-                let d_ck = 1.0 - vector::dot(self.vec_of(c), self.vec_of(k));
-                d_ck < d
-            });
-            if !dominated {
-                kept.push((d, c));
-            }
-        }
-        // Fill remaining slots with nearest dominated candidates (keeps
-        // degree up on dense clusters).
-        if kept.len() < m {
-            for &(d, c) in candidates.iter() {
-                if kept.len() >= m {
-                    break;
+            let Link { to: c, dist: d, state } = list[i];
+            let witness = match state {
+                KEPT => self.dominator(c, d, new_kept, dots),
+                w if w != UNEXAMINED && !flipped.contains(&w) => Some(w),
+                _ => self.dominator(c, d, kept, dots),
+            };
+            match (witness, state) {
+                (Some(_), KEPT) => flipped.push(c),
+                (None, KEPT) => kept.push(c),
+                (None, _) => {
+                    kept.push(c);
+                    new_kept.push(c);
                 }
-                if !kept.iter().any(|&(_, k)| k == c) {
-                    kept.push((d, c));
-                }
+                _ => {}
             }
+            list[i].state = witness.unwrap_or(KEPT);
         }
-        kept.into_iter().map(|(_, c)| c).collect()
+        // Kept entries in distance order, then the nearest dominated ones.
+        list.sort_by_key(|l| l.state != KEPT);
+        list.truncate(m);
     }
 
     fn max_degree(&self, layer: usize) -> usize {
@@ -345,7 +435,7 @@ impl HnswIndex {
         vector::normalize(&mut q);
         let ef = ef.max(k).max(1);
         let Some(codec) = self.sq8_ready() else {
-            let mut found = self.traverse(entry, &|i| self.dist(&q, i), ef);
+            let mut found = self.traverse(entry, &f32_kernel(&self.data, &q), ef);
             found.sort_by(|a, b| {
                 a.0.total_cmp(&b.0)
                     .then(self.nodes[a.1 as usize].id.cmp(&self.nodes[b.1 as usize].id))
@@ -365,11 +455,14 @@ impl HnswIndex {
         let pool = self.config.rescore_factor.max(1).saturating_mul(k);
         // Raw code distances fit f32 exactly up to dim·255² < 2²⁴
         // (dim ≤ 258); beyond that the cast only coarsens ties.
-        let dist = |i: u32| {
-            let at = i as usize * dim;
-            quant::l2_distance_sq_u8(&qc, &codes[at..at + dim]) as f32
+        let dists = |ids: &[u32], out: &mut Vec<f32>| {
+            out.clear();
+            out.extend(ids.iter().map(|&i| {
+                let at = i as usize * dim;
+                quant::l2_distance_sq_u8(&qc, &codes[at..at + dim]) as f32
+            }));
         };
-        let mut found = self.traverse(entry, &dist, ef.max(pool));
+        let mut found = self.traverse(entry, &dists, ef.max(pool));
         found.sort_by(|a, b| {
             a.0.total_cmp(&b.0)
                 .then(self.nodes[a.1 as usize].id.cmp(&self.nodes[b.1 as usize].id))
@@ -387,23 +480,30 @@ impl HnswIndex {
         Ok(hits)
     }
 
-    /// Greedy upper-layer descent followed by the layer-0 beam under an
-    /// arbitrary distance kernel; flushes visit counters once per call.
-    fn traverse<F: Fn(u32) -> f32>(&self, entry: u32, dist: &F, ef: usize) -> Vec<(f32, u32)> {
-        let obs = mlake_obs::enabled();
-        let mut layer_visits = [0u64; LAYER_VISITS.len()];
-        let mut ep = entry;
-        let mut ep_dist = dist(ep);
-        for layer in (1..=self.max_layer).rev() {
+    /// Greedy descent from `entry`: on each of `layers` in turn, hop to the
+    /// closest neighbour until none improves. Tallies evaluated nodes per
+    /// layer into `visits`.
+    fn descend<F: Fn(&[u32], &mut Vec<f32>)>(
+        &self,
+        dists: &F,
+        entry: u32,
+        layers: impl Iterator<Item = usize>,
+        scratch: &mut Scratch,
+        visits: &mut [u64; LAYER_VISITS.len()],
+    ) -> u32 {
+        let Scratch { batch, dists: ds, .. } = scratch;
+        dists(&[entry], ds);
+        let (mut ep, mut ep_dist) = (entry, ds[0]);
+        for layer in layers {
             loop {
                 let mut improved = false;
-                // Borrow neighbor list by index to satisfy the borrow checker.
-                let nbrs = self.nodes[ep as usize].neighbors.get(layer).cloned().unwrap_or_default();
-                if obs {
-                    layer_visits[layer.min(LAYER_VISITS.len() - 1)] += nbrs.len() as u64;
+                batch.clear();
+                if let Some(links) = self.nodes[ep as usize].neighbors.get(layer) {
+                    batch.extend(links.iter().map(|l| l.to));
                 }
-                for nb in nbrs {
-                    let d = dist(nb);
+                visits[layer.min(LAYER_VISITS.len() - 1)] += batch.len() as u64;
+                dists(batch, ds);
+                for (&nb, &d) in batch.iter().zip(ds.iter()) {
                     if d < ep_dist {
                         ep = nb;
                         ep_dist = d;
@@ -415,8 +515,18 @@ impl HnswIndex {
                 }
             }
         }
+        ep
+    }
+
+    /// Greedy upper-layer descent followed by the layer-0 beam under an
+    /// arbitrary distance kernel; flushes visit counters once per call.
+    fn traverse<F: Fn(&[u32], &mut Vec<f32>)>(&self, entry: u32, dists: &F, ef: usize) -> Vec<(f32, u32)> {
+        let obs = mlake_obs::enabled();
+        let mut layer_visits = [0u64; LAYER_VISITS.len()];
+        let mut scratch = Scratch::default();
+        let ep = self.descend(dists, entry, (1..=self.max_layer).rev(), &mut scratch, &mut layer_visits);
         let mut stats = SearchStats::default();
-        let found = self.search_layer_impl(dist, ep, ef, 0, obs.then_some(&mut stats));
+        let found = self.search_layer(dists, ep, ef, 0, &mut scratch, obs.then_some(&mut stats));
         if obs {
             layer_visits[0] += stats.visits;
             for (l, &v) in layer_visits.iter().enumerate() {
@@ -445,14 +555,15 @@ impl VectorIndex for HnswIndex {
                 rhs: (vec_in.len(), 1),
             });
         }
-        if self.nodes.iter().any(|n| n.id == id) {
+        if self.ids.contains(&id) {
             return Err(TensorError::Numerical("duplicate id in index"));
         }
-        let mut v = vec_in.to_vec();
-        vector::normalize(&mut v);
+        let mut q = vec_in.to_vec();
+        vector::normalize(&mut q);
         let new_idx = self.nodes.len() as u32;
         let layer = self.random_layer();
-        self.data.extend_from_slice(&v);
+        self.ids.insert(id);
+        self.data.extend_from_slice(&q);
         self.nodes.push(Node {
             id,
             neighbors: vec![Vec::new(); layer + 1],
@@ -466,52 +577,38 @@ impl VectorIndex for HnswIndex {
             return Ok(());
         };
 
-        let q = self.vec_of(new_idx).to_vec();
-        let mut ep = entry;
-        let mut ep_dist = self.dist(&q, ep);
-        // Descend to the new node's top layer.
-        for l in ((layer + 1)..=self.max_layer).rev() {
-            loop {
-                let mut improved = false;
-                let nbrs = self.nodes[ep as usize].neighbors.get(l).cloned().unwrap_or_default();
-                for nb in nbrs {
-                    let d = self.dist(&q, nb);
-                    if d < ep_dist {
-                        ep = nb;
-                        ep_dist = d;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
-            }
-        }
-        // Connect on each layer from min(layer, max_layer) down to 0.
-        for l in (0..=layer.min(self.max_layer)).rev() {
-            let mut candidates = self.search_layer(&q, ep, self.config.ef_construction, l, None);
-            let selected = self.select_neighbors(&mut candidates, self.max_degree(l));
-            // Keep the closest candidate as next layer's entry point.
-            if let Some(&(_, best)) = candidates.first() {
-                ep = best;
-            }
-            self.nodes[new_idx as usize].neighbors[l] = selected.clone();
-            // Bidirectional links with degree pruning.
-            for nb in selected {
-                self.nodes[nb as usize].neighbors[l].push(new_idx);
-                let degree = self.nodes[nb as usize].neighbors[l].len();
+        let mut scratch = std::mem::take(&mut self.scratch);
+        {
+            let dists = f32_kernel(&self.data, &q);
+            // Descend to the new node's top layer.
+            let above = ((layer + 1)..=self.max_layer).rev();
+            let mut ep = self.descend(&dists, entry, above, &mut scratch, &mut [0; LAYER_VISITS.len()]);
+            // Connect on each layer from min(layer, max_layer) down to 0.
+            for l in (0..=layer.min(self.max_layer)).rev() {
                 let cap = self.max_degree(l);
-                if degree > cap {
-                    let base = self.vec_of(nb).to_vec();
-                    let mut cands: Vec<(f32, u32)> = self.nodes[nb as usize].neighbors[l]
-                        .iter()
-                        .map(|&x| (1.0 - vector::dot(&base, self.vec_of(x)), x))
-                        .collect();
-                    let pruned = self.select_neighbors(&mut cands, cap);
-                    self.nodes[nb as usize].neighbors[l] = pruned;
+                let found = self.search_layer(&dists, ep, self.config.ef_construction, l, &mut scratch, None);
+                let mut links: Vec<Link> =
+                    found.into_iter().map(|(dist, to)| Link { to, dist, state: UNEXAMINED }).collect();
+                self.select_neighbors(&mut links, cap, &mut scratch);
+                // Keep the closest candidate (always kept, so first) as next
+                // layer's entry point.
+                if let Some(best) = links.first() {
+                    ep = best.to;
                 }
+                // Bidirectional links: the back-link's distance is the link's,
+                // and only an over-full list is re-selected.
+                for &Link { to: nb, dist, .. } in &links {
+                    let mut theirs = std::mem::take(&mut self.nodes[nb as usize].neighbors[l]);
+                    theirs.push(Link { to: new_idx, dist, state: UNEXAMINED });
+                    if theirs.len() > cap {
+                        self.select_neighbors(&mut theirs, cap, &mut scratch);
+                    }
+                    self.nodes[nb as usize].neighbors[l] = theirs;
+                }
+                self.nodes[new_idx as usize].neighbors[l] = links;
             }
         }
+        self.scratch = scratch;
         if layer > self.max_layer {
             self.max_layer = layer;
             self.entry = Some(new_idx);
@@ -541,6 +638,7 @@ impl VectorIndex for HnswIndex {
 mod tests {
     use super::*;
     use crate::flat::FlatIndex;
+    use proptest::prelude::*;
 
     fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         let mut rng = Pcg64::new(seed);
@@ -641,12 +739,17 @@ mod tests {
     fn validation() {
         let mut idx = HnswIndex::new(HnswConfig::default());
         idx.insert(1, &[1.0, 0.0]).unwrap();
+        idx.insert(4, &[0.6, 0.8]).unwrap();
+        // A rejected duplicate leaves the graph, the id set and the RNG
+        // (all in the Debug rendering) untouched.
+        let before = format!("{idx:?}");
         assert!(idx.insert(1, &[0.0, 1.0]).is_err());
+        assert_eq!(format!("{idx:?}"), before);
         assert!(idx.insert(2, &[1.0]).is_err());
         assert!(idx.insert(3, &[]).is_err());
         assert!(idx.search(&[1.0], 1).is_err());
         assert_eq!(idx.name(), "hnsw");
-        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.len(), 2);
     }
 
     #[test]
@@ -738,6 +841,182 @@ mod tests {
         assert!(sq8.sq8_ready().is_none());
         let q = &vecs[3];
         assert_eq!(sq8.search(q, 5).unwrap(), f32_idx.search(q, 5).unwrap());
+    }
+
+    /// Algorithm 4 from scratch over (distance, idx) candidates, as
+    /// `select_neighbors` was before links remembered anything: the oracle
+    /// the incremental walk must equal.
+    fn select_from_scratch(idx: &HnswIndex, candidates: &mut [(f32, u32)], m: usize) -> Vec<u32> {
+        candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut kept: Vec<(f32, u32)> = Vec::with_capacity(m);
+        for &(d, c) in candidates.iter() {
+            if kept.len() >= m {
+                break;
+            }
+            let dominated = kept
+                .iter()
+                .any(|&(_, k)| 1.0 - vector::dot(idx.vec_of(c), idx.vec_of(k)) < d);
+            if !dominated {
+                kept.push((d, c));
+            }
+        }
+        for &(d, c) in candidates.iter() {
+            if kept.len() >= m {
+                break;
+            }
+            if !kept.iter().any(|&(_, k)| k == c) {
+                kept.push((d, c));
+            }
+        }
+        kept.into_iter().map(|(_, c)| c).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One node's neighbour list through a random history — an initial
+        /// selection over few or many candidates, then newcomers appended
+        /// one at a time and re-selected whenever the list overflows — is,
+        /// after every selection, what Algorithm 4 from scratch makes of
+        /// the same stored list: same ids, same order. A share of cases
+        /// re-uploads earlier points (exact duplicates, of the base too)
+        /// and draws coordinates from a five-value grid (distinct points at
+        /// exactly equal distances), so ties are exercised.
+        #[test]
+        fn incremental_selection_equals_from_scratch(seed in any::<u64>()) {
+            let mut rng = Pcg64::new(seed);
+            let (dim, n, cap) = (2 + rng.index(4), 12 + rng.index(40), 2 + rng.index(7));
+            let grid = rng.bernoulli(0.4);
+            let reupload = if rng.bernoulli(0.5) { 0.3 } else { 0.0 };
+            let mut idx = HnswIndex::new(HnswConfig::default());
+            idx.dim = dim;
+            for i in 0..n {
+                let mut v: Vec<f32> = if i > 0 && rng.bernoulli(reupload) {
+                    idx.vec_of(rng.index(i) as u32).to_vec()
+                } else if grid {
+                    (0..dim).map(|_| rng.index(5) as f32 - 2.0).collect()
+                } else {
+                    (0..dim).map(|_| rng.normal()).collect()
+                };
+                if v.iter().all(|&x| x == 0.0) {
+                    v[0] = 1.0;
+                }
+                vector::normalize(&mut v);
+                idx.data.extend_from_slice(&v);
+            }
+            let dist_to_base = |c: u32| 1.0 - vector::dot(idx.vec_of(0), idx.vec_of(c));
+            let mut arrivals: Vec<u32> = (1..n as u32).collect();
+            rng.shuffle(&mut arrivals);
+            let first = rng.index(2 * cap + 2).min(arrivals.len());
+            let mut scratch = Scratch::default();
+            let mut list: Vec<Link> = Vec::new();
+            let mut stored: Vec<u32> = Vec::new();
+            for (t, &c) in arrivals.iter().enumerate() {
+                list.push(Link { to: c, dist: dist_to_base(c), state: UNEXAMINED });
+                stored.push(c);
+                // The initial selection runs once, over `first` candidates;
+                // afterwards only an over-full list is re-selected.
+                if t + 1 == first || (t >= first && list.len() > cap) {
+                    idx.select_neighbors(&mut list, cap, &mut scratch);
+                    let mut cands: Vec<(f32, u32)> = stored.iter().map(|&x| (dist_to_base(x), x)).collect();
+                    stored = select_from_scratch(&idx, &mut cands, cap);
+                    let got: Vec<u32> = list.iter().map(|l| l.to).collect();
+                    prop_assert_eq!(got, stored, "seed {} arrival {} (dim {} n {} cap {})", seed, t, dim, n, cap);
+                }
+            }
+        }
+    }
+
+    /// The golden workload at width `dim`: 200 cluster centres × 6 members
+    /// (σ = 0.1), arriving round-robin so every cluster keeps growing, with
+    /// an exact duplicate of an earlier vector after every 60th arrival
+    /// (re-uploaded models: zero distances and tied candidates). Ids are
+    /// not the arrival index, so id tie-breaks are visible.
+    fn golden_points(dim: usize) -> Vec<(u64, Vec<f32>)> {
+        let mut rng = Pcg64::new(0x6f1d + dim as u64);
+        let bases = random_vectors(200, dim, 77 + dim as u64);
+        let mut points: Vec<Vec<f32>> = Vec::with_capacity(1220);
+        for t in 0..1200 {
+            let member = bases[t % 200].iter().map(|&x| x + 0.1 * rng.normal()).collect();
+            points.push(member);
+            if t % 60 == 59 {
+                points.push(points[points.len() - 31].clone());
+            }
+        }
+        points.into_iter().enumerate().map(|(i, v)| (i as u64 * 3 + 1, v)).collect()
+    }
+
+    /// Renders the graph (entry point, `max_layer`, per node id / top layer /
+    /// per layer degree and FNV-1a of the neighbour ids in stored order —
+    /// the full lists would make the fixture ten times larger and say no
+    /// more) and the bits of 32 top-10 answers, per width, seed and
+    /// precision. The graph is rendered once per width and seed: build is
+    /// always f32, and the test asserts both precisions built the same one.
+    fn render_golden() -> String {
+        use std::fmt::Write;
+        let graph = |idx: &HnswIndex| {
+            let mut out = String::new();
+            writeln!(out, "entry {:?} max_layer {}", idx.entry, idx.max_layer).unwrap();
+            for node in &idx.nodes {
+                write!(out, "{} {}", node.id, node.neighbors.len() - 1).unwrap();
+                for links in &node.neighbors {
+                    let h = links.iter().flat_map(|l| l.to.to_le_bytes()).fold(0x811c_9dc5u32, |h, b| {
+                        (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+                    });
+                    write!(out, " {}:{h:08x}", links.len()).unwrap();
+                }
+                out.push('\n');
+            }
+            out
+        };
+        let mut out = String::new();
+        for dim in [64usize, 72, 136] {
+            let points = golden_points(dim);
+            // Half the queries are stored vectors (every other one a
+            // duplicated vector, so the top two tie), half are fresh.
+            let mut queries: Vec<Vec<f32>> =
+                (0..16).map(|i| points[i * 61 + 60 - (i % 2) * 17].1.clone()).collect();
+            queries.extend(random_vectors(16, dim, 5 + dim as u64));
+            for seed in [0u64, 9] {
+                let mut graphs = Vec::new();
+                for precision in [Precision::F32, Precision::Sq8Rescore] {
+                    let mut idx = HnswIndex::new(HnswConfig { seed, precision, ..Default::default() });
+                    idx.insert_batch(&points).unwrap();
+                    graphs.push(graph(&idx));
+                    writeln!(out, "# d={dim} seed={seed} {precision:?} answers").unwrap();
+                    for (qi, q) in queries.iter().enumerate() {
+                        write!(out, "q{qi}").unwrap();
+                        for h in idx.search(q, 10).unwrap() {
+                            write!(out, " {}:{:08x}", h.id, h.distance.to_bits()).unwrap();
+                        }
+                        out.push('\n');
+                    }
+                }
+                assert_eq!(graphs[0], graphs[1], "precision changed the graph (d={dim} seed={seed})");
+                writeln!(out, "# d={dim} seed={seed} graph").unwrap();
+                out.push_str(&graphs[0]);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn graph_and_answers_match_parent_commit_fixture() {
+        let got = render_golden();
+        let want = include_str!("../tests/fixtures/hnsw_golden.txt");
+        if got != want {
+            let first = got
+                .lines()
+                .zip(want.lines())
+                .position(|(g, w)| g != w)
+                .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+            panic!(
+                "HNSW diverged from the golden fixture at line {}:\n  got  {:?}\n  want {:?}",
+                first + 1,
+                got.lines().nth(first),
+                want.lines().nth(first)
+            );
+        }
     }
 
     #[test]

@@ -84,6 +84,28 @@ proptest! {
         }
     }
 
+    /// Searches interleaved with inserts leave no trace: the final graph
+    /// answers exactly as one built by the inserts alone (the lake's
+    /// `ensure_indexes` catches indexes up whenever searches fall between
+    /// ingests, and a rebuilt index must equal a caught-up one).
+    #[test]
+    fn searches_between_inserts_do_not_change_the_graph(vs in vectors(60, 6), seed in any::<u64>()) {
+        let config = HnswConfig { m: 4, ef_construction: 16, seed, ..Default::default() };
+        let mut quiet = HnswIndex::new(config);
+        let mut probed = HnswIndex::new(config);
+        let mut rng = mlake_tensor::Pcg64::new(seed);
+        for (i, v) in vs.iter().enumerate() {
+            quiet.insert(i as u64, v).unwrap();
+            probed.insert(i as u64, v).unwrap();
+            if rng.bernoulli(0.4) {
+                probed.search(&vs[rng.index(vs.len())], 1 + rng.index(8)).unwrap();
+            }
+        }
+        for q in &vs {
+            prop_assert_eq!(probed.search(q, 10).unwrap(), quiet.search(q, 10).unwrap());
+        }
+    }
+
     /// Insert order does not change flat-scan results (determinism / no
     /// hidden state).
     #[test]

@@ -174,6 +174,24 @@ proptest! {
         prop_assert!((quant - exact).abs() <= bound, "{} vs {} (bound {})", quant, exact, bound);
     }
 
+    /// The batched one-to-many kernel is `dot`, bit for bit, for every row:
+    /// widths 0–150 (non-multiples of 4 included) and 0–9 rows per call, so
+    /// both the four-at-a-time path and its 1–3 row remainder run.
+    #[test]
+    fn dot_rows_returns_dot_bits(d in 0usize..=150, count in 0usize..=9, seed in any::<u64>()) {
+        let mut rng = Pcg64::new(seed);
+        let arena: Vec<f32> = (0..12 * d).map(|_| rng.normal_with(0.0, 3.0)).collect();
+        let q: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
+        let rows: Vec<u32> = (0..count).map(|_| rng.index(12) as u32).collect();
+        let mut out = vec![f32::NAN; 3];
+        vector::dot_rows(&q, &arena, &rows, &mut out);
+        prop_assert_eq!(out.len(), count);
+        for (&r, got) in rows.iter().zip(&out) {
+            let want = vector::dot(&q, &arena[r as usize * d..(r as usize + 1) * d]);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "d={} row {} of {:?}", d, r, rows);
+        }
+    }
+
     #[test]
     fn sq8_raw_l2_matches_naive(
         a in proptest::collection::vec(any::<u8>(), 0..70),

@@ -2,12 +2,15 @@
 # CI gate for the Model Lakes workspace.
 #
 #   scripts/ci.sh          # tier-1 + full workspace tests + determinism + clippy
-#   scripts/ci.sh --quick  # tier-1 + lakebench build + lineage smoke run + lint only
+#   scripts/ci.sh --quick  # tier-1 + lakebench build + two smoke runs + lint only
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; everything
-# after it widens coverage: the lakebench build and a 2-second
+# after it widens coverage: the lakebench build, a 2-second
 # `lineage-tasks` smoke run (the benchmark's output checks on citation,
-# lineage path and generated card, `failed` 0 — also in --quick mode), the
+# lineage path and generated card, `failed` 0) and a 3-second
+# `store-write-restart` smoke run (its restart check compares probe searches
+# bit for bit across a reopen: a caught-up HNSW graph must equal a rebuilt
+# one; `check.lost_acked_writes` 0) — both also in --quick mode, the
 # mlake-lint static-analysis gate (also run in
 # --quick mode — it is cheap and catches new debt earliest; the per-file
 # passes plus the whole-program lock-cycle / transitive-panic /
@@ -19,7 +22,10 @@
 # re-run with observability disabled (MLAKE_OBS=off must be behaviorally
 # inert), the parallel-vs-serial equivalence suites re-run under
 # MLAKE_THREADS=1 (exercising the env override path end-to-end, including
-# sharded scatter-gather determinism), the SQ8 recall gate in both
+# sharded scatter-gather determinism; the `hnsw` filter carries the golden
+# graph fixture and the incremental-selection oracle proptest, which run
+# again at default threads under MLAKE_OBS=off — the visit counters are
+# flushed from the one shared beam), the SQ8 recall gate in both
 # observability modes, the WAL crash-recovery matrix
 # (kill-at-every-write/fsync sweep, again in both observability modes), a
 # the serving stage (the end-to-end HTTP hammer — concurrent mixed load,
@@ -66,6 +72,13 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
 # it, no failed op — run against the task read path; any miss exits non-zero.
 step "benchmark: lineage-tasks smoke run (output checks, failed = 0)"
 "${CARGO_TARGET_DIR:-target}/release/lakebench" --workload lineage-tasks --seconds 2 --trace 0
+
+# 1500 ops of the write workload — three seconds' worth, the shortest run
+# that reaches a restart (op 1380): after the reopen the probe searches must
+# return the bits they returned before it, i.e. the index rebuilt from the
+# registry equals the one caught up insert by insert.
+step "benchmark: store-write-restart smoke run (restart check, failed = 0)"
+"${CARGO_TARGET_DIR:-target}/release/lakebench" --workload store-write-restart --seconds 3 --trace 0
 
 step "lint: mlake-lint over crates/ and src/ (lint.allow baseline; json artifact)"
 mkdir -p target/lint
@@ -128,6 +141,7 @@ MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
+MLAKE_OBS=off cargo test -q -p mlake-index hnsw
 MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
 MLAKE_THREADS=1 cargo test -q -p mlake-par
 
