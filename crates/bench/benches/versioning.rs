@@ -1,17 +1,22 @@
 //! Criterion benches for E1: version-graph recovery cost (known-roots vs
-//! blind Edmonds) over a lake-size ladder, and transform classification.
+//! blind Edmonds, and attaching one model to a recovered lake) over a
+//! lake-size ladder, and transform classification.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlake_bench::exp::e1_versioning::lake_probes;
 use mlake_datagen::{generate_lake, LakeSpec};
 use mlake_versioning::delta::classify_transform;
-use mlake_versioning::recover::{recover_graph, RecoveryOptions};
+use mlake_versioning::recover::{recover_graph, RecoveryMemo, RecoveryOptions};
+use std::convert::Infallible;
 use std::hint::black_box;
 
 /// Recovery cost over a lake-size ladder, so E1's cost has a scaling
-/// exponent and not a point: the tiny test lake, then 20 and 40 base models
-/// × 5 derivations (120 and 240 models — the latter is the shape and seed of
-/// lakebench's `lineage-tasks` lake).
+/// exponent and not a point: the tiny test lake, then 20, 40 and 340 base
+/// models × 5 derivations (120, 240 and 2 040 models — 240 is the shape and
+/// seed of lakebench's `lineage-tasks` lake, 2 040 the rung ROADMAP's
+/// evidence gate for incremental lineage names). `attach_one/{n}` is what a
+/// lake of n − 1 recovered models pays for its n-th: the memo is built
+/// outside the timed loop and cloned, untimed, per iteration.
 fn bench_recovery(c: &mut Criterion) {
     let ladder = |bases: usize| {
         LakeSpec::builder()
@@ -22,8 +27,7 @@ fn bench_recovery(c: &mut Criterion) {
             .expect("valid ladder rung")
     };
     let mut group = c.benchmark_group("version_recovery");
-    group.sample_size(20);
-    for spec in [LakeSpec::tiny(3), ladder(20), ladder(40)] {
+    for spec in [LakeSpec::tiny(3), ladder(20), ladder(40), ladder(340)] {
         let gt = generate_lake(&spec);
         let models: Vec<_> = gt.models.iter().map(|m| m.model.clone()).collect();
         let probes = lake_probes(spec.seed);
@@ -31,6 +35,7 @@ fn bench_recovery(c: &mut Criterion) {
             .filter(|&i| gt.models[i].depth == 0)
             .collect();
         let n = models.len();
+        group.sample_size(if n > 1000 { 10 } else { 20 });
         group.bench_function(format!("known_roots/{n}"), |b| {
             b.iter(|| {
                 recover_graph(
@@ -46,6 +51,18 @@ fn bench_recovery(c: &mut Criterion) {
         group.bench_function(format!("blind_edmonds/{n}"), |b| {
             b.iter(|| recover_graph(black_box(&models), Some(&probes), &RecoveryOptions::default()))
         });
+        if n >= 100 {
+            let load = |i: usize| Ok::<_, Infallible>(&models[i]);
+            let mut memo = RecoveryMemo::new(RecoveryOptions::default());
+            memo.extend(n - 1, Some(&probes), load).expect("infallible loader");
+            group.bench_function(format!("attach_one/{n}"), |b| {
+                b.iter_batched(
+                    || memo.clone(),
+                    |mut memo| memo.extend(black_box(n), Some(&probes), load),
+                    BatchSize::LargeInput,
+                )
+            });
+        }
     }
     group.finish();
 }

@@ -21,7 +21,7 @@ use mlake_fingerprint::{extrinsic::ProbeSet, FingerprintKind, Fingerprinter};
 use mlake_index::{HnswConfig, HnswIndex, ShardedIndex, VectorIndex};
 use mlake_nn::{Architecture, Model};
 use mlake_query::{execute, parse, FieldValue, QueryError, QueryHit, QueryTarget};
-use mlake_versioning::{recover_graph, RecoveredGraph, RecoveryOptions};
+use mlake_versioning::{RecoveredEdge, RecoveredGraph, RecoveryMemo, RecoveryOptions};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -399,6 +399,54 @@ pub(crate) fn text_document(
     doc
 }
 
+/// A version graph as the lake publishes it: what recovery returned, plus
+/// what the reads on it would otherwise work out per call.
+struct PublishedGraph {
+    graph: RecoveredGraph,
+    /// Per model, the position in `graph.edges` of the edge it is the child
+    /// of (at most one): a lineage walk is one lookup per ancestor.
+    edge_of: Vec<Option<usize>>,
+    /// Sequence number of the `GraphRebuilt` event appended when this graph
+    /// was published — the timestamp a citation of a path on it carries.
+    timestamp: u64,
+}
+
+impl PublishedGraph {
+    fn new(graph: RecoveredGraph, timestamp: u64) -> PublishedGraph {
+        let mut edge_of = vec![None; graph.num_models];
+        for (at, e) in graph.edges.iter().enumerate() {
+            edge_of[e.child] = Some(at);
+        }
+        PublishedGraph { graph, edge_of, timestamp }
+    }
+
+    /// The edge `model` is the child of, if it has a recovered parent.
+    fn parent_edge(&self, model: usize) -> Option<&RecoveredEdge> {
+        let at = (*self.edge_of.get(model)?)?;
+        Some(&self.graph.edges[at])
+    }
+
+    /// The ancestors of `model`, nearest first. Capped at `num_models` hops,
+    /// so a malformed (cyclic) graph cannot loop.
+    fn ancestors(&self, model: usize) -> impl Iterator<Item = usize> + '_ {
+        let parent = |i: usize| self.parent_edge(i).map(|e| e.parent);
+        std::iter::successors(parent(model), move |&p| parent(p)).take(self.graph.num_models)
+    }
+}
+
+/// The version graph as a projection of the registry, caught up on demand
+/// like the fingerprint indexes.
+#[derive(Default)]
+struct GraphState {
+    /// Recovery over a prefix of the registry. An ingest leaves it behind;
+    /// [`ModelLake::current_graph`] extends it by the suffix it lacks.
+    memo: RecoveryMemo,
+    /// The graph of the last catch-up, `None` once an ingest (or a replayed
+    /// `GraphRebuilt`) made it stale. Shared out as an `Arc` so a task read
+    /// borrows it instead of copying every edge.
+    published: Option<Arc<PublishedGraph>>,
+}
+
 /// The model lake.
 pub struct ModelLake {
     /// Snapshot-relevant state, shared with the compactor thread.
@@ -409,10 +457,8 @@ pub struct ModelLake {
     /// to the registry by [`ModelLake::ensure_indexes`] before a search
     /// reads it. Its own `len()` is the watermark; nothing else writes it.
     indexes: RwLock<[ShardedIndex<HnswIndex>; 3]>,
-    /// The recovered version graph, `None` once an ingest made it stale.
-    /// Shared out as an `Arc` so a task read borrows it instead of copying
-    /// every edge.
-    graph: RwLock<Option<Arc<RecoveredGraph>>>,
+    /// The recovered version graph and the recovery memo behind it.
+    graph: RwLock<GraphState>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
     /// `similar()` results keyed by (query digest, k, event generation).
     similar_cache: QueryCache<Vec<(ModelId, f32)>>,
@@ -463,7 +509,7 @@ impl ModelLake {
             }),
             fingerprinter,
             indexes: RwLock::new(indexes),
-            graph: RwLock::new(None),
+            graph: RwLock::new(GraphState::default()),
             score_cache: RwLock::new(HashMap::new()),
             similar_cache: QueryCache::new(config_cache),
             mlql_cache: QueryCache::new(config_cache),
@@ -604,8 +650,10 @@ impl ModelLake {
 
     /// Pure in-memory half of ingestion, shared by the live path and WAL
     /// replay: registry entry (fingerprints on it), text document, events,
-    /// graph invalidation. The vector indexes are not touched: the next
-    /// search catches them up from the registry.
+    /// and the published version graph withdrawn. Neither the vector indexes
+    /// nor the recovery memo are touched — ingest does no graph work: the
+    /// next search catches the indexes up from the registry, the next graph
+    /// read the memo.
     pub(crate) fn finish_ingest(
         &self,
         name: &str,
@@ -641,7 +689,7 @@ impl ModelLake {
             ev.append(EventKind::CardUpdated, name);
         }
         // The version graph is stale now.
-        *self.graph.write() = None;
+        self.graph.write().published = None;
         Ok(id)
     }
 
@@ -943,68 +991,83 @@ impl ModelLake {
     // Versioning (§3 Model Versioning)
     // ------------------------------------------------------------------
 
-    /// Rebuilds the version graph — always, even when the cached one is
-    /// current. `known_roots` follows hub practice where foundation models
-    /// are known; pass `None` for blind recovery.
+    /// Recovers and republishes the version graph — always, even when the
+    /// published one is current. `known_roots` follows hub practice where
+    /// foundation models are known; pass `None` for blind recovery.
     // lint: no-span — the locked half spans itself
     pub fn rebuild_version_graph(
         &self,
         known_roots: Option<Vec<ModelId>>,
     ) -> Result<RecoveredGraph> {
         let _op = self.shared.op_lock.lock();
-        Ok(RecoveredGraph::clone(&*self.rebuild_graph_locked(known_roots)?))
+        Ok(self.rebuild_graph_locked(known_roots)?.graph.clone())
     }
 
-    /// The rebuild itself; the caller holds `op_lock`. Whole-lake: decodes
-    /// every model and runs [`recover_graph`], whose cost model is in its
-    /// module doc.
+    /// Catches the recovery memo up to the registry and publishes its
+    /// graph; the caller holds `op_lock`. A memo recovered under the same
+    /// options is extended by the registry suffix it does not cover, which
+    /// decodes the newcomers and the members of the architecture groups
+    /// they join and nothing else (`RecoveryMemo::extend`; cost model in its
+    /// module doc). A memo recovered under other options — the blind
+    /// catch-up after a `rebuild_version_graph(Some(roots))`, or the
+    /// reverse — is discarded and recovery starts from nothing, decoding
+    /// every model. Either way the graph is the one `recover_graph` returns
+    /// over the whole lake, and one `GraphRebuilt` WAL record and event mark
+    /// its publication.
     fn rebuild_graph_locked(
         &self,
         known_roots: Option<Vec<ModelId>>,
-    ) -> Result<Arc<RecoveredGraph>> {
+    ) -> Result<Arc<PublishedGraph>> {
         let _span = mlake_obs::span("lake.graph.rebuild");
-        let n = self.len();
-        let mut models = Vec::with_capacity(n);
-        for i in 0..n {
-            models.push(self.model(ModelId(i as u64))?);
-        }
         let opts = RecoveryOptions {
             known_roots: known_roots.map(|ids| ids.into_iter().map(|i| i.0 as usize).collect()),
             ..RecoveryOptions::default()
         };
-        let graph = Arc::new(recover_graph(&models, Some(&self.fingerprinter.probes), &opts));
+        // The memo leaves the lock for the duration: only `op_lock` holders
+        // touch it, and readers of `published` are not held up behind blob
+        // decodes.
+        let mut memo = std::mem::take(&mut self.graph.write().memo);
+        if memo.options() != &opts {
+            memo = RecoveryMemo::new(opts);
+        }
+        let recovered = memo.extend(self.len(), Some(&self.fingerprinter.probes), |i| {
+            self.model(ModelId(i as u64))
+        });
+        self.graph.write().memo = memo;
+        let graph = recovered?;
         self.wal_graph_rebuilt()?;
-        *self.graph.write() = Some(Arc::clone(&graph));
-        self.shared.events.write().append(EventKind::GraphRebuilt, "*");
-        Ok(graph)
+        let timestamp = self.shared.events.write().append(EventKind::GraphRebuilt, "*");
+        let published = Arc::new(PublishedGraph::new(graph, timestamp));
+        self.graph.write().published = Some(Arc::clone(&published));
+        Ok(published)
     }
 
     /// Replay half of [`ModelLake::rebuild_version_graph`]: records the
-    /// event and invalidates the cached graph; the graph itself is
+    /// event and withdraws the published graph; the graph itself is
     /// derived state and recomputes deterministically on next use.
     pub(crate) fn apply_graph_rebuilt(&self) {
-        *self.graph.write() = None;
+        self.graph.write().published = None;
         self.shared.events.write().append(EventKind::GraphRebuilt, "*");
     }
 
-    /// The current version graph, rebuilt blind if an ingest made it stale.
+    /// The current version graph, caught up blind if an ingest made it stale.
     /// Returns an owned copy; the facade's own readers share the cached one.
-    // lint: no-span — cache hit is a clone; the rebuild path spans itself
+    // lint: no-span — cache hit is a clone; the catch-up path spans itself
     pub fn version_graph(&self) -> Result<RecoveredGraph> {
-        Ok(RecoveredGraph::clone(&*self.current_graph()?))
+        Ok(self.current_graph()?.graph.clone())
     }
 
-    /// The cached graph, rebuilding it first when stale. Staleness is
+    /// The published graph, catching it up first when stale. Staleness is
     /// re-checked under `op_lock`: of k readers that find the graph stale
-    /// after one ingest, the first rebuilds and the rest, queued behind it,
-    /// take its result — one rebuild, one `GraphRebuilt` record and event,
-    /// one cache-generation bump, not k.
-    fn current_graph(&self) -> Result<Arc<RecoveredGraph>> {
-        if let Some(g) = self.graph.read().clone() {
+    /// after one ingest, the first catches up and the rest, queued behind
+    /// it, take its result — one catch-up, one `GraphRebuilt` record and
+    /// event, one cache-generation bump, not k.
+    fn current_graph(&self) -> Result<Arc<PublishedGraph>> {
+        if let Some(g) = self.graph.read().published.clone() {
             return Ok(g);
         }
         let _op = self.shared.op_lock.lock();
-        if let Some(g) = self.graph.read().clone() {
+        if let Some(g) = self.graph.read().published.clone() {
             return Ok(g);
         }
         self.rebuild_graph_locked(None)
@@ -1014,35 +1077,33 @@ impl ModelLake {
     pub fn lineage_path<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<Vec<String>> {
         let _span = mlake_obs::span("lake.lineage");
         let id = self.resolve(model)?;
-        let graph = self.current_graph()?;
-        let mut path = vec![id.0 as usize];
-        let mut cur = id.0 as usize;
-        while let Some(p) = graph.parent_of(cur) {
-            path.push(p);
-            cur = p;
-            if path.len() > graph.num_models {
-                break;
-            }
-        }
+        Ok(self.path_on(&*self.current_graph()?, id))
+    }
+
+    /// The names from `id`'s recovered root down to `id` on `graph`.
+    fn path_on(&self, graph: &PublishedGraph, id: ModelId) -> Vec<String> {
+        let me = id.0 as usize;
+        let mut path: Vec<usize> = std::iter::once(me).chain(graph.ancestors(me)).collect();
         path.reverse();
         let reg = self.shared.registry.read();
-        Ok(path
-            .into_iter()
+        path.into_iter()
             .filter_map(|i| reg.model(ModelId(i as u64)).map(|m| m.name.clone()))
-            .collect())
+            .collect()
     }
 
     // ------------------------------------------------------------------
     // Benchmarking (§3 Benchmarking)
     // ------------------------------------------------------------------
 
-    /// `S(M, B)` with caching.
+    /// `S(M, B)` with caching. The `lake.score` span covers a measurement,
+    /// not a cache hit: a hit is one map probe, and every task read makes
+    /// one per applicable benchmark.
     pub fn score_of<'a>(&self, model: impl Into<ModelRef<'a>>, benchmark: &str) -> Result<Score> {
-        let _span = mlake_obs::span("lake.score");
         let id = self.resolve(model)?;
         if let Some(s) = self.score_cache.read().get(&(id.0, benchmark.to_string())) {
             return Ok(s.clone());
         }
+        let _span = mlake_obs::span("lake.score");
         let bench = {
             let reg = self.shared.registry.read();
             reg.benchmarks
@@ -1143,7 +1204,7 @@ impl ModelLake {
         let graph = self.current_graph()?;
         let (recovered_base, recovered_transform) = {
             let reg = self.shared.registry.read();
-            match graph.edges.iter().find(|e| e.child == id.0 as usize) {
+            match graph.parent_edge(id.0 as usize) {
                 Some(e) => (
                     reg.model(ModelId(e.parent as u64)).map(|m| m.name.clone()),
                     Some(e.kind.name().to_string()),
@@ -1220,11 +1281,13 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.cite");
         let id = self.resolve(model)?;
         let entry = self.entry(id)?;
-        let version_path = self.lineage_path(id)?;
+        // Path and timestamp come off one published graph: an ingest that
+        // lands meanwhile cannot stamp this path with a newer graph's time.
+        let graph = self.current_graph()?;
         Ok(Citation {
             model_name: entry.name,
-            version_path,
-            graph_timestamp: self.shared.events.read().graph_timestamp(),
+            version_path: self.path_on(&graph, id),
+            graph_timestamp: graph.timestamp,
             lake_name: self.shared.config.name.clone(),
         })
     }
@@ -1455,8 +1518,8 @@ impl QueryTarget for ModelLake {
             "completeness" => Some(FieldValue::Num(f64::from(entry.card.completeness()))),
             "depth" => {
                 drop(reg);
-                let graph = self.graph.read().clone()?;
-                Some(FieldValue::Num(graph.depth_of(id as usize) as f64))
+                let graph = self.graph.read().published.clone()?;
+                Some(FieldValue::Num(graph.ancestors(id as usize).count() as f64))
             }
             _ => None,
         }

@@ -6,7 +6,7 @@
 //! LMs. Classifier probes are feature vectors; LM probes are token contexts.
 
 use crate::intrinsic::sketch_params;
-use mlake_nn::Model;
+use mlake_nn::{Family, Model};
 use mlake_tensor::{Matrix, Seed, TensorError};
 
 /// A shared probe set covering both model families in the lake.
@@ -109,12 +109,26 @@ impl ProbeSet {
 
     /// [`behavioral_distance`](Self::behavioral_distance) for a caller that
     /// already holds both [`behavior`](Self::behavior) vectors (`ba` is
-    /// `a`'s): the one home of the TV arithmetic, so version-graph recovery,
-    /// which probes each model once, gets the same bits. Errors when the
-    /// vectors differ in length — different families or output widths.
+    /// `a`'s), so version-graph recovery, which probes each model once, gets
+    /// the same bits.
     pub fn behavior_distance(
         &self,
         a: &Model,
+        ba: &[f32],
+        bb: &[f32],
+    ) -> mlake_tensor::Result<f32> {
+        self.family_distance(a.family(), ba, bb)
+    }
+
+    /// The one home of the TV arithmetic: the mean total-variation distance
+    /// between two [`behavior`](Self::behavior) vectors of `family` models.
+    /// The family is all it reads of a model (MLPs answer the tabular rows,
+    /// LMs the contexts), so a caller that kept the vectors compares them
+    /// without decoding either model. Errors when the vectors differ in
+    /// length — different families or output widths.
+    pub fn family_distance(
+        &self,
+        family: Family,
         ba: &[f32],
         bb: &[f32],
     ) -> mlake_tensor::Result<f32> {
@@ -125,9 +139,9 @@ impl ProbeSet {
                 rhs: (bb.len(), 1),
             });
         }
-        let probes = match a {
-            Model::Mlp(_) => self.tabular.rows(),
-            Model::Lm(_) => self.contexts.len(),
+        let probes = match family {
+            Family::Mlp => self.tabular.rows(),
+            Family::Lm => self.contexts.len(),
         };
         let tv: f32 = ba.iter().zip(bb).map(|(x, y)| (x - y).abs()).sum::<f32>() / 2.0;
         Ok(tv / probes.max(1) as f32)
@@ -237,6 +251,10 @@ mod tests {
         assert_eq!(via(&bc), D_CHILD_BITS);
         assert_eq!(via(&bs), D_STRANGER_BITS);
         assert_eq!(via(&bp), 0.0f32.to_bits());
+        // … and so must the family alone, with no model in hand.
+        let by_family = |bb: &[f32]| ps.family_distance(Family::Mlp, &bp, bb).unwrap().to_bits();
+        assert_eq!(by_family(&bc), D_CHILD_BITS);
+        assert_eq!(by_family(&bs), D_STRANGER_BITS);
     }
 
     #[test]

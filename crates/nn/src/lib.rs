@@ -41,7 +41,7 @@ pub use data::LabeledData;
 pub use lm::NgramLm;
 pub use loss::Loss;
 pub use mlp::Mlp;
-pub use model::Model;
+pub use model::{Family, Model};
 pub use train::{train_mlp, TrainConfig, TrainReport};
 pub use transform::TransformKind;
 

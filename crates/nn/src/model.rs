@@ -20,7 +20,25 @@ pub enum Model {
     Lm(NgramLm),
 }
 
+/// Which of the lake's two families a model belongs to: all a caller that
+/// no longer holds the parameters needs to know which probes it answered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// Feed-forward classifiers.
+    Mlp,
+    /// n-gram language models.
+    Lm,
+}
+
 impl Model {
+    /// The family this model belongs to.
+    pub fn family(&self) -> Family {
+        match self {
+            Model::Mlp(_) => Family::Mlp,
+            Model::Lm(_) => Family::Lm,
+        }
+    }
+
     /// The architecture descriptor `f*`.
     pub fn architecture(&self) -> Architecture {
         match self {

@@ -26,6 +26,6 @@ pub mod recover;
 
 pub use delta::{classify_transform, DeltaFeatures};
 pub use graph::{GraphEval, RecoveredEdge, RecoveredGraph};
-pub use recover::{recover_graph, RecoveryOptions};
+pub use recover::{recover_graph, RecoveryMemo, RecoveryOptions};
 
 pub use mlake_nn::TransformKind;

@@ -2,13 +2,17 @@
 //! optimality on random graphs, recovery well-formedness on random lakes.
 
 use mlake_datagen::{generate_lake, LakeSpec};
-use mlake_nn::Model;
-use mlake_tensor::Pcg64;
+use mlake_fingerprint::extrinsic::ProbeSet;
+use mlake_nn::transform::prune::prune_mlp;
+use mlake_nn::{Activation, Mlp, Model, TransformKind};
+use mlake_tensor::{init::Init, Pcg64, Seed};
 use mlake_versioning::arborescence::{
     arborescence_weight, minimum_arborescence, DirectedEdge,
 };
-use mlake_versioning::recover::{recover_graph, RecoveryOptions};
+use mlake_versioning::recover::{recover_graph, RecoveryMemo, RecoveryOptions};
+use mlake_versioning::RecoveredGraph;
 use proptest::prelude::*;
+use std::convert::Infallible;
 
 fn complete_graph(n: usize, seed: u64) -> Vec<DirectedEdge> {
     let mut rng = Pcg64::new(seed);
@@ -77,6 +81,67 @@ fn brute_force_weight(n: usize, edges: &[DirectedEdge], root: usize) -> Option<f
     }
     rec(0, n, root, &mut parents, edges, &mut best);
     best
+}
+
+/// Everything recovery emits, distances by bit pattern, in emitted order.
+type GraphBits = (Vec<usize>, Vec<(usize, usize, TransformKind, Option<usize>, u32)>);
+
+fn graph_bits(g: &RecoveredGraph) -> GraphBits {
+    let edge = |e: &mlake_versioning::RecoveredEdge| {
+        (e.parent, e.child, e.kind, e.second_parent, e.distance.to_bits())
+    };
+    (g.roots.clone(), g.edges.iter().map(edge).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A memo extended to a random split point and then one model at a time
+    /// returns, after every extension, exactly what `recover_graph` returns
+    /// over the same prefix — in the lake's mode (blind with probes), blind
+    /// without probes, and under known roots. The last two newcomers are of
+    /// an architecture the generator never draws: one opens a new group, the
+    /// next turns that singleton into a pair.
+    #[test]
+    fn extending_one_model_at_a_time_equals_from_scratch(seed in 0u64..1000, split in 0usize..1000) {
+        let gt = generate_lake(&LakeSpec {
+            seed,
+            train_examples: 40,
+            corpus_len: 400,
+            epochs: 4,
+            ..LakeSpec::tiny(seed)
+        });
+        let mut models: Vec<Model> = gt.models.iter().map(|m| m.model.clone()).collect();
+        let mut rng = Pcg64::new(seed);
+        let stranger = Mlp::new(vec![8, 5, 3], Activation::Tanh, Init::HeNormal, &mut rng).unwrap();
+        let signature = stranger.architecture().signature();
+        prop_assert!(models.iter().all(|m| m.architecture().signature() != signature));
+        models.push(Model::Mlp(prune_mlp(&stranger, 0.3).unwrap()));
+        models.insert(models.len() - 1, Model::Mlp(stranger));
+
+        let probes = ProbeSet::standard(8, 24, 2.5, 24, 16, 2, Seed::new(seed).derive("probes"));
+        let known: Vec<usize> = (0..gt.models.len()).filter(|&i| gt.models[i].depth == 0).collect();
+        let blind = RecoveryOptions::default();
+        let known = RecoveryOptions { known_roots: Some(known), ..RecoveryOptions::default() };
+        let split = split % models.len();
+        for (mode, opts, probes) in [
+            ("blind", &blind, Some(&probes)),
+            ("blind-noprobes", &blind, None),
+            ("known", &known, Some(&probes)),
+        ] {
+            let mut memo = RecoveryMemo::new(opts.clone());
+            let ends = std::iter::once(split).chain(split + 1..=models.len());
+            for n in ends {
+                let got = memo.extend(n, probes, |i| Ok::<_, Infallible>(&models[i])).unwrap();
+                let want = recover_graph(&models[..n], probes, opts);
+                prop_assert_eq!(got.num_models, n);
+                // Equality alone would also hold between two graphs that both
+                // lost a group: every model is a root or some edge's child.
+                prop_assert_eq!(got.roots.len() + got.edges.len(), n);
+                prop_assert_eq!(graph_bits(&got), graph_bits(&want), "{} after extending to {}", mode, n);
+            }
+        }
+    }
 }
 
 proptest! {

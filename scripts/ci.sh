@@ -5,9 +5,11 @@
 #   scripts/ci.sh --quick  # tier-1 + lakebench build + two smoke runs + lint only
 #
 # Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; everything
-# after it widens coverage: the lakebench build, a 2-second
-# `lineage-tasks` smoke run (the benchmark's output checks on citation,
-# lineage path and generated card, `failed` 0) and a 3-second
+# after it widens coverage: the lakebench build, a 4-second
+# `lineage-tasks` smoke run (three ingest → graph catch-up → reads cycles,
+# so an attach lands on a recovery memo that already took one; the
+# benchmark's output checks on citation, lineage path and generated card
+# run after each, `failed` 0) and a 3-second
 # `store-write-restart` smoke run (its restart check compares probe searches
 # bit for bit across a reopen: a caught-up HNSW graph must equal a rebuilt
 # one; `check.lost_acked_writes` 0) — both also in --quick mode, the
@@ -25,7 +27,11 @@
 # sharded scatter-gather determinism; the `hnsw` filter carries the golden
 # graph fixture and the incremental-selection oracle proptest, which run
 # again at default threads under MLAKE_OBS=off — the visit counters are
-# flushed from the one shared beam), the SQ8 recall gate in both
+# flushed from the one shared beam; the versioning suite carries the
+# recovery golden fixture and the extended-memo == from-scratch proptest,
+# and the core graph_catch_up test — caught-up graph == scratch recovery
+# after every ingest — runs again under MLAKE_OBS=off, where it cannot
+# count faults but must publish the same bits), the SQ8 recall gate in both
 # observability modes, the WAL crash-recovery matrix
 # (kill-at-every-write/fsync sweep, again in both observability modes), a
 # the serving stage (the end-to-end HTTP hammer — concurrent mixed load,
@@ -67,11 +73,13 @@ step "benchmark: lakebench builds against the workspace crates"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
   cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
-# Two seconds' worth of cycles (one) of the lineage workload: its output
-# checks — cite / lineage_path end at the queried model, generate_card names
-# it, no failed op — run against the task read path; any miss exits non-zero.
+# Four seconds' worth of cycles (three) of the lineage workload, so the
+# second and third ingest are attached to a recovery memo that has already
+# been extended once: its output checks — cite / lineage_path end at the
+# queried model, generate_card names it, no failed op — run against the task
+# read path after each; any miss exits non-zero.
 step "benchmark: lineage-tasks smoke run (output checks, failed = 0)"
-"${CARGO_TARGET_DIR:-target}/release/lakebench" --workload lineage-tasks --seconds 2 --trace 0
+"${CARGO_TARGET_DIR:-target}/release/lakebench" --workload lineage-tasks --seconds 4 --trace 0
 
 # 1500 ops of the write workload — three seconds' worth, the shortest run
 # that reaches a restart (op 1380): after the reopen the probe searches must
@@ -144,6 +152,8 @@ MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
 MLAKE_OBS=off cargo test -q -p mlake-index hnsw
 MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
 MLAKE_THREADS=1 cargo test -q -p mlake-par
+MLAKE_THREADS=1 cargo test -q -p mlake-versioning
+MLAKE_OBS=off cargo test -q -p mlake-core --test graph_catch_up
 
 step "quantized recall gate: sq8 rescore within 5% of f32 (obs on + off)"
 cargo test -q -p mlake-index --test quantized --release
