@@ -1,7 +1,7 @@
 //! Criterion benches for block-segment storage (DESIGN.md §15): lazy
-//! open, incremental persist cost, and GC sweep throughput. The headline claims — open cost independent of blob bytes,
-//! persist cost O(ops since last persist) — are *gated* in `bench_guard`;
-//! these benches chart the same paths for profiling.
+//! open, incremental persist cost, and GC sweep throughput. The size half
+//! of "persist cost is O(ops since last persist)" is a test
+//! (`crates/core/tests/delta_segment.rs`); these benches chart the times.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use mlake_core::lake::{LakeConfig, ModelLake};

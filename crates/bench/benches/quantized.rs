@@ -4,8 +4,8 @@
 //! per-query latency for `Precision::F32` vs `Precision::Sq8Rescore` at
 //! several rescore factors, plus the flat-scan speedup — the two numbers
 //! the PR's acceptance criteria pin (scan ≥ 1.3x faster, recall ≥ 0.95x
-//! of f32). `bench_guard` enforces the same floors in CI; this bench is
-//! the instrument for reading the actual values on a given machine.
+//! of f32). CI gates the recall (`crates/index/tests/quantized.rs`); this
+//! bench is the instrument for reading the actual values on a machine.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mlake_bench::exp::e5_index::embeddings;

@@ -1,19 +1,23 @@
 //! Immutable, checksummed block segments (DESIGN.md §15).
 //!
-//! A persisted lake is a **superblock** (`manifest.json`, format v3)
-//! naming an ordered chain of immutable segment files under
-//! `<dir>/segs/<seq>.seg`. Each segment holds the *delta* of catalogue
-//! state since the previous one: model registrations (with their
-//! fingerprints, so reopening never recomputes them), card overrides,
-//! dataset/benchmark registrations, and the event-log slice. Folding the
-//! chain in sequence order reproduces the catalogue exactly; later blocks
-//! override earlier ones (a `CardOverride` replaces the card a `Model`
-//! block carried). A fold is also the compaction primitive: [`Folded`]
-//! absorbs further blocks ([`Folded::apply`]) and flattens back to the
-//! minimal block list ([`Folded::into_blocks`]), which is how a major
-//! compaction or an export rewrites `chain + delta` as one segment.
+//! A [`Block`] is the lake's one mutation record. A persisted lake is a
+//! **superblock** (`manifest.json`, format v3) naming an ordered chain of
+//! immutable segment files under `<dir>/segs/<seq>.seg`. Each segment
+//! holds the *delta* of catalogue state since the previous one: model
+//! registrations (with their fingerprints, so reopening never recomputes
+//! them), card overrides, dataset/benchmark registrations, and the
+//! event-log slice. A WAL record is the same thing at op granularity: the
+//! blocks one facade op adds to the next delta, plus the `Events` block
+//! numbering its events (`crate::durable`). Folding the chain in sequence
+//! order reproduces the catalogue exactly; later blocks override earlier
+//! ones (a `CardOverride` replaces the card a `Model` block carried). A
+//! fold is also the compaction primitive: [`Folded`] absorbs further
+//! blocks ([`Folded::apply`]) and flattens back to the minimal block list
+//! ([`Folded::into_blocks`]), which is how a major compaction or an export
+//! rewrites `chain + delta` as one segment, and what open hands to
+//! `ModelLake::apply_block`, the one function that changes the catalogue.
 //! Everything else a lake serves — vector indexes, the text index — is
-//! derived from the folded catalogue on open, never stored.
+//! derived from the applied blocks, never stored.
 //!
 //! On-disk segment layout:
 //!
@@ -219,7 +223,9 @@ pub(crate) struct Folded {
 }
 
 impl Folded {
-    /// Applies one block on top of the state folded so far.
+    /// Applies one block on top of the state folded so far. A name folded
+    /// twice is caught where the flattened blocks are applied, by
+    /// `ModelLake::apply_block`.
     pub(crate) fn apply(&mut self, block: Block) -> Result<()> {
         match block {
             Block::Model(m) => self.models.push(m),

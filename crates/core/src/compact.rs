@@ -3,7 +3,7 @@
 //! A durable lake configured with a [`crate::lake::CompactionPolicy`]
 //! owns one `mlake-compact` thread. After every WAL append the facade
 //! checks the policy thresholds ([`ModelLake::maybe_request_compaction`],
-//! called from `durable::wal_append_op`); when the live WAL footprint or
+//! called from `durable::log_record`); when the live WAL footprint or
 //! the sealed-segment count crosses a threshold, the facade *schedules*
 //! a compaction and returns — the caller never pays the snapshot cost.
 //! The thread then runs exactly what an explicit `persist()` into the

@@ -1,23 +1,37 @@
 //! Durable lakes: the WAL wiring (DESIGN.md §12).
 //!
 //! A durable [`ModelLake`] pairs the in-memory facade with a
-//! [`mlake_wal::Wal`] in `<dir>/wal/`. Every mutating facade op —
-//! everything that appends to the event log — is serialized as a
-//! [`WalOp`] and appended (fsynced per the configured
-//! [`mlake_wal::SyncPolicy`]) *before* the in-memory state mutates, so a
-//! crash at any instant loses at most unacknowledged work.
-//! [`ModelLake::open`] is segment-chain fold + WAL replay; `persist()` is
-//! "compact now": seal the delta since the last persist as a segment,
-//! then drop the WAL segments it covers.
+//! [`mlake_wal::Wal`] in `<dir>/wal/`. The lake has one mutation record,
+//! the segment [`Block`]. Every mutating facade op builds the blocks it
+//! adds to the next delta segment — its `Model` / `CardOverride` /
+//! `Dataset` / `Benchmark` block, plus one `Events` block numbering the
+//! events it appends — and appends them, as one JSON block list, as one
+//! WAL record (fsynced per the configured [`mlake_wal::SyncPolicy`])
+//! *before* [`ModelLake::apply_block`] changes the catalogue, so a crash
+//! at any instant loses at most unacknowledged work. A `Model` block
+//! carries the fingerprints ingest computed, so replaying it touches no
+//! blob. [`ModelLake::open`] applies the folded segment chain and then
+//! every record past the superblock's `last_lsn` through that same
+//! `apply_block`; `persist()` is "compact now": seal the delta since the
+//! last persist as a segment, then drop the WAL segments it covers.
+//!
+//! Records written before blocks were the WAL payload hold one `WalOp`
+//! each — a JSON object or string, where a block list is a JSON array, so
+//! a payload's own shape says which it is and `mlake-wal`'s framing is
+//! untouched. They stay readable through one decode-only converter, which
+//! the v1/v2 manifest reader shares: [`ModelLake::legacy_model`] faults
+//! the blob in and fingerprints it, the only re-fingerprint left.
 //!
 //! Model artifact blobs are not stored in WAL records (they would bloat
 //! it); instead [`ModelLake::ingest_model`] writes the blob to
-//! `<dir>/blobs/` atomically *before* appending the `Ingest` record that
+//! `<dir>/blobs/` atomically *before* appending the record that
 //! references it by digest, so every logged ingest is replayable. A
 //! crash between the two leaves an orphan blob — harmless, it is
 //! content-addressed and unreferenced.
 
+use crate::blockstore::Block;
 use crate::error::{LakeError, Result};
+use crate::event::EventKind;
 use crate::hash::Digest;
 use crate::lake::{LakeConfig, ModelLake};
 use crate::registry::ModelId;
@@ -25,31 +39,30 @@ use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
 use mlake_nn::Model;
 use mlake_wal::{RealFs, Vfs, Wal};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// One durable mutation, as JSON-serialized into a WAL record payload.
-/// Exactly the facade ops that append to the event log.
-#[derive(Debug, Serialize, Deserialize)]
-pub(crate) enum WalOp {
-    /// `ingest_model`: the blob is already durable under `blobs/<digest>`.
+/// A WAL record as lakes wrote it before blocks were the payload: one
+/// facade op, no fingerprints. Decode-only.
+#[derive(Debug, Deserialize)]
+enum WalOp {
     Ingest {
         name: String,
         digest: String,
         card: ModelCard,
     },
-    /// `update_card`.
-    UpdateCard { id: u64, card: ModelCard },
-    /// `register_dataset`.
-    RegisterDataset { dataset: mlake_datagen::Dataset },
-    /// `register_benchmark`.
+    UpdateCard {
+        id: u64,
+        card: ModelCard,
+    },
+    RegisterDataset {
+        dataset: mlake_datagen::Dataset,
+    },
     RegisterBenchmark {
         benchmark: Benchmark,
         domain: Option<String>,
     },
-    /// `rebuild_version_graph` (the graph itself is derived state; only
-    /// the event matters for replay).
     GraphRebuilt,
 }
 
@@ -94,7 +107,7 @@ impl ModelLake {
         }
         let mut lake = ModelLake::new(config);
         vfs.create_dir_all(dir)?;
-        lake.persist_with(dir, &vfs)?;
+        crate::persist::persist_shared(&lake.shared, dir, &vfs)?;
         // Evicted blobs page back in from the lake's own blob directory.
         lake.shared
             .store
@@ -131,12 +144,13 @@ impl ModelLake {
         Ok(())
     }
 
-    fn wal_append_op(&self, op: &WalOp) -> Result<()> {
+    /// Appends one op's blocks as one WAL record. A no-op when ephemeral.
+    pub(crate) fn log_record(&self, blocks: &[Block]) -> Result<()> {
         let Some(link) = &self.shared.wal else {
             return Ok(());
         };
-        let payload = serde_json::to_vec(op)
-            .map_err(|e| LakeError::Internal(format!("wal op encode: {e}")))?;
+        let payload = serde_json::to_vec(blocks)
+            .map_err(|e| LakeError::Internal(format!("wal record encode: {e}")))?;
         link.wal.append(&payload)?;
         self.maybe_request_compaction(link);
         Ok(())
@@ -164,15 +178,9 @@ impl ModelLake {
         }
     }
 
-    /// Durable half of ingestion: writes the artifact blob atomically,
-    /// then logs the `Ingest` record referencing it. No-op when ephemeral.
-    pub(crate) fn durable_ingest(
-        &self,
-        name: &str,
-        digest: &Digest,
-        bytes: &[u8],
-        card: &ModelCard,
-    ) -> Result<()> {
+    /// Durable half of ingestion: writes the artifact blob atomically, so
+    /// the record naming it can be logged. A no-op when ephemeral.
+    pub(crate) fn write_blob(&self, digest: &Digest, bytes: &[u8]) -> Result<()> {
         let Some(link) = &self.shared.wal else {
             return Ok(());
         };
@@ -185,78 +193,63 @@ impl ModelLake {
         // The bytes are safely on disk: the resident copy may now be
         // evicted under memory pressure (DESIGN.md §15).
         self.shared.store.mark_durable(digest);
-        self.wal_append_op(&WalOp::Ingest {
-            name: name.into(),
-            digest: digest.to_hex(),
-            card: card.clone(),
-        })
+        Ok(())
     }
 
-    pub(crate) fn wal_update_card(&self, id: ModelId, card: &ModelCard) -> Result<()> {
-        self.wal_append_op(&WalOp::UpdateCard {
-            id: id.0,
-            card: card.clone(),
-        })
+    /// Applies WAL record `lsn`: a block list as written, a legacy op
+    /// through the converter first.
+    pub(crate) fn replay_record(&self, lsn: u64, payload: &[u8]) -> Result<()> {
+        let corrupt =
+            |e: serde_json::Error| LakeError::CorruptArtifact(format!("wal record {lsn}: {e}"));
+        let blocks = if payload.first() == Some(&b'[') {
+            serde_json::from_slice(payload).map_err(corrupt)?
+        } else {
+            self.legacy_record(serde_json::from_slice(payload).map_err(corrupt)?)?
+        };
+        blocks
+            .into_iter()
+            .try_for_each(|block| self.apply_block(block))
     }
 
-    pub(crate) fn wal_register_dataset(&self, dataset: &mlake_datagen::Dataset) -> Result<()> {
-        self.wal_append_op(&WalOp::RegisterDataset {
-            dataset: dataset.clone(),
-        })
-    }
-
-    pub(crate) fn wal_register_benchmark(
-        &self,
-        benchmark: &Benchmark,
-        domain: &Option<String>,
-    ) -> Result<()> {
-        self.wal_append_op(&WalOp::RegisterBenchmark {
-            benchmark: benchmark.clone(),
-            domain: domain.clone(),
-        })
-    }
-
-    pub(crate) fn wal_graph_rebuilt(&self) -> Result<()> {
-        self.wal_append_op(&WalOp::GraphRebuilt)
-    }
-
-    /// Applies one replayed op to in-memory state (never re-logs).
-    /// Idempotent for `Ingest`: a model already present under the same
-    /// name and digest is skipped, so replaying an op the in-memory state
-    /// already saw cannot duplicate it.
-    pub(crate) fn apply_op(&self, lsn: u64, op: WalOp) -> Result<()> {
-        match op {
+    /// The blocks a legacy op stands for, numbered after the log head as
+    /// the live op would have numbered them.
+    fn legacy_record(&self, op: WalOp) -> Result<Vec<Block>> {
+        Ok(match op {
             WalOp::Ingest { name, digest, card } => {
-                let digest = Digest::from_hex(&digest).ok_or_else(|| {
-                    LakeError::CorruptArtifact(format!(
-                        "wal record {lsn}: bad digest for '{name}'"
-                    ))
-                })?;
-                if let Ok(existing) = self.entry(name.as_str()) {
-                    if existing.digest == digest {
-                        return Ok(());
-                    }
-                    return Err(LakeError::CorruptArtifact(format!(
-                        "wal record {lsn}: replayed ingest of '{name}' conflicts \
-                         with existing artifact"
-                    )));
-                }
-                let bytes = self.shared.store.get(&digest)?;
-                let model = Model::from_bytes(&bytes)
-                    .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
-                let fps = self.compute_fingerprints(&model)?;
-                self.finish_ingest(&name, &model, digest, card, fps)?;
-                Ok(())
+                let model = self.legacy_model(&name, &digest, card)?;
+                let events = [
+                    (EventKind::ModelIngested, &*name),
+                    (EventKind::CardUpdated, &*name),
+                ];
+                self.with_events(vec![model], &events)
             }
-            WalOp::UpdateCard { id, card } => self.apply_update_card(ModelId(id), card),
-            WalOp::RegisterDataset { dataset } => self.apply_register_dataset(dataset),
+            WalOp::UpdateCard { id, card } => {
+                let name = self.entry(ModelId(id))?.name;
+                let events = [(EventKind::CardUpdated, &*name)];
+                self.with_events(vec![Block::CardOverride { id, card }], &events)
+            }
+            WalOp::RegisterDataset { dataset } => {
+                let name = dataset.name.clone();
+                let events = [(EventKind::DatasetRegistered, &*name)];
+                self.with_events(vec![Block::Dataset { dataset }], &events)
+            }
             WalOp::RegisterBenchmark { benchmark, domain } => {
-                self.apply_register_benchmark(benchmark, domain)
+                let name = benchmark.name.clone();
+                let events = [(EventKind::BenchmarkRegistered, &*name)];
+                self.with_events(vec![Block::Benchmark { benchmark, domain }], &events)
             }
-            WalOp::GraphRebuilt => {
-                self.apply_graph_rebuilt();
-                Ok(())
-            }
-        }
+            WalOp::GraphRebuilt => self.with_events(Vec::new(), &[(EventKind::GraphRebuilt, "*")]),
+        })
+    }
+
+    /// The `Model` block of a model a legacy record or v1/v2 manifest
+    /// names by digest only: the blob faults in (digest-verified), decodes
+    /// and is fingerprinted — the one re-fingerprint left in the lake.
+    pub(crate) fn legacy_model(&self, name: &str, digest: &str, card: ModelCard) -> Result<Block> {
+        let digest = Digest::from_hex(digest)
+            .ok_or_else(|| LakeError::CorruptArtifact(format!("bad digest for '{name}'")))?;
+        let model = Model::from_bytes(&self.shared.store.get(&digest)?)
+            .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
+        self.model_block(name, &digest, &model, card)
     }
 }

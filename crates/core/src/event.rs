@@ -1,9 +1,10 @@
 //! Append-only event log: the lake's logical clock.
 //!
-//! Every mutation appends an event; the sequence number of the latest
-//! version-graph-affecting event is the "timestamp of the graph" that
-//! citations embed (§6: "upon any updates of the graph, a new citation would
-//! be generated with the updated version and timestamp").
+//! Every mutation appends events, through an `Events` block — the only way
+//! onto the log. The sequence number of the latest version-graph-affecting
+//! event is the "timestamp of the graph" that citations embed (§6: "upon
+//! any updates of the graph, a new citation would be generated with the
+//! updated version and timestamp").
 
 use serde::{Deserialize, Serialize};
 
@@ -62,21 +63,19 @@ impl EventLog {
         EventLog::default()
     }
 
-    /// Reconstructs a log from persisted events (the segment-fold open
-    /// path); `events` must be the full history, oldest first.
-    pub fn from_events(events: Vec<Event>) -> EventLog {
-        EventLog { events }
-    }
-
-    /// Appends an event, returning its sequence number.
-    pub fn append(&mut self, kind: EventKind, subject: impl Into<String>) -> u64 {
-        let seq = self.events.len() as u64 + 1;
-        self.events.push(Event {
-            seq,
-            kind,
-            subject: subject.into(),
-        });
-        seq
+    /// Appends an already-numbered event — how an `Events` block lands on
+    /// the lake's log. The log has no gaps, so `event.seq` must be
+    /// `head() + 1`; anything else is a corrupt record.
+    pub(crate) fn push(&mut self, event: Event) -> crate::error::Result<()> {
+        if event.seq != self.head() + 1 {
+            return Err(crate::error::LakeError::CorruptArtifact(format!(
+                "event {} does not follow the log head {}",
+                event.seq,
+                self.head()
+            )));
+        }
+        self.events.push(event);
+        Ok(())
     }
 
     /// Latest sequence number (0 when empty).
@@ -109,12 +108,20 @@ impl EventLog {
 mod tests {
     use super::*;
 
+    /// Appends the next event the way an `Events` block does.
+    fn append(log: &mut EventLog, kind: EventKind, subject: &str) -> u64 {
+        let seq = log.head() + 1;
+        let subject = subject.into();
+        log.push(Event { seq, kind, subject }).unwrap();
+        seq
+    }
+
     #[test]
     fn sequence_is_monotone() {
         let mut log = EventLog::new();
         assert_eq!(log.head(), 0);
-        let a = log.append(EventKind::ModelIngested, "m1");
-        let b = log.append(EventKind::CardUpdated, "m1");
+        let a = append(&mut log, EventKind::ModelIngested, "m1");
+        let b = append(&mut log, EventKind::CardUpdated, "m1");
         assert_eq!((a, b), (1, 2));
         assert_eq!(log.head(), 2);
     }
@@ -123,13 +130,13 @@ mod tests {
     fn graph_timestamp_tracks_graph_events_only() {
         let mut log = EventLog::new();
         assert_eq!(log.graph_timestamp(), 0);
-        log.append(EventKind::DatasetRegistered, "d");
+        append(&mut log, EventKind::DatasetRegistered, "d");
         assert_eq!(log.graph_timestamp(), 0);
-        log.append(EventKind::ModelIngested, "m1");
+        append(&mut log, EventKind::ModelIngested, "m1");
         assert_eq!(log.graph_timestamp(), 2);
-        log.append(EventKind::CardUpdated, "m1");
+        append(&mut log, EventKind::CardUpdated, "m1");
         assert_eq!(log.graph_timestamp(), 2);
-        log.append(EventKind::GraphRebuilt, "*");
+        append(&mut log, EventKind::GraphRebuilt, "*");
         assert_eq!(log.graph_timestamp(), 4);
     }
 
@@ -139,13 +146,13 @@ mod tests {
         // edits (or dataset/benchmark registrations) leaves the graph
         // timestamp — and hence every outstanding citation — unchanged.
         let mut log = EventLog::new();
-        log.append(EventKind::ModelIngested, "m1");
-        log.append(EventKind::GraphRebuilt, "*");
+        append(&mut log, EventKind::ModelIngested, "m1");
+        append(&mut log, EventKind::GraphRebuilt, "*");
         let pinned = log.graph_timestamp();
         for _ in 0..5 {
-            log.append(EventKind::CardUpdated, "m1");
-            log.append(EventKind::DatasetRegistered, "d");
-            log.append(EventKind::BenchmarkRegistered, "b");
+            append(&mut log, EventKind::CardUpdated, "m1");
+            append(&mut log, EventKind::DatasetRegistered, "d");
+            append(&mut log, EventKind::BenchmarkRegistered, "b");
             assert_eq!(log.graph_timestamp(), pinned);
         }
         assert!(!EventKind::CardUpdated.affects_graph());
@@ -154,11 +161,25 @@ mod tests {
     }
 
     #[test]
+    fn push_accepts_only_the_next_seq() {
+        let mut log = EventLog::new();
+        let event = |seq| Event {
+            seq,
+            kind: EventKind::GraphRebuilt,
+            subject: "*".into(),
+        };
+        assert!(log.push(event(2)).is_err(), "a gap");
+        log.push(event(1)).unwrap();
+        assert!(log.push(event(1)).is_err(), "a repeat");
+        assert_eq!(log.head(), 1);
+    }
+
+    #[test]
     fn history_filters_by_subject() {
         let mut log = EventLog::new();
-        log.append(EventKind::ModelIngested, "m1");
-        log.append(EventKind::ModelIngested, "m2");
-        log.append(EventKind::CardUpdated, "m1");
+        append(&mut log, EventKind::ModelIngested, "m1");
+        append(&mut log, EventKind::ModelIngested, "m2");
+        append(&mut log, EventKind::CardUpdated, "m1");
         let h = log.history_of("m1");
         assert_eq!(h.len(), 2);
         assert!(h.iter().all(|e| e.subject == "m1"));

@@ -6,9 +6,11 @@
 //! recovery, benchmarking, document generation, card verification, auditing,
 //! citation and declarative MLQL querying.
 
+use crate::blockstore::{self, Block, ModelBlock};
 use crate::cache::{CacheKey, CachedQuery, QueryCache};
 use crate::error::{LakeError, Result};
-use crate::event::{EventKind, EventLog};
+use crate::event::{Event, EventKind, EventLog};
+use crate::hash::Digest;
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId, ModelRef, Registry};
 use crate::store::ResidentStore;
 use mlake_benchlab::{Benchmark, Leaderboard, LeaderboardRow, Score};
@@ -354,9 +356,9 @@ pub(crate) const HYBRID_POOL_FACTOR: usize = 3;
 /// The fielded text document of one model (DESIGN.md §16): every card
 /// section plus the identity metadata, each under its own [`TextField`]
 /// so BM25 can weight a name hit above a notes hit. Pure function of
-/// `(name, arch, card)` — ingest, card update, WAL replay and open-time
-/// rebuild all produce the identical document, which is what keeps text
-/// search bit-identical across restarts.
+/// `(name, arch, card)`, indexed by [`ModelLake::apply_block`] whether the
+/// block came from a live op, the segment chain or the WAL — which is what
+/// keeps text search bit-identical across restarts.
 pub(crate) fn text_document(
     name: &str,
     arch: &str,
@@ -441,9 +443,9 @@ struct GraphState {
     /// Recovery over a prefix of the registry. An ingest leaves it behind;
     /// [`ModelLake::current_graph`] extends it by the suffix it lacks.
     memo: RecoveryMemo,
-    /// The graph of the last catch-up, `None` once an ingest (or a replayed
-    /// `GraphRebuilt`) made it stale. Shared out as an `Arc` so a task read
-    /// borrows it instead of copying every edge.
+    /// The graph of the last catch-up, `None` once a `Model` block made it
+    /// stale. Shared out as an `Arc` so a task read borrows it instead of
+    /// copying every edge.
     published: Option<Arc<PublishedGraph>>,
 }
 
@@ -580,11 +582,11 @@ impl ModelLake {
     // Ingestion & catalogue
     // ------------------------------------------------------------------
 
-    /// Ingests a model: stores the artifact content-addressed, computes and
-    /// indexes all three fingerprints, installs the supplied card (or a
-    /// skeleton), and logs the events. Names must be unique. On a durable
-    /// lake the artifact blob and a WAL record hit disk before any
-    /// in-memory state changes.
+    /// Ingests a model: stores the artifact content-addressed, computes all
+    /// three fingerprints, installs the supplied card (or a skeleton), and
+    /// logs the events. Names must be unique. On a durable lake the
+    /// artifact blob and the op's WAL record hit disk before any in-memory
+    /// state changes.
     pub fn ingest_model(
         &self,
         name: &str,
@@ -593,7 +595,7 @@ impl ModelLake {
     ) -> Result<ModelId> {
         let _span = mlake_obs::span("lake.ingest");
         let _op = self.shared.op_lock.lock();
-        {
+        let id = {
             let reg = self.shared.registry.read();
             if reg.by_name.contains_key(name) {
                 return Err(LakeError::Duplicate {
@@ -601,7 +603,8 @@ impl ModelLake {
                     name: name.into(),
                 });
             }
-        }
+            ModelId(reg.models.len() as u64)
+        };
         if !model.is_finite() {
             return Err(LakeError::CorruptArtifact(format!(
                 "model '{name}' contains non-finite parameters"
@@ -613,30 +616,53 @@ impl ModelLake {
             card.unwrap_or_else(|| ModelCard::skeleton(name, model.architecture().signature()));
         // Everything fallible runs before the WAL append so a logged op
         // is one that replay can always re-apply.
-        let fps = self.compute_fingerprints(model)?;
-        self.durable_ingest(name, &digest, &bytes, &card)?;
-        self.finish_ingest(name, model, digest, card, fps)
+        let block = self.model_block(name, &digest, model, card)?;
+        self.write_blob(&digest, &bytes)?;
+        self.commit(
+            vec![block],
+            &[
+                (EventKind::ModelIngested, name),
+                (EventKind::CardUpdated, name),
+            ],
+        )?;
+        Ok(id)
     }
 
-    /// All three fingerprints of a model, in [`FingerprintKind::ALL`] order,
-    /// width-checked for the registry.
-    pub(crate) fn compute_fingerprints(&self, model: &Model) -> Result<Arc<[Vec<f32>; 3]>> {
-        self.checked_fingerprints([
+    /// The registration record of `model`: a `Model` block carrying what
+    /// the registry needs, with all three fingerprints, in
+    /// [`FingerprintKind::ALL`] order, computed and width-checked here —
+    /// the only place the lake runs its fingerprinters.
+    pub(crate) fn model_block(
+        &self,
+        name: &str,
+        digest: &Digest,
+        model: &Model,
+        card: ModelCard,
+    ) -> Result<Block> {
+        let fps = self.checked_fingerprints([
             self.fingerprinter.intrinsic(model),
             self.fingerprinter.extrinsic(model)?,
             self.fingerprinter.hybrid(model)?,
-        ])
+        ])?;
+        Ok(Block::Model(ModelBlock {
+            name: name.into(),
+            digest: digest.to_hex(),
+            arch: model.architecture().signature(),
+            params: model.num_params() as u64,
+            card,
+            fps: blockstore::fp_bits(&fps),
+        }))
     }
 
     /// The gate every fingerprint triple passes on its way onto a registry
-    /// entry — computed at ingest and WAL replay, decoded from a segment
-    /// at open: its widths must be the ones `sketch_dim` implies (`model_dna`
-    /// is 8 moments ++ the sketch, the behaviour sketch is `sketch_dim`
-    /// wide, hybrid concatenates the two), so the catch-up insert in
-    /// [`ModelLake::ensure_indexes`] cannot fail on its input. A lake
-    /// opened under a different `sketch_dim` than it was written with
-    /// fails here, at open.
-    pub(crate) fn checked_fingerprints(&self, fps: [Vec<f32>; 3]) -> Result<Arc<[Vec<f32>; 3]>> {
+    /// entry — computed by [`ModelLake::model_block`], decoded from a
+    /// `Model` block by [`ModelLake::apply_block`]: its widths must be the
+    /// ones `sketch_dim` implies (`model_dna` is 8 moments ++ the sketch,
+    /// the behaviour sketch is `sketch_dim` wide, hybrid concatenates the
+    /// two), so the catch-up insert in [`ModelLake::ensure_indexes`] cannot
+    /// fail on its input. A lake opened under a different `sketch_dim` than
+    /// it was written with fails here, at open.
+    fn checked_fingerprints(&self, fps: [Vec<f32>; 3]) -> Result<[Vec<f32>; 3]> {
         let d = self.shared.config.sketch_dim;
         let want = [8 + d, d, 8 + 2 * d];
         let got = [fps[0].len(), fps[1].len(), fps[2].len()];
@@ -645,52 +671,125 @@ impl ModelLake {
                 "fingerprint widths {got:?} do not match sketch_dim {d} (expected {want:?})"
             )));
         }
-        Ok(Arc::new(fps))
+        Ok(fps)
     }
 
-    /// Pure in-memory half of ingestion, shared by the live path and WAL
-    /// replay: registry entry (fingerprints on it), text document, events,
-    /// and the published version graph withdrawn. Neither the vector indexes
-    /// nor the recovery memo are touched — ingest does no graph work: the
-    /// next search catches the indexes up from the registry, the next graph
-    /// read the memo.
-    pub(crate) fn finish_ingest(
+    /// One op's record: `blocks` plus one `Events` block numbering `events`
+    /// after the log head. Callers hold `op_lock` (or are the
+    /// single-threaded open), so this is the numbering
+    /// [`ModelLake::apply_block`] checks.
+    pub(crate) fn with_events(
         &self,
-        name: &str,
-        model: &Model,
-        digest: crate::hash::Digest,
-        card: ModelCard,
-        fps: Arc<[Vec<f32>; 3]>,
-    ) -> Result<ModelId> {
-        let arch = model.architecture().signature();
-        let mut reg = self.shared.registry.write();
-        let id = ModelId(reg.models.len() as u64);
-        let text_doc = text_document(name, &arch, &card);
-        let tags = card.task_tags.clone();
-        reg.models.push(ModelEntry {
-            id,
-            name: name.into(),
-            arch,
-            digest,
-            params: model.num_params() as u64,
-            card,
-            tags,
-            fps,
-        });
-        reg.by_name.insert(name.into(), id);
-        drop(reg);
-        {
-            // lock-order: 27 (core.text)
-            self.shared.text.write().insert(id.0, &text_doc);
+        mut blocks: Vec<Block>,
+        events: &[(EventKind, &str)],
+    ) -> Vec<Block> {
+        let head = self.shared.events.read().head();
+        let events = events
+            .iter()
+            .zip(head + 1..)
+            .map(|((kind, subject), seq)| Event {
+                seq,
+                kind: kind.clone(),
+                subject: subject.to_string(),
+            })
+            .collect();
+        blocks.push(Block::Events { events });
+        blocks
+    }
+
+    /// Logs one op's record (see [`ModelLake::with_events`]) as one WAL
+    /// record on a durable lake, then applies it. Returns the sequence
+    /// number of the op's last event. Caller holds `op_lock`.
+    fn commit(&self, blocks: Vec<Block>, events: &[(EventKind, &str)]) -> Result<u64> {
+        let blocks = self.with_events(blocks, events);
+        self.log_record(&blocks)?;
+        for block in blocks {
+            self.apply_block(block)?;
         }
-        {
-            let mut ev = self.shared.events.write();
-            ev.append(EventKind::ModelIngested, name);
-            ev.append(EventKind::CardUpdated, name);
+        Ok(self.shared.events.read().head())
+    }
+
+    /// The one writer of the catalogue — registry, text index and event
+    /// log — for live ops, the folded segment chain at open and WAL replay
+    /// alike. A `Model` block withdraws the published version graph and
+    /// touches neither the vector indexes nor the recovery memo: the next
+    /// search catches the indexes up from the registry, the next graph
+    /// read the memo. A second `Model` block for a registered name, a card
+    /// override for an unknown id and an event that does not follow the
+    /// log head are corruption.
+    pub(crate) fn apply_block(&self, block: Block) -> Result<()> {
+        match block {
+            Block::Model(m) => {
+                let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
+                    LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
+                })?;
+                let fps = Arc::new(self.checked_fingerprints(blockstore::fp_floats(&m.fps))?);
+                let doc = text_document(&m.name, &m.arch, &m.card);
+                let id = {
+                    let mut reg = self.shared.registry.write();
+                    if reg.by_name.contains_key(&m.name) {
+                        return Err(LakeError::CorruptArtifact(format!(
+                            "model '{}' is registered twice",
+                            m.name
+                        )));
+                    }
+                    let id = ModelId(reg.models.len() as u64);
+                    reg.by_name.insert(m.name.clone(), id);
+                    reg.models.push(ModelEntry {
+                        id,
+                        name: m.name,
+                        arch: m.arch,
+                        digest,
+                        params: m.params,
+                        tags: m.card.task_tags.clone(),
+                        card: m.card,
+                        fps,
+                    });
+                    id
+                };
+                {
+                    // lock-order: 27 (core.text)
+                    self.shared.text.write().insert(id.0, &doc);
+                }
+                self.graph.write().published = None;
+            }
+            Block::CardOverride { id, card } => {
+                let doc = {
+                    let mut reg = self.shared.registry.write();
+                    let entry = reg.model_mut(ModelId(id)).ok_or_else(|| {
+                        LakeError::CorruptArtifact(format!(
+                            "card override for unknown model id {id}"
+                        ))
+                    })?;
+                    entry.tags = card.task_tags.clone();
+                    entry.card = card;
+                    text_document(&entry.name, &entry.arch, &entry.card)
+                };
+                // lock-order: 27 (core.text)
+                self.shared.text.write().insert(id, &doc);
+                // The next delta segment must carry a CardOverride for this
+                // model (persist skips ids its fresh Model blocks cover).
+                // lock-order: 46 (core.segstate)
+                self.shared.seg.lock().dirty_cards.insert(id);
+            }
+            Block::Dataset { dataset } => self.shared.registry.write().datasets.push(dataset),
+            Block::Benchmark { benchmark, domain } => {
+                let name = benchmark.name.clone();
+                self.shared
+                    .registry
+                    .write()
+                    .benchmarks
+                    .insert(name, BenchmarkEntry { benchmark, domain });
+            }
+            Block::Events { events } => {
+                let mut log = self.shared.events.write();
+                for event in events {
+                    log.push(event)?;
+                }
+            }
+            Block::TextIndex {} => {}
         }
-        // The version graph is stale now.
-        self.graph.write().published = None;
-        Ok(id)
+        Ok(())
     }
 
     /// Resolves any model identity — id, name or content digest — to the
@@ -760,33 +859,11 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.card.update");
         let _op = self.shared.op_lock.lock();
         let id = self.resolve(model)?;
-        self.wal_update_card(id, &card)?;
-        self.apply_update_card(id, card)
-    }
-
-    /// In-memory half of [`ModelLake::update_card`] (shared with replay).
-    pub(crate) fn apply_update_card(&self, id: ModelId, card: ModelCard) -> Result<()> {
-        let mut reg = self.shared.registry.write();
-        let entry = reg.model_mut(id).ok_or_else(|| LakeError::NotFound {
-            kind: "model",
-            name: id.to_string(),
-        })?;
-        entry.tags = card.task_tags.clone();
-        let name = entry.name.clone();
-        entry.card = card;
-        let text_doc = text_document(&name, &entry.arch, &entry.card);
-        drop(reg);
-        {
-            // lock-order: 27 (core.text)
-            self.shared.text.write().insert(id.0, &text_doc);
-        }
-        {
-            // The next delta segment must carry a CardOverride for this
-            // model (persist skips ids its fresh Model blocks cover).
-            // lock-order: 46 (core.segstate)
-            self.shared.seg.lock().dirty_cards.insert(id.0);
-        }
-        self.shared.events.write().append(EventKind::CardUpdated, name);
+        let name = self.entry(id)?.name;
+        self.commit(
+            vec![Block::CardOverride { id: id.0, card }],
+            &[(EventKind::CardUpdated, &name)],
+        )?;
         Ok(())
     }
 
@@ -807,20 +884,11 @@ impl ModelLake {
                 name: dataset.name,
             });
         }
-        self.wal_register_dataset(&dataset)?;
-        self.apply_register_dataset(dataset)
-    }
-
-    /// In-memory half of [`ModelLake::register_dataset`] (shared with
-    /// replay and snapshot load).
-    pub(crate) fn apply_register_dataset(&self, dataset: mlake_datagen::Dataset) -> Result<()> {
-        let mut reg = self.shared.registry.write();
         let name = dataset.name.clone();
-        reg.datasets.push(dataset);
-        drop(reg);
-        self.shared.events
-            .write()
-            .append(EventKind::DatasetRegistered, name);
+        self.commit(
+            vec![Block::Dataset { dataset }],
+            &[(EventKind::DatasetRegistered, &name)],
+        )?;
         Ok(())
     }
 
@@ -834,25 +902,11 @@ impl ModelLake {
                 name: benchmark.name,
             });
         }
-        self.wal_register_benchmark(&benchmark, &domain)?;
-        self.apply_register_benchmark(benchmark, domain)
-    }
-
-    /// In-memory half of [`ModelLake::register_benchmark`] (shared with
-    /// replay and snapshot load).
-    pub(crate) fn apply_register_benchmark(
-        &self,
-        benchmark: Benchmark,
-        domain: Option<String>,
-    ) -> Result<()> {
-        let mut reg = self.shared.registry.write();
         let name = benchmark.name.clone();
-        reg.benchmarks
-            .insert(name.clone(), BenchmarkEntry { benchmark, domain });
-        drop(reg);
-        self.shared.events
-            .write()
-            .append(EventKind::BenchmarkRegistered, name);
+        self.commit(
+            vec![Block::Benchmark { benchmark, domain }],
+            &[(EventKind::BenchmarkRegistered, &name)],
+        )?;
         Ok(())
     }
 
@@ -1035,19 +1089,11 @@ impl ModelLake {
         });
         self.graph.write().memo = memo;
         let graph = recovered?;
-        self.wal_graph_rebuilt()?;
-        let timestamp = self.shared.events.write().append(EventKind::GraphRebuilt, "*");
+        // The graph is derived state: its record is the event alone.
+        let timestamp = self.commit(Vec::new(), &[(EventKind::GraphRebuilt, "*")])?;
         let published = Arc::new(PublishedGraph::new(graph, timestamp));
         self.graph.write().published = Some(Arc::clone(&published));
         Ok(published)
-    }
-
-    /// Replay half of [`ModelLake::rebuild_version_graph`]: records the
-    /// event and withdraws the published graph; the graph itself is
-    /// derived state and recomputes deterministically on next use.
-    pub(crate) fn apply_graph_rebuilt(&self) {
-        self.graph.write().published = None;
-        self.shared.events.write().append(EventKind::GraphRebuilt, "*");
     }
 
     /// The current version graph, caught up blind if an ingest made it stale.
@@ -1325,34 +1371,6 @@ impl ModelLake {
     // lint: no-span — trivial accessor
     pub fn events(&self) -> Vec<crate::event::Event> {
         self.shared.events.read().events().to_vec()
-    }
-
-    // ------------------------------------------------------------------
-    // Persistence plumbing (crate-internal; see `persist` module)
-    // ------------------------------------------------------------------
-
-    pub(crate) fn restore_event_log(&self, log: EventLog) {
-        *self.shared.events.write() = log;
-    }
-
-    /// Rebuilds the text index from every registry entry's card — how
-    /// open restores it: the index is derived state, never persisted.
-    /// Insertion order is id order, exactly what incremental ingestion
-    /// produced, so the rebuilt index (and every search over it) is
-    /// bit-identical to the live lake's.
-    pub(crate) fn rebuild_text_index(&self) {
-        let mut text = mlake_text::TextIndex::new(mlake_text::Bm25Params::default());
-        {
-            let reg = self.shared.registry.read();
-            for entry in &reg.models {
-                text.insert(
-                    entry.id.0,
-                    &text_document(&entry.name, &entry.arch, &entry.card),
-                );
-            }
-        }
-        // lock-order: 27 (core.text)
-        *self.shared.text.write() = text;
     }
 
     /// Catches the fingerprint indexes up to the registry (DESIGN.md §15):

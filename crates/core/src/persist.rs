@@ -24,24 +24,26 @@
 //! either the old superblock or the new one, never a torn mix (at worst
 //! an unreachable segment for GC).
 //!
-//! **Reader.** [`ModelLake::open`] reads the superblock and folds the
-//! segment chain — pure metadata, no model blobs. Artifact bytes page in
-//! lazily through the store's residency layer on first touch, the
-//! fingerprints persisted in the Model blocks land on the registry
-//! entries (the first search builds the HNSW indexes from them), and the
-//! text index is rebuilt from the folded cards. Then the WAL replays past
-//! the superblock's `last_lsn`.
-//! A legacy v1/v2 whole-state manifest is read as what it is — a list of
-//! ops — and replayed through the same funnel as WAL records; its next
-//! persist writes the catalogue as segment 1 and upgrades it to v3.
+//! **Reader.** [`ModelLake::open`] reads the superblock, folds the segment
+//! chain and applies the folded blocks ([`Folded::into_blocks`]), then
+//! every WAL record past the superblock's `last_lsn`, through
+//! [`ModelLake::apply_block`] — the function live ops change the
+//! catalogue through. That is pure metadata, no model blobs: the
+//! fingerprints a `Model` block carries land on the registry entry (the
+//! first search builds the HNSW indexes from them), its card is indexed
+//! for text search, and artifact bytes page in lazily through the store's
+//! residency layer on first touch. A legacy v1/v2 whole-state manifest
+//! becomes blocks through the legacy converter, which faults each blob in
+//! and fingerprints it (the only re-fingerprint left); its next persist
+//! writes the catalogue as segment 1 and upgrades it to v3.
 
 use crate::blockstore::{self, Block, Folded, ModelBlock};
-use crate::durable::{canonical_dir, WalLink, WalOp};
+use crate::durable::{canonical_dir, WalLink};
 use crate::error::{LakeError, Result};
 use crate::event::EventLog;
 use crate::hash::Digest;
 use crate::lake::{LakeConfig, LakeShared, ModelLake, SegState};
-use crate::registry::{BenchmarkEntry, ModelEntry, ModelId};
+use crate::registry::{BenchmarkEntry, ModelId, Registry};
 use crate::store::ResidentStore;
 use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
@@ -89,7 +91,7 @@ struct ManifestHead {
 }
 
 /// The catalogue part of a v1/v2 whole-state manifest. Read-only: the
-/// upgrade reader ([`ModelLake::replay_legacy`]) is its one consumer.
+/// upgrade reader ([`ModelLake::legacy_manifest`]) is its one consumer.
 #[derive(Debug, Deserialize)]
 struct LegacyManifest {
     models: Vec<LegacyManifestModel>,
@@ -103,6 +105,17 @@ struct LegacyManifestModel {
     name: String,
     digest: String,
     card: ModelCard,
+}
+
+/// Marks covering every model, dataset and benchmark in `reg`; the caller
+/// sets the event mark and the chain.
+fn catalogue_marks(reg: &Registry) -> SegState {
+    SegState {
+        models: reg.models.len(),
+        datasets: reg.datasets.len(),
+        benchmarks: reg.benchmarks.keys().cloned().collect(),
+        ..SegState::default()
+    }
 }
 
 /// The catalogue delta since the persist marks in `seg`, as blocks, plus
@@ -150,12 +163,7 @@ fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegSt
             domain: e.domain.clone(),
         });
     }
-    let mut covered = SegState {
-        models: reg.models.len(),
-        datasets: reg.datasets.len(),
-        benchmarks: reg.benchmarks.keys().cloned().collect(),
-        ..SegState::default()
-    };
+    let mut covered = catalogue_marks(&reg);
     drop(reg);
     let log = shared.events.read();
     let events = log.events();
@@ -270,15 +278,6 @@ impl ModelLake {
         persist_shared(&self.shared, dir, &vfs)
     }
 
-    /// [`ModelLake::persist`] through an explicit [`Vfs`] (fault-injection
-    /// tests crash mid-persist here). All files land atomically
-    /// (temp-file + rename), so a crash leaves either the old superblock
-    /// or the new one, never a torn mix.
-    // lint: no-span — persist_shared opens the lake.persist span
-    pub(crate) fn persist_with(&self, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
-        persist_shared(&self.shared, dir, vfs)
-    }
-
     /// Opens a persisted lake: loads the superblock and folds the segment
     /// chain — metadata only; model blobs page in lazily on first touch
     /// and the fingerprint indexes (restored from persisted fingerprints,
@@ -317,9 +316,23 @@ impl ModelLake {
             .store
             .attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
         if head.version == MANIFEST_VERSION {
-            lake.load_chain(dir, &vfs, &manifest_bytes)?;
+            let sb: SuperBlock = serde_json::from_slice(&manifest_bytes)
+                .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
+            for block in blockstore::fold_segments(dir, &vfs, &sb.segments)?.into_blocks() {
+                lake.apply_block(block)?;
+            }
+            // Everything the chain covers is persisted; WAL-replayed ops
+            // past this point count as fresh again.
+            let mut marks = catalogue_marks(&lake.shared.registry.read());
+            marks.events = lake.shared.events.read().events().len();
+            marks.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
+            marks.live = sb.segments;
+            // lock-order: 46 (core.segstate)
+            *lake.shared.seg.lock() = marks;
         } else {
-            lake.replay_legacy(&manifest_bytes)?;
+            for block in lake.legacy_manifest(&manifest_bytes)? {
+                lake.apply_block(block)?;
+            }
         }
         // Replay everything the manifest does not cover, in LSN order.
         let (wal, replay) = Wal::open_with(
@@ -329,10 +342,7 @@ impl ModelLake {
             head.last_lsn,
         )?;
         for (lsn, payload) in &replay.records {
-            let op: WalOp = serde_json::from_slice(payload).map_err(|e| {
-                LakeError::CorruptArtifact(format!("wal record {lsn}: {e}"))
-            })?;
-            lake.apply_op(*lsn, op)?;
+            lake.replay_record(*lsn, payload)?;
         }
         lake.shared_mut()?.wal = Some(WalLink {
             wal,
@@ -343,81 +353,32 @@ impl ModelLake {
         Ok(lake)
     }
 
-    /// Loads the catalogue a v3 superblock names: segment fold, no blob
-    /// reads, no fingerprint recomputation — the persisted fingerprints
-    /// land on the registry entries, width-checked against this config.
-    fn load_chain(&self, dir: &Path, vfs: &Arc<dyn Vfs>, manifest_bytes: &[u8]) -> Result<()> {
-        let sb: SuperBlock = serde_json::from_slice(manifest_bytes)
-            .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
-        let folded = blockstore::fold_segments(dir, vfs, &sb.segments)?;
-        // Mark everything the chain covers as persisted; WAL-replayed ops
-        // past this point count as fresh again.
-        let covered = SegState {
-            next_seq: sb.segments.iter().copied().max().unwrap_or(0) + 1,
-            live: sb.segments,
-            models: folded.models.len(),
-            datasets: folded.datasets.len(),
-            benchmarks: folded.benchmarks.iter().map(|(b, _)| b.name.clone()).collect(),
-            events: folded.events.len(),
-            ..SegState::default()
-        };
-        {
-            let mut reg = self.shared.registry.write();
-            for (i, m) in folded.models.into_iter().enumerate() {
-                let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
-                    LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
-                })?;
-                let id = ModelId(i as u64);
-                let fps = self.checked_fingerprints(blockstore::fp_floats(&m.fps))?;
-                reg.by_name.insert(m.name.clone(), id);
-                reg.models.push(ModelEntry {
-                    id,
-                    name: m.name,
-                    arch: m.arch,
-                    digest,
-                    params: m.params,
-                    tags: m.card.task_tags.clone(),
-                    card: m.card,
-                    fps,
-                });
-            }
-            reg.datasets = folded.datasets;
-            for (benchmark, domain) in folded.benchmarks {
-                reg.benchmarks
-                    .insert(benchmark.name.clone(), BenchmarkEntry { benchmark, domain });
-            }
-        }
-        self.restore_event_log(EventLog::from_events(folded.events));
-        // Derived state: re-tokenize the folded cards. Still no blob reads,
-        // so open stays lazy.
-        self.rebuild_text_index();
-        // lock-order: 46 (core.segstate)
-        *self.shared.seg.lock() = covered;
-        Ok(())
-    }
-
-    /// The v1/v2 upgrade reader. A whole-state manifest is a list of ops,
-    /// so it goes through the funnel WAL replay uses: each model faults
-    /// its blob in (digest-verified) and re-derives fingerprints, index
-    /// entries and text document. The persist marks stay at zero, so the
-    /// next persist writes the whole catalogue as segment 1 under a v3
-    /// superblock.
-    fn replay_legacy(&self, manifest_bytes: &[u8]) -> Result<()> {
+    /// The v1/v2 reader: a whole-state manifest as blocks. Each model goes
+    /// through the legacy converter (blob faulted in, fingerprinted) and
+    /// the manifest's event history lands as one `Events` block. The
+    /// persist marks stay at zero, so the next persist writes the whole
+    /// catalogue as segment 1 under a v3 superblock.
+    fn legacy_manifest(&self, manifest_bytes: &[u8]) -> Result<Vec<Block>> {
         let manifest: LegacyManifest = serde_json::from_slice(manifest_bytes)
             .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))?;
-        for dataset in manifest.datasets {
-            self.apply_op(0, WalOp::RegisterDataset { dataset })?;
+        let mut blocks: Vec<Block> = manifest
+            .datasets
+            .into_iter()
+            .map(|dataset| Block::Dataset { dataset })
+            .collect();
+        blocks.extend(
+            manifest
+                .benchmarks
+                .into_iter()
+                .map(|(benchmark, domain)| Block::Benchmark { benchmark, domain }),
+        );
+        for m in manifest.models {
+            blocks.push(self.legacy_model(&m.name, &m.digest, m.card)?);
         }
-        for (benchmark, domain) in manifest.benchmarks {
-            self.apply_op(0, WalOp::RegisterBenchmark { benchmark, domain })?;
-        }
-        for LegacyManifestModel { name, digest, card } in manifest.models {
-            self.apply_op(0, WalOp::Ingest { name, digest, card })?;
-        }
-        // Restore the original event history *after* the replay so the
-        // graph timestamps (citation keys) survive the round trip.
-        self.restore_event_log(manifest.events);
-        Ok(())
+        blocks.push(Block::Events {
+            events: manifest.events.events().to_vec(),
+        });
+        Ok(blocks)
     }
 }
 
@@ -478,6 +439,42 @@ mod tests {
             .run()
             .unwrap()
             .is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_name_registered_twice_is_corrupt_from_the_chain_or_the_wal() {
+        let dir = tmp("twice");
+        let _ = std::fs::remove_dir_all(&dir);
+        let vfs = RealFs::shared();
+        let gt = generate_lake(&LakeSpec::tiny(4));
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        lake.ingest_model("a", &gt.models[0].model, None).unwrap();
+        lake.persist(&dir).unwrap();
+        drop(lake);
+        let manifest = std::fs::read(dir.join("manifest.json")).unwrap();
+        let model = blockstore::read_segment(&dir, &vfs, 1).unwrap().remove(0);
+        assert!(matches!(model, Block::Model(_)));
+        let corrupt = || {
+            matches!(
+                ModelLake::open(&dir, LakeConfig::default()),
+                Err(LakeError::CorruptArtifact(_))
+            )
+        };
+        // A second segment registering "a" again — the chain the alias-dir
+        // persist bug wrote.
+        blockstore::write_segment(&dir, &vfs, 2, std::slice::from_ref(&model)).unwrap();
+        let mut sb: SuperBlock = serde_json::from_slice(&manifest).unwrap();
+        sb.segments.push(2);
+        std::fs::write(dir.join("manifest.json"), serde_json::to_vec(&sb).unwrap()).unwrap();
+        assert!(corrupt(), "a two-segment chain with one name twice opened");
+        // The one-segment chain plus a WAL record registering "a" again.
+        std::fs::write(dir.join("manifest.json"), manifest).unwrap();
+        let opts = mlake_wal::WalOptions::default();
+        let (wal, _) = Wal::open_with(&dir.join("wal"), opts, vfs, sb.last_lsn).unwrap();
+        wal.append(&serde_json::to_vec(&[model]).unwrap()).unwrap();
+        drop(wal);
+        assert!(corrupt(), "a WAL tail re-registering a folded name opened");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -234,7 +234,7 @@ impl ResidentStore {
     pub fn put(&self, bytes: &[u8]) -> Digest {
         let digest = sha256(bytes);
         // Pinned until the caller proves the bytes reached disk
-        // (durable_ingest writes the blob file, then calls mark_durable).
+        // (`write_blob` writes the blob file, then calls mark_durable).
         // Ephemeral stores stay pinned forever, which is exactly "never
         // evict".
         self.admit(digest, bytes.to_vec(), false);

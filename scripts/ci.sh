@@ -1,59 +1,30 @@
 #!/usr/bin/env bash
 # CI gate for the Model Lakes workspace.
 #
-#   scripts/ci.sh          # tier-1 + full workspace tests + determinism + clippy
-#   scripts/ci.sh --quick  # tier-1 + lakebench build + two smoke runs + lint only
+#   scripts/ci.sh          # every stage below
+#   scripts/ci.sh --quick  # stages 1-5
 #
-# Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`; everything
-# after it widens coverage: the lakebench build, a 4-second
-# `lineage-tasks` smoke run (three ingest → graph catch-up → reads cycles,
-# so an attach lands on a recovery memo that already took one; the
-# benchmark's output checks on citation, lineage path and generated card
-# run after each, `failed` 0) and a 3-second
-# `store-write-restart` smoke run (its restart check compares probe searches
-# bit for bit across a reopen: a caught-up HNSW graph must equal a rebuilt
-# one; `check.lost_acked_writes` 0) — both also in --quick mode, the
-# mlake-lint static-analysis gate (also run in
-# --quick mode — it is cheap and catches new debt earliest; the per-file
-# passes plus the whole-program lock-cycle / transitive-panic /
-# blocking-under-lock passes, writing the machine-readable report to
-# target/lint/ and proving on a seeded fixture that an inverted lock
-# acquisition fails the run), the full
-# workspace test suite, a debug-profile par run (exercising the
-# lock-order race detector, which compiles out in release), the same suite
-# re-run with observability disabled (MLAKE_OBS=off must be behaviorally
-# inert), the parallel-vs-serial equivalence suites re-run under
-# MLAKE_THREADS=1 (exercising the env override path end-to-end, including
-# sharded scatter-gather determinism; the `hnsw` filter carries the golden
-# graph fixture and the incremental-selection oracle proptest, which run
-# again at default threads under MLAKE_OBS=off — the visit counters are
-# flushed from the one shared beam; the versioning suite carries the
-# recovery golden fixture and the extended-memo == from-scratch proptest,
-# and the core graph_catch_up test — caught-up graph == scratch recovery
-# after every ingest — runs again under MLAKE_OBS=off, where it cannot
-# count faults but must publish the same bits), the SQ8 recall gate in both
-# observability modes, the WAL crash-recovery matrix
-# (kill-at-every-write/fsync sweep, again in both observability modes), a
-# the serving stage (the end-to-end HTTP hammer — concurrent mixed load,
-# deliberate backpressure, graceful shutdown + reopen — in both
-# observability modes; the sweep now also kills at every remove_file of a
-# GC pass), the blockstore suite (lazy residency, orphan-blob GC, manifest
-# v1/v2 back-compat — in both observability modes), a performance guard
-# covering the tiled matmul,
-# the quantized flat scan, the sharded scatter-gather merge, WAL append
-# throughput, the lazy open's absolute budget, the
-# size-independent delta-persist check and the text/hybrid retrieval gate
-# (BM25 batch budget + the hybrid-recall fusion bar; serving is checked by
-# the hammer and measured by lakebench, not gated here) — run in both
-# observability modes, budgets overridable via MLAKE_BENCH_GUARD_MS /
-# MLAKE_BENCH_GUARD_SQ8_MS / MLAKE_BENCH_GUARD_SQ8_RATIO /
-# MLAKE_BENCH_GUARD_SHARD_OPS / MLAKE_BENCH_GUARD_WAL_OPS /
-# MLAKE_BENCH_GUARD_OPEN_MS /
-# MLAKE_BENCH_GUARD_TEXT_MS — and clippy
-# with warnings denied across the crates the parallel, observability and
-# serving layers touch. The text stage runs the mlake-text unit suite and
-# the core text_search integration suite (persist/replay determinism,
-# citation-contract regression) in both observability modes.
+# One sentence per stage, in run order:
+# 1. Tier-1 (ROADMAP.md) is `cargo build --release && cargo test -q`, whose
+#    test run covers every crate (`default-members`) in the debug profile,
+#    where the lock-order race detector is compiled in.
+# 2. lakebench, a package outside the workspace, must build against it.
+# 3. A 4-second `lineage-tasks` smoke run checks cite / lineage / card output
+#    across three ingest → graph catch-up cycles.
+# 4. A 3-second `store-write-restart` smoke run checks that probe searches
+#    return the same bits across a reopen and that no acked write is lost.
+# 5. mlake-lint must report nothing outside lint.allow and must reject a
+#    seeded lock-order inversion.
+# 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
+#    behaviourally inert.
+# 7. The equivalence, HNSW, sharding, par and versioning suites re-run under
+#    MLAKE_THREADS=1, whose output must be bit-identical.
+# 8. The SQ8 recall gate, the crash-recovery matrix, the blockstore suites,
+#    the HTTP hammer and the text suites re-run in the release profile with
+#    observability on and off.
+# 9. Clippy denies warnings across the parallel, observability, storage and
+#    serving crates.
+# --quick stops after stage 5.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -132,15 +103,9 @@ echo "$out" | grep -q 'lock-cycle' || {
 echo "seeded inversion correctly rejected"
 
 if [[ "${1:-}" == "--quick" ]]; then
-  echo "quick mode: skipping workspace tests, determinism re-run, clippy"
+  echo "quick mode: skipping the obs-off, determinism and release re-runs and clippy"
   exit 0
 fi
-
-step "workspace tests"
-cargo test --workspace -q
-
-step "lock-order race detector: debug-profile par tests"
-cargo test -q -p mlake-par
 
 step "observability off: tier-1 re-run under MLAKE_OBS=off"
 MLAKE_OBS=off cargo test -q
@@ -149,11 +114,9 @@ MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
-MLAKE_OBS=off cargo test -q -p mlake-index hnsw
 MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
 MLAKE_THREADS=1 cargo test -q -p mlake-par
 MLAKE_THREADS=1 cargo test -q -p mlake-versioning
-MLAKE_OBS=off cargo test -q -p mlake-core --test graph_catch_up
 
 step "quantized recall gate: sq8 rescore within 5% of f32 (obs on + off)"
 cargo test -q -p mlake-index --test quantized --release
@@ -176,10 +139,6 @@ cargo test -q -p mlake-text --release
 MLAKE_OBS=off cargo test -q -p mlake-text --release
 cargo test -q -p mlake-core --test text_search --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test text_search --release
-
-step "bench guard: matmul + sq8 + sharded + wal + blockstore open/persist + text (obs on + off)"
-cargo run -q -p mlake-bench --bin bench_guard --release
-MLAKE_OBS=off cargo run -q -p mlake-bench --bin bench_guard --release
 
 step "clippy -D warnings (parallel + observability + serving crates)"
 cargo clippy -q -p mlake-par -p mlake-tensor -p mlake-index \
