@@ -13,7 +13,10 @@
 //! blob. [`ModelLake::open`] applies the folded segment chain and then
 //! every record past the superblock's `last_lsn` through that same
 //! `apply_block`; `persist()` is "compact now": seal the delta since the
-//! last persist as a segment, then drop the WAL segments it covers.
+//! last persist as a segment, then drop the WAL segments it covers. With
+//! a [`crate::lake::CompactionPolicy`], the op whose record crosses a
+//! threshold does that itself, after its blocks are applied and before it
+//! returns ([`ModelLake::maybe_compact`]): the lake has one writer.
 //!
 //! Records written before blocks were the WAL payload hold one `WalOp`
 //! each — a JSON object or string, where a block list is a JSON array, so
@@ -33,7 +36,7 @@ use crate::blockstore::Block;
 use crate::error::{LakeError, Result};
 use crate::event::EventKind;
 use crate::hash::Digest;
-use crate::lake::{LakeConfig, ModelLake};
+use crate::lake::{LakeConfig, ModelLake, SegState};
 use crate::registry::ModelId;
 use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
@@ -107,23 +110,20 @@ impl ModelLake {
         }
         let mut lake = ModelLake::new(config);
         vfs.create_dir_all(dir)?;
-        crate::persist::persist_shared(&lake.shared, dir, &vfs)?;
+        lake.persist_locked(&mut lake.op_lock.lock(), dir, &vfs)?;
         // Evicted blobs page back in from the lake's own blob directory.
-        lake.shared
-            .store
-            .attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
+        lake.store.attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
         let (wal, _) = Wal::open_with(
             &dir.join("wal"),
             lake.wal_options(),
             Arc::clone(&vfs),
             0,
         )?;
-        lake.shared_mut()?.wal = Some(WalLink {
+        lake.wal = Some(WalLink {
             wal,
             dir: canonical_dir(dir),
             vfs,
         });
-        lake.spawn_compactor()?;
         Ok(lake)
     }
 
@@ -138,7 +138,7 @@ impl ModelLake {
     /// A no-op on ephemeral lakes and under `SyncPolicy::Always`.
     pub fn sync(&self) -> Result<()> {
         let _span = mlake_obs::span("lake.sync");
-        if let Some(link) = &self.shared.wal {
+        if let Some(link) = &self.wal {
             link.wal.sync()?;
         }
         Ok(())
@@ -146,42 +146,51 @@ impl ModelLake {
 
     /// Appends one op's blocks as one WAL record. A no-op when ephemeral.
     pub(crate) fn log_record(&self, blocks: &[Block]) -> Result<()> {
-        let Some(link) = &self.shared.wal else {
+        let Some(link) = &self.wal else {
             return Ok(());
         };
         let payload = serde_json::to_vec(blocks)
             .map_err(|e| LakeError::Internal(format!("wal record encode: {e}")))?;
         link.wal.append(&payload)?;
-        self.maybe_request_compaction(link);
         Ok(())
     }
 
-    /// The write-side compaction trigger (DESIGN.md §13): after each WAL
-    /// append, schedule a background compaction once the live WAL
-    /// footprint or the sealed-segment backlog crosses the configured
-    /// [`crate::lake::CompactionPolicy`] threshold. Pure accounting reads
-    /// plus a condvar signal — the appending caller never pays the
-    /// snapshot cost. Called under the `op_lock`; the compactor state
-    /// lock ranks strictly below it (DESIGN.md §10).
-    // lint: no-span — per-append accounting check; the scheduled work
-    // opens its own compact.bg span
-    fn maybe_request_compaction(&self, link: &WalLink) {
-        let (Some(policy), Some(compactor)) = (&self.shared.config.compaction, &self.compactor)
-        else {
+    /// The compaction trigger (DESIGN.md §13), run by every committed op
+    /// after its blocks are applied. Once the live WAL footprint or the
+    /// sealed-segment backlog crosses the configured
+    /// [`crate::lake::CompactionPolicy`], the op that crossed it persists
+    /// the lake into its own directory and then collects garbage, under
+    /// the `op_lock` it holds (`seg` is the guard). Its WAL record is
+    /// durable already, so a failed compaction or GC is counted
+    /// (`compact.errors`) and dropped: the op still succeeds, and the next
+    /// trigger or explicit persist retries from scratch. Without a policy
+    /// this is one `Option` check.
+    pub(crate) fn maybe_compact(&self, seg: &mut SegState) {
+        let (Some(policy), Some(link)) = (&self.config.compaction, &self.wal) else {
             return;
         };
         let by_bytes = policy.wal_bytes > 0 && link.wal.live_bytes() >= policy.wal_bytes;
         let by_segments =
             policy.wal_segments > 0 && link.wal.sealed_count() >= policy.wal_segments;
-        if by_bytes || by_segments {
-            compactor.request();
+        if !(by_bytes || by_segments) {
+            return;
+        }
+        let _span = mlake_obs::span("lake.compact");
+        let outcome = self
+            .persist_locked(seg, &link.dir, &link.vfs)
+            .and_then(|()| self.gc_locked(seg));
+        if mlake_obs::enabled() {
+            match outcome {
+                Ok(_) => mlake_obs::counter!("compact.runs").inc(),
+                Err(_) => mlake_obs::counter!("compact.errors").inc(),
+            }
         }
     }
 
     /// Durable half of ingestion: writes the artifact blob atomically, so
     /// the record naming it can be logged. A no-op when ephemeral.
     pub(crate) fn write_blob(&self, digest: &Digest, bytes: &[u8]) -> Result<()> {
-        let Some(link) = &self.shared.wal else {
+        let Some(link) = &self.wal else {
             return Ok(());
         };
         let blob_dir = link.dir.join("blobs");
@@ -192,13 +201,13 @@ impl ModelLake {
         }
         // The bytes are safely on disk: the resident copy may now be
         // evicted under memory pressure (DESIGN.md §15).
-        self.shared.store.mark_durable(digest);
+        self.store.mark_durable(digest);
         Ok(())
     }
 
     /// Applies WAL record `lsn`: a block list as written, a legacy op
     /// through the converter first.
-    pub(crate) fn replay_record(&self, lsn: u64, payload: &[u8]) -> Result<()> {
+    pub(crate) fn replay_record(&self, seg: &mut SegState, lsn: u64, payload: &[u8]) -> Result<()> {
         let corrupt =
             |e: serde_json::Error| LakeError::CorruptArtifact(format!("wal record {lsn}: {e}"));
         let blocks = if payload.first() == Some(&b'[') {
@@ -208,7 +217,7 @@ impl ModelLake {
         };
         blocks
             .into_iter()
-            .try_for_each(|block| self.apply_block(block))
+            .try_for_each(|block| self.apply_block(seg, block))
     }
 
     /// The blocks a legacy op stands for, numbered after the log head as
@@ -248,7 +257,7 @@ impl ModelLake {
     pub(crate) fn legacy_model(&self, name: &str, digest: &str, card: ModelCard) -> Result<Block> {
         let digest = Digest::from_hex(digest)
             .ok_or_else(|| LakeError::CorruptArtifact(format!("bad digest for '{name}'")))?;
-        let model = Model::from_bytes(&self.shared.store.get(&digest)?)
+        let model = Model::from_bytes(&self.store.get(&digest)?)
             .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
         self.model_block(name, &digest, &model, card)
     }

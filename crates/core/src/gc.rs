@@ -20,13 +20,13 @@
 //! The collector runs under the `op_lock`, so no ingest or persist can
 //! add a reference concurrently; deletion order is therefore free, and a
 //! crash at *any* point during GC only leaves some garbage uncollected —
-//! the next run (explicit [`ModelLake::gc`] or the opportunistic pass the
-//! `mlake-compact` thread makes after each background compaction) picks
-//! it up. GC never deletes a reachable file.
+//! the next run (explicit [`ModelLake::gc`] or the pass an op makes after
+//! the compaction it triggered) picks it up. GC never deletes a reachable
+//! file.
 
 use crate::blockstore;
 use crate::error::Result;
-use crate::lake::{LakeShared, ModelLake};
+use crate::lake::{ModelLake, SegState};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -50,89 +50,6 @@ impl GcReport {
     }
 }
 
-/// The GC body, shared by the explicit facade call and the opportunistic
-/// background pass. A no-op (empty report) on ephemeral lakes — nothing
-/// is on disk to collect.
-pub(crate) fn gc_shared(shared: &LakeShared) -> Result<GcReport> {
-    let Some(link) = &shared.wal else {
-        return Ok(GcReport::default());
-    };
-    // Exclude all mutators: no new blob or segment can become reachable
-    // while the sweep runs.
-    let _op = shared.op_lock.lock();
-    let mut report = GcReport::default();
-
-    // Live roots.
-    let live_blobs: BTreeSet<String> = {
-        let reg = shared.registry.read();
-        reg.models.iter().map(|m| m.digest.to_hex()).collect()
-    };
-    let live_segs: BTreeSet<u64> = {
-        // lock-order: 46 (core.segstate)
-        shared.seg.lock().live.iter().copied().collect()
-    };
-
-    // Sweep blobs/: unreferenced blobs and stray temp files.
-    let blob_dir = link.dir.join("blobs");
-    if link.vfs.exists(&blob_dir) {
-        for path in link.vfs.list(&blob_dir)? {
-            let ext = path.extension().and_then(|e| e.to_str());
-            let stem = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or_default();
-            let dead = match ext {
-                Some("tmp") => {
-                    report.temp_files += 1;
-                    true
-                }
-                Some("blob") if !live_blobs.contains(stem) => {
-                    report.orphan_blobs += 1;
-                    true
-                }
-                _ => false,
-            };
-            if dead {
-                report.bytes_reclaimed += link.vfs.read(&path).map(|b| b.len() as u64).unwrap_or(0);
-                link.vfs.remove_file(&path)?;
-            }
-        }
-    }
-
-    // Sweep segs/: segments the superblock no longer references.
-    let seg_dir = blockstore::seg_dir(&link.dir);
-    if link.vfs.exists(&seg_dir) {
-        for path in link.vfs.list(&seg_dir)? {
-            let dead = match path.extension().and_then(|e| e.to_str()) {
-                Some("tmp") => {
-                    report.temp_files += 1;
-                    true
-                }
-                Some("seg") => match blockstore::parse_seg_name(&path) {
-                    Some(seq) if !live_segs.contains(&seq) => {
-                        report.dead_segments += 1;
-                        true
-                    }
-                    _ => false,
-                },
-                _ => false,
-            };
-            if dead {
-                report.bytes_reclaimed += link.vfs.read(&path).map(|b| b.len() as u64).unwrap_or(0);
-                link.vfs.remove_file(&path)?;
-            }
-        }
-    }
-
-    if mlake_obs::enabled() {
-        mlake_obs::counter!("gc.runs").inc();
-        mlake_obs::counter!("gc.orphans").add(report.orphan_blobs as u64);
-        mlake_obs::counter!("gc.dead_segments").add(report.dead_segments as u64);
-        mlake_obs::counter!("gc.bytes_reclaimed").add(report.bytes_reclaimed);
-    }
-    Ok(report)
-}
-
 impl ModelLake {
     /// Collects unreachable on-disk state: orphan blobs from crashed
     /// ingests, segments superseded by compaction, and stray temp files
@@ -141,6 +58,85 @@ impl ModelLake {
     /// recoverable (only garbage is ever deleted).
     pub fn gc(&self) -> Result<GcReport> {
         let _span = mlake_obs::span("lake.gc");
-        gc_shared(&self.shared)
+        // Exclude all mutators: no new blob or segment can become
+        // reachable while the sweep runs.
+        self.gc_locked(&self.op_lock.lock())
+    }
+
+    /// The GC body, shared by [`ModelLake::gc`] and the compaction
+    /// trigger; `seg` is the `op_lock` guard. A no-op (empty report) on
+    /// ephemeral lakes — nothing is on disk to collect.
+    pub(crate) fn gc_locked(&self, seg: &SegState) -> Result<GcReport> {
+        let Some(link) = &self.wal else {
+            return Ok(GcReport::default());
+        };
+        let mut report = GcReport::default();
+
+        // Live roots.
+        let live_blobs: BTreeSet<String> = {
+            let reg = self.registry.read();
+            reg.models.iter().map(|m| m.digest.to_hex()).collect()
+        };
+        let live_segs: BTreeSet<u64> = seg.live.iter().copied().collect();
+
+        // Sweep blobs/: unreferenced blobs and stray temp files.
+        let blob_dir = link.dir.join("blobs");
+        if link.vfs.exists(&blob_dir) {
+            for path in link.vfs.list(&blob_dir)? {
+                let ext = path.extension().and_then(|e| e.to_str());
+                let stem = path
+                    .file_stem()
+                    .and_then(|s| s.to_str())
+                    .unwrap_or_default();
+                let dead = match ext {
+                    Some("tmp") => {
+                        report.temp_files += 1;
+                        true
+                    }
+                    Some("blob") if !live_blobs.contains(stem) => {
+                        report.orphan_blobs += 1;
+                        true
+                    }
+                    _ => false,
+                };
+                if dead {
+                    report.bytes_reclaimed += link.vfs.read(&path).map_or(0, |b| b.len() as u64);
+                    link.vfs.remove_file(&path)?;
+                }
+            }
+        }
+
+        // Sweep segs/: segments the superblock no longer references.
+        let seg_dir = blockstore::seg_dir(&link.dir);
+        if link.vfs.exists(&seg_dir) {
+            for path in link.vfs.list(&seg_dir)? {
+                let dead = match path.extension().and_then(|e| e.to_str()) {
+                    Some("tmp") => {
+                        report.temp_files += 1;
+                        true
+                    }
+                    Some("seg") => match blockstore::parse_seg_name(&path) {
+                        Some(seq) if !live_segs.contains(&seq) => {
+                            report.dead_segments += 1;
+                            true
+                        }
+                        _ => false,
+                    },
+                    _ => false,
+                };
+                if dead {
+                    report.bytes_reclaimed += link.vfs.read(&path).map_or(0, |b| b.len() as u64);
+                    link.vfs.remove_file(&path)?;
+                }
+            }
+        }
+
+        if mlake_obs::enabled() {
+            mlake_obs::counter!("gc.runs").inc();
+            mlake_obs::counter!("gc.orphans").add(report.orphan_blobs as u64);
+            mlake_obs::counter!("gc.dead_segments").add(report.dead_segments as u64);
+            mlake_obs::counter!("gc.bytes_reclaimed").add(report.bytes_reclaimed);
+        }
+        Ok(report)
     }
 }

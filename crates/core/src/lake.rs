@@ -28,12 +28,12 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// When background compaction runs (DESIGN.md §13). Attached to a durable
-/// lake via [`LakeConfigBuilder::background_compaction`]; after every WAL
-/// append the lake checks these thresholds and, when either is crossed,
-/// schedules a snapshot + WAL compaction on the background compactor
-/// thread instead of the caller's. A threshold of 0 disables that trigger;
-/// at least one must be positive.
+/// When automatic compaction runs (DESIGN.md §13). Attached to a durable
+/// lake via [`LakeConfigBuilder::background_compaction`]; after every
+/// committed op the lake checks these thresholds and, when either is
+/// crossed, that op persists the lake into its own directory and runs GC
+/// before it returns. A threshold of 0 disables that trigger; at least one
+/// must be positive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct CompactionPolicy {
     /// Compact once the WAL's live on-disk footprint reaches this many
@@ -86,8 +86,9 @@ pub struct LakeConfig {
     /// behavior; with N > 1 vectors route by model digest and searches
     /// scatter-gather over the shards (DESIGN.md §13).
     pub shards: usize,
-    /// Background compaction trigger policy for durable lakes (`None`
-    /// keeps compaction explicit via [`ModelLake::persist`]). Ignored by
+    /// Automatic compaction trigger policy for durable lakes (`None`
+    /// keeps compaction explicit via [`ModelLake::persist`]); the op that
+    /// crosses a threshold compacts before it returns. Ignored by
     /// ephemeral in-memory lakes, which have nothing to compact.
     pub compaction: Option<CompactionPolicy>,
     /// Resident-set cap in bytes for the blob store's in-memory cache
@@ -203,8 +204,9 @@ impl LakeConfigBuilder {
         self
     }
 
-    /// Enables background WAL compaction under `policy` on durable lakes
-    /// (DESIGN.md §13).
+    /// Enables automatic compaction under `policy` on durable lakes: the
+    /// op that crosses a threshold compacts before it returns (DESIGN.md
+    /// §13).
     pub fn background_compaction(mut self, policy: CompactionPolicy) -> Self {
         self.config.compaction = Some(policy);
         self
@@ -276,10 +278,10 @@ impl LakeConfigBuilder {
 /// Segment bookkeeping for incremental persistence (DESIGN.md §15): the
 /// live segment chain plus high-water marks recording how much of the
 /// catalogue the chain already covers, so `persist()` writes only the
-/// delta. Guarded by its own mutex — rank **46 (core.segstate)** in the
-/// §10 hierarchy — held only for in-memory bookkeeping, never across
-/// file I/O.
-#[derive(Debug, Default, Clone)]
+/// delta. It is what `op_lock` guards: a function that takes a
+/// `&mut SegState` runs under the op lock (or inside the single-threaded
+/// open, before the lake is shared).
+#[derive(Debug, Default)]
 pub(crate) struct SegState {
     /// Sequence numbers of the live segments, in fold order.
     pub(crate) live: Vec<u64>,
@@ -304,35 +306,6 @@ impl SegState {
     pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq.max(1)
     }
-}
-
-/// State shared between the lake facade and the background compactor
-/// thread (DESIGN.md §13): exactly what a snapshot cut needs — the
-/// configuration, the blob store, the registry, the event log, the
-/// durability link and the op lock that makes the cut consistent.
-/// Derived state (fingerprint indexes, version graph, caches) stays on
-/// [`ModelLake`]: compaction never touches it.
-pub(crate) struct LakeShared {
-    pub(crate) config: LakeConfig,
-    pub(crate) store: ResidentStore,
-    pub(crate) registry: RwLock<Registry>,
-    pub(crate) events: RwLock<EventLog>,
-    /// Durability link (`None` for ephemeral in-memory lakes): the WAL
-    /// every mutating facade op appends to before touching state above.
-    /// See `crate::durable` and DESIGN.md §12.
-    pub(crate) wal: Option<crate::durable::WalLink>,
-    /// Full-text inverted index over card sections and model metadata
-    /// (DESIGN.md §16). Derived state, rebuilt from the cards on open.
-    /// Rank **27 (core.text)**: leaf — never held across another ranked
-    /// acquisition.
-    pub(crate) text: RwLock<mlake_text::TextIndex>,
-    /// Incremental-persist bookkeeping (DESIGN.md §15).
-    pub(crate) seg: parking_lot::Mutex<SegState>,
-    /// Serializes mutating facade ops so WAL append order always equals
-    /// in-memory apply order (replay must reproduce state exactly).
-    /// Read paths never take it. Lock order: `op_lock` is taken strictly
-    /// before the compactor's state lock (DESIGN.md §10).
-    pub(crate) op_lock: parking_lot::Mutex<()>,
 }
 
 /// The architecture a registry entry records as its signature — what the
@@ -451,8 +424,25 @@ struct GraphState {
 
 /// The model lake.
 pub struct ModelLake {
-    /// Snapshot-relevant state, shared with the compactor thread.
-    pub(crate) shared: Arc<LakeShared>,
+    pub(crate) config: LakeConfig,
+    pub(crate) store: ResidentStore,
+    pub(crate) registry: RwLock<Registry>,
+    pub(crate) events: RwLock<EventLog>,
+    /// Durability link (`None` for ephemeral in-memory lakes): the WAL
+    /// every mutating facade op appends to before touching state above.
+    /// See `crate::durable` and DESIGN.md §12.
+    pub(crate) wal: Option<crate::durable::WalLink>,
+    /// Full-text inverted index over card sections and model metadata
+    /// (DESIGN.md §16). Derived state, rebuilt from the cards on open.
+    /// Rank **27 (core.text)**: leaf — never held across another ranked
+    /// acquisition.
+    pub(crate) text: RwLock<mlake_text::TextIndex>,
+    /// Serializes mutating facade ops so WAL append order always equals
+    /// in-memory apply order (replay must reproduce state exactly), and
+    /// guards the incremental-persist marks (DESIGN.md §15): the guard is
+    /// the `&mut SegState` every locked writer takes. Read paths never
+    /// take it.
+    pub(crate) op_lock: parking_lot::Mutex<SegState>,
     fingerprinter: Fingerprinter,
     /// One HNSW index per fingerprint kind, in [`FingerprintKind::ALL`]
     /// order: a projection of the registry's `ModelEntry::fps`, caught up
@@ -468,10 +458,6 @@ pub struct ModelLake {
     mlql_cache: QueryCache<Vec<QueryHit>>,
     /// `text_search` / `hybrid_search` results keyed the same way.
     text_cache: QueryCache<Vec<(ModelId, f32)>>,
-    /// Background compaction thread, when the lake is durable and the
-    /// config carries a [`CompactionPolicy`]. Spawned last during
-    /// create/open; joined on drop.
-    pub(crate) compactor: Option<crate::compact::Compactor>,
 }
 
 impl ModelLake {
@@ -497,18 +483,13 @@ impl ModelLake {
         let config_cache = config.query_cache;
         let resident_cap = config.resident_bytes;
         ModelLake {
-            shared: Arc::new(LakeShared {
-                config,
-                store: ResidentStore::with_cap(resident_cap),
-                registry: RwLock::new(Registry::default()),
-                events: RwLock::new(EventLog::new()),
-                text: RwLock::new(mlake_text::TextIndex::new(
-                    mlake_text::Bm25Params::default(),
-                )),
-                wal: None,
-                seg: parking_lot::Mutex::new(SegState::default()),
-                op_lock: parking_lot::Mutex::new(()),
-            }),
+            config,
+            store: ResidentStore::with_cap(resident_cap),
+            registry: RwLock::new(Registry::default()),
+            events: RwLock::new(EventLog::new()),
+            text: RwLock::new(mlake_text::TextIndex::new(mlake_text::Bm25Params::default())),
+            wal: None,
+            op_lock: parking_lot::Mutex::new(SegState::default()),
             fingerprinter,
             indexes: RwLock::new(indexes),
             graph: RwLock::new(GraphState::default()),
@@ -516,40 +497,19 @@ impl ModelLake {
             similar_cache: QueryCache::new(config_cache),
             mlql_cache: QueryCache::new(config_cache),
             text_cache: QueryCache::new(config_cache),
-            compactor: None,
         }
-    }
-
-    /// Exclusive access to the shared state during setup (create/open),
-    /// before any clone of the `Arc` exists. Fails — instead of blocking
-    /// or panicking — if called after the compactor thread holds a clone.
-    pub(crate) fn shared_mut(&mut self) -> Result<&mut LakeShared> {
-        Arc::get_mut(&mut self.shared).ok_or_else(|| {
-            LakeError::Internal("lake shared state is aliased; setup mutation refused".into())
-        })
-    }
-
-    /// Starts the background compactor when the configuration asks for
-    /// one. Called at the end of durable create/open, after the WAL link
-    /// is installed — the compactor clones the shared `Arc`, so no
-    /// [`ModelLake::shared_mut`] setup mutation may follow.
-    pub(crate) fn spawn_compactor(&mut self) -> Result<()> {
-        if self.shared.config.compaction.is_some() && self.shared.wal.is_some() {
-            self.compactor = Some(crate::compact::Compactor::spawn(Arc::clone(&self.shared))?);
-        }
-        Ok(())
     }
 
     /// Whether mutations are backed by a write-ahead log on disk.
     // lint: no-span — trivial accessor
     pub fn is_durable(&self) -> bool {
-        self.shared.wal.is_some()
+        self.wal.is_some()
     }
 
     /// The lake's configuration.
     // lint: no-span — trivial accessor
     pub fn config(&self) -> &LakeConfig {
-        &self.shared.config
+        &self.config
     }
 
     /// The shared probe set / fingerprinter.
@@ -561,7 +521,7 @@ impl ModelLake {
     /// Number of models in the lake.
     // lint: no-span — trivial accessor
     pub fn len(&self) -> usize {
-        self.shared.registry.read().models.len()
+        self.registry.read().models.len()
     }
 
     /// `true` when no models are stored.
@@ -575,7 +535,7 @@ impl ModelLake {
     /// this starts at zero and grows as artifacts are touched.
     // lint: no-span — trivial accessor
     pub fn resident_bytes(&self) -> u64 {
-        self.shared.store.resident_bytes()
+        self.store.resident_bytes()
     }
 
     // ------------------------------------------------------------------
@@ -594,9 +554,9 @@ impl ModelLake {
         card: Option<ModelCard>,
     ) -> Result<ModelId> {
         let _span = mlake_obs::span("lake.ingest");
-        let _op = self.shared.op_lock.lock();
+        let mut seg = self.op_lock.lock();
         let id = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             if reg.by_name.contains_key(name) {
                 return Err(LakeError::Duplicate {
                     kind: "model",
@@ -611,7 +571,7 @@ impl ModelLake {
             )));
         }
         let bytes = model.to_bytes()?;
-        let digest = self.shared.store.put(&bytes);
+        let digest = self.store.put(&bytes);
         let card =
             card.unwrap_or_else(|| ModelCard::skeleton(name, model.architecture().signature()));
         // Everything fallible runs before the WAL append so a logged op
@@ -619,6 +579,7 @@ impl ModelLake {
         let block = self.model_block(name, &digest, model, card)?;
         self.write_blob(&digest, &bytes)?;
         self.commit(
+            &mut seg,
             vec![block],
             &[
                 (EventKind::ModelIngested, name),
@@ -663,7 +624,7 @@ impl ModelLake {
     /// fail on its input. A lake opened under a different `sketch_dim` than
     /// it was written with fails here, at open.
     fn checked_fingerprints(&self, fps: [Vec<f32>; 3]) -> Result<[Vec<f32>; 3]> {
-        let d = self.shared.config.sketch_dim;
+        let d = self.config.sketch_dim;
         let want = [8 + d, d, 8 + 2 * d];
         let got = [fps[0].len(), fps[1].len(), fps[2].len()];
         if got != want {
@@ -683,7 +644,7 @@ impl ModelLake {
         mut blocks: Vec<Block>,
         events: &[(EventKind, &str)],
     ) -> Vec<Block> {
-        let head = self.shared.events.read().head();
+        let head = self.events.read().head();
         let events = events
             .iter()
             .zip(head + 1..)
@@ -698,15 +659,22 @@ impl ModelLake {
     }
 
     /// Logs one op's record (see [`ModelLake::with_events`]) as one WAL
-    /// record on a durable lake, then applies it. Returns the sequence
-    /// number of the op's last event. Caller holds `op_lock`.
-    fn commit(&self, blocks: Vec<Block>, events: &[(EventKind, &str)]) -> Result<u64> {
+    /// record on a durable lake, applies it, then compacts if the op
+    /// crossed the compaction policy. Returns the sequence number of the
+    /// op's last event. `seg` is the `op_lock` guard.
+    fn commit(
+        &self,
+        seg: &mut SegState,
+        blocks: Vec<Block>,
+        events: &[(EventKind, &str)],
+    ) -> Result<u64> {
         let blocks = self.with_events(blocks, events);
         self.log_record(&blocks)?;
         for block in blocks {
-            self.apply_block(block)?;
+            self.apply_block(seg, block)?;
         }
-        Ok(self.shared.events.read().head())
+        self.maybe_compact(seg);
+        Ok(self.events.read().head())
     }
 
     /// The one writer of the catalogue — registry, text index and event
@@ -716,8 +684,9 @@ impl ModelLake {
     /// search catches the indexes up from the registry, the next graph
     /// read the memo. A second `Model` block for a registered name, a card
     /// override for an unknown id and an event that does not follow the
-    /// log head are corruption.
-    pub(crate) fn apply_block(&self, block: Block) -> Result<()> {
+    /// log head are corruption. `seg` is the `op_lock` guard, or open's
+    /// marks while the lake is not yet shared.
+    pub(crate) fn apply_block(&self, seg: &mut SegState, block: Block) -> Result<()> {
         match block {
             Block::Model(m) => {
                 let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
@@ -726,7 +695,7 @@ impl ModelLake {
                 let fps = Arc::new(self.checked_fingerprints(blockstore::fp_floats(&m.fps))?);
                 let doc = text_document(&m.name, &m.arch, &m.card);
                 let id = {
-                    let mut reg = self.shared.registry.write();
+                    let mut reg = self.registry.write();
                     if reg.by_name.contains_key(&m.name) {
                         return Err(LakeError::CorruptArtifact(format!(
                             "model '{}' is registered twice",
@@ -749,13 +718,13 @@ impl ModelLake {
                 };
                 {
                     // lock-order: 27 (core.text)
-                    self.shared.text.write().insert(id.0, &doc);
+                    self.text.write().insert(id.0, &doc);
                 }
                 self.graph.write().published = None;
             }
             Block::CardOverride { id, card } => {
                 let doc = {
-                    let mut reg = self.shared.registry.write();
+                    let mut reg = self.registry.write();
                     let entry = reg.model_mut(ModelId(id)).ok_or_else(|| {
                         LakeError::CorruptArtifact(format!(
                             "card override for unknown model id {id}"
@@ -766,23 +735,21 @@ impl ModelLake {
                     text_document(&entry.name, &entry.arch, &entry.card)
                 };
                 // lock-order: 27 (core.text)
-                self.shared.text.write().insert(id, &doc);
+                self.text.write().insert(id, &doc);
                 // The next delta segment must carry a CardOverride for this
                 // model (persist skips ids its fresh Model blocks cover).
-                // lock-order: 46 (core.segstate)
-                self.shared.seg.lock().dirty_cards.insert(id);
+                seg.dirty_cards.insert(id);
             }
-            Block::Dataset { dataset } => self.shared.registry.write().datasets.push(dataset),
+            Block::Dataset { dataset } => self.registry.write().datasets.push(dataset),
             Block::Benchmark { benchmark, domain } => {
                 let name = benchmark.name.clone();
-                self.shared
-                    .registry
+                self.registry
                     .write()
                     .benchmarks
                     .insert(name, BenchmarkEntry { benchmark, domain });
             }
             Block::Events { events } => {
-                let mut log = self.shared.events.write();
+                let mut log = self.events.write();
                 for event in events {
                     log.push(event)?;
                 }
@@ -799,7 +766,7 @@ impl ModelLake {
     // would dominate the recorder with noise
     pub fn resolve<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelId> {
         let r = model.into();
-        let reg = self.shared.registry.read();
+        let reg = self.registry.read();
         let found = match r {
             ModelRef::Id(id) => reg.model(id).map(|e| e.id),
             ModelRef::Name(name) => reg.id_of(name),
@@ -816,7 +783,7 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.model.decode");
         let id = self.resolve(model)?;
         let digest = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             reg.model(id)
                 .ok_or_else(|| LakeError::NotFound {
                     kind: "model",
@@ -824,7 +791,7 @@ impl ModelLake {
                 })?
                 .digest
         };
-        let bytes = self.shared.store.get(&digest)?;
+        let bytes = self.store.get(&digest)?;
         Model::from_bytes(&bytes).map_err(|e| LakeError::CorruptArtifact(e.to_string()))
     }
 
@@ -832,7 +799,7 @@ impl ModelLake {
     // lint: no-span — cheap registry clone on every read path
     pub fn entry<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelEntry> {
         let id = self.resolve(model)?;
-        self.shared.registry
+        self.registry
             .read()
             .model(id)
             .cloned()
@@ -845,7 +812,7 @@ impl ModelLake {
     /// All model names in id order.
     // lint: no-span — trivial accessor
     pub fn model_names(&self) -> Vec<String> {
-        self.shared.registry
+        self.registry
             .read()
             .models
             .iter()
@@ -857,10 +824,11 @@ impl ModelLake {
     /// (id / name / digest), like every other facade entry point.
     pub fn update_card<'a>(&self, model: impl Into<ModelRef<'a>>, card: ModelCard) -> Result<()> {
         let _span = mlake_obs::span("lake.card.update");
-        let _op = self.shared.op_lock.lock();
+        let mut seg = self.op_lock.lock();
         let id = self.resolve(model)?;
         let name = self.entry(id)?.name;
         self.commit(
+            &mut seg,
             vec![Block::CardOverride { id: id.0, card }],
             &[(EventKind::CardUpdated, &name)],
         )?;
@@ -870,15 +838,8 @@ impl ModelLake {
     /// Registers a dataset (names unique).
     pub fn register_dataset(&self, dataset: mlake_datagen::Dataset) -> Result<()> {
         let _span = mlake_obs::span("lake.register.dataset");
-        let _op = self.shared.op_lock.lock();
-        if self
-            .shared
-            .registry
-            .read()
-            .datasets
-            .iter()
-            .any(|d| d.name == dataset.name)
-        {
+        let mut seg = self.op_lock.lock();
+        if self.registry.read().datasets.iter().any(|d| d.name == dataset.name) {
             return Err(LakeError::Duplicate {
                 kind: "dataset",
                 name: dataset.name,
@@ -886,6 +847,7 @@ impl ModelLake {
         }
         let name = dataset.name.clone();
         self.commit(
+            &mut seg,
             vec![Block::Dataset { dataset }],
             &[(EventKind::DatasetRegistered, &name)],
         )?;
@@ -895,8 +857,8 @@ impl ModelLake {
     /// Registers a benchmark with an optional domain label (names unique).
     pub fn register_benchmark(&self, benchmark: Benchmark, domain: Option<String>) -> Result<()> {
         let _span = mlake_obs::span("lake.register.benchmark");
-        let _op = self.shared.op_lock.lock();
-        if self.shared.registry.read().benchmarks.contains_key(&benchmark.name) {
+        let mut seg = self.op_lock.lock();
+        if self.registry.read().benchmarks.contains_key(&benchmark.name) {
             return Err(LakeError::Duplicate {
                 kind: "benchmark",
                 name: benchmark.name,
@@ -904,6 +866,7 @@ impl ModelLake {
         }
         let name = benchmark.name.clone();
         self.commit(
+            &mut seg,
             vec![Block::Benchmark { benchmark, domain }],
             &[(EventKind::BenchmarkRegistered, &name)],
         )?;
@@ -913,7 +876,7 @@ impl ModelLake {
     /// Names of registered benchmarks.
     // lint: no-span — trivial accessor
     pub fn benchmark_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.shared.registry.read().benchmarks.keys().cloned().collect();
+        let mut names: Vec<String> = self.registry.read().benchmarks.keys().cloned().collect();
         names.sort();
         names
     }
@@ -939,7 +902,7 @@ impl ModelLake {
         // own record, the very bits the index was built from; no blob
         // fault, decode or probe run.
         let (k, fps) = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             let entry = reg.model(id).ok_or_else(|| LakeError::NotFound {
                 kind: "model",
                 name: id.to_string(),
@@ -951,7 +914,7 @@ impl ModelLake {
         // unreachable by construction (see `crate::cache`).
         let key = CacheKey {
             query: CachedQuery::Similar { id, kind, k },
-            generation: self.shared.events.read().head(),
+            generation: self.events.read().head(),
         };
         if let Some(hits) = self.similar_cache.get(&key) {
             return Ok(hits);
@@ -977,14 +940,14 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.text");
         let key = CacheKey {
             query: CachedQuery::Text { query: query.to_string(), k },
-            generation: self.shared.events.read().head(),
+            generation: self.events.read().head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
             return Ok(hits);
         }
         let out: Vec<(ModelId, f32)> = {
             // lock-order: 27 (core.text)
-            self.shared.text.read().search(query, k)
+            self.text.read().search(query, k)
         }
         .into_iter()
         .map(|(doc, score)| (ModelId(doc), score))
@@ -1012,7 +975,7 @@ impl ModelLake {
         let k = k.min(self.len());
         let key = CacheKey {
             query: CachedQuery::Hybrid { id, kind, query: query.to_string(), k },
-            generation: self.shared.events.read().head(),
+            generation: self.events.read().head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
             return Ok(hits);
@@ -1020,7 +983,7 @@ impl ModelLake {
         let pool = k.max(1) * HYBRID_POOL_FACTOR;
         let text_ranks: Vec<u64> = {
             // lock-order: 27 (core.text)
-            self.shared.text.read().search(query, pool + 1)
+            self.text.read().search(query, pool + 1)
         }
         .into_iter()
         .map(|(doc, _)| doc)
@@ -1053,12 +1016,12 @@ impl ModelLake {
         &self,
         known_roots: Option<Vec<ModelId>>,
     ) -> Result<RecoveredGraph> {
-        let _op = self.shared.op_lock.lock();
-        Ok(self.rebuild_graph_locked(known_roots)?.graph.clone())
+        let mut seg = self.op_lock.lock();
+        Ok(self.rebuild_graph_locked(&mut seg, known_roots)?.graph.clone())
     }
 
     /// Catches the recovery memo up to the registry and publishes its
-    /// graph; the caller holds `op_lock`. A memo recovered under the same
+    /// graph; `seg` is the `op_lock` guard. A memo recovered under the same
     /// options is extended by the registry suffix it does not cover, which
     /// decodes the newcomers and the members of the architecture groups
     /// they join and nothing else (`RecoveryMemo::extend`; cost model in its
@@ -1070,6 +1033,7 @@ impl ModelLake {
     /// its publication.
     fn rebuild_graph_locked(
         &self,
+        seg: &mut SegState,
         known_roots: Option<Vec<ModelId>>,
     ) -> Result<Arc<PublishedGraph>> {
         let _span = mlake_obs::span("lake.graph.rebuild");
@@ -1090,7 +1054,7 @@ impl ModelLake {
         self.graph.write().memo = memo;
         let graph = recovered?;
         // The graph is derived state: its record is the event alone.
-        let timestamp = self.commit(Vec::new(), &[(EventKind::GraphRebuilt, "*")])?;
+        let timestamp = self.commit(seg, Vec::new(), &[(EventKind::GraphRebuilt, "*")])?;
         let published = Arc::new(PublishedGraph::new(graph, timestamp));
         self.graph.write().published = Some(Arc::clone(&published));
         Ok(published)
@@ -1112,11 +1076,11 @@ impl ModelLake {
         if let Some(g) = self.graph.read().published.clone() {
             return Ok(g);
         }
-        let _op = self.shared.op_lock.lock();
+        let mut seg = self.op_lock.lock();
         if let Some(g) = self.graph.read().published.clone() {
             return Ok(g);
         }
-        self.rebuild_graph_locked(None)
+        self.rebuild_graph_locked(&mut seg, None)
     }
 
     /// Lineage path of a model from its recovered root, root first, as names.
@@ -1131,7 +1095,7 @@ impl ModelLake {
         let me = id.0 as usize;
         let mut path: Vec<usize> = std::iter::once(me).chain(graph.ancestors(me)).collect();
         path.reverse();
-        let reg = self.shared.registry.read();
+        let reg = self.registry.read();
         path.into_iter()
             .filter_map(|i| reg.model(ModelId(i as u64)).map(|m| m.name.clone()))
             .collect()
@@ -1151,7 +1115,7 @@ impl ModelLake {
         }
         let _span = mlake_obs::span("lake.score");
         let bench = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             reg.benchmarks
                 .get(benchmark)
                 .ok_or_else(|| LakeError::NotFound {
@@ -1178,7 +1142,7 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.leaderboard");
         let (mut applicable, mut skipped) = (Vec::new(), Vec::new());
         {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             let entry = reg.benchmarks.get(benchmark).ok_or_else(|| LakeError::NotFound {
                 kind: "benchmark",
                 name: benchmark.into(),
@@ -1221,7 +1185,7 @@ impl ModelLake {
     fn evidence_of(&self, id: ModelId, arch: &Architecture) -> Result<CardEvidence> {
         let _span = mlake_obs::span("lake.evidence");
         let mut applicable: Vec<(String, Option<String>)> = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             reg.benchmarks
                 .iter()
                 .filter(|(_, e)| e.benchmark.applicable_to(arch))
@@ -1249,7 +1213,7 @@ impl ModelLake {
         }
         let graph = self.current_graph()?;
         let (recovered_base, recovered_transform) = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             match graph.parent_edge(id.0 as usize) {
                 Some(e) => (
                     reg.model(ModelId(e.parent as u64)).map(|m| m.name.clone()),
@@ -1294,10 +1258,10 @@ impl ModelLake {
         });
         card.notes = format!(
             "Auto-generated by {} from measured evidence; artifact {}.",
-            self.shared.config.name,
+            self.config.name,
             entry.digest.short()
         );
-        card.created_at = self.shared.events.read().head();
+        card.created_at = self.events.read().head();
         Ok(card)
     }
 
@@ -1334,7 +1298,7 @@ impl ModelLake {
             model_name: entry.name,
             version_path: self.path_on(&graph, id),
             graph_timestamp: graph.timestamp,
-            lake_name: self.shared.config.name.clone(),
+            lake_name: self.config.name.clone(),
         })
     }
 
@@ -1364,13 +1328,13 @@ impl ModelLake {
     /// Current graph timestamp (for citation stability tests).
     // lint: no-span — trivial accessor
     pub fn graph_timestamp(&self) -> u64 {
-        self.shared.events.read().graph_timestamp()
+        self.events.read().graph_timestamp()
     }
 
     /// Event-log snapshot.
     // lint: no-span — trivial accessor
     pub fn events(&self) -> Vec<crate::event::Event> {
-        self.shared.events.read().events().to_vec()
+        self.events.read().events().to_vec()
     }
 
     /// Catches the fingerprint indexes up to the registry (DESIGN.md §15):
@@ -1389,7 +1353,7 @@ impl ModelLake {
         // The registry suffix is copied out (one `Arc` bump per model)
         // so no lock is held across another, or across the HNSW build.
         let fresh: Vec<_> = {
-            let reg = self.shared.registry.read();
+            let reg = self.registry.read();
             let past = reg.models.iter().skip(built);
             past.map(|e| (e.digest.route_key(), e.id.0, Arc::clone(&e.fps))).collect()
         };
@@ -1406,31 +1370,6 @@ impl ModelLake {
             }
         }
         Ok(())
-    }
-
-    /// Blocks until any scheduled background compaction has finished.
-    /// A no-op on lakes without a [`CompactionPolicy`]. Tests and
-    /// orderly shutdown paths call this to make `compact.bg` effects
-    /// observable at a deterministic point; normal operation never needs
-    /// to.
-    // lint: no-span — pure synchronization wait; the compaction being
-    // waited on opens its own compact.bg span
-    pub fn quiesce(&self) {
-        if let Some(c) = &self.compactor {
-            c.wait_idle();
-        }
-    }
-}
-
-impl Drop for ModelLake {
-    // lint: no-span — teardown; the recorder may already be gone
-    fn drop(&mut self) {
-        // Stop the compactor before the lake's own state unwinds; its
-        // Arc<LakeShared> clone keeps the shared state alive until the
-        // thread joins.
-        if let Some(c) = self.compactor.take() {
-            c.shutdown();
-        }
     }
 }
 
@@ -1464,7 +1403,7 @@ impl PreparedQuery<'_> {
         let _span = mlake_obs::span("lake.query.run");
         let key = CacheKey {
             query: CachedQuery::Mlql { text: self.text.clone() },
-            generation: self.lake.shared.events.read().head(),
+            generation: self.lake.events.read().head(),
         };
         if let Some(hits) = self.lake.mlql_cache.get(&key) {
             return Ok(hits);
@@ -1499,7 +1438,7 @@ impl QueryTarget for ModelLake {
     }
 
     fn field(&self, id: u64, field: &str) -> Option<FieldValue> {
-        let reg = self.shared.registry.read();
+        let reg = self.registry.read();
         let entry = reg.model(ModelId(id))?;
         if let Some(bench) = field.strip_prefix("score:") {
             // Benchmarks may be expensive; rely on the cache, computing on
@@ -1580,7 +1519,7 @@ impl QueryTarget for ModelLake {
         dataset: &str,
         include_versions: bool,
     ) -> std::result::Result<Vec<u64>, QueryError> {
-        let reg = self.shared.registry.read();
+        let reg = self.registry.read();
         let names: Vec<String> = if include_versions {
             reg.dataset_version_closure(dataset)
                 .iter()

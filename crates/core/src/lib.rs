@@ -29,7 +29,6 @@
 
 mod blockstore;
 mod cache;
-mod compact;
 mod durable;
 mod gc;
 

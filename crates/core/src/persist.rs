@@ -10,8 +10,11 @@
 //!   wal/<lsn>.wal              write-ahead log segments (mlake-wal)
 //! ```
 //!
-//! **Writer.** [`ModelLake::persist`] walks the catalogue once, for the
-//! **delta** since the persist marks: the models, card overrides,
+//! **Writer.** [`ModelLake::persist`] — or the op that crosses a
+//! [`crate::lake::CompactionPolicy`], through the same
+//! [`ModelLake::persist_locked`] — runs under `op_lock`, whose guard *is*
+//! the persist marks, and walks the catalogue once, for the
+//! **delta** since those marks: the models, card overrides,
 //! dataset/benchmark registrations and events the live chain does not yet
 //! cover. Into the lake's own directory that delta lands as one new
 //! segment and the superblock swaps to the extended chain — cost O(ops
@@ -42,7 +45,7 @@ use crate::durable::{canonical_dir, WalLink};
 use crate::error::{LakeError, Result};
 use crate::event::EventLog;
 use crate::hash::Digest;
-use crate::lake::{LakeConfig, LakeShared, ModelLake, SegState};
+use crate::lake::{LakeConfig, ModelLake, SegState};
 use crate::registry::{BenchmarkEntry, ModelId, Registry};
 use crate::store::ResidentStore;
 use mlake_benchlab::Benchmark;
@@ -120,11 +123,12 @@ fn catalogue_marks(reg: &Registry) -> SegState {
 
 /// The catalogue delta since the persist marks in `seg`, as blocks, plus
 /// the marks that cover the catalogue once those blocks are durable. The
-/// only place the registry is walked for persistence. Caller holds the
-/// `op_lock`, so registry, event log and marks are one consistent cut.
-fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegState)> {
+/// only place the registry is walked for persistence. `seg` is the
+/// `op_lock` guard, so registry, event log and marks are one consistent
+/// cut.
+fn delta_since(lake: &ModelLake, seg: &SegState) -> Result<(Vec<Block>, SegState)> {
     let mut blocks = Vec::new();
-    let reg = shared.registry.read();
+    let reg = lake.registry.read();
     for entry in &reg.models[seg.models..] {
         blocks.push(Block::Model(ModelBlock {
             name: entry.name.clone(),
@@ -165,7 +169,7 @@ fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegSt
     }
     let mut covered = catalogue_marks(&reg);
     drop(reg);
-    let log = shared.events.read();
+    let log = lake.events.read();
     let events = log.events();
     if events.len() > seg.events {
         blocks.push(Block::Events {
@@ -176,106 +180,103 @@ fn delta_since(shared: &LakeShared, seg: &SegState) -> Result<(Vec<Block>, SegSt
     Ok((blocks, covered))
 }
 
-/// The persist body shared by the explicit [`ModelLake::persist`] path
-/// and the background compactor (`crate::compact`): one consistent cut
-/// of the shared state under the `op_lock`, written as the delta since
-/// the last persist (own directory) or as `fold(live chain) + delta` in
-/// one segment (major compaction, or any other directory — which leaves
-/// the lake's own chain, marks and WAL untouched).
-pub(crate) fn persist_shared(shared: &LakeShared, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
-    let _span = mlake_obs::span("lake.persist");
-    // Hold the op lock so the cut and its last_lsn are one consistent
-    // view of the lake; it excludes every mutator of the marks too.
-    let _op = shared.op_lock.lock();
-    vfs.create_dir_all(dir)?;
-    // The lake's own directory under any spelling (relative, `..`, a
-    // symlink) is still its own directory: compare resolved identities.
-    let own = shared
-        .wal
-        .as_ref()
-        .filter(|link| link.dir == canonical_dir(dir));
-    let seg = {
-        // lock-order: 46 (core.segstate)
-        shared.seg.lock().clone()
-    };
-    let (delta, mut covered) = delta_since(shared, &seg)?;
-
-    let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
-    let seq = if own.is_some() { seg.next_seq() } else { 1 };
-    let blocks = if rewrite {
-        let mut folded = match &shared.wal {
-            Some(link) => blockstore::fold_segments(&link.dir, &link.vfs, &seg.live)?,
-            None => Folded::default(),
-        };
-        for block in delta {
-            folded.apply(block)?;
-        }
-        folded.into_blocks()
-    } else {
-        delta
-    };
-    if own.is_none() {
-        // Blob export: the store faults evicted blobs back in from the
-        // lake's own backing as needed.
-        let blob_dir = dir.join("blobs");
-        vfs.create_dir_all(&blob_dir)?;
-        let digests: Vec<Digest> =
-            shared.registry.read().models.iter().map(|e| e.digest).collect();
-        for digest in &digests {
-            let path = ResidentStore::blob_path(&blob_dir, digest);
-            if !vfs.exists(&path) {
-                vfs.write_atomic(&path, &shared.store.get(digest)?)?;
-            }
-        }
-    }
-
-    // Segment first, superblock second: a crash between the two leaves
-    // the old superblock pointing at the old chain and one unreachable
-    // segment for GC. Never a torn state.
-    covered.live = if rewrite { Vec::new() } else { seg.live };
-    if !blocks.is_empty() {
-        blockstore::write_segment(dir, vfs, seq, &blocks)?;
-        covered.live.push(seq);
-    }
-    covered.next_seq = seq + 1;
-    let last_lsn = shared.wal.as_ref().map_or(0, |link| link.wal.head());
-    let superblock = SuperBlock {
-        version: MANIFEST_VERSION,
-        name: shared.config.name.clone(),
-        segments: covered.live.clone(),
-        last_lsn,
-    };
-    let json = serde_json::to_vec_pretty(&superblock)
-        .map_err(|e| LakeError::CorruptArtifact(format!("superblock encode: {e}")))?;
-    vfs.write_atomic(&dir.join("manifest.json"), &json)?;
-
-    if let Some(link) = own {
-        // The swap landed: advance the marks to the persisted cut.
-        {
-            // lock-order: 46 (core.segstate)
-            *shared.seg.lock() = covered;
-        }
-        // The chain is the new recovery base: drop the covered WAL prefix.
-        link.wal.compact_to(last_lsn)?;
-    }
-    Ok(())
-}
-
 impl ModelLake {
     /// Persists the lake into `dir` (created if absent). On a durable lake
     /// persisting into its own directory this is incremental: one delta
     /// segment (if anything changed), a superblock swap, and WAL
     /// compaction — cost O(ops since last persist). Persisting anywhere
     /// else exports the full lake.
-    // lint: no-span — persist_shared opens the lake.persist span
+    // lint: no-span — persist_locked opens the lake.persist span
     pub fn persist(&self, dir: &Path) -> Result<()> {
         let vfs = self
-            .shared
             .wal
             .as_ref()
             .map(|l| Arc::clone(&l.vfs))
             .unwrap_or_else(RealFs::shared);
-        persist_shared(&self.shared, dir, &vfs)
+        // Hold the op lock so the cut and its last_lsn are one consistent
+        // view of the lake; it excludes every mutator of the marks too.
+        self.persist_locked(&mut self.op_lock.lock(), dir, &vfs)
+    }
+
+    /// The persist body shared by [`ModelLake::persist`], create and the
+    /// compaction trigger: one consistent cut of the lake under the
+    /// `op_lock` (`seg` is the guard), written as the delta since the last
+    /// persist (own directory) or as `fold(live chain) + delta` in one
+    /// segment (major compaction, or any other directory — which leaves
+    /// the lake's own chain, marks and WAL untouched).
+    pub(crate) fn persist_locked(
+        &self,
+        seg: &mut SegState,
+        dir: &Path,
+        vfs: &Arc<dyn Vfs>,
+    ) -> Result<()> {
+        let _span = mlake_obs::span("lake.persist");
+        vfs.create_dir_all(dir)?;
+        // The lake's own directory under any spelling (relative, `..`, a
+        // symlink) is still its own directory: compare resolved identities.
+        let own = self
+            .wal
+            .as_ref()
+            .filter(|link| link.dir == canonical_dir(dir));
+        let (delta, mut covered) = delta_since(self, seg)?;
+
+        let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
+        let seq = if own.is_some() { seg.next_seq() } else { 1 };
+        let blocks = if rewrite {
+            let mut folded = match &self.wal {
+                Some(link) => blockstore::fold_segments(&link.dir, &link.vfs, &seg.live)?,
+                None => Folded::default(),
+            };
+            for block in delta {
+                folded.apply(block)?;
+            }
+            folded.into_blocks()
+        } else {
+            delta
+        };
+        if own.is_none() {
+            // Blob export: the store faults evicted blobs back in from the
+            // lake's own backing as needed.
+            let blob_dir = dir.join("blobs");
+            vfs.create_dir_all(&blob_dir)?;
+            let digests: Vec<Digest> =
+                self.registry.read().models.iter().map(|e| e.digest).collect();
+            for digest in &digests {
+                let path = ResidentStore::blob_path(&blob_dir, digest);
+                if !vfs.exists(&path) {
+                    vfs.write_atomic(&path, &self.store.get(digest)?)?;
+                }
+            }
+        }
+
+        // Segment first, superblock second: a crash between the two leaves
+        // the old superblock pointing at the old chain and one unreachable
+        // segment for GC. Never a torn state.
+        let mut segments = if rewrite { Vec::new() } else { seg.live.clone() };
+        if !blocks.is_empty() {
+            blockstore::write_segment(dir, vfs, seq, &blocks)?;
+            segments.push(seq);
+        }
+        let last_lsn = self.wal.as_ref().map_or(0, |link| link.wal.head());
+        let superblock = SuperBlock {
+            version: MANIFEST_VERSION,
+            name: self.config.name.clone(),
+            segments,
+            last_lsn,
+        };
+        let json = serde_json::to_vec_pretty(&superblock)
+            .map_err(|e| LakeError::CorruptArtifact(format!("superblock encode: {e}")))?;
+        vfs.write_atomic(&dir.join("manifest.json"), &json)?;
+
+        if let Some(link) = own {
+            // The swap landed: advance the marks to the persisted cut.
+            covered.live = superblock.segments;
+            covered.next_seq = seq + 1;
+            *seg = covered;
+            // The chain is the new recovery base: drop the covered WAL prefix.
+            link.wal.compact_to(last_lsn)?;
+        }
+        Ok(())
     }
 
     /// Opens a persisted lake: loads the superblock and folds the segment
@@ -312,26 +313,25 @@ impl ModelLake {
         });
         // Non-resident blobs fault in, digest-verified, from the lake's
         // own blob directory.
-        lake.shared
-            .store
-            .attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
+        lake.store.attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
+        // The lake is not shared yet: open builds the persist marks here
+        // and hands them to `op_lock` once the lake is whole.
+        let mut seg = SegState::default();
         if head.version == MANIFEST_VERSION {
             let sb: SuperBlock = serde_json::from_slice(&manifest_bytes)
                 .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
             for block in blockstore::fold_segments(dir, &vfs, &sb.segments)?.into_blocks() {
-                lake.apply_block(block)?;
+                lake.apply_block(&mut seg, block)?;
             }
             // Everything the chain covers is persisted; WAL-replayed ops
             // past this point count as fresh again.
-            let mut marks = catalogue_marks(&lake.shared.registry.read());
-            marks.events = lake.shared.events.read().events().len();
-            marks.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
-            marks.live = sb.segments;
-            // lock-order: 46 (core.segstate)
-            *lake.shared.seg.lock() = marks;
+            seg = catalogue_marks(&lake.registry.read());
+            seg.events = lake.events.read().events().len();
+            seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
+            seg.live = sb.segments;
         } else {
             for block in lake.legacy_manifest(&manifest_bytes)? {
-                lake.apply_block(block)?;
+                lake.apply_block(&mut seg, block)?;
             }
         }
         // Replay everything the manifest does not cover, in LSN order.
@@ -342,14 +342,14 @@ impl ModelLake {
             head.last_lsn,
         )?;
         for (lsn, payload) in &replay.records {
-            lake.replay_record(*lsn, payload)?;
+            lake.replay_record(&mut seg, *lsn, payload)?;
         }
-        lake.shared_mut()?.wal = Some(WalLink {
+        lake.wal = Some(WalLink {
             wal,
             dir: canonical_dir(dir),
             vfs,
         });
-        lake.spawn_compactor()?;
+        *lake.op_lock.get_mut() = seg;
         Ok(lake)
     }
 

@@ -220,11 +220,11 @@ fn kill_at_every_fsync_never_loses_an_acked_op() {
     }
 }
 
-/// The sharded + background-compaction configuration exercised by the
-/// scatter-gather sweep below: four sub-shards per index and a compaction
-/// policy aggressive enough that the background thread persists after
-/// essentially every append.
-fn sharded_bg_config() -> LakeConfig {
+/// The sharded + auto-compaction configuration exercised by the two
+/// sweeps below: four sub-shards per index and a compaction policy
+/// aggressive enough that every op persists and collects garbage before it
+/// returns.
+fn sharded_auto_config() -> LakeConfig {
     LakeConfig::builder()
         .shards(4)
         .background_compaction(mlake_core::CompactionPolicy {
@@ -235,51 +235,67 @@ fn sharded_bg_config() -> LakeConfig {
         .unwrap()
 }
 
-/// Same sweep as `kill_at_every_write_never_loses_an_acked_op`, but with
-/// sharded indexes and the background compactor racing the script for the
-/// write budget. The compactor consumes FailFs writes on its own schedule,
-/// so which thread hits a given kill point is nondeterministic — some kill
-/// points may even go unreached when compaction persists less than in the
-/// counting pass — which is why this sweep does **not** assert
-/// `fs.is_dead()`. The durability contract is unchanged: every acked op
-/// recovers bit-for-bit, at most one in-flight op appears, recovery is
-/// idempotent. Reference states are reused verbatim — shard count never
+/// Runs one kill sweep of the script under [`sharded_auto_config`]: for
+/// each kill point, a crashed run whose recovery must satisfy the
+/// durability contract. An op whose compaction is killed still returns
+/// `Ok` — its WAL record is durable — so it counts as acked. Reference
+/// states are reused verbatim: neither the shard count nor compaction
 /// affects events or model bytes.
-#[test]
-fn sharded_bg_compaction_kill_at_every_write_recovers_exactly() {
+fn sharded_auto_sweep(label: &str, kill_points: u64, fail_fs: impl Fn(u64) -> Arc<FailFs>) {
     let refs = reference_states();
-    let dir = tmp("count-sb");
-    let _ = std::fs::remove_dir_all(&dir);
-    let fs = FailFs::counting();
-    assert_eq!(drive_with(&dir, &fs, sharded_bg_config()), Some(N_OPS));
-    let total_writes = fs.writes();
-    assert!(total_writes > 5, "script issues only {total_writes} writes");
-    std::fs::remove_dir_all(&dir).unwrap();
-
-    for kill in 1..=total_writes {
-        let dir = tmp(&format!("ksb-{kill}"));
+    for kill in 1..=kill_points {
+        let dir = tmp(&format!("{label}-{kill}"));
         let _ = std::fs::remove_dir_all(&dir);
-        let torn = [0usize, 1, 7][(kill % 3) as usize];
-        let fs = FailFs::kill_at_write(kill, torn);
-        let acked = drive_with(&dir, &fs, sharded_bg_config());
+        let fs = fail_fs(kill);
+        let acked = drive_with(&dir, &fs, sharded_auto_config());
+        assert!(fs.is_dead(), "{label} kill point {kill} never reached");
         match acked {
             None => {
-                if let Ok(rec) = ModelLake::open(&dir, sharded_bg_config()) {
-                    assert_eq!(lake_state(&rec), refs[0], "sb kill {kill}: partial create");
+                if let Ok(rec) = ModelLake::open(&dir, sharded_auto_config()) {
+                    assert_eq!(lake_state(&rec), refs[0], "{label} {kill}: partial create");
                 }
             }
-            Some(acked) => {
-                check_recovered_with(
-                    &dir,
-                    acked,
-                    &refs,
-                    &format!("sharded-bg kill-write {kill}"),
-                    &sharded_bg_config(),
-                );
-            }
+            Some(acked) => check_recovered_with(
+                &dir,
+                acked,
+                &refs,
+                &format!("{label} {kill}"),
+                &sharded_auto_config(),
+            ),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Counting pass under [`sharded_auto_config`], in a directory of its own
+/// per `label`: (writes, syncs) the whole script issues, compactions
+/// included.
+fn sharded_auto_counts(label: &str) -> (u64, u64) {
+    let dir = tmp(&format!("count-{label}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    let fs = FailFs::counting();
+    assert_eq!(drive_with(&dir, &fs, sharded_auto_config()), Some(N_OPS));
+    std::fs::remove_dir_all(&dir).unwrap();
+    (fs.writes(), fs.syncs())
+}
+
+/// `kill_at_every_write_never_loses_an_acked_op` with sharded indexes and
+/// an op-driven compaction after every op, torn prefixes included.
+#[test]
+fn sharded_auto_compaction_kill_at_every_write_recovers_exactly() {
+    let (total_writes, _) = sharded_auto_counts("sa-w");
+    assert!(total_writes > 5, "script issues only {total_writes} writes");
+    sharded_auto_sweep("sa-w", total_writes, |kill| {
+        FailFs::kill_at_write(kill, [0usize, 1, 7][(kill % 3) as usize])
+    });
+}
+
+/// The fsync twin of the sweep above.
+#[test]
+fn sharded_auto_compaction_kill_at_every_fsync_recovers_exactly() {
+    let (_, total_syncs) = sharded_auto_counts("sa-s");
+    assert!(total_syncs > 5, "script issues only {total_syncs} syncs");
+    sharded_auto_sweep("sa-s", total_syncs, FailFs::kill_at_sync);
 }
 
 /// Recursively copies a lake directory (template → scratch) so each GC

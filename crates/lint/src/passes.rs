@@ -9,7 +9,7 @@
 //! |----------------|-------------------------------------------------------------|
 //! | `unsafe-safety`| every `unsafe` block/fn/impl carries a `// SAFETY:` comment |
 //! | `no-panic`     | no `unwrap()/expect("…")/panic!/todo!/unimplemented!` in lib |
-//! | `no-wallclock` | no `Instant`/`SystemTime` outside `mlake-obs`, `bench` and `mlake-load` |
+//! | `no-wallclock` | no `Instant`/`SystemTime` outside `mlake-obs` and `bench` |
 //! | `facade-span`  | every `pub fn` on a facade type (`ModelLake` in core; `Wal`/`Recovery` in wal; `Api` in server) opens an obs span |
 //! | `lock-order`   | `.lock()`/`.read()`/`.write()` in index/par/wal/server carries a `// lock-order: N` comment |
 //!
@@ -171,11 +171,10 @@ fn no_panic(path: &str, s: &Scanned, out: &mut Vec<Finding>) {
 }
 
 /// `no-wallclock`: `Instant`/`SystemTime` only inside `mlake-obs` (the
-/// process's one physical clock), the bench crate, and `mlake-load`
-/// (whose whole purpose is pacing and timing live HTTP traffic).
-/// Everything else must stay deterministic.
+/// process's one physical clock) and the bench crate. Everything else
+/// must stay deterministic.
 fn no_wallclock(path: &str, s: &Scanned, out: &mut Vec<Finding>) {
-    if path.starts_with("crates/obs/") || path.starts_with("crates/load/") {
+    if path.starts_with("crates/obs/") {
         return;
     }
     for t in &s.tokens {
@@ -440,8 +439,8 @@ mod tests {
         assert_eq!(passes(&f), vec!["no-wallclock", "no-wallclock"]);
         assert!(findings("crates/obs/src/span.rs", src).is_empty());
         assert!(findings("crates/bench/src/bin/guard.rs", src).is_empty());
-        // The load generator times live traffic; it is exempt by design.
-        assert!(findings("crates/load/src/lib.rs", src).is_empty());
+        // The HTTP client crate times nothing; it gets no exemption.
+        assert!(!findings("crates/load/src/lib.rs", src).is_empty());
         let st = "fn f() -> std::time::SystemTime { std::time::SystemTime::now() }";
         assert_eq!(passes(&findings("crates/core/src/lake.rs", st)).len(), 2);
     }

@@ -1,314 +1,8 @@
-//! `mlake-load`: load generation for the lake service (DESIGN.md §14).
-//!
-//! Drives `mlake-server` over N concurrent keep-alive connections with
-//! either generator shape:
-//!
-//! * **Closed loop** ([`run_closed_loop`]) — each client issues its next
-//!   request as soon as the previous response lands (optionally after a
-//!   fixed think time). Measures capacity: the server is always offered
-//!   exactly `clients` outstanding requests.
-//! * **Open loop** ([`run_open_loop`]) — arrivals follow a fixed global
-//!   rate regardless of completions, the shape that exposes queueing
-//!   collapse: when the server falls behind, latency (not offered load)
-//!   absorbs the difference.
-//!
-//! Per-request latency is recorded into `mlake-obs` histograms
-//! (`load.http`, plus `load.shed` counts for 503s), so p50/p95/p99 in
-//! the [`Report`] come from the same log-bucket histogram machinery as
-//! every server-side metric. The client records unconditionally — it
-//! measures the *server* under either observability mode, so its
-//! percentiles stay real even when the server runs `MLAKE_OBS=off`.
-//!
-//! This crate is wall-clock-exempt in the `no-wallclock` lint pass (like
-//! `mlake-obs` and the benches): pacing arrivals and timing requests is
-//! its entire purpose.
+//! `mlake-load`: the in-tree HTTP/1.1 client for the lake service
+//! (DESIGN.md §14) — one keep-alive connection, blocking
+//! request/response. The server's end-to-end tests and lakebench's serve
+//! workloads drive `mlake-server` through it.
 
 pub mod client;
 
 pub use client::{HttpClient, HttpResponse};
-
-use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-/// One generated request.
-#[derive(Debug, Clone)]
-pub struct Op {
-    /// HTTP method.
-    pub method: String,
-    /// Request path.
-    pub path: String,
-    /// Body bytes.
-    pub body: Vec<u8>,
-    /// Whether this op mutates the lake (reported separately).
-    pub is_write: bool,
-}
-
-impl Op {
-    /// A GET read.
-    pub fn get(path: impl Into<String>) -> Op {
-        Op {
-            method: "GET".into(),
-            path: path.into(),
-            body: Vec::new(),
-            is_write: false,
-        }
-    }
-
-    /// A POST with a JSON body.
-    pub fn post(path: impl Into<String>, body: Vec<u8>, is_write: bool) -> Op {
-        Op {
-            method: "POST".into(),
-            path: path.into(),
-            body,
-            is_write,
-        }
-    }
-}
-
-/// Workload: maps (client index, iteration) to the request to send.
-/// Deterministic in its arguments, so runs are reproducible.
-pub type Workload = Arc<dyn Fn(usize, usize) -> Op + Send + Sync>;
-
-/// Aggregate results of one run.
-#[derive(Debug, Clone)]
-pub struct Report {
-    /// Requests that returned any HTTP response.
-    pub completed: u64,
-    /// 2xx responses.
-    pub ok: u64,
-    /// Deliberate load-shed responses (503).
-    pub shed: u64,
-    /// Non-2xx, non-503 responses.
-    pub failed: u64,
-    /// Transport errors (connect/read/write).
-    pub transport_errors: u64,
-    /// Write ops acknowledged with 2xx (durability accounting).
-    pub acked_writes: u64,
-    /// Wall-clock of the whole run.
-    pub elapsed: Duration,
-    /// Completed requests per second.
-    pub ops_per_s: f64,
-    /// `load.http` latency percentiles in milliseconds (p50, p95, p99),
-    /// read back from the obs histogram.
-    pub p50_ms: f64,
-    /// 95th percentile, ms.
-    pub p95_ms: f64,
-    /// 99th percentile, ms.
-    pub p99_ms: f64,
-}
-
-impl Report {
-    /// One-line summary for logs and benches.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} ops in {:.2}s ({:.0} ops/s): {} ok, {} shed, {} failed, {} transport; \
-             p50 {:.2}ms p95 {:.2}ms p99 {:.2}ms",
-            self.completed,
-            self.elapsed.as_secs_f64(),
-            self.ops_per_s,
-            self.ok,
-            self.shed,
-            self.failed,
-            self.transport_errors,
-            self.p50_ms,
-            self.p95_ms,
-            self.p99_ms,
-        )
-    }
-}
-
-#[derive(Default)]
-struct Tallies {
-    completed: AtomicU64,
-    ok: AtomicU64,
-    shed: AtomicU64,
-    failed: AtomicU64,
-    transport: AtomicU64,
-    acked_writes: AtomicU64,
-}
-
-/// Closed-loop run: `clients` connections, each issuing `ops_per_client`
-/// requests back-to-back (plus optional think time between them).
-pub fn run_closed_loop(
-    addr: SocketAddr,
-    clients: usize,
-    ops_per_client: usize,
-    think: Duration,
-    workload: Workload,
-) -> Report {
-    run(addr, clients, ops_per_client, workload, Pacing::Closed { think })
-}
-
-/// Open-loop run: arrivals at a fixed global `rate` (requests/s) split
-/// evenly across `clients` connections. A client that falls behind its
-/// schedule sends immediately (arrival backlog, not rate reduction).
-pub fn run_open_loop(
-    addr: SocketAddr,
-    clients: usize,
-    ops_per_client: usize,
-    rate: f64,
-    workload: Workload,
-) -> Report {
-    let interval = Duration::from_secs_f64(clients.max(1) as f64 / rate.max(1.0));
-    run(addr, clients, ops_per_client, workload, Pacing::Open { interval })
-}
-
-#[derive(Clone, Copy)]
-enum Pacing {
-    Closed { think: Duration },
-    Open { interval: Duration },
-}
-
-fn run(
-    addr: SocketAddr,
-    clients: usize,
-    ops_per_client: usize,
-    workload: Workload,
-    pacing: Pacing,
-) -> Report {
-    let tallies = Arc::new(Tallies::default());
-    let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for client_idx in 0..clients {
-            let workload = Arc::clone(&workload);
-            let tallies = Arc::clone(&tallies);
-            scope.spawn(move || {
-                client_loop(addr, client_idx, ops_per_client, &workload, pacing, &tallies);
-            });
-        }
-    });
-    let elapsed = t0.elapsed();
-
-    let completed = tallies.completed.load(Ordering::Relaxed);
-    let hist = mlake_obs::snapshot();
-    let (p50, p95, p99) = hist
-        .histogram("load.http")
-        .map(|h| (h.p50_ns, h.p95_ns, h.p99_ns))
-        .unwrap_or((0, 0, 0));
-    Report {
-        completed,
-        ok: tallies.ok.load(Ordering::Relaxed),
-        shed: tallies.shed.load(Ordering::Relaxed),
-        failed: tallies.failed.load(Ordering::Relaxed),
-        transport_errors: tallies.transport.load(Ordering::Relaxed),
-        acked_writes: tallies.acked_writes.load(Ordering::Relaxed),
-        elapsed,
-        ops_per_s: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_ms: p50 as f64 / 1e6,
-        p95_ms: p95 as f64 / 1e6,
-        p99_ms: p99 as f64 / 1e6,
-    }
-}
-
-fn client_loop(
-    addr: SocketAddr,
-    client_idx: usize,
-    ops: usize,
-    workload: &Workload,
-    pacing: Pacing,
-    tallies: &Tallies,
-) {
-    let mut client = match HttpClient::connect(addr) {
-        Ok(c) => c,
-        Err(_) => {
-            tallies.transport.fetch_add(ops as u64, Ordering::Relaxed);
-            return;
-        }
-    };
-    let hist = mlake_obs::registry().histogram_dyn("load.http");
-    let start = Instant::now();
-    for iter in 0..ops {
-        match pacing {
-            Pacing::Closed { think } => {
-                if think > Duration::ZERO && iter > 0 {
-                    std::thread::sleep(think);
-                }
-            }
-            Pacing::Open { interval } => {
-                // Fixed arrival schedule: deadline k = k * interval. Late
-                // clients send immediately and the backlog shows up as
-                // latency — the whole point of an open loop.
-                let deadline = interval.saturating_mul(iter as u32);
-                let now = start.elapsed();
-                if now < deadline {
-                    std::thread::sleep(deadline - now);
-                }
-            }
-        }
-        let op = workload(client_idx, iter);
-        let t = Instant::now();
-        match client.request(&op.method, &op.path, &op.body) {
-            Ok(resp) => {
-                hist.record(t.elapsed().as_nanos() as u64);
-                tallies.completed.fetch_add(1, Ordering::Relaxed);
-                match resp.status {
-                    200..=299 => {
-                        tallies.ok.fetch_add(1, Ordering::Relaxed);
-                        if op.is_write {
-                            tallies.acked_writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    503 => {
-                        tallies.shed.fetch_add(1, Ordering::Relaxed);
-                        mlake_obs::registry().counter("load.shed").inc();
-                    }
-                    _ => {
-                        tallies.failed.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            Err(_) => {
-                tallies.transport.fetch_add(1, Ordering::Relaxed);
-                // The connection is in an unknown state; reconnect.
-                match HttpClient::connect(addr) {
-                    Ok(c) => client = c,
-                    Err(_) => return,
-                }
-            }
-        }
-    }
-}
-
-/// A standard mixed read/write workload against lake `lake`: reads
-/// (list, resolve-by-name via typed endpoint, MLQL query, BM25 text
-/// search, similar) and card-update writes, deterministic in
-/// (client, iter).
-///
-/// `model_names` must be non-empty; ops reference those models.
-pub fn mixed_workload(lake: &str, model_names: Vec<String>, write_every: usize) -> Workload {
-    assert!(!model_names.is_empty(), "mixed_workload needs models");
-    let lake = lake.to_string();
-    Arc::new(move |client_idx, iter| {
-        let model = &model_names[(client_idx * 7 + iter) % model_names.len()];
-        if write_every > 0 && iter % write_every == write_every - 1 {
-            // Write: bump the model's card through the typed endpoint.
-            let mut card = mlake_proto::WireModelCard::skeleton(model.clone(), "load");
-            card.notes = format!("load generator update c{client_idx} i{iter}");
-            let req = mlake_proto::encode_request(&mlake_proto::ApiRequest::UpdateCard {
-                model: mlake_proto::WireRef::Name(model.clone()),
-                card,
-            });
-            return Op::post(format!("/v1/lakes/{lake}/api"), req, true);
-        }
-        match iter % 5 {
-            0 => Op::get(format!("/v1/lakes/{lake}/models")),
-            1 => Op::get(format!("/v1/lakes/{lake}/models/{model}")),
-            2 => Op::post(
-                format!("/v1/lakes/{lake}/query"),
-                b"{\"mlql\": \"FIND MODELS\"}".to_vec(),
-                false,
-            ),
-            3 => Op::post(
-                format!("/v1/lakes/{lake}/search"),
-                // Query terms drawn from card text every populated lake
-                // carries ("family N ..." notes); an empty result is
-                // still a served 200, so the op works on any lake.
-                b"{\"query\": \"family classification\", \"k\": 5}".to_vec(),
-                false,
-            ),
-            _ => Op::get(format!("/v1/lakes/{lake}/models/{model}/similar?kind=hybrid&k=3")),
-        }
-    })
-}

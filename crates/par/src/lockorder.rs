@@ -55,10 +55,6 @@ pub mod ranks {
     /// a blob in reads the filesystem *outside* this lock and never takes
     /// another lock while holding it.
     pub const STORE_RESIDENT: u32 = 45;
-    /// `mlake-core` segment-chain state (`LakeShared::seg`): live segment
-    /// seqs, persist high-water marks and the dirty-card set. Taken under
-    /// the op lock by persist/GC; leaf otherwise.
-    pub const CORE_SEGSTATE: u32 = 46;
     /// WAL writer state mutex (`Wal::inner` in `mlake-wal`). Ranked above
     /// the core locks: a facade mutation appends to the WAL under the op
     /// lock, and the WAL never calls back into the lake.

@@ -204,18 +204,6 @@ impl ApiRequest {
             ApiRequest::Metrics => "metrics",
         }
     }
-
-    /// Whether this request mutates the lake (drives read/write mixes in
-    /// `mlake-load` and write-loss accounting in the hammer test).
-    pub fn is_write(&self) -> bool {
-        matches!(
-            self,
-            ApiRequest::Ingest { .. }
-                | ApiRequest::UpdateCard { .. }
-                | ApiRequest::Sync
-                | ApiRequest::Gc
-        )
-    }
 }
 
 /// One similarity hit on the wire.

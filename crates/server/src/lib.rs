@@ -14,8 +14,8 @@
 //!   [`router::LakeRouter`] holding any number of lakes, in-process or
 //!   opened from disk.
 //! * **Shutdown** — [`server::Server::shutdown`] stops accepting, lets
-//!   in-flight requests finish, then syncs and quiesces every lake: no
-//!   acknowledged write is ever lost.
+//!   in-flight requests finish, then syncs every lake: no acknowledged
+//!   write is ever lost.
 //!
 //! ```ignore
 //! let router = Arc::new(LakeRouter::new());

@@ -59,20 +59,17 @@ impl LakeRouter {
         names
     }
 
-    /// Flushes and quiesces every registered lake: group-commit-buffered
-    /// WAL records reach stable storage and background compactions
-    /// finish. The graceful-shutdown tail (DESIGN.md §14).
+    /// Flushes every registered lake: group-commit-buffered WAL records
+    /// reach stable storage. A lake runs no work of its own between ops,
+    /// so there is nothing else to wait for. The graceful-shutdown tail
+    /// (DESIGN.md §14).
     pub fn sync_all(&self) -> Result<(), LakeError> {
         let lakes: Vec<Arc<ModelLake>> = {
             // lock-order: 4 (server.router)
             let _ord = lockorder::acquire(ranks::SERVER_ROUTER, "server.router");
             self.lakes.read().values().cloned().collect()
         };
-        for lake in lakes {
-            lake.sync()?;
-            lake.quiesce();
-        }
-        Ok(())
+        lakes.iter().try_for_each(|lake| lake.sync())
     }
 }
 

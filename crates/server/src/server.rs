@@ -13,7 +13,7 @@
 //! the blocking `accept` with a loopback connect, (3) joins the acceptor,
 //! (4) joins every connection thread — each finishes its in-flight
 //! request first, so every acknowledged response is fully written — and
-//! (5) syncs + quiesces every routed lake. An `Ok` response to a write
+//! (5) syncs every routed lake. An `Ok` response to a write
 //! therefore implies the write survives the shutdown (and, with
 //! `SyncPolicy::Always`, a crash).
 

@@ -53,8 +53,8 @@ pub(crate) struct Sealed {
     #[allow(dead_code)]
     pub(crate) first: Lsn,
     pub(crate) last: Lsn,
-    /// Byte length of the sealed file, so the live-size accounting the
-    /// background-compaction trigger polls never touches the filesystem.
+    /// Byte length of the sealed file, so the live-size accounting a
+    /// compaction trigger reads never touches the filesystem.
     pub(crate) bytes: u64,
 }
 
@@ -263,9 +263,9 @@ impl Wal {
     }
 
     /// Total bytes in live segments (sealed + active tail) — the log's
-    /// on-disk footprint a snapshot has not yet folded away. The
-    /// background-compaction trigger polls this after every append; it is
-    /// pure in-memory accounting, no filesystem access.
+    /// on-disk footprint a snapshot has not yet folded away. A lake's
+    /// compaction trigger reads this after every op it commits; it is pure
+    /// in-memory accounting, no filesystem access.
     // lint: no-span — trivial accessor on the mutation hot path
     pub fn live_bytes(&self) -> u64 {
         let inner = self.lock_inner();

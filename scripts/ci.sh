@@ -13,15 +13,16 @@
 #    across three ingest → graph catch-up cycles.
 # 4. A 3-second `store-write-restart` smoke run checks that probe searches
 #    return the same bits across a reopen and that no acked write is lost.
-# 5. mlake-lint must report nothing outside lint.allow and must reject a
-#    seeded lock-order inversion.
+# 5. mlake-lint must report nothing outside lint.allow, must find exactly
+#    the seven lock ranks of DESIGN.md §10, and must reject a seeded
+#    lock-order inversion.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
 # 7. The equivalence, HNSW, sharding, par and versioning suites re-run under
 #    MLAKE_THREADS=1, whose output must be bit-identical.
-# 8. The SQ8 recall gate, the crash-recovery matrix, the blockstore suites,
-#    the HTTP hammer and the text suites re-run in the release profile with
-#    observability on and off.
+# 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
+#    suite, the blockstore suites, the HTTP hammer and the text suites re-run
+#    in the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -62,6 +63,16 @@ step "benchmark: store-write-restart smoke run (restart check, failed = 0)"
 step "lint: mlake-lint over crates/ and src/ (lint.allow baseline; json artifact)"
 mkdir -p target/lint
 cargo run -q -p mlake-lint --release -- --json target/lint/report.json crates src
+
+# A new lock rank (or a dropped one) must show up as a diff to this line.
+step "lint: the lock hierarchy is exactly ranks 4 7 10 20 27 45 50"
+want_ranks="4 7 10 20 27 45 50"
+got_ranks="$(cargo run -q -p mlake-lint --release -- --locks crates src \
+  | awk 'NR > 1 { print $1 }' | paste -sd' ')"
+if [[ "$got_ranks" != "$want_ranks" ]]; then
+  echo "mlake-lint --locks found ranks '$got_ranks', expected '$want_ranks'"
+  exit 1
+fi
 
 step "lint: seeded lock-order inversion must fail the lock-cycle pass"
 fixture="$(mktemp -d)"
@@ -122,9 +133,9 @@ step "quantized recall gate: sq8 rescore within 5% of f32 (obs on + off)"
 cargo test -q -p mlake-index --test quantized --release
 MLAKE_OBS=off cargo test -q -p mlake-index --test quantized --release
 
-step "crash recovery: kill-at-every-write/fsync/remove sweep (obs on + off)"
-cargo test -q -p mlake-core --test crash_recovery --release
-MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --release
+step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction (obs on + off)"
+cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
+MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 
 step "blockstore: lazy residency + refcounting GC (obs on + off)"
 cargo test -q -p mlake-core --test residency --test manifest_compat --release
