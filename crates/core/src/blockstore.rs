@@ -8,16 +8,14 @@
 //! them), card overrides, dataset/benchmark registrations, and the
 //! event-log slice. A WAL record is the same thing at op granularity: the
 //! blocks one facade op adds to the next delta, plus the `Events` block
-//! numbering its events (`crate::durable`). Folding the chain in sequence
-//! order reproduces the catalogue exactly; later blocks override earlier
-//! ones (a `CardOverride` replaces the card a `Model` block carried). A
-//! fold is also the compaction primitive: [`Folded`] absorbs further
-//! blocks ([`Folded::apply`]) and flattens back to the minimal block list
-//! ([`Folded::into_blocks`]), which is how a major compaction or an export
-//! rewrites `chain + delta` as one segment, and what open hands to
-//! `ModelLake::apply_block`, the one function that changes the catalogue.
-//! Everything else a lake serves — vector indexes, the text index — is
-//! derived from the applied blocks, never stored.
+//! numbering its events (`crate::durable`). Open applies the chain's
+//! segments in sequence order, then the WAL tail, through
+//! `Catalogue::apply`, the one function that changes the catalogue; later
+//! blocks override earlier ones (a `CardOverride` replaces the card a
+//! `Model` block carried). A major compaction or an export writes the
+//! catalogue from memory as one segment — the delta since zero marks —
+//! never by re-reading the chain. Everything else a lake serves — vector
+//! indexes, the text index — is derived from the catalogue, never stored.
 //!
 //! On-disk segment layout:
 //!
@@ -47,7 +45,7 @@ pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"MLSG";
 /// Segment format version.
 pub(crate) const SEGMENT_VERSION: u16 = 1;
 
-/// One catalogue delta record inside a segment, in fold order.
+/// One catalogue delta record inside a segment, in apply order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum Block {
     /// A model registration: everything the registry needs, plus the
@@ -55,7 +53,7 @@ pub(crate) enum Block {
     Model(ModelBlock),
     /// A card replacement for an already-persisted model.
     CardOverride {
-        /// Lake-local model id (its position in the folded model list).
+        /// Lake-local model id (its position in the model list).
         id: u64,
         /// The replacement card.
         card: ModelCard,
@@ -78,9 +76,9 @@ pub(crate) enum Block {
         events: Vec<Event>,
     },
     /// A text-index snapshot. No longer written: the text index is derived
-    /// state, rebuilt from the folded cards on open (DESIGN.md §16). Full
-    /// exports by PR 10–11 builds carry one, so the kind still decodes —
-    /// its payload ignored — and folds to nothing.
+    /// state, caught up from the catalogue's cards on read (DESIGN.md §16).
+    /// Full exports by PR 10–11 builds carry one, so the kind still
+    /// decodes — its payload ignored — and applies as nothing.
     TextIndex {},
 }
 
@@ -209,76 +207,10 @@ pub(crate) fn read_segment(
     decode_segment(&bytes, &path)
 }
 
-/// The catalogue state a folded segment chain reproduces.
-#[derive(Debug, Default)]
-pub(crate) struct Folded {
-    /// Models in id order, cards already override-applied.
-    pub models: Vec<ModelBlock>,
-    /// Datasets in registration order.
-    pub datasets: Vec<mlake_datagen::Dataset>,
-    /// Benchmarks in registration order.
-    pub benchmarks: Vec<(Benchmark, Option<String>)>,
-    /// The full event log as of the last persisted segment.
-    pub events: Vec<Event>,
-}
-
-impl Folded {
-    /// Applies one block on top of the state folded so far. A name folded
-    /// twice is caught where the flattened blocks are applied, by
-    /// `ModelLake::apply_block`.
-    pub(crate) fn apply(&mut self, block: Block) -> Result<()> {
-        match block {
-            Block::Model(m) => self.models.push(m),
-            Block::CardOverride { id, card } => {
-                let m = self.models.get_mut(id as usize).ok_or_else(|| {
-                    LakeError::CorruptArtifact(format!(
-                        "card override for unknown model id {id}"
-                    ))
-                })?;
-                m.card = card;
-            }
-            Block::Dataset { dataset } => self.datasets.push(dataset),
-            Block::Benchmark { benchmark, domain } => self.benchmarks.push((benchmark, domain)),
-            Block::Events { events } => self.events.extend(events),
-            Block::TextIndex {} => {}
-        }
-        Ok(())
-    }
-
-    /// Flattens the state back to the fewest blocks that fold to it.
-    pub(crate) fn into_blocks(self) -> Vec<Block> {
-        let mut blocks: Vec<Block> = self.models.into_iter().map(Block::Model).collect();
-        blocks.extend(self.datasets.into_iter().map(|dataset| Block::Dataset { dataset }));
-        blocks.extend(
-            self.benchmarks
-                .into_iter()
-                .map(|(benchmark, domain)| Block::Benchmark { benchmark, domain }),
-        );
-        if !self.events.is_empty() {
-            blocks.push(Block::Events { events: self.events });
-        }
-        blocks
-    }
-}
-
-/// Folds a live segment chain, applying blocks in sequence order.
-pub(crate) fn fold_segments(
-    dir: &Path,
-    vfs: &std::sync::Arc<dyn Vfs>,
-    seqs: &[u64],
-) -> Result<Folded> {
-    let mut folded = Folded::default();
-    for &seq in seqs {
-        for block in read_segment(dir, vfs, seq)? {
-            folded.apply(block)?;
-        }
-    }
-    Ok(folded)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lake::{Catalogue, SegState};
     use mlake_wal::RealFs;
 
     fn card(name: &str) -> ModelCard {
@@ -292,10 +224,24 @@ mod tests {
             arch: "mlp:2-2:relu".into(),
             params: 8,
             card: card(name),
-            fps: [vec![1.0f32.to_bits()], vec![2.5f32.to_bits()], vec![
-                (-0.0f32).to_bits(),
-            ]],
+            // The widths `sketch_dim` 1 implies: 8 + 1, 1, 8 + 2.
+            fps: [
+                vec![1.0f32.to_bits(); 9],
+                vec![2.5f32.to_bits()],
+                vec![(-0.0f32).to_bits(); 10],
+            ],
         }
+    }
+
+    /// Applies segments `seqs` in order, as open does.
+    fn apply_chain(dir: &Path, vfs: &std::sync::Arc<dyn Vfs>, seqs: &[u64]) -> Result<Catalogue> {
+        let mut cat = Catalogue::default();
+        for &seq in seqs {
+            for block in read_segment(dir, vfs, seq)? {
+                cat.apply(block, 1)?;
+            }
+        }
+        Ok(cat)
     }
 
     #[test]
@@ -374,10 +320,10 @@ mod tests {
             ],
         )
         .unwrap();
-        let folded = fold_segments(&dir, &vfs, &[1, 2]).unwrap();
-        assert_eq!(folded.models.len(), 2);
-        assert_eq!(folded.models[0].card.notes, "updated");
-        assert_eq!(folded.models[1].name, "b");
+        let models = apply_chain(&dir, &vfs, &[1, 2]).unwrap().registry.models;
+        assert_eq!(models.len(), 2);
+        assert_eq!(models[0].card.notes, "updated");
+        assert_eq!(models[1].name, "b");
         // An override for a model the chain never registered is corruption.
         write_segment(
             &dir,
@@ -389,7 +335,7 @@ mod tests {
             }],
         )
         .unwrap();
-        assert!(fold_segments(&dir, &vfs, &[1, 2, 3]).is_err());
+        assert!(apply_chain(&dir, &vfs, &[1, 2, 3]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -420,8 +366,9 @@ mod tests {
         let vfs = RealFs::shared();
         assert_eq!(read_segment(&dir, &vfs, 2).unwrap().len(), 4, "the block decodes");
         let flat = |seq| {
-            let folded = fold_segments(&dir, &vfs, &[seq]).unwrap();
-            encode_segment(&folded.into_blocks()).unwrap()
+            let cat = apply_chain(&dir, &vfs, &[seq]).unwrap();
+            let (blocks, _) = crate::persist::delta_since(&cat, &SegState::default());
+            encode_segment(&blocks).unwrap()
         };
         assert_eq!(flat(1), flat(2), "same catalogue with and without the block");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -7,16 +7,17 @@
 //! `Dataset` / `Benchmark` block, plus one `Events` block numbering the
 //! events it appends — and appends them, as one JSON block list, as one
 //! WAL record (fsynced per the configured [`mlake_wal::SyncPolicy`])
-//! *before* [`ModelLake::apply_block`] changes the catalogue, so a crash
-//! at any instant loses at most unacknowledged work. A `Model` block
-//! carries the fingerprints ingest computed, so replaying it touches no
-//! blob. [`ModelLake::open`] applies the folded segment chain and then
-//! every record past the superblock's `last_lsn` through that same
-//! `apply_block`; `persist()` is "compact now": seal the delta since the
-//! last persist as a segment, then drop the WAL segments it covers. With
-//! a [`crate::lake::CompactionPolicy`], the op whose record crosses a
-//! threshold does that itself, after its blocks are applied and before it
-//! returns ([`ModelLake::maybe_compact`]): the lake has one writer.
+//! *before* [`ModelLake::apply_record`] applies them to the catalogue under
+//! one write guard, so a crash at any instant loses at most unacknowledged
+//! work. A `Model` block carries the fingerprints ingest computed, so
+//! replaying it touches no blob. [`ModelLake::open`] applies the segment
+//! chain in order and then every record past the superblock's `last_lsn`
+//! through that same `apply_record`; `persist()` is "compact now": seal
+//! the delta since the last persist as a segment, then drop the WAL
+//! segments it covers. With a [`crate::lake::CompactionPolicy`], the op
+//! whose record crosses a threshold does that itself, after its record is
+//! applied and before it returns ([`ModelLake::maybe_compact`]): the lake
+//! has one writer.
 //!
 //! Records written before blocks were the WAL payload hold one `WalOp`
 //! each — a JSON object or string, where a block list is a JSON array, so
@@ -156,7 +157,7 @@ impl ModelLake {
     }
 
     /// The compaction trigger (DESIGN.md §13), run by every committed op
-    /// after its blocks are applied. Once the live WAL footprint or the
+    /// after its record is applied. Once the live WAL footprint or the
     /// sealed-segment backlog crosses the configured
     /// [`crate::lake::CompactionPolicy`], the op that crossed it persists
     /// the lake into its own directory and then collects garbage, under
@@ -207,7 +208,7 @@ impl ModelLake {
 
     /// Applies WAL record `lsn`: a block list as written, a legacy op
     /// through the converter first.
-    pub(crate) fn replay_record(&self, seg: &mut SegState, lsn: u64, payload: &[u8]) -> Result<()> {
+    pub(crate) fn replay_record(&self, lsn: u64, payload: &[u8]) -> Result<()> {
         let corrupt =
             |e: serde_json::Error| LakeError::CorruptArtifact(format!("wal record {lsn}: {e}"));
         let blocks = if payload.first() == Some(&b'[') {
@@ -215,9 +216,8 @@ impl ModelLake {
         } else {
             self.legacy_record(serde_json::from_slice(payload).map_err(corrupt)?)?
         };
-        blocks
-            .into_iter()
-            .try_for_each(|block| self.apply_block(seg, block))
+        self.apply_record(blocks)?;
+        Ok(())
     }
 
     /// The blocks a legacy op stands for, numbered after the log head as

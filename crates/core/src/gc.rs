@@ -74,8 +74,8 @@ impl ModelLake {
 
         // Live roots.
         let live_blobs: BTreeSet<String> = {
-            let reg = self.registry.read();
-            reg.models.iter().map(|m| m.digest.to_hex()).collect()
+            let cat = self.catalogue();
+            cat.registry.models.iter().map(|m| m.digest.to_hex()).collect()
         };
         let live_segs: BTreeSet<u64> = seg.live.iter().copied().collect();
 

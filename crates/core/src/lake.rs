@@ -24,12 +24,14 @@ use mlake_index::{HnswConfig, HnswIndex, ShardedIndex, VectorIndex};
 use mlake_nn::{Architecture, Model};
 use mlake_query::{execute, parse, FieldValue, QueryError, QueryHit, QueryTarget};
 use mlake_versioning::{RecoveredEdge, RecoveredGraph, RecoveryMemo, RecoveryOptions};
-use parking_lot::RwLock;
-use std::collections::HashMap;
+use mlake_wal::lockorder::{self, ranks, OrderToken};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::collections::{BTreeSet, HashMap};
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// When automatic compaction runs (DESIGN.md §13). Attached to a durable
-/// lake via [`LakeConfigBuilder::background_compaction`]; after every
+/// lake via [`LakeConfigBuilder::compaction`]; after every
 /// committed op the lake checks these thresholds and, when either is
 /// crossed, that op persists the lake into its own directory and runs GC
 /// before it returns. A threshold of 0 disables that trigger; at least one
@@ -207,7 +209,7 @@ impl LakeConfigBuilder {
     /// Enables automatic compaction under `policy` on durable lakes: the
     /// op that crosses a threshold compacts before it returns (DESIGN.md
     /// §13).
-    pub fn background_compaction(mut self, policy: CompactionPolicy) -> Self {
+    pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
         self.config.compaction = Some(policy);
         self
     }
@@ -265,7 +267,7 @@ impl LakeConfigBuilder {
         if let Some(p) = &c.compaction {
             if p.wal_bytes == 0 && p.wal_segments == 0 {
                 return Err(LakeError::Config(
-                    "background compaction needs a positive wal_bytes or \
+                    "compaction needs a positive wal_bytes or \
                      wal_segments threshold"
                         .into(),
                 ));
@@ -283,29 +285,143 @@ impl LakeConfigBuilder {
 /// open, before the lake is shared).
 #[derive(Debug, Default)]
 pub(crate) struct SegState {
-    /// Sequence numbers of the live segments, in fold order.
+    /// Sequence numbers of the live segments, in chain order.
     pub(crate) live: Vec<u64>,
-    /// Next segment sequence number to allocate (`max(live) + 1`;
-    /// defaults such that the first persist writes segment 1).
+    /// Next segment sequence number to allocate (`max(live) + 1`; 0 reads
+    /// as 1, so the first persist writes segment 1).
     pub(crate) next_seq: u64,
     /// Models already covered by `live` (registry prefix length).
     pub(crate) models: usize,
     /// Datasets already covered by `live` (registry prefix length).
     pub(crate) datasets: usize,
     /// Benchmark names already covered by `live`.
-    pub(crate) benchmarks: std::collections::BTreeSet<String>,
+    pub(crate) benchmarks: BTreeSet<String>,
     /// Events already covered by `live` (log prefix length).
     pub(crate) events: usize,
-    /// Ids whose card changed after their covering segment was written;
-    /// the next delta emits `CardOverride` blocks for them.
-    pub(crate) dirty_cards: std::collections::BTreeSet<u64>,
 }
 
-impl SegState {
-    /// `next_seq` floor: sequence numbers start at 1.
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq.max(1)
+/// The catalogue (DESIGN.md §12): the registry and the event log, one value
+/// behind one lock, changed only by [`Catalogue::apply`]. The vector and text
+/// indexes and the version graph are projections of it, caught up on read.
+#[derive(Debug, Default)]
+pub(crate) struct Catalogue {
+    pub(crate) registry: Registry,
+    pub(crate) events: EventLog,
+}
+
+impl Catalogue {
+    /// The one writer of the catalogue, for live ops, the segment chain and
+    /// WAL replay alike. A second `Model` block for a registered name, a card
+    /// override for an unknown id and an event that does not follow the log
+    /// head are corruption.
+    pub(crate) fn apply(&mut self, block: Block, sketch_dim: usize) -> Result<()> {
+        let reg = &mut self.registry;
+        match block {
+            Block::Model(m) => {
+                let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
+                    LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
+                })?;
+                let fps = checked_fingerprints(blockstore::fp_floats(&m.fps), sketch_dim)?;
+                if reg.by_name.contains_key(&m.name) {
+                    return Err(LakeError::CorruptArtifact(format!(
+                        "model '{}' is registered twice",
+                        m.name
+                    )));
+                }
+                let id = ModelId(reg.models.len() as u64);
+                reg.by_name.insert(m.name.clone(), id);
+                reg.models.push(ModelEntry {
+                    id,
+                    name: m.name,
+                    arch: m.arch,
+                    digest,
+                    params: m.params,
+                    tags: m.card.task_tags.clone(),
+                    card: m.card,
+                    fps: Arc::new(fps),
+                });
+            }
+            Block::CardOverride { id, card } => {
+                let entry = reg.model_mut(ModelId(id)).ok_or_else(|| {
+                    LakeError::CorruptArtifact(format!("card override for unknown model id {id}"))
+                })?;
+                entry.tags = card.task_tags.clone();
+                entry.card = card;
+            }
+            Block::Dataset { dataset } => reg.datasets.push(dataset),
+            Block::Benchmark { benchmark, domain } => {
+                let name = benchmark.name.clone();
+                reg.benchmarks.insert(name, BenchmarkEntry { benchmark, domain });
+            }
+            Block::Events { events } => {
+                for event in events {
+                    self.events.push(event)?;
+                }
+            }
+            Block::TextIndex {} => {}
+        }
+        Ok(())
     }
+
+    /// The entry of any model identity — id, name or content digest. All
+    /// facade reads funnel through here, so the three identities are
+    /// interchangeable everywhere.
+    pub(crate) fn find(&self, model: ModelRef<'_>) -> Result<&ModelEntry> {
+        let reg = &self.registry;
+        let found = match model {
+            ModelRef::Id(id) => reg.model(id),
+            ModelRef::Name(name) => reg.id_of(name).and_then(|id| reg.model(id)),
+            ModelRef::Digest(d) => reg.models.iter().find(|e| &e.digest == d),
+        };
+        found.ok_or_else(|| LakeError::NotFound {
+            kind: "model",
+            name: model.to_string(),
+        })
+    }
+}
+
+/// A catalogue guard, then its lock-order token (rank 8, `core.catalogue`),
+/// released in that order: a thread that takes the catalogue twice panics in
+/// a debug build instead of deadlocking behind a queued writer.
+pub(crate) struct Held<G> {
+    guard: G,
+    _ord: OrderToken,
+}
+
+pub(crate) type CatalogueRead<'a> = Held<RwLockReadGuard<'a, Catalogue>>;
+type CatalogueWrite<'a> = Held<RwLockWriteGuard<'a, Catalogue>>;
+
+impl<G: Deref> Deref for Held<G> {
+    type Target = G::Target;
+    fn deref(&self) -> &G::Target {
+        &self.guard
+    }
+}
+
+impl<G: DerefMut> DerefMut for Held<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
+        &mut self.guard
+    }
+}
+
+/// The gate every fingerprint triple passes on its way onto a registry
+/// entry — computed by [`ModelLake::model_block`], decoded from a `Model`
+/// block by [`Catalogue::apply`]: its widths must be the ones `sketch_dim`
+/// implies (`model_dna` is 8 moments ++ the sketch, the behaviour sketch is
+/// `sketch_dim` wide, hybrid concatenates the two), so the catch-up insert
+/// in [`ModelLake::ensure_indexes`] cannot fail on its input. A lake opened
+/// under a different `sketch_dim` than it was written with fails here, at
+/// open.
+fn checked_fingerprints(fps: [Vec<f32>; 3], sketch_dim: usize) -> Result<[Vec<f32>; 3]> {
+    let d = sketch_dim;
+    let want = [8 + d, d, 8 + 2 * d];
+    let got = [fps[0].len(), fps[1].len(), fps[2].len()];
+    if got != want {
+        return Err(LakeError::Config(format!(
+            "fingerprint widths {got:?} do not match sketch_dim {d} (expected {want:?})"
+        )));
+    }
+    Ok(fps)
 }
 
 /// The architecture a registry entry records as its signature — what the
@@ -329,9 +445,9 @@ pub(crate) const HYBRID_POOL_FACTOR: usize = 3;
 /// The fielded text document of one model (DESIGN.md §16): every card
 /// section plus the identity metadata, each under its own [`TextField`]
 /// so BM25 can weight a name hit above a notes hit. Pure function of
-/// `(name, arch, card)`, indexed by [`ModelLake::apply_block`] whether the
-/// block came from a live op, the segment chain or the WAL — which is what
-/// keeps text search bit-identical across restarts.
+/// `(name, arch, card)`, indexed from the catalogue by the text catch-up
+/// however the card arrived — live op, segment chain or WAL — which is
+/// what keeps text search bit-identical across restarts.
 pub(crate) fn text_document(
     name: &str,
     arch: &str,
@@ -407,6 +523,16 @@ impl PublishedGraph {
         let parent = |i: usize| self.parent_edge(i).map(|e| e.parent);
         std::iter::successors(parent(model), move |&p| parent(p)).take(self.graph.num_models)
     }
+
+    /// The names from `id`'s recovered root down to `id`.
+    fn path(&self, reg: &Registry, id: ModelId) -> Vec<String> {
+        let me = id.0 as usize;
+        let mut path: Vec<usize> = std::iter::once(me).chain(self.ancestors(me)).collect();
+        path.reverse();
+        path.into_iter()
+            .filter_map(|i| reg.model(ModelId(i as u64)).map(|m| m.name.clone()))
+            .collect()
+    }
 }
 
 /// The version graph as a projection of the registry, caught up on demand
@@ -416,38 +542,42 @@ struct GraphState {
     /// Recovery over a prefix of the registry. An ingest leaves it behind;
     /// [`ModelLake::current_graph`] extends it by the suffix it lacks.
     memo: RecoveryMemo,
-    /// The graph of the last catch-up, `None` once a `Model` block made it
-    /// stale. Shared out as an `Arc` so a task read borrows it instead of
-    /// copying every edge.
+    /// The graph of the last catch-up; stale once it covers fewer models
+    /// than the registry holds. Shared out as an `Arc` so a task read
+    /// borrows it instead of copying every edge.
     published: Option<Arc<PublishedGraph>>,
+}
+
+/// The full-text index (DESIGN.md §16), caught up by
+/// [`ModelLake::with_text`] to `seq`, the event-log head it covers.
+#[derive(Default)]
+struct TextState {
+    index: mlake_text::TextIndex,
+    seq: u64,
 }
 
 /// The model lake.
 pub struct ModelLake {
     pub(crate) config: LakeConfig,
     pub(crate) store: ResidentStore,
-    pub(crate) registry: RwLock<Registry>,
-    pub(crate) events: RwLock<EventLog>,
+    /// Taken only by [`ModelLake::catalogue`] and [`ModelLake::apply_record`].
+    catalogue: RwLock<Catalogue>,
     /// Durability link (`None` for ephemeral in-memory lakes): the WAL
     /// every mutating facade op appends to before touching state above.
     /// See `crate::durable` and DESIGN.md §12.
     pub(crate) wal: Option<crate::durable::WalLink>,
-    /// Full-text inverted index over card sections and model metadata
-    /// (DESIGN.md §16). Derived state, rebuilt from the cards on open.
-    /// Rank **27 (core.text)**: leaf — never held across another ranked
-    /// acquisition.
-    pub(crate) text: RwLock<mlake_text::TextIndex>,
+    text: RwLock<TextState>,
     /// Serializes mutating facade ops so WAL append order always equals
     /// in-memory apply order (replay must reproduce state exactly), and
     /// guards the incremental-persist marks (DESIGN.md §15): the guard is
-    /// the `&mut SegState` every locked writer takes. Read paths never
-    /// take it.
+    /// the `&mut SegState` every locked writer takes. Never taken under the
+    /// catalogue: a read that needs the graph caught up does that first.
     pub(crate) op_lock: parking_lot::Mutex<SegState>,
     fingerprinter: Fingerprinter,
     /// One HNSW index per fingerprint kind, in [`FingerprintKind::ALL`]
     /// order: a projection of the registry's `ModelEntry::fps`, caught up
-    /// to the registry by [`ModelLake::ensure_indexes`] before a search
-    /// reads it. Its own `len()` is the watermark; nothing else writes it.
+    /// to the reader's catalogue by [`ModelLake::ensure_indexes`] before a
+    /// search reads it. Its own `len()` is the watermark.
     indexes: RwLock<[ShardedIndex<HnswIndex>; 3]>,
     /// The recovered version graph and the recovery memo behind it.
     graph: RwLock<GraphState>,
@@ -485,9 +615,8 @@ impl ModelLake {
         ModelLake {
             config,
             store: ResidentStore::with_cap(resident_cap),
-            registry: RwLock::new(Registry::default()),
-            events: RwLock::new(EventLog::new()),
-            text: RwLock::new(mlake_text::TextIndex::new(mlake_text::Bm25Params::default())),
+            catalogue: RwLock::new(Catalogue::default()),
+            text: RwLock::new(TextState::default()),
             wal: None,
             op_lock: parking_lot::Mutex::new(SegState::default()),
             fingerprinter,
@@ -521,7 +650,7 @@ impl ModelLake {
     /// Number of models in the lake.
     // lint: no-span — trivial accessor
     pub fn len(&self) -> usize {
-        self.registry.read().models.len()
+        self.catalogue().registry.models.len()
     }
 
     /// `true` when no models are stored.
@@ -536,6 +665,22 @@ impl ModelLake {
     // lint: no-span — trivial accessor
     pub fn resident_bytes(&self) -> u64 {
         self.store.resident_bytes()
+    }
+
+    /// The one guard a read takes and holds to its end, so its answer
+    /// describes the lake at one op boundary.
+    pub(crate) fn catalogue(&self) -> CatalogueRead<'_> {
+        let _ord = lockorder::acquire(ranks::CORE_CATALOGUE, "core.catalogue");
+        // lock-order: 8 (core.catalogue)
+        let guard = self.catalogue.read();
+        Held { guard, _ord }
+    }
+
+    fn catalogue_mut(&self) -> CatalogueWrite<'_> {
+        let _ord = lockorder::acquire(ranks::CORE_CATALOGUE, "core.catalogue");
+        // lock-order: 8 (core.catalogue)
+        let guard = self.catalogue.write();
+        Held { guard, _ord }
     }
 
     // ------------------------------------------------------------------
@@ -556,14 +701,14 @@ impl ModelLake {
         let _span = mlake_obs::span("lake.ingest");
         let mut seg = self.op_lock.lock();
         let id = {
-            let reg = self.registry.read();
-            if reg.by_name.contains_key(name) {
+            let cat = self.catalogue();
+            if cat.registry.by_name.contains_key(name) {
                 return Err(LakeError::Duplicate {
                     kind: "model",
                     name: name.into(),
                 });
             }
-            ModelId(reg.models.len() as u64)
+            ModelId(cat.registry.models.len() as u64)
         };
         if !model.is_finite() {
             return Err(LakeError::CorruptArtifact(format!(
@@ -600,11 +745,14 @@ impl ModelLake {
         model: &Model,
         card: ModelCard,
     ) -> Result<Block> {
-        let fps = self.checked_fingerprints([
-            self.fingerprinter.intrinsic(model),
-            self.fingerprinter.extrinsic(model)?,
-            self.fingerprinter.hybrid(model)?,
-        ])?;
+        let fps = checked_fingerprints(
+            [
+                self.fingerprinter.intrinsic(model),
+                self.fingerprinter.extrinsic(model)?,
+                self.fingerprinter.hybrid(model)?,
+            ],
+            self.config.sketch_dim,
+        )?;
         Ok(Block::Model(ModelBlock {
             name: name.into(),
             digest: digest.to_hex(),
@@ -615,36 +763,16 @@ impl ModelLake {
         }))
     }
 
-    /// The gate every fingerprint triple passes on its way onto a registry
-    /// entry — computed by [`ModelLake::model_block`], decoded from a
-    /// `Model` block by [`ModelLake::apply_block`]: its widths must be the
-    /// ones `sketch_dim` implies (`model_dna` is 8 moments ++ the sketch,
-    /// the behaviour sketch is `sketch_dim` wide, hybrid concatenates the
-    /// two), so the catch-up insert in [`ModelLake::ensure_indexes`] cannot
-    /// fail on its input. A lake opened under a different `sketch_dim` than
-    /// it was written with fails here, at open.
-    fn checked_fingerprints(&self, fps: [Vec<f32>; 3]) -> Result<[Vec<f32>; 3]> {
-        let d = self.config.sketch_dim;
-        let want = [8 + d, d, 8 + 2 * d];
-        let got = [fps[0].len(), fps[1].len(), fps[2].len()];
-        if got != want {
-            return Err(LakeError::Config(format!(
-                "fingerprint widths {got:?} do not match sketch_dim {d} (expected {want:?})"
-            )));
-        }
-        Ok(fps)
-    }
-
     /// One op's record: `blocks` plus one `Events` block numbering `events`
     /// after the log head. Callers hold `op_lock` (or are the
     /// single-threaded open), so this is the numbering
-    /// [`ModelLake::apply_block`] checks.
+    /// [`Catalogue::apply`] checks.
     pub(crate) fn with_events(
         &self,
         mut blocks: Vec<Block>,
         events: &[(EventKind, &str)],
     ) -> Vec<Block> {
-        let head = self.events.read().head();
+        let head = self.catalogue().events.head();
         let events = events
             .iter()
             .zip(head + 1..)
@@ -670,154 +798,56 @@ impl ModelLake {
     ) -> Result<u64> {
         let blocks = self.with_events(blocks, events);
         self.log_record(&blocks)?;
-        for block in blocks {
-            self.apply_block(seg, block)?;
-        }
+        let head = self.apply_record(blocks)?;
+        // Reindex the cards this op changed now: reads after a write stay cheap.
+        self.with_text(&self.catalogue(), |_| ());
         self.maybe_compact(seg);
-        Ok(self.events.read().head())
+        Ok(head)
     }
 
-    /// The one writer of the catalogue — registry, text index and event
-    /// log — for live ops, the folded segment chain at open and WAL replay
-    /// alike. A `Model` block withdraws the published version graph and
-    /// touches neither the vector indexes nor the recovery memo: the next
-    /// search catches the indexes up from the registry, the next graph
-    /// read the memo. A second `Model` block for a registered name, a card
-    /// override for an unknown id and an event that does not follow the
-    /// log head are corruption. `seg` is the `op_lock` guard, or open's
-    /// marks while the lake is not yet shared.
-    pub(crate) fn apply_block(&self, seg: &mut SegState, block: Block) -> Result<()> {
-        match block {
-            Block::Model(m) => {
-                let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
-                    LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
-                })?;
-                let fps = Arc::new(self.checked_fingerprints(blockstore::fp_floats(&m.fps))?);
-                let doc = text_document(&m.name, &m.arch, &m.card);
-                let id = {
-                    let mut reg = self.registry.write();
-                    if reg.by_name.contains_key(&m.name) {
-                        return Err(LakeError::CorruptArtifact(format!(
-                            "model '{}' is registered twice",
-                            m.name
-                        )));
-                    }
-                    let id = ModelId(reg.models.len() as u64);
-                    reg.by_name.insert(m.name.clone(), id);
-                    reg.models.push(ModelEntry {
-                        id,
-                        name: m.name,
-                        arch: m.arch,
-                        digest,
-                        params: m.params,
-                        tags: m.card.task_tags.clone(),
-                        card: m.card,
-                        fps,
-                    });
-                    id
-                };
-                {
-                    // lock-order: 27 (core.text)
-                    self.text.write().insert(id.0, &doc);
-                }
-                self.graph.write().published = None;
-            }
-            Block::CardOverride { id, card } => {
-                let doc = {
-                    let mut reg = self.registry.write();
-                    let entry = reg.model_mut(ModelId(id)).ok_or_else(|| {
-                        LakeError::CorruptArtifact(format!(
-                            "card override for unknown model id {id}"
-                        ))
-                    })?;
-                    entry.tags = card.task_tags.clone();
-                    entry.card = card;
-                    text_document(&entry.name, &entry.arch, &entry.card)
-                };
-                // lock-order: 27 (core.text)
-                self.text.write().insert(id, &doc);
-                // The next delta segment must carry a CardOverride for this
-                // model (persist skips ids its fresh Model blocks cover).
-                seg.dirty_cards.insert(id);
-            }
-            Block::Dataset { dataset } => self.registry.write().datasets.push(dataset),
-            Block::Benchmark { benchmark, domain } => {
-                let name = benchmark.name.clone();
-                self.registry
-                    .write()
-                    .benchmarks
-                    .insert(name, BenchmarkEntry { benchmark, domain });
-            }
-            Block::Events { events } => {
-                let mut log = self.events.write();
-                for event in events {
-                    log.push(event)?;
-                }
-            }
-            Block::TextIndex {} => {}
+    /// Applies one record — a live op's blocks, a WAL record, a segment —
+    /// under one write guard, so no read sees part of it; returns the log
+    /// head after it. No projection is touched: reads catch them up.
+    pub(crate) fn apply_record(&self, blocks: Vec<Block>) -> Result<u64> {
+        let mut cat = self.catalogue_mut();
+        for block in blocks {
+            cat.apply(block, self.config.sketch_dim)?;
         }
-        Ok(())
+        Ok(cat.events.head())
     }
 
     /// Resolves any model identity — id, name or content digest — to the
-    /// lake-local [`ModelId`]. All facade reads funnel through here, so the
-    /// three identities are interchangeable everywhere.
+    /// lake-local [`ModelId`].
     // lint: no-span — identity funnel on every read path; a span here
     // would dominate the recorder with noise
     pub fn resolve<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelId> {
-        let r = model.into();
-        let reg = self.registry.read();
-        let found = match r {
-            ModelRef::Id(id) => reg.model(id).map(|e| e.id),
-            ModelRef::Name(name) => reg.id_of(name),
-            ModelRef::Digest(d) => reg.models.iter().find(|e| &e.digest == d).map(|e| e.id),
-        };
-        found.ok_or_else(|| LakeError::NotFound {
-            kind: "model",
-            name: r.to_string(),
-        })
+        Ok(self.catalogue().find(model.into())?.id)
     }
 
     /// Decodes a model artifact from the store.
     pub fn model<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<Model> {
         let _span = mlake_obs::span("lake.model.decode");
-        let id = self.resolve(model)?;
-        let digest = {
-            let reg = self.registry.read();
-            reg.model(id)
-                .ok_or_else(|| LakeError::NotFound {
-                    kind: "model",
-                    name: id.to_string(),
-                })?
-                .digest
-        };
-        let bytes = self.store.get(&digest)?;
+        let digest = self.catalogue().find(model.into())?.digest;
+        self.load(&digest)
+    }
+
+    /// Decodes the artifact stored under `digest`.
+    fn load(&self, digest: &Digest) -> Result<Model> {
+        let bytes = self.store.get(digest)?;
         Model::from_bytes(&bytes).map_err(|e| LakeError::CorruptArtifact(e.to_string()))
     }
 
     /// Registry entry snapshot of a model.
     // lint: no-span — cheap registry clone on every read path
     pub fn entry<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelEntry> {
-        let id = self.resolve(model)?;
-        self.registry
-            .read()
-            .model(id)
-            .cloned()
-            .ok_or_else(|| LakeError::NotFound {
-                kind: "model",
-                name: id.to_string(),
-            })
+        Ok(self.catalogue().find(model.into())?.clone())
     }
 
     /// All model names in id order.
     // lint: no-span — trivial accessor
     pub fn model_names(&self) -> Vec<String> {
-        self.registry
-            .read()
-            .models
-            .iter()
-            .map(|m| m.name.clone())
-            .collect()
+        let cat = self.catalogue();
+        cat.registry.models.iter().map(|m| m.name.clone()).collect()
     }
 
     /// Replaces a model's card. Accepts any model identity
@@ -825,8 +855,11 @@ impl ModelLake {
     pub fn update_card<'a>(&self, model: impl Into<ModelRef<'a>>, card: ModelCard) -> Result<()> {
         let _span = mlake_obs::span("lake.card.update");
         let mut seg = self.op_lock.lock();
-        let id = self.resolve(model)?;
-        let name = self.entry(id)?.name;
+        let (id, name) = {
+            let cat = self.catalogue();
+            let entry = cat.find(model.into())?;
+            (entry.id, entry.name.clone())
+        };
         self.commit(
             &mut seg,
             vec![Block::CardOverride { id: id.0, card }],
@@ -839,7 +872,7 @@ impl ModelLake {
     pub fn register_dataset(&self, dataset: mlake_datagen::Dataset) -> Result<()> {
         let _span = mlake_obs::span("lake.register.dataset");
         let mut seg = self.op_lock.lock();
-        if self.registry.read().datasets.iter().any(|d| d.name == dataset.name) {
+        if self.catalogue().registry.dataset_by_name(&dataset.name).is_some() {
             return Err(LakeError::Duplicate {
                 kind: "dataset",
                 name: dataset.name,
@@ -858,7 +891,7 @@ impl ModelLake {
     pub fn register_benchmark(&self, benchmark: Benchmark, domain: Option<String>) -> Result<()> {
         let _span = mlake_obs::span("lake.register.benchmark");
         let mut seg = self.op_lock.lock();
-        if self.registry.read().benchmarks.contains_key(&benchmark.name) {
+        if self.catalogue().registry.benchmarks.contains_key(&benchmark.name) {
             return Err(LakeError::Duplicate {
                 kind: "benchmark",
                 name: benchmark.name,
@@ -876,7 +909,7 @@ impl ModelLake {
     /// Names of registered benchmarks.
     // lint: no-span — trivial accessor
     pub fn benchmark_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.registry.read().benchmarks.keys().cloned().collect();
+        let mut names: Vec<String> = self.catalogue().registry.benchmarks.keys().cloned().collect();
         names.sort();
         names
     }
@@ -895,31 +928,31 @@ impl ModelLake {
         k: usize,
     ) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.similar");
-        let id = self.resolve(model)?;
-        // One registry read: the lake's size, to clamp `k` (it arrives as
-        // sent from the socket, no answer is longer than the lake, and
-        // `k + 1` below must not overflow), and the anchor — the model's
-        // own record, the very bits the index was built from; no blob
-        // fault, decode or probe run.
-        let (k, fps) = {
-            let reg = self.registry.read();
-            let entry = reg.model(id).ok_or_else(|| LakeError::NotFound {
-                kind: "model",
-                name: id.to_string(),
-            })?;
-            (k.min(reg.models.len()), Arc::clone(&entry.fps))
-        };
-        // Cache key: the query and the event-log head as generation —
-        // any lake mutation bumps the head, so stale results are
-        // unreachable by construction (see `crate::cache`).
+        let cat = self.catalogue();
+        self.similar_on(&cat, cat.find(model.into())?.id, kind, k)
+    }
+
+    fn similar_on(
+        &self,
+        cat: &Catalogue,
+        id: ModelId,
+        kind: FingerprintKind,
+        k: usize,
+    ) -> Result<Vec<(ModelId, f32)>> {
+        // `k` arrives as sent from the socket: no answer is longer than the
+        // lake, and `k + 1` below must not overflow. The generation is the
+        // event-log head, so stale results are unreachable (`crate::cache`).
+        let k = k.min(cat.registry.models.len());
         let key = CacheKey {
             query: CachedQuery::Similar { id, kind, k },
-            generation: self.events.read().head(),
+            generation: cat.events.head(),
         };
         if let Some(hits) = self.similar_cache.get(&key) {
             return Ok(hits);
         }
-        self.ensure_indexes()?;
+        // The anchor is the bits the index was built from: no blob fault.
+        let fps = &cat.find(ModelRef::Id(id))?.fps;
+        self.ensure_indexes(cat)?;
         let hits = self.indexes.read()[kind as usize].search(&fps[kind as usize], k + 1)?;
         let out: Vec<(ModelId, f32)> = hits
             .into_iter()
@@ -938,30 +971,32 @@ impl ModelLake {
     /// mutation via the generation-keyed cache.
     pub fn text_search(&self, query: &str, k: usize) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.text");
+        Ok(self.text_on(&self.catalogue(), query, k))
+    }
+
+    fn text_on(&self, cat: &Catalogue, query: &str, k: usize) -> Vec<(ModelId, f32)> {
         let key = CacheKey {
             query: CachedQuery::Text { query: query.to_string(), k },
-            generation: self.events.read().head(),
+            generation: cat.events.head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
-            return Ok(hits);
+            return hits;
         }
-        let out: Vec<(ModelId, f32)> = {
-            // lock-order: 27 (core.text)
-            self.text.read().search(query, k)
-        }
-        .into_iter()
-        .map(|(doc, score)| (ModelId(doc), score))
-        .collect();
+        let out: Vec<(ModelId, f32)> = self
+            .with_text(cat, |index| index.search(query, k))
+            .into_iter()
+            .map(|(doc, score)| (ModelId(doc), score))
+            .collect();
         self.text_cache.put(key, out.clone());
-        Ok(out)
+        out
     }
 
     /// Hybrid retrieval (DESIGN.md §16): reciprocal-rank fusion of the
     /// BM25 text ranking for `query` with the `kind`-fingerprint vector
-    /// ranking around `model`. Each branch over-fetches
-    /// [`HYBRID_POOL_FACTOR`]`·k` candidates so fusion has mid-list
-    /// agreement to reward; the anchor model itself is excluded from
-    /// both lists. Scores are RRF mass, not BM25 or cosine values.
+    /// ranking around `model`, both taken on one catalogue. Each branch
+    /// over-fetches [`HYBRID_POOL_FACTOR`]`·k` candidates so fusion has
+    /// mid-list agreement to reward; the anchor model itself is excluded
+    /// from both lists. Scores are RRF mass, not BM25 or cosine values.
     pub fn hybrid_search<'a>(
         &self,
         query: &str,
@@ -970,28 +1005,27 @@ impl ModelLake {
         k: usize,
     ) -> Result<Vec<(ModelId, f32)>> {
         let _span = mlake_obs::span("lake.hybrid");
-        let id = self.resolve(model)?;
+        let cat = self.catalogue();
+        let id = cat.find(model.into())?.id;
         // Same clamp as `similar`: the pool arithmetic must not overflow.
-        let k = k.min(self.len());
+        let k = k.min(cat.registry.models.len());
         let key = CacheKey {
             query: CachedQuery::Hybrid { id, kind, query: query.to_string(), k },
-            generation: self.events.read().head(),
+            generation: cat.events.head(),
         };
         if let Some(hits) = self.text_cache.get(&key) {
             return Ok(hits);
         }
         let pool = k.max(1) * HYBRID_POOL_FACTOR;
-        let text_ranks: Vec<u64> = {
-            // lock-order: 27 (core.text)
-            self.text.read().search(query, pool + 1)
-        }
-        .into_iter()
-        .map(|(doc, _)| doc)
-        .filter(|doc| *doc != id.0)
-        .take(pool)
-        .collect();
+        let text_ranks: Vec<u64> = self
+            .with_text(&cat, |index| index.search(query, pool + 1))
+            .into_iter()
+            .map(|(doc, _)| doc)
+            .filter(|doc| *doc != id.0)
+            .take(pool)
+            .collect();
         let vec_ranks: Vec<u64> = self
-            .similar(id, kind, pool)?
+            .similar_on(&cat, id, kind, pool)?
             .into_iter()
             .map(|(m, _)| m.0)
             .collect();
@@ -1002,6 +1036,30 @@ impl ModelLake {
                 .collect();
         self.text_cache.put(key, out.clone());
         Ok(out)
+    }
+
+    /// Runs `read` on the text index caught up to `cat`: the models that
+    /// `ModelIngested` / `CardUpdated` events past its watermark name are
+    /// reindexed, once each, from their current cards. The index layout does
+    /// not depend on insertion order (DESIGN.md §16), so neither do rankings.
+    fn with_text<R>(&self, cat: &Catalogue, read: impl FnOnce(&mlake_text::TextIndex) -> R) -> R {
+        let head = cat.events.head();
+        let text = self.text.read();
+        if text.seq == head {
+            return read(&text.index);
+        }
+        drop(text);
+        let mut text = self.text.write();
+        let fresh: BTreeSet<ModelId> = cat.events.events()[text.seq as usize..]
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::ModelIngested | EventKind::CardUpdated))
+            .filter_map(|e| cat.registry.id_of(&e.subject))
+            .collect();
+        for e in fresh.into_iter().filter_map(|id| cat.registry.model(id)) {
+            text.index.insert(e.id.0, &text_document(&e.name, &e.arch, &e.card));
+        }
+        text.seq = head;
+        read(&text.index)
     }
 
     // ------------------------------------------------------------------
@@ -1048,9 +1106,12 @@ impl ModelLake {
         if memo.options() != &opts {
             memo = RecoveryMemo::new(opts);
         }
-        let recovered = memo.extend(self.len(), Some(&self.fingerprinter.probes), |i| {
-            self.model(ModelId(i as u64))
-        });
+        let recovered = {
+            let cat = self.catalogue();
+            memo.extend(cat.registry.models.len(), Some(&self.fingerprinter.probes), |i| {
+                self.load(&cat.find(ModelRef::Id(ModelId(i as u64)))?.digest)
+            })
+        };
         self.graph.write().memo = memo;
         let graph = recovered?;
         // The graph is derived state: its record is the event alone.
@@ -1064,69 +1125,65 @@ impl ModelLake {
     /// Returns an owned copy; the facade's own readers share the cached one.
     // lint: no-span — cache hit is a clone; the catch-up path spans itself
     pub fn version_graph(&self) -> Result<RecoveredGraph> {
-        Ok(self.current_graph()?.graph.clone())
+        Ok(self.current_graph()?.0.graph.clone())
     }
 
-    /// The published graph, catching it up first when stale. Staleness is
-    /// re-checked under `op_lock`: of k readers that find the graph stale
-    /// after one ingest, the first catches up and the rest, queued behind
-    /// it, take its result — one catch-up, one `GraphRebuilt` record and
-    /// event, one cache-generation bump, not k.
-    fn current_graph(&self) -> Result<Arc<PublishedGraph>> {
-        if let Some(g) = self.graph.read().published.clone() {
-            return Ok(g);
+    /// The published graph with a graph read's one catalogue guard, the graph
+    /// covering exactly that catalogue. A stale graph (fewer models than the
+    /// registry) is caught up first with no guard held — a catch-up commits a
+    /// `GraphRebuilt` record — under `op_lock`, let go only once the guard is
+    /// taken. Staleness is re-checked under `op_lock`, so k readers that find
+    /// the graph stale after one ingest run one catch-up, not k.
+    fn current_graph(&self) -> Result<(Arc<PublishedGraph>, CatalogueRead<'_>)> {
+        let fresh = |cat: &Catalogue| {
+            let g = self.graph.read().published.clone()?;
+            (g.graph.num_models == cat.registry.models.len()).then_some(g)
+        };
+        let cat = self.catalogue();
+        if let Some(g) = fresh(&cat) {
+            return Ok((g, cat));
         }
+        drop(cat);
         let mut seg = self.op_lock.lock();
-        if let Some(g) = self.graph.read().published.clone() {
-            return Ok(g);
-        }
-        self.rebuild_graph_locked(&mut seg, None)
+        let published = fresh(&self.catalogue());
+        let g = match published {
+            Some(g) => g,
+            None => self.rebuild_graph_locked(&mut seg, None)?,
+        };
+        Ok((g, self.catalogue()))
     }
 
     /// Lineage path of a model from its recovered root, root first, as names.
     pub fn lineage_path<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<Vec<String>> {
         let _span = mlake_obs::span("lake.lineage");
-        let id = self.resolve(model)?;
-        Ok(self.path_on(&*self.current_graph()?, id))
-    }
-
-    /// The names from `id`'s recovered root down to `id` on `graph`.
-    fn path_on(&self, graph: &PublishedGraph, id: ModelId) -> Vec<String> {
-        let me = id.0 as usize;
-        let mut path: Vec<usize> = std::iter::once(me).chain(graph.ancestors(me)).collect();
-        path.reverse();
-        let reg = self.registry.read();
-        path.into_iter()
-            .filter_map(|i| reg.model(ModelId(i as u64)).map(|m| m.name.clone()))
-            .collect()
+        let (graph, cat) = self.current_graph()?;
+        Ok(graph.path(&cat.registry, cat.find(model.into())?.id))
     }
 
     // ------------------------------------------------------------------
     // Benchmarking (§3 Benchmarking)
     // ------------------------------------------------------------------
 
-    /// `S(M, B)` with caching. The `lake.score` span covers a measurement,
-    /// not a cache hit: a hit is one map probe, and every task read makes
-    /// one per applicable benchmark.
+    /// `S(M, B)` with caching.
+    // lint: no-span — `score_on` spans a measurement, not a cache hit
     pub fn score_of<'a>(&self, model: impl Into<ModelRef<'a>>, benchmark: &str) -> Result<Score> {
-        let id = self.resolve(model)?;
+        let cat = self.catalogue();
+        self.score_on(&cat, cat.find(model.into())?.id, benchmark)
+    }
+
+    /// The `lake.score` span covers a measurement, not a cache hit: a hit is
+    /// one map probe, and every task read makes one per applicable benchmark.
+    fn score_on(&self, cat: &Catalogue, id: ModelId, benchmark: &str) -> Result<Score> {
         if let Some(s) = self.score_cache.read().get(&(id.0, benchmark.to_string())) {
             return Ok(s.clone());
         }
         let _span = mlake_obs::span("lake.score");
-        let bench = {
-            let reg = self.registry.read();
-            reg.benchmarks
-                .get(benchmark)
-                .ok_or_else(|| LakeError::NotFound {
-                    kind: "benchmark",
-                    name: benchmark.into(),
-                })?
-                .benchmark
-                .clone()
-        };
-        let model = self.model(id)?;
-        let score = bench.score(&model)?;
+        let bench = cat.registry.benchmarks.get(benchmark).ok_or_else(|| LakeError::NotFound {
+            kind: "benchmark",
+            name: benchmark.into(),
+        })?;
+        let model = self.load(&cat.find(ModelRef::Id(id))?.digest)?;
+        let score = bench.benchmark.score(&model)?;
         self.score_cache
             .write()
             .insert((id.0, benchmark.to_string()), score.clone());
@@ -1140,25 +1197,22 @@ impl ModelLake {
     /// `skipped` are those of [`Leaderboard::run`] over every model.
     pub fn leaderboard(&self, benchmark: &str) -> Result<Leaderboard> {
         let _span = mlake_obs::span("lake.leaderboard");
-        let (mut applicable, mut skipped) = (Vec::new(), Vec::new());
-        {
-            let reg = self.registry.read();
-            let entry = reg.benchmarks.get(benchmark).ok_or_else(|| LakeError::NotFound {
-                kind: "benchmark",
-                name: benchmark.into(),
-            })?;
-            for e in &reg.models {
-                if entry.benchmark.applicable_to(&entry_architecture(e)?) {
-                    applicable.push(e.id);
-                } else {
-                    skipped.push(e.id.0);
-                }
+        self.leaderboard_on(&self.catalogue(), benchmark)
+    }
+
+    fn leaderboard_on(&self, cat: &Catalogue, benchmark: &str) -> Result<Leaderboard> {
+        let entry = cat.registry.benchmarks.get(benchmark).ok_or_else(|| LakeError::NotFound {
+            kind: "benchmark",
+            name: benchmark.into(),
+        })?;
+        let (mut scored, mut skipped) = (Vec::new(), Vec::new());
+        for e in &cat.registry.models {
+            if entry.benchmark.applicable_to(&entry_architecture(e)?) {
+                let score = self.score_on(cat, e.id, benchmark)?;
+                scored.push(LeaderboardRow { model_id: e.id.0, score });
+            } else {
+                skipped.push(e.id.0);
             }
-        }
-        let mut scored = Vec::with_capacity(applicable.len());
-        for id in applicable {
-            let score = self.score_of(id, benchmark)?;
-            scored.push(LeaderboardRow { model_id: id.0, score });
         }
         Ok(Leaderboard::ranked(benchmark, scored, skipped))
     }
@@ -1174,34 +1228,40 @@ impl ModelLake {
     /// [`ModelLake::score_of`], so once a model's scores are cached this
     /// reads no blob — only a never-scored (model, benchmark) pair decodes
     /// the artifact.
-    // lint: no-span — `evidence_of` opens `lake.evidence`
+    // lint: no-span — `with_evidence` opens `lake.evidence`
     pub fn evidence_for<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<CardEvidence> {
-        let id = self.resolve(model)?;
-        self.evidence_of(id, &entry_architecture(&self.entry(id)?)?)
+        self.with_evidence(model.into(), |_, _, evidence| Ok(evidence))
     }
 
-    /// [`ModelLake::evidence_for`] for a caller that already parsed the
-    /// entry's architecture.
-    fn evidence_of(&self, id: ModelId, arch: &Architecture) -> Result<CardEvidence> {
+    /// What the §6 document reads share: the caught-up graph and one
+    /// catalogue guard ([`ModelLake::current_graph`]), under which `read`
+    /// gets the model's entry and its measured evidence.
+    fn with_evidence<R>(
+        &self,
+        model: ModelRef<'_>,
+        read: impl FnOnce(&Catalogue, &ModelEntry, CardEvidence) -> Result<R>,
+    ) -> Result<R> {
         let _span = mlake_obs::span("lake.evidence");
-        let mut applicable: Vec<(String, Option<String>)> = {
-            let reg = self.registry.read();
-            reg.benchmarks
-                .iter()
-                .filter(|(_, e)| e.benchmark.applicable_to(arch))
-                .map(|(name, e)| (name.clone(), e.domain.clone()))
-                .collect()
-        };
+        let (graph, cat) = self.current_graph()?;
+        let entry = cat.find(model)?;
+        let arch = entry_architecture(entry)?;
+        let mut applicable: Vec<(&String, &Option<String>)> = cat
+            .registry
+            .benchmarks
+            .iter()
+            .filter(|(_, e)| e.benchmark.applicable_to(&arch))
+            .map(|(name, e)| (name, &e.domain))
+            .collect();
         // Name order: the map's is arbitrary, and both the metric list and
         // the domain tie-break follow it.
-        applicable.sort_by(|a, b| a.0.cmp(&b.0));
+        applicable.sort_by(|a, b| a.0.cmp(b.0));
         let mut measured = Vec::with_capacity(applicable.len());
-        let mut best_domain: Option<(String, f32)> = None;
+        let mut best_domain: Option<(&String, f32)> = None;
         for (name, domain) in applicable {
-            let score = self.score_of(id, &name)?;
+            let score = self.score_on(&cat, entry.id, name)?;
             if let Some(d) = domain {
                 let goodness = score.goodness();
-                if best_domain.as_ref().is_none_or(|(_, g)| goodness > *g) {
+                if best_domain.is_none_or(|(_, g)| goodness > g) {
                     best_domain = Some((d, goodness));
                 }
             }
@@ -1211,23 +1271,20 @@ impl ModelLake {
                 value: score.value,
             });
         }
-        let graph = self.current_graph()?;
-        let (recovered_base, recovered_transform) = {
-            let reg = self.registry.read();
-            match graph.parent_edge(id.0 as usize) {
-                Some(e) => (
-                    reg.model(ModelId(e.parent as u64)).map(|m| m.name.clone()),
-                    Some(e.kind.name().to_string()),
-                ),
-                None => (None, None),
-            }
+        let (recovered_base, recovered_transform) = match graph.parent_edge(entry.id.0 as usize) {
+            Some(e) => (
+                cat.registry.model(ModelId(e.parent as u64)).map(|m| m.name.clone()),
+                Some(e.kind.name().to_string()),
+            ),
+            None => (None, None),
         };
-        Ok(CardEvidence {
+        let evidence = CardEvidence {
             measured_metrics: measured,
             recovered_base,
             recovered_transform,
-            predicted_domain: best_domain.map(|(d, _)| d),
-        })
+            predicted_domain: best_domain.map(|(d, _)| d.clone()),
+        };
+        read(&cat, entry, evidence)
     }
 
     /// Auto-generates a model card from lake evidence — the §6 document-
@@ -1235,34 +1292,32 @@ impl ModelLake {
     /// *measure*, independent of any uploaded documentation.
     pub fn generate_card<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelCard> {
         let _span = mlake_obs::span("lake.card.generate");
-        let id = self.resolve(model)?;
-        let entry = self.entry(id)?;
-        let arch = entry_architecture(&entry)?;
-        let evidence = self.evidence_of(id, &arch)?;
-        let mut card = ModelCard::skeleton(&entry.name, &entry.arch);
-        card.task_tags = vec![match arch {
-            Architecture::Mlp { .. } => "classification".to_string(),
-            Architecture::NgramLm { .. } => "language-modeling".to_string(),
-        }];
-        if let Some(d) = evidence.predicted_domain {
-            card.domains = vec![d];
-        }
-        card.metrics = evidence.measured_metrics;
-        card.lineage.base_model = evidence.recovered_base;
-        card.lineage.transform = evidence.recovered_transform;
-        card.quantitative = Some(mlake_cards::NutritionalLabel {
-            demographic_parity_gap: None,
-            group_accuracies: None,
-            calibration_ece: None,
-            parameter_count: Some(entry.params),
-        });
-        card.notes = format!(
-            "Auto-generated by {} from measured evidence; artifact {}.",
-            self.config.name,
-            entry.digest.short()
-        );
-        card.created_at = self.events.read().head();
-        Ok(card)
+        self.with_evidence(model.into(), |cat, entry, evidence| {
+            let mut card = ModelCard::skeleton(&entry.name, &entry.arch);
+            card.task_tags = vec![match entry_architecture(entry)? {
+                Architecture::Mlp { .. } => "classification".to_string(),
+                Architecture::NgramLm { .. } => "language-modeling".to_string(),
+            }];
+            if let Some(d) = evidence.predicted_domain {
+                card.domains = vec![d];
+            }
+            card.metrics = evidence.measured_metrics;
+            card.lineage.base_model = evidence.recovered_base;
+            card.lineage.transform = evidence.recovered_transform;
+            card.quantitative = Some(mlake_cards::NutritionalLabel {
+                demographic_parity_gap: None,
+                group_accuracies: None,
+                calibration_ece: None,
+                parameter_count: Some(entry.params),
+            });
+            card.notes = format!(
+                "Auto-generated by {} from measured evidence; artifact {}.",
+                self.config.name,
+                entry.digest.short()
+            );
+            card.created_at = cat.events.head();
+            Ok(card)
+        })
     }
 
     /// Verifies a model's *uploaded* card against measured evidence.
@@ -1271,32 +1326,29 @@ impl ModelLake {
         model: impl Into<ModelRef<'a>>,
     ) -> Result<VerificationReport> {
         let _span = mlake_obs::span("lake.verify");
-        let id = self.resolve(model)?;
-        let entry = self.entry(id)?;
-        let evidence = self.evidence_of(id, &entry_architecture(&entry)?)?;
-        Ok(verify_card(&entry.card, &evidence))
+        self.with_evidence(model.into(), |_, entry, evidence| {
+            Ok(verify_card(&entry.card, &evidence))
+        })
     }
 
     /// Runs the standard audit questionnaire against a model.
     pub fn audit_model<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<AuditReport> {
         let _span = mlake_obs::span("lake.audit");
-        let id = self.resolve(model)?;
-        let entry = self.entry(id)?;
-        let evidence = self.evidence_of(id, &entry_architecture(&entry)?)?;
-        Ok(run_audit(&entry.card, &evidence, &standard_questionnaire()))
+        self.with_evidence(model.into(), |_, entry, evidence| {
+            Ok(run_audit(&entry.card, &evidence, &standard_questionnaire()))
+        })
     }
 
     /// Generates a graph-timestamped citation (§6 Data and Model Citation).
     pub fn cite<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<Citation> {
         let _span = mlake_obs::span("lake.cite");
-        let id = self.resolve(model)?;
-        let entry = self.entry(id)?;
         // Path and timestamp come off one published graph: an ingest that
         // lands meanwhile cannot stamp this path with a newer graph's time.
-        let graph = self.current_graph()?;
+        let (graph, cat) = self.current_graph()?;
+        let entry = cat.find(model.into())?;
         Ok(Citation {
-            model_name: entry.name,
-            version_path: self.path_on(&graph, id),
+            model_name: entry.name.clone(),
+            version_path: graph.path(&cat.registry, entry.id),
             graph_timestamp: graph.timestamp,
             lake_name: self.config.name.clone(),
         })
@@ -1328,45 +1380,36 @@ impl ModelLake {
     /// Current graph timestamp (for citation stability tests).
     // lint: no-span — trivial accessor
     pub fn graph_timestamp(&self) -> u64 {
-        self.events.read().graph_timestamp()
+        self.catalogue().events.graph_timestamp()
     }
 
     /// Event-log snapshot.
     // lint: no-span — trivial accessor
     pub fn events(&self) -> Vec<crate::event::Event> {
-        self.events.read().events().to_vec()
+        self.catalogue().events.events().to_vec()
     }
 
-    /// Catches the fingerprint indexes up to the registry (DESIGN.md §15):
-    /// inserts entries `[index len .. registry len)` in id order, so the
-    /// HNSW graphs are the same whether the models arrived by live ingest,
-    /// segment fold or WAL replay, and whenever the searches fell between
-    /// them. A freshly opened lake pays its whole HNSW build here, on the
-    /// first search, instead of inside `open()`. All three kinds advance
-    /// together. Vectors route to sub-shards by artifact digest, not by
-    /// the lake-local id: the digest is a pure function of content, so
-    /// every restart routes every model to the same shard.
+    /// Catches the fingerprint indexes up to `cat` (DESIGN.md §15): inserts
+    /// entries `[index len .. registry len)` in id order, so the HNSW graphs
+    /// are the same however the models arrived and wherever the searches fell
+    /// between them; a reopened lake pays its HNSW build on its first search.
+    /// Vectors route to sub-shards by content digest, not by the lake-local
+    /// id, so every restart routes every model to the same shard.
     // lint: no-span — the catch-up opens lake.index.build itself; the
-    // no-op fast path is two uncontended read probes on a search miss
-    pub(crate) fn ensure_indexes(&self) -> Result<()> {
-        let built = self.indexes.read()[0].len();
-        // The registry suffix is copied out (one `Arc` bump per model)
-        // so no lock is held across another, or across the HNSW build.
-        let fresh: Vec<_> = {
-            let reg = self.registry.read();
-            let past = reg.models.iter().skip(built);
-            past.map(|e| (e.digest.route_key(), e.id.0, Arc::clone(&e.fps))).collect()
-        };
-        if fresh.is_empty() {
+    // no-op fast path is one uncontended read probe on a search miss
+    pub(crate) fn ensure_indexes(&self, cat: &Catalogue) -> Result<()> {
+        let models = &cat.registry.models;
+        if self.indexes.read()[0].len() == models.len() {
             return Ok(());
         }
         let _span = mlake_obs::span("lake.index.build");
         let mut idx = self.indexes.write();
-        // A concurrent search may have caught part of the suffix up.
-        let done = idx[0].len() - built;
-        for (route, id, fps) in fresh.iter().skip(done) {
-            for (index, fp) in idx.iter_mut().zip(fps.iter()) {
-                index.insert_by_key(*route, *id, fp)?;
+        // A concurrent search on the same catalogue may have caught part of
+        // the suffix up.
+        let done = idx[0].len();
+        for e in &models[done..] {
+            for (index, fp) in idx.iter_mut().zip(e.fps.iter()) {
+                index.insert_by_key(e.digest.route_key(), e.id.0, fp)?;
             }
         }
         Ok(())
@@ -1398,17 +1441,31 @@ impl PreparedQuery<'_> {
 
     /// Executes the query, returning ranked hits. Results are served from
     /// the lake's generation-keyed cache when the lake has not mutated
-    /// since an identical query last ran (see `crate::cache`).
+    /// since an identical query last ran (see `crate::cache`). It runs on one
+    /// catalogue guard, with the graph caught up to it when it compares
+    /// `depth`.
     pub fn run(&self) -> Result<Vec<QueryHit>> {
         let _span = mlake_obs::span("lake.query.run");
+        let (graph, cat) = match &self.query.filter {
+            Some(filter) if names_field(filter, "depth") => {
+                let (graph, cat) = self.lake.current_graph()?;
+                (Some(graph), cat)
+            }
+            _ => (None, self.lake.catalogue()),
+        };
         let key = CacheKey {
             query: CachedQuery::Mlql { text: self.text.clone() },
-            generation: self.lake.events.read().head(),
+            generation: cat.events.head(),
         };
         if let Some(hits) = self.lake.mlql_cache.get(&key) {
             return Ok(hits);
         }
-        let hits = execute(&self.query, self.lake)?;
+        let view = LakeView {
+            lake: self.lake,
+            cat: &cat,
+            graph,
+        };
+        let hits = execute(&self.query, &view)?;
         self.lake.mlql_cache.put(key, hits.clone());
         Ok(hits)
     }
@@ -1432,22 +1489,48 @@ impl std::fmt::Debug for PreparedQuery<'_> {
     }
 }
 
-impl QueryTarget for ModelLake {
+/// Whether the filter `expr` compares `field` anywhere.
+fn names_field(expr: &mlake_query::Expr, field: &str) -> bool {
+    use mlake_query::Expr;
+    match expr {
+        Expr::Cmp { field: f, .. } => f == field,
+        Expr::And(a, b) | Expr::Or(a, b) => names_field(a, field) || names_field(b, field),
+        Expr::Not(a) => names_field(a, field),
+    }
+}
+
+/// The lake as MLQL sees it during one [`PreparedQuery::run`]. The executor
+/// and the pool workers of its parallel scan read the caller's catalogue and
+/// never lock it: a worker blocked behind a queued writer would deadlock.
+struct LakeView<'a> {
+    lake: &'a ModelLake,
+    cat: &'a Catalogue,
+    /// The caught-up version graph, when the query compares `depth`.
+    graph: Option<Arc<PublishedGraph>>,
+}
+
+impl LakeView<'_> {
+    fn id_of(&self, model: &str) -> std::result::Result<ModelId, QueryError> {
+        let entry = self.cat.find(ModelRef::Name(model));
+        entry.map(|e| e.id).map_err(|_| QueryError::UnknownEntity {
+            kind: "model",
+            name: model.into(),
+        })
+    }
+}
+
+impl QueryTarget for LakeView<'_> {
     fn all_models(&self) -> Vec<u64> {
-        (0..self.len() as u64).collect()
+        (0..self.cat.registry.models.len() as u64).collect()
     }
 
     fn field(&self, id: u64, field: &str) -> Option<FieldValue> {
-        let reg = self.registry.read();
-        let entry = reg.model(ModelId(id))?;
+        let entry = self.cat.registry.model(ModelId(id))?;
         if let Some(bench) = field.strip_prefix("score:") {
             // Benchmarks may be expensive; rely on the cache, computing on
             // demand when the benchmark exists.
-            drop(reg);
-            return match self.score_of(ModelId(id), bench) {
-                Ok(s) => Some(FieldValue::Num(f64::from(s.value))),
-                Err(_) => None,
-            };
+            let score = self.lake.score_on(self.cat, ModelId(id), bench).ok()?;
+            return Some(FieldValue::Num(f64::from(score.value)));
         }
         match field {
             "name" => Some(FieldValue::Str(entry.name.clone())),
@@ -1474,8 +1557,7 @@ impl QueryTarget for ModelLake {
                 .map(FieldValue::Str),
             "completeness" => Some(FieldValue::Num(f64::from(entry.card.completeness()))),
             "depth" => {
-                drop(reg);
-                let graph = self.graph.read().published.clone()?;
+                let graph = self.graph.as_ref()?;
                 Some(FieldValue::Num(graph.ancestors(id as usize).count() as f64))
             }
             _ => None,
@@ -1488,10 +1570,7 @@ impl QueryTarget for ModelLake {
         using: &str,
         k: usize,
     ) -> std::result::Result<Vec<(u64, f32)>, QueryError> {
-        let id = self.resolve(model).map_err(|_| QueryError::UnknownEntity {
-            kind: "model",
-            name: model.into(),
-        })?;
+        let id = self.id_of(model)?;
         let kind = match using {
             "weights" | "intrinsic" => FingerprintKind::Intrinsic,
             "behavior" | "behaviour" | "extrinsic" => FingerprintKind::Extrinsic,
@@ -1503,15 +1582,15 @@ impl QueryTarget for ModelLake {
                 })
             }
         };
-        self.similar(id, kind, k)
+        self.lake
+            .similar_on(self.cat, id, kind, k)
             .map(|v| v.into_iter().map(|(m, s)| (m.0, s)).collect())
             .map_err(|e| QueryError::Execution(e.to_string()))
     }
 
     fn text_search(&self, query: &str, k: usize) -> std::result::Result<Vec<(u64, f32)>, QueryError> {
-        ModelLake::text_search(self, query, k)
-            .map(|v| v.into_iter().map(|(m, s)| (m.0, s)).collect())
-            .map_err(|e| QueryError::Execution(e.to_string()))
+        let hits = self.lake.text_on(self.cat, query, k);
+        Ok(hits.into_iter().map(|(m, s)| (m.0, s)).collect())
     }
 
     fn trained_on(
@@ -1519,7 +1598,7 @@ impl QueryTarget for ModelLake {
         dataset: &str,
         include_versions: bool,
     ) -> std::result::Result<Vec<u64>, QueryError> {
-        let reg = self.registry.read();
+        let reg = &self.cat.registry;
         let names: Vec<String> = if include_versions {
             reg.dataset_version_closure(dataset)
                 .iter()
@@ -1554,13 +1633,27 @@ impl QueryTarget for ModelLake {
         model: &str,
         benchmark: &str,
     ) -> std::result::Result<Vec<u64>, QueryError> {
-        let id = self.resolve(model).map_err(|_| QueryError::UnknownEntity {
-            kind: "model",
-            name: model.into(),
-        })?;
+        let id = self.id_of(model)?;
         let lb = self
-            .leaderboard(benchmark)
+            .lake
+            .leaderboard_on(self.cat, benchmark)
             .map_err(|e| QueryError::Execution(e.to_string()))?;
         Ok(lb.outperformers(id.0))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A read holds the catalogue once: taking it again on the same thread
+    /// would deadlock behind a queued writer, so the debug token panics.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lock-order violation")]
+    fn a_nested_catalogue_acquisition_panics() {
+        let lake = ModelLake::new(LakeConfig::default());
+        let _read = lake.catalogue();
+        let _again = lake.catalogue();
     }
 }

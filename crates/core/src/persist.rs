@@ -13,40 +13,41 @@
 //! **Writer.** [`ModelLake::persist`] — or the op that crosses a
 //! [`crate::lake::CompactionPolicy`], through the same
 //! [`ModelLake::persist_locked`] — runs under `op_lock`, whose guard *is*
-//! the persist marks, and walks the catalogue once, for the
-//! **delta** since those marks: the models, card overrides,
+//! the persist marks, and walks the catalogue once, under one read guard,
+//! for the **delta** since those marks: the models, card overrides,
 //! dataset/benchmark registrations and events the live chain does not yet
-//! cover. Into the lake's own directory that delta lands as one new
-//! segment and the superblock swaps to the extended chain — cost O(ops
-//! since last persist), not O(lake). A major compaction (the chain would
-//! outgrow [`MAX_LIVE_SEGMENTS`]) and an export into any other directory
-//! are the same write with one more step: `fold(live chain) + delta`,
-//! flattened back to blocks, as a single segment. An ephemeral lake's
+//! cover. The card overrides are the models below the model mark that a
+//! `CardUpdated` event past the event mark names. Into the lake's own
+//! directory that delta lands as one new segment and the superblock swaps
+//! to the extended chain — cost O(ops since last persist), not O(lake). A
+//! major compaction (the chain would outgrow [`MAX_LIVE_SEGMENTS`]) and an
+//! export into any other directory write the delta since zero marks — the
+//! whole catalogue, from memory — as a single segment. An ephemeral lake's
 //! marks are zero and its chain empty, so its delta *is* the catalogue.
 //! Every file lands via temp-file + rename; a crash mid-persist leaves
 //! either the old superblock or the new one, never a torn mix (at worst
 //! an unreachable segment for GC).
 //!
-//! **Reader.** [`ModelLake::open`] reads the superblock, folds the segment
-//! chain and applies the folded blocks ([`Folded::into_blocks`]), then
-//! every WAL record past the superblock's `last_lsn`, through
-//! [`ModelLake::apply_block`] — the function live ops change the
-//! catalogue through. That is pure metadata, no model blobs: the
-//! fingerprints a `Model` block carries land on the registry entry (the
-//! first search builds the HNSW indexes from them), its card is indexed
-//! for text search, and artifact bytes page in lazily through the store's
-//! residency layer on first touch. A legacy v1/v2 whole-state manifest
-//! becomes blocks through the legacy converter, which faults each blob in
-//! and fingerprints it (the only re-fingerprint left); its next persist
-//! writes the catalogue as segment 1 and upgrades it to v3.
+//! **Reader.** [`ModelLake::open`] reads the superblock, applies each
+//! segment of the chain in order, then every WAL record past the
+//! superblock's `last_lsn`, each through [`ModelLake::apply_record`] — the
+//! function live ops change the catalogue through. That is pure metadata,
+//! no model blobs: the fingerprints a `Model` block carries land on the
+//! registry entry (the first search builds the HNSW indexes from them, the
+//! first text read the text index from the cards), and artifact bytes page
+//! in lazily through the store's residency layer on first touch. A legacy
+//! v1/v2 whole-state manifest becomes blocks through the legacy converter,
+//! which faults each blob in and fingerprints it (the only re-fingerprint
+//! left); its next persist writes the catalogue as segment 1 and upgrades
+//! it to v3.
 
-use crate::blockstore::{self, Block, Folded, ModelBlock};
+use crate::blockstore::{self, Block, ModelBlock};
 use crate::durable::{canonical_dir, WalLink};
 use crate::error::{LakeError, Result};
-use crate::event::EventLog;
+use crate::event::{EventKind, EventLog};
 use crate::hash::Digest;
-use crate::lake::{LakeConfig, ModelLake, SegState};
-use crate::registry::{BenchmarkEntry, ModelId, Registry};
+use crate::lake::{Catalogue, LakeConfig, ModelLake, SegState};
+use crate::registry::BenchmarkEntry;
 use crate::store::ResidentStore;
 use mlake_benchlab::Benchmark;
 use mlake_cards::ModelCard;
@@ -61,9 +62,9 @@ use std::sync::Arc;
 /// still open.
 pub const MANIFEST_VERSION: u32 = 3;
 
-/// Once the live chain would grow past this many segments, persist folds
-/// the whole catalogue into a single segment instead of appending a
-/// delta, bounding open-time fold work.
+/// Once the live chain would grow past this many segments, persist writes
+/// the whole catalogue as a single segment instead of appending a delta,
+/// bounding the chain open applies.
 const MAX_LIVE_SEGMENTS: usize = 8;
 
 /// The v3 superblock: all `manifest.json` holds is the live segment
@@ -74,9 +75,9 @@ struct SuperBlock {
     version: u32,
     /// Lake name.
     name: String,
-    /// Live segment sequence numbers, in fold order.
+    /// Live segment sequence numbers, in chain order.
     segments: Vec<u64>,
-    /// Highest WAL LSN folded into the chain; replay starts after it.
+    /// Highest WAL LSN the chain covers; replay starts after it.
     #[serde(default)]
     last_lsn: u64,
 }
@@ -110,25 +111,25 @@ struct LegacyManifestModel {
     card: ModelCard,
 }
 
-/// Marks covering every model, dataset and benchmark in `reg`; the caller
-/// sets the event mark and the chain.
-fn catalogue_marks(reg: &Registry) -> SegState {
+/// Marks covering all of `cat`; the caller sets the chain.
+fn catalogue_marks(cat: &Catalogue) -> SegState {
     SegState {
-        models: reg.models.len(),
-        datasets: reg.datasets.len(),
-        benchmarks: reg.benchmarks.keys().cloned().collect(),
+        models: cat.registry.models.len(),
+        datasets: cat.registry.datasets.len(),
+        benchmarks: cat.registry.benchmarks.keys().cloned().collect(),
+        events: cat.events.events().len(),
         ..SegState::default()
     }
 }
 
 /// The catalogue delta since the persist marks in `seg`, as blocks, plus
 /// the marks that cover the catalogue once those blocks are durable. The
-/// only place the registry is walked for persistence. `seg` is the
-/// `op_lock` guard, so registry, event log and marks are one consistent
-/// cut.
-fn delta_since(lake: &ModelLake, seg: &SegState) -> Result<(Vec<Block>, SegState)> {
+/// only place the catalogue is walked for persistence; at zero marks the
+/// delta is the whole catalogue. The caller holds `op_lock` and the read
+/// guard `cat` comes from, so catalogue and marks are one consistent cut.
+pub(crate) fn delta_since(cat: &Catalogue, seg: &SegState) -> (Vec<Block>, SegState) {
+    let reg = &cat.registry;
     let mut blocks = Vec::new();
-    let reg = lake.registry.read();
     for entry in &reg.models[seg.models..] {
         blocks.push(Block::Model(ModelBlock {
             name: entry.name.clone(),
@@ -139,16 +140,20 @@ fn delta_since(lake: &ModelLake, seg: &SegState) -> Result<(Vec<Block>, SegState
             fps: blockstore::fp_bits(&entry.fps),
         }));
     }
-    // Cards replaced on already-persisted models; the Model blocks above
-    // carry their current card already.
-    for &id in seg.dirty_cards.iter().filter(|&&id| (id as usize) < seg.models) {
-        let entry = reg.model(ModelId(id)).ok_or_else(|| {
-            LakeError::Internal(format!("dirty card for unknown model id {id}"))
-        })?;
-        blocks.push(Block::CardOverride {
-            id,
-            card: entry.card.clone(),
-        });
+    // Cards replaced on already-persisted models, in id order: the ones a
+    // `CardUpdated` event past the event mark names. The Model blocks
+    // above carry their current card already.
+    let events = cat.events.events();
+    let dirty: std::collections::BTreeSet<u64> = events[seg.events..]
+        .iter()
+        .filter(|e| e.kind == EventKind::CardUpdated)
+        .filter_map(|e| reg.id_of(&e.subject))
+        .map(|id| id.0)
+        .filter(|&id| (id as usize) < seg.models)
+        .collect();
+    for id in dirty {
+        let card = reg.models[id as usize].card.clone();
+        blocks.push(Block::CardOverride { id, card });
     }
     for dataset in &reg.datasets[seg.datasets..] {
         blocks.push(Block::Dataset {
@@ -167,17 +172,12 @@ fn delta_since(lake: &ModelLake, seg: &SegState) -> Result<(Vec<Block>, SegState
             domain: e.domain.clone(),
         });
     }
-    let mut covered = catalogue_marks(&reg);
-    drop(reg);
-    let log = lake.events.read();
-    let events = log.events();
     if events.len() > seg.events {
         blocks.push(Block::Events {
             events: events[seg.events..].to_vec(),
         });
     }
-    covered.events = events.len();
-    Ok((blocks, covered))
+    (blocks, catalogue_marks(cat))
 }
 
 impl ModelLake {
@@ -201,9 +201,9 @@ impl ModelLake {
     /// The persist body shared by [`ModelLake::persist`], create and the
     /// compaction trigger: one consistent cut of the lake under the
     /// `op_lock` (`seg` is the guard), written as the delta since the last
-    /// persist (own directory) or as `fold(live chain) + delta` in one
-    /// segment (major compaction, or any other directory — which leaves
-    /// the lake's own chain, marks and WAL untouched).
+    /// persist (own directory) or as the whole catalogue in one segment
+    /// (major compaction, or any other directory — which leaves the lake's
+    /// own chain, marks and WAL untouched).
     pub(crate) fn persist_locked(
         &self,
         seg: &mut SegState,
@@ -218,29 +218,21 @@ impl ModelLake {
             .wal
             .as_ref()
             .filter(|link| link.dir == canonical_dir(dir));
-        let (delta, mut covered) = delta_since(self, seg)?;
-
         let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
-        let seq = if own.is_some() { seg.next_seq() } else { 1 };
-        let blocks = if rewrite {
-            let mut folded = match &self.wal {
-                Some(link) => blockstore::fold_segments(&link.dir, &link.vfs, &seg.live)?,
-                None => Folded::default(),
-            };
-            for block in delta {
-                folded.apply(block)?;
-            }
-            folded.into_blocks()
-        } else {
-            delta
+        let seq = if own.is_some() { seg.next_seq.max(1) } else { 1 };
+        let zero = SegState::default();
+        let cat = self.catalogue();
+        let (blocks, mut covered) = delta_since(&cat, if rewrite { &zero } else { seg });
+        let digests: Vec<Digest> = match own {
+            Some(_) => Vec::new(),
+            None => cat.registry.models.iter().map(|e| e.digest).collect(),
         };
+        drop(cat);
         if own.is_none() {
             // Blob export: the store faults evicted blobs back in from the
             // lake's own backing as needed.
             let blob_dir = dir.join("blobs");
             vfs.create_dir_all(&blob_dir)?;
-            let digests: Vec<Digest> =
-                self.registry.read().models.iter().map(|e| e.digest).collect();
             for digest in &digests {
                 let path = ResidentStore::blob_path(&blob_dir, digest);
                 if !vfs.exists(&path) {
@@ -279,8 +271,8 @@ impl ModelLake {
         Ok(())
     }
 
-    /// Opens a persisted lake: loads the superblock and folds the segment
-    /// chain — metadata only; model blobs page in lazily on first touch
+    /// Opens a persisted lake: loads the superblock and applies the segment
+    /// chain in order — metadata only; model blobs page in lazily on first touch
     /// and the fingerprint indexes (restored from persisted fingerprints,
     /// never recomputed) build on first search. A legacy v1/v2 manifest
     /// replays as ops instead. Then the write-ahead log replays past the
@@ -320,19 +312,16 @@ impl ModelLake {
         if head.version == MANIFEST_VERSION {
             let sb: SuperBlock = serde_json::from_slice(&manifest_bytes)
                 .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
-            for block in blockstore::fold_segments(dir, &vfs, &sb.segments)?.into_blocks() {
-                lake.apply_block(&mut seg, block)?;
+            for &seq in &sb.segments {
+                lake.apply_record(blockstore::read_segment(dir, &vfs, seq)?)?;
             }
             // Everything the chain covers is persisted; WAL-replayed ops
             // past this point count as fresh again.
-            seg = catalogue_marks(&lake.registry.read());
-            seg.events = lake.events.read().events().len();
+            seg = catalogue_marks(&lake.catalogue());
             seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
             seg.live = sb.segments;
         } else {
-            for block in lake.legacy_manifest(&manifest_bytes)? {
-                lake.apply_block(&mut seg, block)?;
-            }
+            lake.apply_record(lake.legacy_manifest(&manifest_bytes)?)?;
         }
         // Replay everything the manifest does not cover, in LSN order.
         let (wal, replay) = Wal::open_with(
@@ -342,7 +331,7 @@ impl ModelLake {
             head.last_lsn,
         )?;
         for (lsn, payload) in &replay.records {
-            lake.replay_record(&mut seg, *lsn, payload)?;
+            lake.replay_record(*lsn, payload)?;
         }
         lake.wal = Some(WalLink {
             wal,

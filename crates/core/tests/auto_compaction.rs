@@ -16,7 +16,7 @@ fn tmp(tag: &str) -> PathBuf {
 
 fn policy(wal_bytes: u64, wal_segments: usize) -> LakeConfig {
     LakeConfig::builder()
-        .background_compaction(CompactionPolicy {
+        .compaction(CompactionPolicy {
             wal_bytes,
             wal_segments,
         })
@@ -227,7 +227,7 @@ fn policy_is_inert_on_ephemeral_lakes() {
 #[test]
 fn builder_rejects_vacuous_policy() {
     assert!(LakeConfig::builder()
-        .background_compaction(CompactionPolicy {
+        .compaction(CompactionPolicy {
             wal_bytes: 0,
             wal_segments: 0,
         })

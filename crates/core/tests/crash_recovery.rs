@@ -227,7 +227,7 @@ fn kill_at_every_fsync_never_loses_an_acked_op() {
 fn sharded_auto_config() -> LakeConfig {
     LakeConfig::builder()
         .shards(4)
-        .background_compaction(mlake_core::CompactionPolicy {
+        .compaction(mlake_core::CompactionPolicy {
             wal_bytes: 1,
             wal_segments: 0,
         })

@@ -436,3 +436,32 @@ fn search_is_bit_identical_however_a_vector_reached_the_registry() {
     assert_eq!(search_bits(&reopened, &query), want, "ingest after lazy open");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// MLQL `depth` reads the version graph caught up to the lake it queries:
+/// `depth > 0` is exactly the models with a recovered parent, before any
+/// other read of the graph and again after one more ingest.
+#[test]
+fn mlql_depth_reads_a_caught_up_graph() {
+    let gt = generate_lake(&LakeSpec::tiny(3));
+    let lake = ModelLake::new(LakeConfig::default());
+    populate_from_ground_truth(&lake, &gt, CardPolicy::Honest).unwrap();
+    let q = lake.prepare("FIND MODELS WHERE depth > 0").unwrap();
+    let check = |lake: &ModelLake| {
+        let derived: Vec<u64> = q.run().unwrap().iter().map(|h| h.id).collect();
+        let mut children: Vec<u64> = lake
+            .version_graph()
+            .unwrap()
+            .edges
+            .iter()
+            .map(|e| e.child as u64)
+            .collect();
+        children.sort_unstable();
+        children.dedup();
+        assert!(!derived.is_empty());
+        assert_eq!(derived, children);
+    };
+    check(&lake);
+    lake.ingest_model("newcomer", &gt.models[1].model, None)
+        .unwrap();
+    check(&lake);
+}

@@ -8,6 +8,7 @@
 //! |------|--------------------------------------------------|
 //! | 4    | `server.router` — lake-router map `RwLock`       |
 //! | 7    | `server.conns` — connection join-handle list     |
+//! | 8    | `core.catalogue` — the lake's catalogue `RwLock` |
 //! | 10   | `par.queue` — pool job deque mutex               |
 //! | 20   | `par.latch` — per-region latch mutex             |
 //! | 50   | `wal.inner` — WAL writer state mutex             |
@@ -46,6 +47,11 @@ pub mod ranks {
     /// acceptor (push) and shutdown (drain); never taken by connection
     /// threads themselves, so it cannot invert against request locks.
     pub const SERVER_CONNS: u32 = 7;
+    /// `mlake-core` catalogue `RwLock` (`ModelLake::catalogue`): registry
+    /// plus event log. Below the pool ranks, because a read holds it
+    /// across the MLQL parallel scan, and below the store and the WAL,
+    /// which run under it; a thread never holds it twice.
+    pub const CORE_CATALOGUE: u32 = 8;
     /// Pool job deque mutex (`Pool::queue`).
     pub const PAR_QUEUE: u32 = 10;
     /// Per-region latch mutex (`Latch::lock`).

@@ -40,6 +40,11 @@ pub use wal::{SyncPolicy, Wal, WalOptions, DEFAULT_SEGMENT_BYTES};
 
 pub(crate) use wal::SegMeta;
 
+/// The workspace lock hierarchy (`mlake_par::lockorder`), re-exported so
+/// a crate that writes through this log ranks its own locks in the same
+/// hierarchy as the log's writer mutex.
+pub use mlake_par::lockorder;
+
 /// Errors the log can surface.
 #[derive(Debug)]
 pub enum WalError {
