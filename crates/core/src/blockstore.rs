@@ -1,7 +1,7 @@
 //! Immutable, checksummed block segments (DESIGN.md §15).
 //!
 //! A [`Block`] is the lake's one mutation record. A persisted lake is a
-//! **superblock** (`manifest.json`, format v3) naming an ordered chain of
+//! **superblock** (`manifest.json`, format v4) naming an ordered chain of
 //! immutable segment files under `<dir>/segs/<seq>.seg`. Each segment
 //! holds the *delta* of catalogue state since the previous one: model
 //! registrations (with their fingerprints, so reopening never recomputes
@@ -15,7 +15,8 @@
 //! `Model` block carried). A major compaction or an export writes the
 //! catalogue from memory as one segment — the delta since zero marks —
 //! never by re-reading the chain. Everything else a lake serves — vector
-//! indexes, the text index — is derived from the catalogue, never stored.
+//! indexes, the text index — is derived from the catalogue, never stored;
+//! a v3 segment that stored the text index is `crate::legacy`'s to read.
 //!
 //! On-disk segment layout:
 //!
@@ -75,11 +76,6 @@ pub(crate) enum Block {
         /// Events, oldest first.
         events: Vec<Event>,
     },
-    /// A text-index snapshot. No longer written: the text index is derived
-    /// state, caught up from the catalogue's cards on read (DESIGN.md §16).
-    /// Full exports by PR 10–11 builds carry one, so the kind still
-    /// decodes — its payload ignored — and applies as nothing.
-    TextIndex {},
 }
 
 /// The model payload of a [`Block::Model`].
@@ -144,8 +140,12 @@ pub(crate) fn encode_segment(blocks: &[Block]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Decodes and CRC-checks a segment file's bytes.
-pub(crate) fn decode_segment(bytes: &[u8], origin: &Path) -> Result<Vec<Block>> {
+/// CRC-checks a segment file's bytes: each block's JSON payload, with its
+/// byte offset.
+pub(crate) fn segment_payloads<'a>(
+    bytes: &'a [u8],
+    origin: &Path,
+) -> Result<Vec<(usize, &'a [u8])>> {
     let corrupt = |detail: String| {
         LakeError::CorruptArtifact(format!("segment {}: {detail}", origin.display()))
     };
@@ -156,7 +156,7 @@ pub(crate) fn decode_segment(bytes: &[u8], origin: &Path) -> Result<Vec<Block>> 
     if version != SEGMENT_VERSION {
         return Err(corrupt(format!("unsupported segment version {version}")));
     }
-    let mut blocks = Vec::new();
+    let mut payloads = Vec::new();
     let mut at = 6usize;
     while at < bytes.len() {
         if at + 8 > bytes.len() {
@@ -174,12 +174,10 @@ pub(crate) fn decode_segment(bytes: &[u8], origin: &Path) -> Result<Vec<Block>> 
         if crc32c(payload) != crc {
             return Err(corrupt(format!("block CRC mismatch at byte {at}")));
         }
-        let block: Block = serde_json::from_slice(payload)
-            .map_err(|e| corrupt(format!("block decode at byte {at}: {e}")))?;
-        blocks.push(block);
+        payloads.push((at, payload));
         at += len;
     }
-    Ok(blocks)
+    Ok(payloads)
 }
 
 /// Writes segment `seq` atomically (temp + rename). Returns the encoded
@@ -204,17 +202,32 @@ pub(crate) fn read_segment(
 ) -> Result<Vec<Block>> {
     let path = seg_path(dir, seq);
     let bytes = vfs.read(&path)?;
-    decode_segment(&bytes, &path)
+    let payloads = segment_payloads(&bytes, &path)?;
+    payloads.into_iter().map(|(at, payload)| decode_block(payload, at, &path)).collect()
+}
+
+/// Decodes the block whose payload starts at byte `at` of segment `origin`.
+pub(crate) fn decode_block(payload: &[u8], at: usize, origin: &Path) -> Result<Block> {
+    serde_json::from_slice(payload).map_err(|e| {
+        let origin = origin.display();
+        LakeError::CorruptArtifact(format!("segment {origin}: block decode at byte {at}: {e}"))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lake::{Catalogue, SegState};
+    use crate::lake::Catalogue;
     use mlake_wal::RealFs;
 
     fn card(name: &str) -> ModelCard {
         ModelCard::skeleton(name, "mlp:2-2:relu")
+    }
+
+    /// A segment file's bytes decoded as `read_segment` decodes them.
+    fn decode_segment(bytes: &[u8], origin: &Path) -> Result<Vec<Block>> {
+        let payloads = segment_payloads(bytes, origin)?;
+        payloads.into_iter().map(|(at, payload)| decode_block(payload, at, origin)).collect()
     }
 
     fn model_block(name: &str, digest_seed: u8) -> ModelBlock {
@@ -336,41 +349,6 @@ mod tests {
         )
         .unwrap();
         assert!(apply_chain(&dir, &vfs, &[1, 2, 3]).is_err());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn text_index_block_of_older_exports_decodes_and_folds_to_nothing() {
-        let dir = std::env::temp_dir().join(format!("mlake-seg-text-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(seg_dir(&dir)).unwrap();
-        let plain = encode_segment(&[
-            Block::Model(model_block("a", 1)),
-            Block::Model(model_block("b", 2)),
-            Block::Events { events: vec![] },
-        ])
-        .unwrap();
-        // What a PR 10–11 full export appended as its last block.
-        let mut index = mlake_text::TextIndex::new(mlake_text::Bm25Params::default());
-        index.insert(0, &[(mlake_text::Field::Name, "a".to_string())]);
-        let payload = format!(
-            r#"{{"TextIndex":{{"index":{}}}}}"#,
-            serde_json::to_string(&index).unwrap()
-        );
-        let mut with_text = plain.clone();
-        with_text.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        with_text.extend_from_slice(&crc32c(payload.as_bytes()).to_le_bytes());
-        with_text.extend_from_slice(payload.as_bytes());
-        std::fs::write(seg_path(&dir, 1), &plain).unwrap();
-        std::fs::write(seg_path(&dir, 2), &with_text).unwrap();
-        let vfs = RealFs::shared();
-        assert_eq!(read_segment(&dir, &vfs, 2).unwrap().len(), 4, "the block decodes");
-        let flat = |seq| {
-            let cat = apply_chain(&dir, &vfs, &[seq]).unwrap();
-            let (blocks, _) = crate::persist::delta_since(&cat, &SegState::default());
-            encode_segment(&blocks).unwrap()
-        };
-        assert_eq!(flat(1), flat(2), "same catalogue with and without the block");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -19,12 +19,9 @@
 //! applied and before it returns ([`ModelLake::maybe_compact`]): the lake
 //! has one writer.
 //!
-//! Records written before blocks were the WAL payload hold one `WalOp`
-//! each — a JSON object or string, where a block list is a JSON array, so
-//! a payload's own shape says which it is and `mlake-wal`'s framing is
-//! untouched. They stay readable through one decode-only converter, which
-//! the v1/v2 manifest reader shares: [`ModelLake::legacy_model`] faults
-//! the blob in and fingerprints it, the only re-fingerprint left.
+//! A v4 superblock means every record past its `last_lsn` is a block list.
+//! The one-op records older lakes wrote are read only by
+//! [`ModelLake::upgrade`] (`crate::legacy`).
 //!
 //! Model artifact blobs are not stored in WAL records (they would bloat
 //! it); instead [`ModelLake::ingest_model`] writes the blob to
@@ -35,40 +32,11 @@
 
 use crate::blockstore::Block;
 use crate::error::{LakeError, Result};
-use crate::event::EventKind;
 use crate::hash::Digest;
 use crate::lake::{LakeConfig, ModelLake, SegState};
-use crate::registry::ModelId;
-use mlake_benchlab::Benchmark;
-use mlake_cards::ModelCard;
-use mlake_nn::Model;
 use mlake_wal::{RealFs, Vfs, Wal};
-use serde::Deserialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// A WAL record as lakes wrote it before blocks were the payload: one
-/// facade op, no fingerprints. Decode-only.
-#[derive(Debug, Deserialize)]
-enum WalOp {
-    Ingest {
-        name: String,
-        digest: String,
-        card: ModelCard,
-    },
-    UpdateCard {
-        id: u64,
-        card: ModelCard,
-    },
-    RegisterDataset {
-        dataset: mlake_datagen::Dataset,
-    },
-    RegisterBenchmark {
-        benchmark: Benchmark,
-        domain: Option<String>,
-    },
-    GraphRebuilt,
-}
 
 /// The durability state attached to a durable lake.
 pub(crate) struct WalLink {
@@ -110,22 +78,36 @@ impl ModelLake {
             });
         }
         let mut lake = ModelLake::new(config);
-        vfs.create_dir_all(dir)?;
         lake.persist_locked(&mut lake.op_lock.lock(), dir, &vfs)?;
         // Evicted blobs page back in from the lake's own blob directory.
         lake.store.attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
-        let (wal, _) = Wal::open_with(
-            &dir.join("wal"),
-            lake.wal_options(),
-            Arc::clone(&vfs),
-            0,
-        )?;
-        lake.wal = Some(WalLink {
-            wal,
-            dir: canonical_dir(dir),
-            vfs,
-        });
+        lake.attach_wal(dir, vfs, 0, ModelLake::block_list)?;
         Ok(lake)
+    }
+
+    /// Opens the WAL under `dir`, applies every record past `last_lsn` as
+    /// `decode` reads it, and makes the lake durable through that WAL.
+    pub(crate) fn attach_wal(
+        &mut self,
+        dir: &Path,
+        vfs: Arc<dyn Vfs>,
+        last_lsn: u64,
+        decode: impl Fn(&Self, u64, &[u8]) -> Result<Vec<Block>>,
+    ) -> Result<()> {
+        let opts = self.wal_options();
+        let (wal, replay) = Wal::open_with(&dir.join("wal"), opts, Arc::clone(&vfs), last_lsn)?;
+        for (lsn, payload) in &replay.records {
+            self.apply_record(decode(self, *lsn, payload)?)?;
+        }
+        let dir = canonical_dir(dir);
+        self.wal = Some(WalLink { wal, dir, vfs });
+        Ok(())
+    }
+
+    /// WAL record `lsn` as what a v4 lake logs: one op's block list.
+    pub(crate) fn block_list(&self, lsn: u64, payload: &[u8]) -> Result<Vec<Block>> {
+        serde_json::from_slice(payload)
+            .map_err(|e| LakeError::CorruptArtifact(format!("wal record {lsn}: {e}")))
     }
 
     pub(crate) fn wal_options(&self) -> mlake_wal::WalOptions {
@@ -204,61 +186,5 @@ impl ModelLake {
         // evicted under memory pressure (DESIGN.md §15).
         self.store.mark_durable(digest);
         Ok(())
-    }
-
-    /// Applies WAL record `lsn`: a block list as written, a legacy op
-    /// through the converter first.
-    pub(crate) fn replay_record(&self, lsn: u64, payload: &[u8]) -> Result<()> {
-        let corrupt =
-            |e: serde_json::Error| LakeError::CorruptArtifact(format!("wal record {lsn}: {e}"));
-        let blocks = if payload.first() == Some(&b'[') {
-            serde_json::from_slice(payload).map_err(corrupt)?
-        } else {
-            self.legacy_record(serde_json::from_slice(payload).map_err(corrupt)?)?
-        };
-        self.apply_record(blocks)?;
-        Ok(())
-    }
-
-    /// The blocks a legacy op stands for, numbered after the log head as
-    /// the live op would have numbered them.
-    fn legacy_record(&self, op: WalOp) -> Result<Vec<Block>> {
-        Ok(match op {
-            WalOp::Ingest { name, digest, card } => {
-                let model = self.legacy_model(&name, &digest, card)?;
-                let events = [
-                    (EventKind::ModelIngested, &*name),
-                    (EventKind::CardUpdated, &*name),
-                ];
-                self.with_events(vec![model], &events)
-            }
-            WalOp::UpdateCard { id, card } => {
-                let name = self.entry(ModelId(id))?.name;
-                let events = [(EventKind::CardUpdated, &*name)];
-                self.with_events(vec![Block::CardOverride { id, card }], &events)
-            }
-            WalOp::RegisterDataset { dataset } => {
-                let name = dataset.name.clone();
-                let events = [(EventKind::DatasetRegistered, &*name)];
-                self.with_events(vec![Block::Dataset { dataset }], &events)
-            }
-            WalOp::RegisterBenchmark { benchmark, domain } => {
-                let name = benchmark.name.clone();
-                let events = [(EventKind::BenchmarkRegistered, &*name)];
-                self.with_events(vec![Block::Benchmark { benchmark, domain }], &events)
-            }
-            WalOp::GraphRebuilt => self.with_events(Vec::new(), &[(EventKind::GraphRebuilt, "*")]),
-        })
-    }
-
-    /// The `Model` block of a model a legacy record or v1/v2 manifest
-    /// names by digest only: the blob faults in (digest-verified), decodes
-    /// and is fingerprinted — the one re-fingerprint left in the lake.
-    pub(crate) fn legacy_model(&self, name: &str, digest: &str, card: ModelCard) -> Result<Block> {
-        let digest = Digest::from_hex(digest)
-            .ok_or_else(|| LakeError::CorruptArtifact(format!("bad digest for '{name}'")))?;
-        let model = Model::from_bytes(&self.store.get(&digest)?)
-            .map_err(|e| LakeError::CorruptArtifact(e.to_string()))?;
-        self.model_block(name, &digest, &model, card)
     }
 }

@@ -75,12 +75,12 @@ pub enum LakeError {
     Config(String),
     /// Stored artifact failed integrity or decode checks.
     CorruptArtifact(String),
-    /// A persisted manifest's format version is newer than this build
-    /// understands (opening it would misinterpret or drop data).
+    /// A manifest's format version is not the one `open` reads: an older
+    /// lake opens after `ModelLake::upgrade`, a newer one needs a newer build.
     UnsupportedManifest {
         /// Version found on disk.
         found: u32,
-        /// Newest version this build reads.
+        /// The version this build opens.
         supported: u32,
     },
     /// Write-ahead log failure (append, recovery or compaction).
@@ -109,9 +109,9 @@ impl LakeError {
             LakeError::Duplicate { .. } => ErrorKind::Conflict,
             LakeError::Config(_) => ErrorKind::InvalidInput,
             LakeError::CorruptArtifact(_) => ErrorKind::Corrupt,
-            // A too-new manifest is not damage, but this build cannot
-            // serve the lake until upgraded — operationally "try another
-            // node", hence Unavailable rather than Corrupt.
+            // Another manifest version is not damage, but this build cannot
+            // serve the lake until one of them is upgraded — operationally
+            // "try another node", hence Unavailable rather than Corrupt.
             LakeError::UnsupportedManifest { .. } => ErrorKind::Unavailable,
             LakeError::Wal(e) => match e {
                 mlake_wal::WalError::Corrupt { .. } => ErrorKind::Corrupt,
@@ -136,8 +136,8 @@ impl fmt::Display for LakeError {
             LakeError::CorruptArtifact(msg) => write!(f, "corrupt artifact: {msg}"),
             LakeError::UnsupportedManifest { found, supported } => write!(
                 f,
-                "manifest version {found} is newer than this build supports \
-                 (up to {supported}); upgrade to open this lake"
+                "manifest version {found}, this build opens {supported}: \
+                 older: run `ModelLake::upgrade`; newer: use a newer build"
             ),
             LakeError::Wal(e) => write!(f, "wal error: {e}"),
             LakeError::Tensor(e) => write!(f, "compute error: {e}"),

@@ -358,7 +358,6 @@ impl Catalogue {
                     self.events.push(event)?;
                 }
             }
-            Block::TextIndex {} => {}
         }
         Ok(())
     }
@@ -765,7 +764,7 @@ impl ModelLake {
 
     /// One op's record: `blocks` plus one `Events` block numbering `events`
     /// after the log head. Callers hold `op_lock` (or are the
-    /// single-threaded open), so this is the numbering
+    /// single-threaded upgrade), so this is the numbering
     /// [`Catalogue::apply`] checks.
     pub(crate) fn with_events(
         &self,
@@ -832,7 +831,7 @@ impl ModelLake {
     }
 
     /// Decodes the artifact stored under `digest`.
-    fn load(&self, digest: &Digest) -> Result<Model> {
+    pub(crate) fn load(&self, digest: &Digest) -> Result<Model> {
         let bytes = self.store.get(digest)?;
         Model::from_bytes(&bytes).map_err(|e| LakeError::CorruptArtifact(e.to_string()))
     }

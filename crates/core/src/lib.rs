@@ -31,6 +31,7 @@ mod blockstore;
 mod cache;
 mod durable;
 mod gc;
+mod legacy;
 
 pub mod error;
 pub mod event;

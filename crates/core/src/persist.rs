@@ -5,7 +5,7 @@
 //! <dir>/
 //!   blobs/<sha256-hex>.blob    content-addressed model artifacts
 //!   segs/<seq>.seg             immutable, checksummed block segments
-//!   manifest.json              superblock (v3): the live segment chain
+//!   manifest.json              superblock (v4): the live segment chain
 //!                              and the WAL LSN the chain covers
 //!   wal/<lsn>.wal              write-ahead log segments (mlake-wal)
 //! ```
@@ -35,80 +35,55 @@
 //! no model blobs: the fingerprints a `Model` block carries land on the
 //! registry entry (the first search builds the HNSW indexes from them, the
 //! first text read the text index from the cards), and artifact bytes page
-//! in lazily through the store's residency layer on first touch. A legacy
-//! v1/v2 whole-state manifest becomes blocks through the legacy converter,
-//! which faults each blob in and fingerprints it (the only re-fingerprint
-//! left); its next persist writes the catalogue as segment 1 and upgrades
-//! it to v3.
+//! in lazily through the store's residency layer on first touch. An older
+//! superblock is [`LakeError::UnsupportedManifest`] until [`ModelLake::upgrade`].
 
 use crate::blockstore::{self, Block, ModelBlock};
-use crate::durable::{canonical_dir, WalLink};
+use crate::durable::canonical_dir;
 use crate::error::{LakeError, Result};
-use crate::event::{EventKind, EventLog};
+use crate::event::EventKind;
 use crate::hash::Digest;
 use crate::lake::{Catalogue, LakeConfig, ModelLake, SegState};
 use crate::registry::BenchmarkEntry;
 use crate::store::ResidentStore;
-use mlake_benchlab::Benchmark;
-use mlake_cards::ModelCard;
-use mlake_wal::{RealFs, Vfs, Wal};
+use mlake_wal::{RealFs, Vfs};
 use serde::{Deserialize, Serialize};
 use std::path::Path;
 use std::sync::Arc;
 
-/// Current manifest format version. v3 turned the manifest into a
-/// superblock over immutable block segments (DESIGN.md §15); v2 added
-/// `last_lsn` (the WAL high-water mark); v1 predates the WAL. All three
-/// still open.
-pub const MANIFEST_VERSION: u32 = 3;
+/// The manifest format [`ModelLake::open`] reads (DESIGN.md §12, §15): a
+/// superblock over block segments, and a WAL of block lists. Older ones go
+/// through [`ModelLake::upgrade`].
+pub const MANIFEST_VERSION: u32 = 4;
 
 /// Once the live chain would grow past this many segments, persist writes
 /// the whole catalogue as a single segment instead of appending a delta,
 /// bounding the chain open applies.
 const MAX_LIVE_SEGMENTS: usize = 8;
 
-/// The v3 superblock: all `manifest.json` holds is the live segment
-/// chain and the WAL position it covers. State lives in the segments.
+/// The superblock: the live segment chain and the WAL position it covers.
+/// A v1/v2 manifest decodes as one too (no `segments`), naming its version.
 #[derive(Debug, Serialize, Deserialize)]
-struct SuperBlock {
+pub(crate) struct SuperBlock {
     /// Format version.
-    version: u32,
+    #[serde(default)]
+    pub(crate) version: u32,
     /// Lake name.
-    name: String,
+    pub(crate) name: String,
     /// Live segment sequence numbers, in chain order.
-    segments: Vec<u64>,
+    #[serde(default)]
+    pub(crate) segments: Vec<u64>,
     /// Highest WAL LSN the chain covers; replay starts after it.
     #[serde(default)]
-    last_lsn: u64,
+    pub(crate) last_lsn: u64,
 }
 
-/// What every manifest version has in common: enough to dispatch on,
-/// name the lake and position WAL replay.
-#[derive(Debug, Deserialize)]
-struct ManifestHead {
-    #[serde(default)]
-    version: u32,
-    #[serde(default)]
-    name: String,
-    #[serde(default)]
-    last_lsn: u64,
-}
-
-/// The catalogue part of a v1/v2 whole-state manifest. Read-only: the
-/// upgrade reader ([`ModelLake::legacy_manifest`]) is its one consumer.
-#[derive(Debug, Deserialize)]
-struct LegacyManifest {
-    models: Vec<LegacyManifestModel>,
-    datasets: Vec<mlake_datagen::Dataset>,
-    benchmarks: Vec<(Benchmark, Option<String>)>,
-    events: EventLog,
-}
-
-#[derive(Debug, Deserialize)]
-struct LegacyManifestModel {
-    name: String,
-    digest: String,
-    card: ModelCard,
+impl SuperBlock {
+    /// Decodes `manifest.json`'s bytes.
+    pub(crate) fn decode(bytes: &[u8]) -> Result<SuperBlock> {
+        serde_json::from_slice(bytes)
+            .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))
+    }
 }
 
 /// Marks covering all of `cat`; the caller sets the chain.
@@ -211,13 +186,21 @@ impl ModelLake {
         vfs: &Arc<dyn Vfs>,
     ) -> Result<()> {
         let _span = mlake_obs::span("lake.persist");
-        vfs.create_dir_all(dir)?;
         // The lake's own directory under any spelling (relative, `..`, a
         // symlink) is still its own directory: compare resolved identities.
         let own = self
             .wal
             .as_ref()
             .filter(|link| link.dir == canonical_dir(dir));
+        // Another lake's directory: its WAL tail would replay onto this
+        // catalogue. An export never creates `wal/`, so it can be redone.
+        if own.is_none() && vfs.exists(&dir.join("wal")) {
+            return Err(LakeError::Duplicate {
+                kind: "lake",
+                name: dir.display().to_string(),
+            });
+        }
+        vfs.create_dir_all(dir)?;
         let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
         let seq = if own.is_some() { seg.next_seq.max(1) } else { 1 };
         let zero = SegState::default();
@@ -274,10 +257,10 @@ impl ModelLake {
     /// Opens a persisted lake: loads the superblock and applies the segment
     /// chain in order — metadata only; model blobs page in lazily on first touch
     /// and the fingerprint indexes (restored from persisted fingerprints,
-    /// never recomputed) build on first search. A legacy v1/v2 manifest
-    /// replays as ops instead. Then the write-ahead log replays past the
-    /// manifest's `last_lsn`. The returned lake is durable: further
-    /// mutations append to the same WAL.
+    /// never recomputed) build on first search. Then the write-ahead log
+    /// replays past the superblock's `last_lsn`. The returned lake is
+    /// durable: further mutations append to the same WAL. Any version but
+    /// [`MANIFEST_VERSION`] is [`LakeError::UnsupportedManifest`].
     ///
     /// `config` must use the same probe/sketch parameters the lake was
     /// created with for fingerprints to match; the lake name is restored
@@ -290,84 +273,33 @@ impl ModelLake {
     /// [`ModelLake::open`] through an arbitrary [`Vfs`].
     pub fn open_with(dir: &Path, config: LakeConfig, vfs: Arc<dyn Vfs>) -> Result<ModelLake> {
         let _span = mlake_obs::span("lake.open");
-        let manifest_bytes = vfs.read(&dir.join("manifest.json"))?;
-        let head: ManifestHead = serde_json::from_slice(&manifest_bytes)
-            .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))?;
-        if head.version == 0 || head.version > MANIFEST_VERSION {
+        let sb = SuperBlock::decode(&vfs.read(&dir.join("manifest.json"))?)?;
+        if sb.version != MANIFEST_VERSION {
             return Err(LakeError::UnsupportedManifest {
-                found: head.version,
+                found: sb.version,
                 supported: MANIFEST_VERSION,
             });
         }
         let mut lake = ModelLake::new(LakeConfig {
-            name: head.name,
+            name: sb.name,
             ..config
         });
         // Non-resident blobs fault in, digest-verified, from the lake's
         // own blob directory.
         lake.store.attach_backing(&dir.join("blobs"), Arc::clone(&vfs));
+        for &seq in &sb.segments {
+            lake.apply_record(blockstore::read_segment(dir, &vfs, seq)?)?;
+        }
         // The lake is not shared yet: open builds the persist marks here
-        // and hands them to `op_lock` once the lake is whole.
-        let mut seg = SegState::default();
-        if head.version == MANIFEST_VERSION {
-            let sb: SuperBlock = serde_json::from_slice(&manifest_bytes)
-                .map_err(|e| LakeError::CorruptArtifact(format!("superblock decode: {e}")))?;
-            for &seq in &sb.segments {
-                lake.apply_record(blockstore::read_segment(dir, &vfs, seq)?)?;
-            }
-            // Everything the chain covers is persisted; WAL-replayed ops
-            // past this point count as fresh again.
-            seg = catalogue_marks(&lake.catalogue());
-            seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
-            seg.live = sb.segments;
-        } else {
-            lake.apply_record(lake.legacy_manifest(&manifest_bytes)?)?;
-        }
-        // Replay everything the manifest does not cover, in LSN order.
-        let (wal, replay) = Wal::open_with(
-            &dir.join("wal"),
-            lake.wal_options(),
-            Arc::clone(&vfs),
-            head.last_lsn,
-        )?;
-        for (lsn, payload) in &replay.records {
-            lake.replay_record(*lsn, payload)?;
-        }
-        lake.wal = Some(WalLink {
-            wal,
-            dir: canonical_dir(dir),
-            vfs,
-        });
+        // and hands them to `op_lock` once the lake is whole. Everything the
+        // chain covers is persisted; WAL-replayed ops count as fresh again.
+        let mut seg = catalogue_marks(&lake.catalogue());
+        seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
+        seg.live = sb.segments;
+        // Replay everything the superblock does not cover, in LSN order.
+        lake.attach_wal(dir, vfs, sb.last_lsn, ModelLake::block_list)?;
         *lake.op_lock.get_mut() = seg;
         Ok(lake)
-    }
-
-    /// The v1/v2 reader: a whole-state manifest as blocks. Each model goes
-    /// through the legacy converter (blob faulted in, fingerprinted) and
-    /// the manifest's event history lands as one `Events` block. The
-    /// persist marks stay at zero, so the next persist writes the whole
-    /// catalogue as segment 1 under a v3 superblock.
-    fn legacy_manifest(&self, manifest_bytes: &[u8]) -> Result<Vec<Block>> {
-        let manifest: LegacyManifest = serde_json::from_slice(manifest_bytes)
-            .map_err(|e| LakeError::CorruptArtifact(format!("manifest decode: {e}")))?;
-        let mut blocks: Vec<Block> = manifest
-            .datasets
-            .into_iter()
-            .map(|dataset| Block::Dataset { dataset })
-            .collect();
-        blocks.extend(
-            manifest
-                .benchmarks
-                .into_iter()
-                .map(|(benchmark, domain)| Block::Benchmark { benchmark, domain }),
-        );
-        for m in manifest.models {
-            blocks.push(self.legacy_model(&m.name, &m.digest, m.card)?);
-        }
-        blocks.push(Block::Events {
-            events: manifest.events.events().to_vec(),
-        });
-        Ok(blocks)
     }
 }
 
@@ -376,7 +308,9 @@ mod tests {
     use super::*;
     use crate::populate::{populate_from_ground_truth, CardPolicy};
     use crate::registry::ModelId;
+    use mlake_cards::ModelCard;
     use mlake_datagen::{generate_lake, LakeSpec};
+    use mlake_wal::Wal;
 
     fn tmp(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mlake-persist-{tag}-{}", std::process::id()))
@@ -494,6 +428,50 @@ mod tests {
             })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn exporting_into_another_lakes_directory_is_refused() {
+        let dir = tmp("foreign");
+        let export = tmp("foreign-export");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&export);
+        let gt = generate_lake(&LakeSpec::tiny(5));
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        for gm in &gt.models[..3] {
+            lake.ingest_model(&gm.name, &gm.model, None).unwrap();
+        }
+        lake.persist(&dir).unwrap();
+        // A WAL tail the chain does not cover yet.
+        for gm in &gt.models[3..5] {
+            lake.ingest_model(&gm.name, &gm.model, None).unwrap();
+        }
+        drop(lake);
+        let other = ModelLake::new(LakeConfig::default());
+        other
+            .ingest_model("other", &gt.models[5].model, None)
+            .unwrap();
+        let manifest = std::fs::read(dir.join("manifest.json")).unwrap();
+        assert!(matches!(
+            other.persist(&dir),
+            Err(LakeError::Duplicate { kind: "lake", .. })
+        ));
+        assert_eq!(std::fs::read(dir.join("manifest.json")).unwrap(), manifest);
+        assert_eq!(
+            ModelLake::open(&dir, LakeConfig::default()).unwrap().len(),
+            5
+        );
+        // An export holds no WAL, so exporting over it again still works.
+        other.persist(&export).unwrap();
+        other.persist(&export).unwrap();
+        assert_eq!(
+            ModelLake::open(&export, LakeConfig::default())
+                .unwrap()
+                .len(),
+            1
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&export).unwrap();
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! * **recovered state is bit-identical** to an ephemeral lake replaying
 //!   the same op prefix (events, names, digests and parameters).
 
+mod common;
+
 use mlake_core::lake::{LakeConfig, ModelLake};
 use mlake_core::{LakeError, ModelId};
 use mlake_datagen::{Dataset, DatasetId, DatasetKind, Domain};
@@ -454,4 +456,73 @@ fn crash_during_persist_preserves_full_state() {
         check_recovered(&dir, N_OPS, &refs, &format!("persist {kind} kill {k}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// `upgrade` is a persist into the lake's own directory: a crash at any
+/// write or fsync of it leaves either the v3 lake — which `open` refuses
+/// and `upgrade` reads again — or the v4 one, never a lake `open` calls
+/// corrupt. Either way the upgraded lake renders the v3 lake's golden.
+/// Every write and fsync comes before the superblock swap; the WAL
+/// compaction's removes after it are swept too.
+#[test]
+fn upgrade_crash_at_every_write_and_fsync_keeps_the_golden() {
+    let golden = common::golden("v3-wal");
+    let dir = tmp("up-count");
+    common::fixture_copy("v3-wal-lake", &dir);
+    let fs = FailFs::counting();
+    ModelLake::upgrade_with(&dir, LakeConfig::default(), Arc::new(Arc::clone(&fs))).unwrap();
+    let (writes, syncs, removes) = (fs.writes(), fs.syncs(), fs.removes());
+    assert!(
+        writes > 1 && syncs > 1 && removes > 0,
+        "upgrade issued {writes} writes, {syncs} syncs, {removes} removes"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let (mut before_swap, mut after_swap) = (0, 0);
+    let kills = (1..=writes).map(|k| ("write", k));
+    let kills = kills.chain((1..=syncs).map(|k| ("sync", k)));
+    for (kind, k) in kills.chain((1..=removes).map(|k| ("remove", k))) {
+        let dir = tmp(&format!("up-{kind}-{k}"));
+        common::fixture_copy("v3-wal-lake", &dir);
+        let fs = match kind {
+            "write" => FailFs::kill_at_write(k, [0usize, 1, 7][(k % 3) as usize]),
+            "sync" => FailFs::kill_at_sync(k),
+            _ => FailFs::kill_at_remove(k),
+        };
+        let upgraded =
+            ModelLake::upgrade_with(&dir, LakeConfig::default(), Arc::new(Arc::clone(&fs)));
+        assert!(fs.is_dead(), "{kind} kill point {k} never reached");
+        assert!(
+            upgraded.is_err(),
+            "{kind} kill {k}: upgrade survived the injected crash"
+        );
+        // Rendering logs a graph catch-up, so the retry runs on a copy of
+        // the crashed directory.
+        let retry = tmp(&format!("up-{kind}-{k}-retry"));
+        let _ = std::fs::remove_dir_all(&retry);
+        common::copy_tree(&dir, &retry);
+        match ModelLake::open(&dir, LakeConfig::default()) {
+            Ok(lake) => {
+                assert_eq!(common::render(&lake), golden, "{kind} kill {k}");
+                after_swap += 1;
+            }
+            Err(LakeError::UnsupportedManifest { found: 3, .. }) => before_swap += 1,
+            Err(e) => panic!("{kind} kill {k}: open after the crash: {e}"),
+        }
+        ModelLake::upgrade(&retry, LakeConfig::default())
+            .unwrap_or_else(|e| panic!("{kind} kill {k}: upgrade retry: {e}"));
+        let lake = ModelLake::open(&retry, LakeConfig::default()).unwrap();
+        assert_eq!(
+            common::render(&lake),
+            golden,
+            "{kind} kill {k}: after the retry"
+        );
+        drop(lake);
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&retry).unwrap();
+    }
+    assert!(
+        before_swap > 0 && after_swap > 0,
+        "{before_swap} kills before the swap, {after_swap} after"
+    );
 }

@@ -2,11 +2,12 @@
 //!
 //! `tests/fixtures/v1-lake/` is a checked-in lake persisted by the v1
 //! (pre-WAL) format: `manifest.json` has `"version": 1`, no `last_lsn`
-//! field and no `wal/` directory. Opening it must keep working forever —
-//! the manifest version only advances with a replay path for every
-//! version we ever shipped — while unknown *future* versions must be
-//! rejected with the typed [`LakeError::UnsupportedManifest`], never a
-//! panic or a misleading corruption report.
+//! field and no `wal/` directory. `open` reads only the current format and
+//! answers any other version with the typed
+//! [`LakeError::UnsupportedManifest`], never a panic or a misleading
+//! corruption report. An older lake must keep upgrading forever: the
+//! manifest version only advances with an `upgrade` path for every version
+//! we ever shipped.
 
 use mlake_core::lake::{LakeConfig, ModelLake};
 use mlake_core::LakeError;
@@ -48,7 +49,7 @@ fn copy_fixture(to: &Path) {
 }
 
 #[test]
-fn v1_fixture_opens_and_upgrades_on_persist() {
+fn v1_fixture_upgrades_then_opens_and_takes_new_writes() {
     let fixture = std::fs::read_to_string(fixture_dir().join("manifest.json")).unwrap();
     assert!(
         fixture.contains("\"version\": 1"),
@@ -59,6 +60,15 @@ fn v1_fixture_opens_and_upgrades_on_persist() {
     let dir = tmp("v1");
     let _ = std::fs::remove_dir_all(&dir);
     copy_fixture(&dir);
+    ModelLake::upgrade(&dir, LakeConfig::default()).unwrap();
+    let upgraded = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert!(upgraded.contains("\"version\": 4"));
+    assert!(upgraded.contains("segments"));
+    assert!(upgraded.contains("last_lsn"));
+    assert!(
+        dir.join("segs").exists(),
+        "the upgrade wrote a segment chain"
+    );
     let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
     assert_eq!(lake.len(), 2);
     assert!(lake.is_durable(), "opened lakes attach a WAL even from v1");
@@ -69,25 +79,20 @@ fn v1_fixture_opens_and_upgrades_on_persist() {
         lake.model("v1-alpha").unwrap().flat_params(),
         model(1).flat_params()
     );
-    // Searches work: the upgrade reader queued the index inserts.
+    // Searches work from the fingerprints the upgrade computed.
     let hits = lake.similar("v1-alpha", FingerprintKind::Hybrid, 1).unwrap();
     assert_eq!(hits[0].0, lake.resolve("v1-beta").unwrap());
-    // The v1 lake is live: it takes new durable mutations, and persisting
-    // upgrades the manifest to the current superblock format.
-    lake.ingest_model("v3-native", &model(3), None).unwrap();
+    // The upgraded lake is live: it takes new durable mutations.
+    lake.ingest_model("v4-native", &model(3), None).unwrap();
     lake.persist(&dir).unwrap();
-    let upgraded = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert!(upgraded.contains("\"version\": 3"));
-    assert!(upgraded.contains("segments"));
-    assert!(upgraded.contains("last_lsn"));
-    assert!(dir.join("segs").exists(), "the upgrade wrote a segment chain");
+    drop(lake);
     let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
     assert_eq!(reopened.len(), 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn v2_fixture_opens_and_upgrades_on_persist() {
+fn v2_fixture_upgrades_then_opens_bit_for_bit() {
     let fixture = std::fs::read_to_string(v2_fixture_dir().join("manifest.json")).unwrap();
     assert!(
         fixture.contains("\"version\": 2"),
@@ -98,6 +103,9 @@ fn v2_fixture_opens_and_upgrades_on_persist() {
     let dir = tmp("v2");
     let _ = std::fs::remove_dir_all(&dir);
     copy_fixture_from(&v2_fixture_dir(), &dir);
+    ModelLake::upgrade(&dir, LakeConfig::default()).unwrap();
+    let upgraded = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert!(upgraded.contains("\"version\": 4"));
     let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
     assert_eq!(lake.len(), 2);
     assert!(lake.is_durable());
@@ -110,24 +118,13 @@ fn v2_fixture_opens_and_upgrades_on_persist() {
         lake.model("v2-beta").unwrap().flat_params(),
         model(12).flat_params()
     );
-    // Persisting upgrades to the v3 superblock; the lake reopens lazily.
-    lake.persist(&dir).unwrap();
-    let upgraded = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-    assert!(upgraded.contains("\"version\": 3"));
-    drop(lake);
-    let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
-    assert_eq!(reopened.len(), 2);
-    assert_eq!(
-        reopened.model("v2-alpha").unwrap().flat_params(),
-        model(11).flat_params()
-    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn v1_fixture_with_a_flipped_blob_byte_fails_open_with_corrupt_artifact() {
-    // The upgrade reader faults each blob in through the store, which
-    // verifies the bytes against the digest in the file name.
+fn v1_fixture_with_a_flipped_blob_byte_fails_upgrade_with_corrupt_artifact() {
+    // The upgrade faults each blob in through the store, which verifies
+    // the bytes against the digest in the file name.
     let dir = tmp("v1-flip");
     let _ = std::fs::remove_dir_all(&dir);
     copy_fixture(&dir);
@@ -140,14 +137,14 @@ fn v1_fixture_with_a_flipped_blob_byte_fails_open_with_corrupt_artifact() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&blob, bytes).unwrap();
-    let err = match ModelLake::open(&dir, LakeConfig::default()) {
-        Ok(_) => panic!("a lake with a tampered blob must not open"),
-        Err(e) => e,
-    };
+    let manifest = std::fs::read(dir.join("manifest.json")).unwrap();
+    let err = ModelLake::upgrade(&dir, LakeConfig::default()).unwrap_err();
     assert!(
         matches!(err, LakeError::CorruptArtifact(_)),
         "expected CorruptArtifact, got: {err}"
     );
+    // The failed upgrade left the v1 lake as it was.
+    assert_eq!(std::fs::read(dir.join("manifest.json")).unwrap(), manifest);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -170,5 +167,14 @@ fn future_manifest_version_is_rejected_with_typed_error() {
         matches!(err, LakeError::UnsupportedManifest { found: 7, .. }),
         "expected UnsupportedManifest, got: {err}"
     );
+    assert!(
+        err.to_string().contains("newer: use a newer build"),
+        "{err}"
+    );
+    // Nor can `upgrade` read a format newer than its own.
+    assert!(matches!(
+        ModelLake::upgrade(&dir, LakeConfig::default()),
+        Err(LakeError::UnsupportedManifest { found: 7, .. })
+    ));
     std::fs::remove_dir_all(&dir).unwrap();
 }

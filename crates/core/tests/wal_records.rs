@@ -1,22 +1,29 @@
-//! The WAL's record format (DESIGN.md §12): a record is the block list the
-//! op adds to the next delta segment, and records in the older one-op
-//! shape stay readable.
+//! The WAL's record format, and the one way older lakes reach it
+//! (DESIGN.md §12): a record is the block list the op adds to the next
+//! delta segment, `open` reads superblock v4 alone, and every older lake
+//! goes through `ModelLake::upgrade` first.
 //!
-//! `tests/fixtures/v3-wal-lake/` was written by the commit before blocks
-//! became the WAL payload: a v3 superblock over a two-segment chain plus
-//! an unpersisted WAL tail holding all five legacy op kinds — ingest,
-//! card update (on a chain-covered and on a WAL-only model), dataset,
-//! benchmark, graph rebuild. `v3-wal-golden.txt` is [`render`] of that
-//! lake as the same commit opened it.
+//! The fixture lakes were written by older builds:
+//! - `v1-lake` / `v2-lake`: whole-state manifests, before and after the WAL.
+//! - `v3-wal-lake`: a v3 superblock over a two-segment chain plus an
+//!   unpersisted WAL tail holding all five one-op record kinds — ingest,
+//!   card update (on a chain-covered and on a WAL-only model), dataset,
+//!   benchmark, graph rebuild — written by the commit before blocks became
+//!   the WAL payload.
+//! - `v3-lake`: a v3 chain plus a block-list WAL tail (ingest, card
+//!   override, dataset, benchmark, graph rebuild).
+//!
+//! Each `<name>-golden.txt` is [`render`] of that lake as a build that
+//! still opened it directly rendered it.
 
+mod common;
+
+use common::{fixture_copy, golden, model, render, renote, state};
 use mlake_cards::ModelCard;
 use mlake_core::lake::{LakeConfig, ModelLake};
-use mlake_core::ModelId;
-use mlake_fingerprint::FingerprintKind;
-use mlake_nn::{Activation, Mlp, Model};
-use mlake_tensor::{init::Init, Pcg64};
-use mlake_wal::{RealFs, VFile, Vfs};
-use std::fmt::Write as _;
+use mlake_core::LakeError;
+use mlake_wal::testing::FailFs;
+use mlake_wal::{RealFs, VFile, Vfs, Wal, WalOptions};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -25,125 +32,67 @@ fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mlake-walrec-{tag}-{}", std::process::id()))
 }
 
-fn fixtures() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures")
+/// Upgrades a scratch copy of fixture `name` at `dir` and opens it. `open`
+/// refuses the copy before the upgrade; a second upgrade writes nothing.
+fn upgraded(name: &str, dir: &Path) -> ModelLake {
+    fixture_copy(name, dir);
+    match ModelLake::open(dir, LakeConfig::default()) {
+        Err(LakeError::UnsupportedManifest {
+            found: 1..=3,
+            supported: 4,
+        }) => {}
+        Err(e) => panic!("{name}: open before upgrade: {e}"),
+        Ok(_) => panic!("{name}: opened before upgrade"),
+    }
+    ModelLake::upgrade(dir, LakeConfig::default()).unwrap();
+    let fs = FailFs::counting();
+    ModelLake::upgrade_with(dir, LakeConfig::default(), Arc::new(Arc::clone(&fs))).unwrap();
+    let io = (fs.writes(), fs.syncs(), fs.removes());
+    assert_eq!(io, (0, 0, 0), "{name}: a second upgrade wrote");
+    ModelLake::open(dir, LakeConfig::default()).unwrap()
 }
 
-fn copy_tree(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let target = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_tree(&entry.path(), &target);
-        } else {
-            std::fs::copy(entry.path(), &target).unwrap();
-        }
+/// `v3-wal-lake` is the next test's.
+#[test]
+fn every_older_fixture_upgrades_once_to_its_golden() {
+    for (name, golden_name) in [("v1-lake", "v1"), ("v2-lake", "v2"), ("v3-lake", "v3")] {
+        let dir = tmp(name);
+        let lake = upgraded(name, &dir);
+        assert_eq!(render(&lake), golden(golden_name), "{name}");
+        drop(lake);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// A scratch copy of the fixture (opening a lake writes into its WAL).
-fn fixture_copy(tag: &str) -> PathBuf {
-    let dir = tmp(tag);
-    let _ = std::fs::remove_dir_all(&dir);
-    copy_tree(&fixtures().join("v3-wal-lake"), &dir);
-    dir
-}
-
-fn model(seed: u64) -> Model {
-    let mut rng = Pcg64::new(seed);
-    Model::Mlp(Mlp::new(vec![8, 4, 3], Activation::Relu, Init::HeNormal, &mut rng).unwrap())
-}
-
-fn renote(lake: &ModelLake, name: &str, notes: &str) {
-    let mut card = lake.entry(name).unwrap().card;
-    card.notes = notes.into();
-    lake.update_card(name, card).unwrap();
-}
-
-/// Text queries the golden pins.
-const QUERIES: [&str; 5] = [
-    "harbor",
-    "ledger",
-    "frost almanac",
-    "amended revised",
-    "fx-e",
-];
-
-/// The catalogue as text: events, entries and cards, then `similar` and
-/// `text_search` hits as bits.
-fn state(lake: &ModelLake) -> String {
-    let mut out = String::new();
-    for e in lake.events() {
-        writeln!(out, "event {} {:?} {}", e.seq, e.kind, e.subject).unwrap();
-    }
-    let ids = || (0..lake.len() as u64).map(ModelId);
-    for id in ids() {
-        let e = lake.entry(id).unwrap();
-        let card = serde_json::to_string(&e.card).unwrap();
-        let (name, arch, params, digest) = (e.name, e.arch, e.params, e.digest.to_hex());
-        writeln!(out, "entry {} {name} {arch} {params} {digest} {card}", id.0).unwrap();
-    }
-    writeln!(out, "benchmarks {:?}", lake.benchmark_names()).unwrap();
-    let bits = |hits: Vec<(ModelId, f32)>| -> Vec<(u64, u32)> {
-        hits.into_iter().map(|(m, s)| (m.0, s.to_bits())).collect()
-    };
-    for id in ids() {
-        for kind in FingerprintKind::ALL {
-            let hits = bits(lake.similar(id, kind, 4).unwrap());
-            writeln!(out, "similar {} {kind:?} {hits:?}", id.0).unwrap();
-        }
-    }
-    for q in QUERIES {
-        writeln!(
-            out,
-            "text {q:?} {:?}",
-            bits(lake.text_search(q, 5).unwrap())
-        )
-        .unwrap();
-    }
-    out
-}
-
-/// [`state`], then every model's citation (the first one's graph
-/// catch-up appends an event, so the head comes last).
-fn render(lake: &ModelLake) -> String {
-    let mut out = state(lake);
-    for id in (0..lake.len() as u64).map(ModelId) {
-        let c = lake.cite(id).unwrap();
-        writeln!(out, "cite {} {:?} {}", c.key(), c.version_path, c.lake_name).unwrap();
-    }
-    writeln!(out, "head {}", lake.events().len()).unwrap();
-    out
 }
 
 #[test]
 fn legacy_wal_tail_replays_to_the_golden_of_the_commit_that_wrote_it() {
-    let dir = fixture_copy("golden");
-    let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
-    let golden = std::fs::read_to_string(fixtures().join("v3-wal-golden.txt")).unwrap();
-    assert_eq!(render(&lake), golden);
+    let dir = tmp("golden");
+    let lake = upgraded("v3-wal-lake", &dir);
+    assert_eq!(render(&lake), golden("v3-wal"));
     drop(lake);
+    // The upgrade wrote the catalogue as one segment past the old chain,
+    // and the legacy records are compacted away.
+    let manifest = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
+    assert!(manifest.contains("\"version\": 4"), "{manifest}");
+    let (_, replay) =
+        Wal::open_with(&dir.join("wal"), WalOptions::default(), RealFs::shared(), 0).unwrap();
+    // What is left is the graph catch-up `render`'s first citation logged.
+    assert_eq!(
+        replay.records.len(),
+        1,
+        "legacy records survived the upgrade"
+    );
+    assert_eq!(replay.records[0].1.first(), Some(&b'['));
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// The JSON payloads of a segment file's blocks
-/// (`"MLSG" | version u16 | (len u32 | crc u32 | payload)*`).
-fn block_payloads(bytes: &[u8]) -> Vec<String> {
-    let (mut at, mut out) = (6, Vec::new());
-    while at < bytes.len() {
-        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        out.push(String::from_utf8(bytes[at + 8..at + 8 + len].to_vec()).unwrap());
-        at += 8 + len;
-    }
-    out
 }
 
 #[test]
 fn mixed_wal_replays_both_shapes_and_persists_the_card_overrides() {
-    let dir = fixture_copy("mixed");
-    let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
-    // Block-list records behind the legacy tail.
+    // Block-list records, as a v3 build appended them behind the one-op
+    // tail: the same ops run on an upgraded copy, then their records are
+    // copied onto an untouched one.
+    let ahead = tmp("mixed-ahead");
+    let lake = upgraded("v3-wal-lake", &ahead);
     let card = ModelCard::skeleton("fx-f", "mlp:8-4-3:relu");
     lake.ingest_model("fx-f", &model(206), Some(card)).unwrap();
     renote(&lake, "fx-b", "harbor crane manifest revised twice");
@@ -154,37 +103,40 @@ fn mixed_wal_replays_both_shapes_and_persists_the_card_overrides() {
     let live = state(&lake);
     drop(lake);
 
+    let dir = tmp("mixed");
+    fixture_copy("v3-wal-lake", &dir);
+    common::copy_tree(&ahead.join("blobs"), &dir.join("blobs"));
+    let opts = WalOptions::default();
+    let (wal, tail) = Wal::open_with(&dir.join("wal"), opts, RealFs::shared(), 0).unwrap();
+    let (_, ops) =
+        Wal::open_with(&ahead.join("wal"), opts, RealFs::shared(), tail.last_lsn).unwrap();
+    assert_eq!(ops.records.len(), 5);
+    for (_, payload) in &ops.records {
+        assert_eq!(payload.first(), Some(&b'['), "not a block list");
+        wal.append(payload).unwrap();
+    }
+    wal.sync().unwrap();
+    drop(wal);
+
+    ModelLake::upgrade(&dir, LakeConfig::default()).unwrap();
     let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
     assert_eq!(
         state(&reopened),
         live,
-        "a mixed WAL replayed to another catalogue"
+        "a mixed WAL upgraded to another catalogue"
     );
-    reopened.persist(&dir).unwrap();
-    // The delta carries a CardOverride for each chain-covered model whose
-    // card a replayed record changed: fx-a (legacy op), fx-b (block list).
-    let newest = std::fs::read_dir(dir.join("segs"))
+    // The cards both record shapes replaced — fx-a's (one-op) and fx-b's
+    // (block list) — are in the one segment the upgrade persisted.
+    drop(reopened);
+    let segs: Vec<PathBuf> = std::fs::read_dir(dir.join("segs"))
         .unwrap()
         .map(|e| e.unwrap().path())
-        .max();
-    let payloads = block_payloads(&std::fs::read(newest.unwrap()).unwrap());
-    let overrides: Vec<&String> = payloads
-        .iter()
-        .filter(|p| p.starts_with(r#"{"CardOverride":"#))
         .collect();
-    assert_eq!(overrides.len(), 2, "{overrides:?}");
-    assert!(overrides[0].starts_with(r#"{"CardOverride":{"id":0,"#));
-    assert!(overrides[0].contains("harbor tides ledger amended in the wal"));
-    assert!(overrides[1].starts_with(r#"{"CardOverride":{"id":1,"#));
-    assert!(overrides[1].contains("harbor crane manifest revised twice"));
-    drop(reopened);
-    let folded = ModelLake::open(&dir, LakeConfig::default()).unwrap();
-    assert_eq!(
-        state(&folded),
-        live,
-        "the persisted chain folds to another catalogue"
-    );
-    drop(folded);
+    let newest = std::fs::read(segs.iter().max().unwrap()).unwrap();
+    let newest = String::from_utf8_lossy(&newest);
+    assert!(newest.contains("harbor tides ledger amended in the wal"));
+    assert!(newest.contains("harbor crane manifest revised twice"));
+    std::fs::remove_dir_all(&ahead).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -122,7 +122,9 @@ impl Recovery {
                         }
                         last_lsn = lsn;
                         seg_last = Some(lsn);
-                        expected_next = Some(lsn + 1);
+                        // Saturating: nothing may follow lsn `u64::MAX`,
+                        // and `Wal::open_with` refuses a log that ends there.
+                        expected_next = Some(lsn.saturating_add(1));
                         offset = next;
                     }
                     Decoded::Torn(reason) => {

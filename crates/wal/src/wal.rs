@@ -166,7 +166,16 @@ impl Wal {
     ) -> Result<(Wal, crate::Replay), WalError> {
         vfs.create_dir_all(dir)?;
         let replay = crate::Recovery::run(dir, &vfs, base_lsn)?;
-        let next_lsn = replay.last_lsn.max(base_lsn) + 1;
+        // A hostile snapshot or record can claim the last LSN there is.
+        let next_lsn = replay
+            .last_lsn
+            .max(base_lsn)
+            .checked_add(1)
+            .ok_or_else(|| WalError::Corrupt {
+                segment: dir.to_path_buf(),
+                offset: 0,
+                detail: "no lsn left after the last one".into(),
+            })?;
 
         // Resume the newest segment when it still has room; otherwise
         // seal everything and start a fresh tail segment.

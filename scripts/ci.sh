@@ -21,9 +21,9 @@
 # 7. The equivalence, HNSW, sharding, par and versioning suites re-run under
 #    MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
-#    suite, the blockstore suites, the snapshot-read race, the HTTP hammer
-#    and the text suites re-run in the release profile with observability on
-#    and off.
+#    suite, the blockstore and on-disk format suites (upgrade goldens,
+#    hostile bytes), the snapshot-read race, the HTTP hammer and the text
+#    suites re-run in the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -138,9 +138,11 @@ step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction 
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 
-step "blockstore: lazy residency + refcounting GC (obs on + off)"
-cargo test -q -p mlake-core --test residency --test manifest_compat --release
-MLAKE_OBS=off cargo test -q -p mlake-core --test residency --test manifest_compat --release
+step "blockstore: lazy residency, refcounting GC, upgrade goldens, hostile bytes (obs on + off)"
+cargo test -q -p mlake-core --test residency --test manifest_compat \
+  --test wal_records --test hostile_open --release
+MLAKE_OBS=off cargo test -q -p mlake-core --test residency --test manifest_compat \
+  --test wal_records --test hostile_open --release
 
 step "snapshot reads: concurrent readers see whole ops (obs on + off)"
 cargo test -q -p mlake-core --test snapshot_reads --release
