@@ -836,6 +836,16 @@ impl ModelLake {
         Model::from_bytes(&bytes).map_err(|e| LakeError::CorruptArtifact(e.to_string()))
     }
 
+    /// All three identities of a model — id, name and content digest —
+    /// under one guard, copying the name and nothing else of the entry.
+    // lint: no-span — identity funnel like `resolve`; the served Resolve
+    // route is its caller and spans itself
+    pub fn identity<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<(ModelId, String, Digest)> {
+        let cat = self.catalogue();
+        let entry = cat.find(model.into())?;
+        Ok((entry.id, entry.name.clone(), entry.digest))
+    }
+
     /// Registry entry snapshot of a model.
     // lint: no-span — cheap registry clone on every read path
     pub fn entry<'a>(&self, model: impl Into<ModelRef<'a>>) -> Result<ModelEntry> {

@@ -151,7 +151,7 @@ pub enum ApiRequest {
         /// MLQL text.
         mlql: String,
     },
-    /// `ModelLake::resolve` + `entry`: canonicalize any ref to all three
+    /// `ModelLake::identity`: canonicalize any ref to all three
     /// identities.
     Resolve {
         /// Any model identity.
@@ -366,7 +366,15 @@ pub fn decode_request(bytes: &[u8]) -> Result<ApiRequest, WireError> {
 
 /// Serializes a response to its JSON wire form.
 pub fn encode_response(resp: &ApiResponse) -> Vec<u8> {
-    serde_json::to_vec(resp).unwrap_or_default()
+    let mut out = Vec::new();
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends a response's JSON wire form to `out`, written straight from
+/// the value: the server encodes into its connection's output buffer.
+pub fn encode_response_into(resp: &ApiResponse, out: &mut Vec<u8>) {
+    serde::Serialize::write_json(resp, out);
 }
 
 /// Parses a response from its JSON wire form.

@@ -91,12 +91,11 @@ impl Api {
             ApiRequest::Resolve { model } => {
                 let mut scratch = None;
                 let mref = model.as_model_ref(&mut scratch)?;
-                let id = self.lake.resolve(mref)?;
-                let entry = self.lake.entry(id)?;
+                let (id, name, digest) = self.lake.identity(mref)?;
                 Ok(ApiResponse::Resolved {
                     id: id.0,
-                    name: entry.name,
-                    digest: entry.digest.to_hex(),
+                    name,
+                    digest: digest.to_hex(),
                 })
             }
             ApiRequest::Cite { model } => {

@@ -18,12 +18,12 @@
 //! `SyncPolicy::Always`, a crash).
 
 use crate::api::{not_found, protocol_error, Api};
-use crate::http::{HttpConn, ReadOutcome, Request, Response};
+use crate::http::{HttpConn, ReadOutcome, Request, ResponseHead};
 use crate::router::LakeRouter;
-use mlake_core::ErrorKind;
+use mlake_core::{ErrorKind, ModelLake};
 use mlake_fingerprint::FingerprintKind;
 use mlake_par::lockorder::{self, ranks};
-use mlake_proto::{decode_request, encode_response, ApiRequest, WireRef};
+use mlake_proto::{decode_request, encode_response_into, ApiRequest, WireRef};
 use serde::{Content, Deserialize};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -46,7 +46,7 @@ pub struct ServerConfig {
 }
 
 /// `Retry-After` seconds advertised on shed requests.
-const RETRY_AFTER_S: &str = "1";
+const RETRY_AFTER_S: u16 = 1;
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -226,125 +226,177 @@ fn serve_connection(stream: TcpStream, ctx: &ConnCtx) {
         if ctx.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let outcome = match conn.read_request() {
-            Ok(o) => o,
-            Err(_) => return,
+        // Everything borrowed from the request is used up here: what is
+        // left is owned, and the connection is free to write.
+        let (routed, close) = match conn.read_request() {
+            Err(_) | Ok(ReadOutcome::Eof) => return,
+            Ok(ReadOutcome::TimedOut) => continue,
+            Ok(ReadOutcome::Malformed(msg)) => (Err(bad_request(msg)), true),
+            Ok(ReadOutcome::TooLarge(n)) => {
+                let msg = format!("body of {n} bytes exceeds the cap");
+                let body = protocol_error(ErrorKind::InvalidInput, 413, msg);
+                (Err(Reply::json(413, body)), true)
+            }
+            Ok(ReadOutcome::Request(req)) => (route_request(&req, ctx), req.close),
         };
-        let resp = match outcome {
-            ReadOutcome::TimedOut => continue,
-            ReadOutcome::Eof => return,
-            ReadOutcome::Malformed(msg) => Response {
-                status: 400,
-                body: protocol_error(ErrorKind::InvalidInput, 400, msg),
-                extra_headers: Vec::new(),
-                close: true,
-            },
-            ReadOutcome::TooLarge(n) => Response {
-                status: 413,
-                body: protocol_error(
-                    ErrorKind::InvalidInput,
-                    413,
-                    format!("body of {n} bytes exceeds the cap"),
-                ),
-                extra_headers: Vec::new(),
-                close: true,
-            },
-            ReadOutcome::Request(req) => {
-                let close = req.wants_close();
-                let mut resp = handle_request(req, ctx);
-                resp.close = resp.close || close;
-                resp
+        let sent = match routed {
+            Ok((lake, request)) => serve_lake(&mut conn, lake, request, close, ctx),
+            Err(reply) => {
+                let head = ResponseHead {
+                    status: reply.status,
+                    retry_after: None,
+                    close,
+                };
+                conn.write_response(head, |out| out.extend_from_slice(&reply.body))
             }
         };
-        let close = resp.close;
-        if conn.write_response(&resp).is_err() || close {
+        if sent.is_err() || close {
             return;
         }
     }
 }
 
-/// Routes one request and handles it in place. Health, the lake list and
-/// process metrics answer outside admission; anything touching a lake
-/// takes an in-flight slot first, or is shed.
-fn handle_request(req: Request, ctx: &ConnCtx) -> Response {
-    let (lake_name, api_req) = match route(&req) {
-        Ok(Routed::Api { lake, request }) => (lake, request),
-        Ok(Routed::Health) => {
-            return Response::json(200, b"{\"ok\":true}".to_vec());
-        }
-        Ok(Routed::Lakes) => {
-            let names = ctx.router.names();
-            let body = serde_json::to_vec(&names).unwrap_or_default();
-            return Response::json(200, body);
-        }
-        Ok(Routed::Metrics) => {
-            let body = serde_json::to_vec(&mlake_obs::snapshot()).unwrap_or_default();
-            return Response::json(200, body);
-        }
-        Err(resp) => return resp,
-    };
-    let Some(lake) = ctx.router.get(&lake_name) else {
-        return Response::json(404, not_found(&format!("lake '{lake_name}'")));
-    };
-
-    let Some(_slot) = Admitted::admit(&ctx.in_flight, ctx.config.max_in_flight) else {
-        mlake_obs::registry().counter("http.shed").inc();
-        return Response {
-            status: 503,
-            body: protocol_error(
-                ErrorKind::Unavailable,
-                503,
-                "too many requests in flight; retry".into(),
-            ),
-            extra_headers: vec![("Retry-After", RETRY_AFTER_S.to_string())],
-            close: false,
-        };
-    };
-    let (status, resp) = Api::new(lake).handle(*api_req);
-    Response::json(status, encode_response(&resp))
+/// A reply built without a lake: a process-level route, or a request
+/// refused before it reached one.
+#[derive(Debug)]
+struct Reply {
+    status: u16,
+    body: Vec<u8>,
 }
 
-enum Routed {
-    Health,
-    Lakes,
-    Metrics,
-    // Boxed: an Ingest request carries a whole model artifact, which
-    // would otherwise dominate the enum's stack size.
-    Api { lake: String, request: Box<ApiRequest> },
-}
-
-/// The route table (DESIGN.md §14). REST-shaped routes are thin sugar
-/// over the typed protocol: bodies parse into the matching [`ApiRequest`]
-/// variant, so the wire protocol has exactly one source of truth.
-fn route(req: &Request) -> Result<Routed, Response> {
-    let (path, query) = match req.path.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (req.path.as_str(), ""),
-    };
-    let segs: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    let method = req.method.as_str();
-    match segs.as_slice() {
-        ["v1", "health"] if method == "GET" => Ok(Routed::Health),
-        ["v1", "metrics"] if method == "GET" => Ok(Routed::Metrics),
-        ["v1", "lakes"] if method == "GET" => Ok(Routed::Lakes),
-        ["v1", "lakes", lake, rest @ ..] => {
-            let request = route_lake(method, rest, query, &req.body)?;
-            Ok(Routed::Api {
-                lake: (*lake).to_string(),
-                request: Box::new(request),
-            })
-        }
-        _ => Err(Response::json(404, not_found(path))),
+impl Reply {
+    fn json(status: u16, body: Vec<u8>) -> Reply {
+        Reply { status, body }
     }
 }
 
-fn route_lake(
-    method: &str,
-    rest: &[&str],
-    query: &str,
-    body: &[u8],
-) -> Result<ApiRequest, Response> {
-    match (method, rest) {
+/// Routes one request: the lake it is for and the typed request to run
+/// there, or the reply to send without one. Health, the lake list and
+/// process metrics are answered here, outside admission.
+fn route_request(
+    req: &Request<'_>,
+    ctx: &ConnCtx,
+) -> Result<(Arc<ModelLake>, ApiRequest), Reply> {
+    let (lake_name, api_req) = match route(req.method, req.path)? {
+        Routed::Lake { lake, rest, query } => {
+            (lake, route_lake(req.method, rest, query, req.body)?)
+        }
+        Routed::Health => return Err(Reply::json(200, b"{\"ok\":true}".to_vec())),
+        Routed::Lakes => {
+            let body = serde_json::to_vec(&ctx.router.names()).unwrap_or_default();
+            return Err(Reply::json(200, body));
+        }
+        Routed::Metrics => {
+            let body = serde_json::to_vec(&mlake_obs::snapshot()).unwrap_or_default();
+            return Err(Reply::json(200, body));
+        }
+    };
+    match ctx.router.get(lake_name) {
+        Some(lake) => Ok((lake, api_req)),
+        None => Err(Reply::json(404, not_found(&format!("lake '{lake_name}'")))),
+    }
+}
+
+/// Runs a routed request on its lake, once it has an in-flight slot, and
+/// encodes the answer straight into the connection's output buffer. Past
+/// the bound the request is shed with 503 + `Retry-After`.
+fn serve_lake(
+    conn: &mut HttpConn,
+    lake: Arc<ModelLake>,
+    request: ApiRequest,
+    close: bool,
+    ctx: &ConnCtx,
+) -> io::Result<()> {
+    let Some(_slot) = Admitted::admit(&ctx.in_flight, ctx.config.max_in_flight) else {
+        mlake_obs::registry().counter("http.shed").inc();
+        let body = protocol_error(
+            ErrorKind::Unavailable,
+            503,
+            "too many requests in flight; retry".into(),
+        );
+        let head = ResponseHead {
+            status: 503,
+            retry_after: Some(RETRY_AFTER_S),
+            close,
+        };
+        return conn.write_response(head, |out| out.extend_from_slice(&body));
+    };
+    let (status, resp) = Api::new(lake).handle(request);
+    let head = ResponseHead {
+        status,
+        retry_after: None,
+        close,
+    };
+    conn.write_response(head, |out| encode_response_into(&resp, out))
+}
+
+/// Where a request's path leads.
+#[derive(Debug, PartialEq)]
+enum Routed<'a> {
+    Health,
+    Lakes,
+    Metrics,
+    /// `/v1/lakes/{lake}/{rest}?{query}`.
+    Lake {
+        lake: &'a str,
+        rest: &'a str,
+        query: &'a str,
+    },
+}
+
+/// Most path segments any route has (`/v1/lakes/{lake}/models/{ref}/similar`).
+const MAX_SEGMENTS: usize = 6;
+
+/// A path's non-empty segments, on the stack; `None` past
+/// [`MAX_SEGMENTS`], which no route has.
+fn segments(path: &str) -> Option<([&str; MAX_SEGMENTS], usize)> {
+    let mut segs = [""; MAX_SEGMENTS];
+    let mut n = 0;
+    for seg in path.split('/').filter(|s| !s.is_empty()) {
+        *segs.get_mut(n)? = seg;
+        n += 1;
+    }
+    Some((segs, n))
+}
+
+/// `path` after its first `k` non-empty segments.
+fn skip_segments(mut path: &str, k: usize) -> &str {
+    for _ in 0..k {
+        path = path.trim_start_matches('/');
+        path = path.find('/').map_or("", |at| &path[at..]);
+    }
+    path
+}
+
+/// The top of the route table (DESIGN.md §14): process-level routes, and
+/// the lake a `/v1/lakes/{lake}/...` path names.
+fn route<'a>(method: &str, target: &'a str) -> Result<Routed<'a>, Reply> {
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let not_found = || Reply::json(404, not_found(path));
+    let (segs, n) = segments(path).ok_or_else(not_found)?;
+    match (method, &segs[..n]) {
+        ("GET", ["v1", "health"]) => Ok(Routed::Health),
+        ("GET", ["v1", "metrics"]) => Ok(Routed::Metrics),
+        ("GET", ["v1", "lakes"]) => Ok(Routed::Lakes),
+        (_, ["v1", "lakes", lake, ..]) => Ok(Routed::Lake {
+            lake,
+            rest: skip_segments(path, 3),
+            query,
+        }),
+        _ => Err(not_found()),
+    }
+}
+
+/// The lake half of the route table. REST-shaped routes are thin sugar
+/// over the typed protocol: bodies parse into the matching [`ApiRequest`]
+/// variant, so the wire protocol has exactly one source of truth.
+fn route_lake(method: &str, rest: &str, query: &str, body: &[u8]) -> Result<ApiRequest, Reply> {
+    let unrouted = || {
+        let rest = rest.trim_matches('/');
+        Reply::json(404, not_found(&format!("{method} /v1/lakes/{{lake}}/{rest}")))
+    };
+    let (segs, n) = segments(rest).ok_or_else(unrouted)?;
+    match (method, &segs[..n]) {
         // The typed endpoint: the body IS an ApiRequest.
         ("POST", ["api"]) => decode_request(body).map_err(|e| bad_request(e.to_string())),
         ("GET", ["models"]) => Ok(ApiRequest::ListModels),
@@ -377,17 +429,14 @@ fn route_lake(
         ("POST", ["sync"]) => Ok(ApiRequest::Sync),
         ("POST", ["gc"]) => Ok(ApiRequest::Gc),
         ("GET", ["metrics"]) => Ok(ApiRequest::Metrics),
-        _ => Err(Response::json(
-            404,
-            not_found(&format!("{method} /v1/lakes/{{lake}}/{}", rest.join("/"))),
-        )),
+        _ => Err(unrouted()),
     }
 }
 
 /// Wraps a JSON body as the payload of enum variant `variant` and decodes
 /// the result as an [`ApiRequest`] — REST bodies reuse the typed
 /// protocol's field definitions instead of duplicating them.
-fn wrap_body(variant: &str, body: &[u8]) -> Result<ApiRequest, Response> {
+fn wrap_body(variant: &str, body: &[u8]) -> Result<ApiRequest, Reply> {
     let text =
         std::str::from_utf8(body).map_err(|_| bad_request("body must be utf-8 JSON".into()))?;
     let content =
@@ -411,7 +460,7 @@ fn parse_ref(s: &str) -> WireRef {
     WireRef::Name(s.to_string())
 }
 
-fn parse_similar_query(query: &str) -> Result<(FingerprintKind, usize), Response> {
+fn parse_similar_query(query: &str) -> Result<(FingerprintKind, usize), Reply> {
     let mut kind = FingerprintKind::Hybrid;
     let mut k = 10usize;
     for pair in query.split('&').filter(|p| !p.is_empty()) {
@@ -440,20 +489,22 @@ fn parse_similar_query(query: &str) -> Result<(FingerprintKind, usize), Response
     Ok((kind, k))
 }
 
-fn bad_request(msg: String) -> Response {
-    Response::json(400, protocol_error(ErrorKind::InvalidInput, 400, msg))
+fn bad_request(msg: String) -> Reply {
+    Reply::json(400, protocol_error(ErrorKind::InvalidInput, 400, msg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn get(path: &str) -> Request {
-        Request {
-            method: "GET".into(),
-            path: path.into(),
-            headers: Vec::new(),
-            body: Vec::new(),
+    /// The typed request a lake route decodes to.
+    fn lake_request(method: &str, target: &str, body: &[u8]) -> Result<ApiRequest, Reply> {
+        match route(method, target)? {
+            Routed::Lake { lake, rest, query } => {
+                assert_eq!(lake, "main");
+                route_lake(method, rest, query, body)
+            }
+            other => panic!("expected a lake route, got {other:?}"),
         }
     }
 
@@ -488,74 +539,55 @@ mod tests {
 
     #[test]
     fn routes_map_to_typed_requests() {
-        let r = route(&get("/v1/lakes/main/models/3/similar?kind=intrinsic&k=4")).unwrap();
-        match r {
-            Routed::Api { lake, request } => {
-                assert_eq!(lake, "main");
-                assert_eq!(
-                    *request,
-                    ApiRequest::Similar {
-                        model: WireRef::Id(3),
-                        kind: FingerprintKind::Intrinsic,
-                        k: 4
-                    }
-                );
+        let similar = "/v1/lakes/main/models/3/similar?kind=intrinsic&k=4";
+        assert_eq!(
+            lake_request("GET", similar, b"").unwrap(),
+            ApiRequest::Similar {
+                model: WireRef::Id(3),
+                kind: FingerprintKind::Intrinsic,
+                k: 4
             }
-            _ => panic!("expected api route"),
-        }
-        assert!(matches!(route(&get("/v1/health")).unwrap(), Routed::Health));
-        assert!(route(&get("/nope")).is_err());
+        );
+        // Empty segments collapse; a lake may be named like a route word.
+        assert_eq!(
+            route("GET", "//v1/lakes/v1//models/x?k=1").unwrap(),
+            Routed::Lake { lake: "v1", rest: "//models/x", query: "k=1" }
+        );
+        assert_eq!(route("GET", "/v1/health").unwrap(), Routed::Health);
+        assert_eq!(route("GET", "/nope").unwrap_err().status, 404);
+        assert_eq!(route("POST", "/v1/health").unwrap_err().status, 404);
+        assert_eq!(route("GET", "/v1/lakes/a/b/c/d/e/f").unwrap_err().status, 404);
+        assert_eq!(lake_request("GET", "/v1/lakes/main/models/3/nope", b"").unwrap_err().status, 404);
+        assert_eq!(lake_request("GET", "/v1/lakes/main/models/3/similar?k=x", b"").unwrap_err().status, 400);
     }
 
     #[test]
     fn rest_bodies_reuse_the_typed_protocol() {
-        let req = Request {
-            method: "POST".into(),
-            path: "/v1/lakes/main/query".into(),
-            headers: Vec::new(),
-            body: b"{\"mlql\": \"FIND MODELS\"}".to_vec(),
-        };
-        match route(&req).unwrap() {
-            Routed::Api { request, .. } => {
-                assert_eq!(*request, ApiRequest::Query { mlql: "FIND MODELS".into() });
-            }
-            _ => panic!("expected api route"),
-        }
+        let body = b"{\"mlql\": \"FIND MODELS\"}";
+        assert_eq!(
+            lake_request("POST", "/v1/lakes/main/query", body).unwrap(),
+            ApiRequest::Query { mlql: "FIND MODELS".into() }
+        );
     }
 
     #[test]
     fn search_routes_wrap_bodies() {
         // The exact body shapes the README's search quickstart documents.
-        let post = |path: &str, body: &[u8]| Request {
-            method: "POST".into(),
-            path: path.into(),
-            headers: Vec::new(),
-            body: body.to_vec(),
-        };
-        let req = post("/v1/lakes/main/search", b"{\"query\": \"legal summarization\", \"k\": 10}");
-        match route(&req).unwrap() {
-            Routed::Api { request, .. } => assert_eq!(
-                *request,
-                ApiRequest::TextSearch { query: "legal summarization".into(), k: 10 }
-            ),
-            _ => panic!("expected api route"),
-        }
-        let req = post(
-            "/v1/lakes/main/search/hybrid",
-            b"{\"query\": \"legal summarization\", \"model\": {\"Id\": 3}, \
-               \"kind\": \"Hybrid\", \"k\": 10}",
+        let body = b"{\"query\": \"legal summarization\", \"k\": 10}";
+        assert_eq!(
+            lake_request("POST", "/v1/lakes/main/search", body).unwrap(),
+            ApiRequest::TextSearch { query: "legal summarization".into(), k: 10 }
         );
-        match route(&req).unwrap() {
-            Routed::Api { request, .. } => assert_eq!(
-                *request,
-                ApiRequest::HybridSearch {
-                    query: "legal summarization".into(),
-                    model: WireRef::Id(3),
-                    kind: FingerprintKind::Hybrid,
-                    k: 10
-                }
-            ),
-            _ => panic!("expected api route"),
-        }
+        let body = b"{\"query\": \"legal summarization\", \"model\": {\"Id\": 3}, \
+                     \"kind\": \"Hybrid\", \"k\": 10}";
+        assert_eq!(
+            lake_request("POST", "/v1/lakes/main/search/hybrid", body).unwrap(),
+            ApiRequest::HybridSearch {
+                query: "legal summarization".into(),
+                model: WireRef::Id(3),
+                kind: FingerprintKind::Hybrid,
+                k: 10
+            }
+        );
     }
 }

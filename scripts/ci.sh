@@ -22,8 +22,10 @@
 #    MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
 #    suite, the blockstore and on-disk format suites (upgrade goldens,
-#    hostile bytes), the snapshot-read race, the HTTP hammer and the text
-#    suites re-run in the release profile with observability on and off.
+#    hostile bytes), the snapshot-read race, the serving suites (server
+#    unit tests, HTTP hammer, connection isolation, request framing, wire
+#    round trips and the JSON byte goldens) and the text suites re-run in
+#    the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -148,9 +150,12 @@ step "snapshot reads: concurrent readers see whole ops (obs on + off)"
 cargo test -q -p mlake-core --test snapshot_reads --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test snapshot_reads --release
 
-step "serve: end-to-end HTTP hammer over TCP (obs on + off)"
-cargo test -q -p mlake-server --test hammer --release
-MLAKE_OBS=off cargo test -q -p mlake-server --test hammer --release
+step "serve: HTTP hammer, connections, framing and the wire's bytes (obs on + off)"
+cargo test -q -p mlake-server --lib --test hammer --test connections --test framing --release
+MLAKE_OBS=off cargo test -q -p mlake-server --lib --test hammer --test connections \
+  --test framing --release
+cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --release
+MLAKE_OBS=off cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --release
 
 step "text: BM25 / hybrid retrieval suites (obs on + off)"
 cargo test -q -p mlake-text --release
