@@ -171,7 +171,8 @@ impl ModelLake {
     }
 
     /// Durable half of ingestion: writes the artifact blob atomically, so
-    /// the record naming it can be logged. A no-op when ephemeral.
+    /// the record naming it can be logged and its resident copy evicted
+    /// (DESIGN.md §15). A no-op when ephemeral.
     pub(crate) fn write_blob(&self, digest: &Digest, bytes: &[u8]) -> Result<()> {
         let Some(link) = &self.wal else {
             return Ok(());
@@ -182,9 +183,6 @@ impl ModelLake {
         if !link.vfs.exists(&path) {
             link.vfs.write_atomic(&path, bytes)?;
         }
-        // The bytes are safely on disk: the resident copy may now be
-        // evicted under memory pressure (DESIGN.md §15).
-        self.store.mark_durable(digest);
         Ok(())
     }
 }

@@ -10,7 +10,7 @@ use crate::blockstore::{self, Block, ModelBlock};
 use crate::cache::{CacheKey, CachedQuery, QueryCache};
 use crate::error::{LakeError, Result};
 use crate::event::{Event, EventKind, EventLog};
-use crate::hash::Digest;
+use crate::hash::{sha256, Digest};
 use crate::registry::{BenchmarkEntry, ModelEntry, ModelId, ModelRef, Registry};
 use crate::store::ResidentStore;
 use mlake_benchlab::{Benchmark, Leaderboard, LeaderboardRow, Score};
@@ -715,21 +715,30 @@ impl ModelLake {
             )));
         }
         let bytes = model.to_bytes()?;
-        let digest = self.store.put(&bytes);
+        let digest = sha256(&bytes);
         let card =
             card.unwrap_or_else(|| ModelCard::skeleton(name, model.architecture().signature()));
         // Everything fallible runs before the WAL append so a logged op
         // is one that replay can always re-apply.
         let block = self.model_block(name, &digest, model, card)?;
         self.write_blob(&digest, &bytes)?;
-        self.commit(
+        // Resident only once the blob file landed, so a rejected model
+        // leaves nothing behind; before the commit, so no read of the new
+        // entry finds its blob missing. On a durable lake the file makes it
+        // evictable; on an ephemeral one it is the only copy, so pinned.
+        let admitted = self.store.admit(digest, bytes, self.is_durable());
+        let committed = self.commit(
             &mut seg,
             vec![block],
             &[
                 (EventKind::ModelIngested, name),
                 (EventKind::CardUpdated, name),
             ],
-        )?;
+        );
+        if committed.is_err() && admitted {
+            self.store.discard(&digest);
+        }
+        committed?;
         Ok(id)
     }
 
@@ -744,14 +753,10 @@ impl ModelLake {
         model: &Model,
         card: ModelCard,
     ) -> Result<Block> {
-        let fps = checked_fingerprints(
-            [
-                self.fingerprinter.intrinsic(model),
-                self.fingerprinter.extrinsic(model)?,
-                self.fingerprinter.hybrid(model)?,
-            ],
-            self.config.sketch_dim,
-        )?;
+        let intrinsic = self.fingerprinter.intrinsic(model);
+        let extrinsic = self.fingerprinter.extrinsic(model)?;
+        let hybrid = Fingerprinter::hybrid_of(&intrinsic, &extrinsic);
+        let fps = checked_fingerprints([intrinsic, extrinsic, hybrid], self.config.sketch_dim)?;
         Ok(Block::Model(ModelBlock {
             name: name.into(),
             digest: digest.to_hex(),

@@ -11,9 +11,8 @@
 //! `LakeConfig::builder().resident_bytes(n)` bounds the resident set: once
 //! the cap is exceeded the least-recently-used *evictable* blobs are
 //! dropped — a blob is evictable only after its bytes are known durable on
-//! disk (either faulted in from a file or explicitly marked via
-//! [`ResidentStore::mark_durable`] after the durable-ingest blob write),
-//! so eviction can never lose data.
+//! disk (either faulted in from a file or admitted by a durable ingest
+//! after its blob write landed), so eviction can never lose data.
 //!
 //! Observability: `store.fault` / `store.evict` counters and the
 //! `store.resident.bytes` gauge. The resident map's mutex is rank
@@ -34,9 +33,10 @@ struct Entry {
     bytes: Vec<u8>,
     /// Logical access clock value at last touch (LRU order).
     stamp: u64,
-    /// Evictable only once the bytes are known durable on disk. Fresh
-    /// `put()`s are pinned until [`ResidentStore::mark_durable`]; faulted-in
-    /// blobs were read *from* disk and start evictable.
+    /// Evictable only once the bytes are known durable on disk: a durable
+    /// ingest admits its blob after writing the file, and faulted-in blobs
+    /// were read *from* disk. [`ResidentStore::put`]s and ephemeral ingests
+    /// stay pinned.
     durable: bool,
 }
 
@@ -115,18 +115,6 @@ impl ResidentStore {
         });
         self.backed
             .store(true, std::sync::atomic::Ordering::Release);
-    }
-
-    /// Marks a blob's bytes durable on disk, making it evictable. Called
-    /// after the durable-ingest blob write lands; a no-op for unknown
-    /// digests.
-    pub(crate) fn mark_durable(&self, digest: &Digest) {
-        // lock-order: 45 (store.resident)
-        let mut res = self.resident.lock();
-        if let Some(e) = res.blobs.get_mut(digest) {
-            e.durable = true;
-        }
-        self.evict_over_cap(&mut res);
     }
 
     /// Path of a blob file under `dir`.
@@ -208,15 +196,19 @@ impl ResidentStore {
         Ok(bytes)
     }
 
-    /// Makes `bytes` resident under `digest` (a no-op when they already
-    /// are), then evicts down to the cap.
-    fn admit(&self, digest: Digest, bytes: Vec<u8>, durable: bool) {
+    /// Makes `bytes`, whose digest the caller computed, resident under
+    /// `digest`, then evicts down to the cap. `durable` says a blob file
+    /// already holds them, so they may be evicted; otherwise they are
+    /// pinned. Returns `false`, changing nothing, when they already were
+    /// resident.
+    pub(crate) fn admit(&self, digest: Digest, bytes: Vec<u8>, durable: bool) -> bool {
         let len = bytes.len() as u64;
         // lock-order: 45 (store.resident)
         let mut res = self.resident.lock();
         res.clock += 1;
         let stamp = res.clock;
-        if !res.blobs.contains_key(&digest) {
+        let fresh = !res.blobs.contains_key(&digest);
+        if fresh {
             res.bytes += len;
             res.blobs.insert(
                 digest,
@@ -228,15 +220,25 @@ impl ResidentStore {
             );
         }
         self.evict_over_cap(&mut res);
+        fresh
     }
 
-    /// Stores `bytes`, returning their digest. Idempotent.
+    /// Drops a blob's resident copy: an ingest that [`admit`]ted it and
+    /// then failed to commit takes it back out.
+    ///
+    /// [`admit`]: ResidentStore::admit
+    pub(crate) fn discard(&self, digest: &Digest) {
+        // lock-order: 45 (store.resident)
+        let mut res = self.resident.lock();
+        if let Some(e) = res.blobs.remove(digest) {
+            res.bytes -= e.bytes.len() as u64;
+        }
+        publish_resident_bytes(res.bytes);
+    }
+
+    /// Stores `bytes` pinned, returning their digest. Idempotent.
     pub fn put(&self, bytes: &[u8]) -> Digest {
         let digest = sha256(bytes);
-        // Pinned until the caller proves the bytes reached disk
-        // (`write_blob` writes the blob file, then calls mark_durable).
-        // Ephemeral stores stay pinned forever, which is exactly "never
-        // evict".
         self.admit(digest, bytes.to_vec(), false);
         digest
     }
@@ -380,17 +382,20 @@ mod tests {
         store.attach_backing(&dir, RealFs::shared());
         let a = vec![0xAAu8; 60];
         let b = vec![0xBBu8; 60];
-        let da = store.put(&a);
-        let db = store.put(&b);
-        // Both pinned (never marked durable): nothing may be evicted even
-        // though 120 > 100.
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.resident_bytes(), 120);
-        // Write the files and mark durable: LRU (da) gets evicted.
+        let pins = ResidentStore::with_cap(100);
+        pins.attach_backing(&dir, RealFs::shared());
+        pins.put(&a);
+        pins.put(&b);
+        // Both pinned (no blob file vouches for them): nothing may be
+        // evicted even though 120 > 100.
+        assert_eq!(pins.len(), 2);
+        assert_eq!(pins.resident_bytes(), 120);
+        // Durable once the files exist: LRU (da) gets evicted.
+        let (da, db) = (sha256(&a), sha256(&b));
         std::fs::write(ResidentStore::blob_path(&dir, &da), &a).unwrap();
         std::fs::write(ResidentStore::blob_path(&dir, &db), &b).unwrap();
-        store.mark_durable(&da);
-        store.mark_durable(&db);
+        assert!(store.admit(da, a.clone(), true));
+        assert!(store.admit(db, b.clone(), true));
         assert_eq!(store.len(), 1, "one blob evicted to fit the cap");
         assert!(store.resident_bytes() <= 100);
         // The evicted blob still reads back — by faulting in — and the

@@ -465,3 +465,87 @@ fn mlql_depth_reads_a_caught_up_graph() {
         .unwrap();
     check(&lake);
 }
+
+/// The fingerprints ingest stores (`model_block` computes the hybrid from
+/// the two halves it already has) are, as bits, the ones the public
+/// fingerprinter computes from scratch.
+#[test]
+fn stored_fingerprints_equal_the_fingerprinters_bitwise() {
+    let (lake, gt) = populated(CardPolicy::Honest);
+    let fp = lake.fingerprinter();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for (i, m) in gt.models.iter().enumerate() {
+        let stored = lake.entry(ModelId(i as u64)).unwrap().fps;
+        let fresh = [
+            fp.intrinsic(&m.model),
+            fp.extrinsic(&m.model).unwrap(),
+            fp.hybrid(&m.model).unwrap(),
+        ];
+        for (kind, (s, f)) in FingerprintKind::ALL.iter().zip(stored.iter().zip(&fresh)) {
+            assert_eq!(bits(s), bits(f), "{kind:?} fingerprint of {}", m.name);
+        }
+    }
+}
+
+/// An MLP whose input width no probe has: it encodes and hashes, then fails
+/// in the extrinsic fingerprint.
+fn unprobeable(seed: u64) -> mlake_nn::Model {
+    use mlake_nn::{Activation, Mlp, Model};
+    use mlake_tensor::{init::Init, Pcg64};
+    let mut rng = Pcg64::new(seed);
+    Model::Mlp(Mlp::new(vec![3, 4, 2], Activation::Relu, Init::HeNormal, &mut rng).unwrap())
+}
+
+#[test]
+fn rejected_ingests_leave_nothing_resident() {
+    let (lake, gt) = populated(CardPolicy::Honest);
+    let before = lake.resident_bytes();
+    for i in 0..5 {
+        let err = lake.ingest_model(&format!("odd-{i}"), &unprobeable(i), None);
+        assert!(err.is_err(), "a model no probe fits was accepted");
+        assert_eq!(
+            lake.resident_bytes(),
+            before,
+            "rejected ingest {i} left its blob"
+        );
+    }
+    assert_eq!(lake.len(), gt.models.len());
+}
+
+/// An ingest whose blob write or WAL append dies (at each write and sync
+/// it makes) leaves the resident set as it found it.
+#[test]
+fn failed_durable_ingests_leave_nothing_resident() {
+    use mlake_wal::testing::FailFs;
+    use mlake_wal::Vfs;
+    use std::sync::Arc;
+    let gt = generate_lake(&LakeSpec::tiny(42));
+    let (first, second) = (&gt.models[0].model, &gt.models[1].model);
+    let dir = std::env::temp_dir().join(format!("mlake-ingest-leak-{}", std::process::id()));
+    let run = |fs: &Arc<FailFs>| {
+        let _ = std::fs::remove_dir_all(&dir);
+        let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(fs));
+        let lake = ModelLake::create_with(&dir, LakeConfig::default(), vfs).unwrap();
+        lake.ingest_model("first", first, None).unwrap();
+        let before = (lake.resident_bytes(), fs.writes(), fs.syncs());
+        let second = lake.ingest_model("second", second, None);
+        (lake.resident_bytes(), before, second.is_ok())
+    };
+    let counting = FailFs::counting();
+    let (_, (_, w0, s0), ok) = run(&counting);
+    assert!(ok);
+    let (w1, s1) = (counting.writes(), counting.syncs());
+    assert!(w1 > w0 && s1 > s0, "the second ingest wrote nothing");
+    let kills = (w0 + 1..=w1)
+        .map(|n| (format!("write {n}"), FailFs::kill_at_write(n, 0)))
+        .chain((s0 + 1..=s1).map(|n| (format!("sync {n}"), FailFs::kill_at_sync(n))));
+    for (at, fs) in kills {
+        let (after, (before, _, _), ok) = run(&fs);
+        assert!(!ok, "the ingest survived a crash at {at}");
+        assert_eq!(
+            after, before,
+            "an ingest killed at {at} left its blob resident"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -66,12 +66,22 @@ impl Fingerprinter {
     /// combination §5 recommends ("many of the model lake tasks will benefit
     /// from [a] hybrid approach").
     pub fn hybrid(&self, model: &Model) -> mlake_tensor::Result<Vec<f32>> {
-        let mut a = self.intrinsic(model);
-        let mut b = self.extrinsic(model)?;
+        Ok(Self::hybrid_of(
+            &self.intrinsic(model),
+            &self.extrinsic(model)?,
+        ))
+    }
+
+    /// The hybrid fingerprint from halves already computed by
+    /// [`Fingerprinter::intrinsic`] and [`Fingerprinter::extrinsic`]: each
+    /// L2-normalised, then concatenated.
+    pub fn hybrid_of(intrinsic: &[f32], extrinsic: &[f32]) -> Vec<f32> {
+        let mut a = intrinsic.to_vec();
+        let mut b = extrinsic.to_vec();
         mlake_tensor::vector::normalize(&mut a);
         mlake_tensor::vector::normalize(&mut b);
         a.extend_from_slice(&b);
-        Ok(a)
+        a
     }
 
     /// Fingerprint under a named kind (for sweeps/ablations).

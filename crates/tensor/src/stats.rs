@@ -63,12 +63,17 @@ pub fn quantile(xs: &[f32], q: f32) -> Option<f32> {
     }
     let mut sorted: Vec<f32> = xs.to_vec();
     sorted.sort_by(f32::total_cmp);
+    Some(quantile_of_sorted(&sorted, q))
+}
+
+/// [`quantile`] of a non-empty slice already sorted by `f32::total_cmp`.
+fn quantile_of_sorted(sorted: &[f32], q: f32) -> f32 {
     let q = q.clamp(0.0, 1.0);
     let pos = q as f64 * (sorted.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     let frac = (pos - lo as f64) as f32;
-    Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
 }
 
 /// Median (0.5 quantile).
@@ -175,15 +180,53 @@ pub struct MomentSummary {
 
 impl MomentSummary {
     /// Computes the summary; an empty slice yields all zeros.
+    ///
+    /// Bit for bit what [`mean`], [`std_dev`], [`skewness`], [`kurtosis`],
+    /// [`quantile`] and `l2_norm` return, with the work they share done
+    /// once: one mean, one squared-deviation sum (the same `Sum` fold, in
+    /// the same element order) and one sorted copy for all three quantiles.
     pub fn of(xs: &[f32]) -> MomentSummary {
+        let mean = mean(xs);
+        let (std, skew, kurtosis) = if xs.len() < 2 {
+            (0.0, 0.0, 0.0)
+        } else {
+            let m = f64::from(mean);
+            let n = xs.len() as f64;
+            let var = xs.iter().map(|&x| (f64::from(x) - m).powi(2)).sum::<f64>() / n;
+            let std = (var as f32).sqrt();
+            if var <= 0.0 {
+                (std, 0.0, 0.0)
+            } else {
+                let m3 = xs.iter().map(|&x| (f64::from(x) - m).powi(3)).sum::<f64>() / n;
+                let m4 = xs.iter().map(|&x| (f64::from(x) - m).powi(4)).sum::<f64>() / n;
+                (
+                    std,
+                    (m3 / var.powf(1.5)) as f32,
+                    (m4 / (var * var) - 3.0) as f32,
+                )
+            }
+        };
+        let (q05, q50, q95) = if xs.is_empty() {
+            (0.0, 0.0, 0.0)
+        } else {
+            // `total_cmp` orders by bits, so ties are identical values and
+            // an unstable sort leaves the same slice as `quantile`'s.
+            let mut sorted = xs.to_vec();
+            sorted.sort_unstable_by(f32::total_cmp);
+            (
+                quantile_of_sorted(&sorted, 0.05),
+                quantile_of_sorted(&sorted, 0.50),
+                quantile_of_sorted(&sorted, 0.95),
+            )
+        };
         MomentSummary {
-            mean: mean(xs),
-            std: std_dev(xs),
-            skew: skewness(xs),
-            kurtosis: kurtosis(xs),
-            q05: quantile(xs, 0.05).unwrap_or(0.0),
-            q50: quantile(xs, 0.50).unwrap_or(0.0),
-            q95: quantile(xs, 0.95).unwrap_or(0.0),
+            mean,
+            std,
+            skew,
+            kurtosis,
+            q05,
+            q50,
+            q95,
             l2: crate::vector::l2_norm(xs),
         }
     }
@@ -273,6 +316,60 @@ mod tests {
         assert_eq!(d, vec![0.5, 0.5]);
         let degenerate = histogram(&[1.0, 2.0], 5.0, 5.0, 3);
         assert_eq!(degenerate, vec![2, 0, 0]);
+    }
+
+    /// `MomentSummary::of` against the per-statistic functions, compared
+    /// as bits, on the shapes real weights take.
+    #[test]
+    fn moment_summary_matches_free_functions_bitwise() {
+        let mut rng = crate::rng::Pcg64::new(35);
+        let mut inputs: Vec<Vec<f32>> = vec![
+            vec![],
+            vec![0.7],
+            vec![-0.0],
+            vec![1.25; 9],
+            vec![0.0; 16],
+            vec![-0.0; 16],
+            vec![0.0, -0.0, 0.0, -0.0, 0.0],
+        ];
+        for len in [2, 3, 17, 100, 1000, 4099] {
+            let mut xs = vec![0.0; len];
+            rng.fill_normal(&mut xs);
+            // Pruned: mostly zeros, of both signs.
+            let pruned = xs
+                .iter()
+                .map(|&x| match rng.index(10) {
+                    0..=7 => 0.0,
+                    8 => -0.0,
+                    _ => x,
+                })
+                .collect();
+            // Quantised: a handful of distinct levels.
+            let quantised = xs.iter().map(|&x| (x * 4.0).round() / 4.0).collect();
+            let shifted = xs.iter().map(|&x| 3.0 + 0.001 * x).collect();
+            inputs.extend([xs, pruned, quantised, shifted]);
+        }
+        for xs in &inputs {
+            let got = MomentSummary::of(xs).to_features().map(f32::to_bits);
+            let want = [
+                mean(xs),
+                std_dev(xs),
+                skewness(xs),
+                kurtosis(xs),
+                quantile(xs, 0.05).unwrap_or(0.0),
+                quantile(xs, 0.50).unwrap_or(0.0),
+                quantile(xs, 0.95).unwrap_or(0.0),
+                crate::vector::l2_norm(xs),
+            ]
+            .map(f32::to_bits);
+            assert_eq!(
+                got,
+                want,
+                "{} values starting {:?}",
+                xs.len(),
+                &xs[..xs.len().min(4)]
+            );
+        }
     }
 
     #[test]

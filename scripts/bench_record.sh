@@ -18,6 +18,12 @@
 # and quartiles, the change's wins, losses and ties over the pairs, and the
 # change of the median in percent. Defaults: every workload of
 # BENCHMARK.json, seed 1, 15 s, --trace 0, out target/bench_record/BENCH.json.
+# Each workload x end-to-end metric then gets a verdict by the bound rule,
+# with `bound` and `better` read from BENCHMARK.json: WORSE when the median
+# moved the wrong way by more than the bound (a fraction of the parent's
+# median); better when the change won at least 9 in 10 pairs and its median
+# moved the right way by more than the parent's quartile spread; flat
+# otherwise. The last line names every WORSE row.
 #
 # --diff: for every workload and metric in both files, the change side's
 # median in A, in B, and the difference in percent.
@@ -106,7 +112,9 @@ import json, os, sys
 runs, out, pairs, seed, seconds, trace, rev, pc, cc, dirty, nproc = sys.argv[1:12]
 workloads = sys.argv[12:]
 pairs = int(pairs)
-better = {m["name"]: m["better"] for m in json.load(open("BENCHMARK.json"))["end_to_end"]}
+end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
 kept = ("raw.setup_s", "raw.throughput_ops_s", "raw.read_p50_ms", "machine.handover_us")
 
 def parse(path):
@@ -176,15 +184,32 @@ os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
 with open(out, "w") as f:
     json.dump(record, f, indent=1)
     f.write("\n")
-print(f"{'workload':<22}{'metric':<18}{'parent':>12}{'change':>12}{'change %':>10}{'wins':>6}")
+def verdict(m, s):
+    """The bound rule: WORSE, better or flat (see the header)."""
+    p, c = s["parent"]["median"], s["change"]["median"]
+    gain = (c - p) if better[m] == "higher" else (p - c)
+    if p and gain / abs(p) < -bound[m]:
+        return "WORSE"
+    pairs_run = s["wins"] + s["losses"] + s["ties"]
+    if gain > s["parent_quartile_spread"] and s["wins"] * 10 >= pairs_run * 9:
+        return "better"
+    return "flat"
+
+print(f"{'workload':<22}{'metric':<18}{'parent':>12}{'change':>12}{'change %':>10}{'wins':>6}"
+      f"{'bound':>8}  verdict")
+worse = []
 for w, wr in record["workloads"].items():
     for m in better:
         s = wr["summary"].get(m)
         if s:
             pct = s["median_change_pct"]
             pct = f"{pct:+.1f}" if pct is not None else "-"
+            v = verdict(m, s)
+            if v == "WORSE":
+                worse.append(f"{w} {m}")
             print(f"{w:<22}{m:<18}{s['parent']['median']:>12.6g}{s['change']['median']:>12.6g}"
-                  f"{pct:>10}{s['wins']:>3}/{len(wr['runs'])}")
+                  f"{pct:>10}{s['wins']:>3}/{len(wr['runs'])}{bound[m] * 100:>6.0f} %  {v}")
 print(f"# record written to {out}")
+print(f"bench_record: WORSE: {', '.join(worse)}" if worse else "bench_record: no WORSE row")
 EOF
 rm -rf "$runs"

@@ -22,10 +22,13 @@
 #    MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
 #    suite, the blockstore and on-disk format suites (upgrade goldens,
-#    hostile bytes), the snapshot-read race, the serving suites (server
-#    unit tests, HTTP hammer, connection isolation, request framing, wire
-#    round trips and the JSON byte goldens) and the text suites re-run in
-#    the release profile with observability on and off.
+#    hostile bytes), the snapshot-read race, the ingest suites (SHA-256
+#    hardware path against the portable one, weight moments and stored
+#    fingerprints bit-identical to the per-statistic and from-scratch
+#    ones, no blob left resident by a failed ingest), the serving suites
+#    (server unit tests, HTTP hammer, connection isolation, request
+#    framing, wire round trips and the JSON byte goldens) and the text
+#    suites re-run in the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -149,6 +152,14 @@ MLAKE_OBS=off cargo test -q -p mlake-core --test residency --test manifest_compa
 step "snapshot reads: concurrent readers see whole ops (obs on + off)"
 cargo test -q -p mlake-core --test snapshot_reads --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test snapshot_reads --release
+
+step "ingest: SHA-256 paths agree, fingerprint bits unchanged, no leak on failure (obs on + off)"
+cargo test -q -p mlake-core --lib hash --release
+MLAKE_OBS=off cargo test -q -p mlake-core --lib hash --release
+cargo test -q -p mlake-tensor --lib stats --release
+MLAKE_OBS=off cargo test -q -p mlake-tensor --lib stats --release
+cargo test -q -p mlake-core --test lake_api --release
+MLAKE_OBS=off cargo test -q -p mlake-core --test lake_api --release
 
 step "serve: HTTP hammer, connections, framing and the wire's bytes (obs on + off)"
 cargo test -q -p mlake-server --lib --test hammer --test connections --test framing --release
