@@ -7,7 +7,7 @@
 mod common;
 
 use mlake_core::lake::{LakeConfig, ModelLake};
-use mlake_core::ModelId;
+use mlake_core::{LakeError, ModelId};
 use mlake_fingerprint::FingerprintKind;
 use mlake_tensor::Pcg64;
 use std::path::{Path, PathBuf};
@@ -172,6 +172,33 @@ fn named_hostile_manifests_fail_cleanly() {
         hostile_copy(&template_dir, &dir, &files[0], &bytes);
         opens_or_fails_cleanly(&dir, case);
         assert!(ModelLake::open(&dir, LakeConfig::default()).is_err(), "{case} opened");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&template_dir).unwrap();
+}
+
+/// A block whose CRC is valid but whose JSON nests far past the parser's
+/// bound (`serde_json::MAX_DEPTH`): its recursion once overflowed the
+/// opening thread's stack and aborted the process; now `open` reports
+/// the segment corrupt.
+#[test]
+fn deeply_nested_block_is_a_corrupt_artifact() {
+    let template_dir = tmp("nested-template");
+    let files = template(&template_dir);
+    let dir = tmp("nested");
+    let mut segment = std::fs::read(template_dir.join(&files[1])).unwrap();
+    let payload = "{\"Model\":".to_string() + &"[".repeat(100_000);
+    segment.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    segment.extend_from_slice(&mlake_wal::crc32c(payload.as_bytes()).to_le_bytes());
+    segment.extend_from_slice(payload.as_bytes());
+    hostile_copy(&template_dir, &dir, &files[1], &segment);
+    opens_or_fails_cleanly(&dir, "nested block");
+    match ModelLake::open(&dir, LakeConfig::default()) {
+        Err(LakeError::CorruptArtifact(msg)) => {
+            assert!(msg.contains("nesting deeper than 128"), "{msg}");
+        }
+        Err(other) => panic!("nested block: expected CorruptArtifact, got {other}"),
+        Ok(_) => panic!("nested block: opened"),
     }
     std::fs::remove_dir_all(&dir).unwrap();
     std::fs::remove_dir_all(&template_dir).unwrap();

@@ -33,10 +33,30 @@ pub const FORMAT_VERSION: u16 = 1;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 22;
 
-/// Software CRC32C (Castagnoli, reflected polynomial 0x82F63B78) —
-/// the checksum iSCSI/ext4 use, implemented from scratch like the
-/// workspace's SHA-256. Validated against the RFC 3720 test vector.
+/// CRC32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum
+/// iSCSI/ext4 use. Runs on the SSE4.2 `crc32` instruction when the CPU has
+/// it, else on a 256-entry table; both give the same value, and the tests
+/// hold the first to the second. Validated against the RFC 3720 vectors.
 pub fn crc32c(data: &[u8]) -> u32 {
+    crc32c_append(0, data)
+}
+
+/// Extends `crc`, the CRC32C of some bytes `a`, over `data`: returns the
+/// CRC32C of `a ++ data`. `crc32c_append(0, data) == crc32c(data)`.
+pub(crate) fn crc32c_append(crc: u32, data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: the CPU was just found to support SSE4.2, the one
+        // feature `sse42::update` is compiled for.
+        return !unsafe { sse42::update(!crc, data) };
+    }
+    !update_table(!crc, data)
+}
+
+/// The CRC32C register after `data`, one table lookup per byte: the
+/// fallback on CPUs without SSE4.2, and the oracle the hardware path is
+/// tested against. `state` and the result are uninverted.
+fn update_table(mut state: u32, data: &[u8]) -> u32 {
     const fn make_table() -> [u32; 256] {
         let mut table = [0u32; 256];
         let mut i = 0;
@@ -57,19 +77,43 @@ pub fn crc32c(data: &[u8]) -> u32 {
         table
     }
     static TABLE: [u32; 256] = make_table();
-    let mut crc = !0u32;
     for &b in data {
-        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+        state = (state >> 8) ^ TABLE[((state ^ u32::from(b)) & 0xFF) as usize];
     }
-    !crc
+    state
+}
+
+/// The CRC32C register update on the SSE4.2 `crc32` instruction, which
+/// implements exactly the reflected Castagnoli step of [`update_table`].
+#[cfg(target_arch = "x86_64")]
+mod sse42 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+
+    /// The register after `data`, eight bytes per instruction.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support SSE4.2.
+    // SAFETY: `unsafe` because running `crc32` on a CPU without SSE4.2 is
+    // undefined behaviour; `crc32c_append` calls only after detecting it.
+    #[target_feature(enable = "sse4.2")]
+    pub(super) unsafe fn update(state: u32, data: &[u8]) -> u32 {
+        let (words, rest) = data.as_chunks::<8>();
+        let mut state = u64::from(state);
+        for word in words {
+            state = _mm_crc32_u64(state, u64::from_le_bytes(*word));
+        }
+        let mut state = state as u32;
+        for &b in rest {
+            state = _mm_crc32_u8(state, b);
+        }
+        state
+    }
 }
 
 /// CRC32C over the LSN (8 LE bytes) followed by the payload.
 fn record_crc(lsn: Lsn, payload: &[u8]) -> u32 {
-    let mut buf = Vec::with_capacity(8 + payload.len());
-    buf.extend_from_slice(&lsn.to_le_bytes());
-    buf.extend_from_slice(payload);
-    crc32c(&buf)
+    crc32c_append(crc32c(&lsn.to_le_bytes()), payload)
 }
 
 /// Encodes one record (header + payload) into a fresh buffer.
@@ -169,12 +213,119 @@ pub fn decode(buf: &[u8], offset: usize) -> Decoded<'_> {
 mod tests {
     use super::*;
 
+    /// Both CRC32C paths over `data`, inverted as [`crc32c`] returns
+    /// them: the table's, and the instruction's where the CPU has it.
+    fn both_paths(data: &[u8]) -> (u32, Option<u32>) {
+        let table = !update_table(!0, data);
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: SSE4.2 was just detected.
+            return (table, Some(!unsafe { sse42::update(!0, data) }));
+        }
+        (table, None)
+    }
+
+    /// Asserts both paths give `want` over `data`, and so does [`crc32c`].
+    fn assert_crc(data: &[u8], want: u32, what: &str) {
+        let (table, hw) = both_paths(data);
+        assert_eq!(table, want, "{what}: table path");
+        if let Some(hw) = hw {
+            assert_eq!(hw, want, "{what}: sse4.2 path");
+        }
+        assert_eq!(crc32c(data), want, "{what}: crc32c");
+    }
+
+    /// Deterministic pseudo-random bytes (splitmix64).
+    fn seeded_bytes(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed;
+        (0..len.div_ceil(8))
+            .flat_map(|_| {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)).to_le_bytes()
+            })
+            .take(len)
+            .collect()
+    }
+
     #[test]
     fn crc32c_known_vectors() {
-        // RFC 3720 / common test vector.
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
+        // The common check value, and RFC 3720 appendix B.4's vectors.
+        assert_crc(b"123456789", 0xE306_9283, "check value");
+        assert_crc(b"", 0, "empty");
+        assert_crc(&[0u8; 32], 0x8A91_36AA, "32 zeros");
+        assert_crc(&[0xFFu8; 32], 0x62A8_AB43, "32 ones");
+        let up: Vec<u8> = (0..32).collect();
+        assert_crc(&up, 0x46DD_794E, "incrementing");
+        let down: Vec<u8> = (0..32).rev().collect();
+        assert_crc(&down, 0x113F_DB5C, "decrementing");
+        let mut pdu = [0u8; 48];
+        for (at, b) in [
+            (0, 0x01),
+            (1, 0xC0),
+            (16, 0x14),
+            (22, 0x04),
+            (27, 0x14),
+            (31, 0x18),
+            (32, 0x28),
+            (40, 0x02),
+        ] {
+            pdu[at] = b;
+        }
+        assert_crc(&pdu, 0xD996_3A56, "iSCSI read PDU");
+    }
+
+    #[test]
+    fn crc32c_paths_agree_at_every_length_and_offset() {
+        let buf = seeded_bytes(0xC5C3_2C00, 1024 + 8);
+        for start in 0..=7 {
+            for len in 0..=1024 {
+                let data = &buf[start..start + len];
+                let (table, hw) = both_paths(data);
+                if let Some(hw) = hw {
+                    assert_eq!(hw, table, "offset {start}, length {len}");
+                }
+                assert_eq!(crc32c(data), table, "offset {start}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_paths_agree_on_large_buffers() {
+        for (seed, len) in [(1, 4095), (2, 65_536), (3, 300_007), (4, 1 << 20)] {
+            let data = seeded_bytes(seed, len);
+            let (table, hw) = both_paths(&data);
+            if let Some(hw) = hw {
+                assert_eq!(hw, table, "seed {seed}, length {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32c_append_over_any_split_equals_one_shot() {
+        let data = seeded_bytes(0xA99E_0D00, 20_000);
+        let whole = crc32c(&data);
+        assert_eq!(crc32c_append(0, &data), whole);
+        let mut cuts = seeded_bytes(7, 8 * 200)
+            .chunks(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize % (data.len() + 1))
+            .collect::<Vec<_>>();
+        for round in cuts.chunks_mut(4) {
+            round.sort_unstable();
+            let mut crc = 0;
+            let mut at = 0;
+            for &cut in round.iter() {
+                crc = crc32c_append(crc, &data[at..cut]);
+                at = cut;
+            }
+            assert_eq!(crc32c_append(crc, &data[at..]), whole, "cuts {round:?}");
+        }
+        // The record CRC is the CRC of the LSN's bytes and the payload.
+        let mut framed = 42u64.to_le_bytes().to_vec();
+        framed.extend_from_slice(&data);
+        assert_eq!(record_crc(42, &data), crc32c(&framed));
     }
 
     #[test]

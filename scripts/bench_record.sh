@@ -22,8 +22,11 @@
 # with `bound` and `better` read from BENCHMARK.json: WORSE when the median
 # moved the wrong way by more than the bound (a fraction of the parent's
 # median); better when the change won at least 9 in 10 pairs and its median
-# moved the right way by more than the parent's quartile spread; flat
-# otherwise. The last line names every WORSE row.
+# moved the right way by more than the parent's quartile spread; unresolved
+# when neither holds and the parent's own quartile spread is wider than the
+# bound (a fraction of its median), since then the runs cannot tell a move
+# of the bound's size from noise; flat otherwise. The last line names every
+# WORSE row.
 #
 # --diff: for every workload and metric in both files, the change side's
 # median in A, in B, and the difference in percent.
@@ -185,7 +188,7 @@ with open(out, "w") as f:
     json.dump(record, f, indent=1)
     f.write("\n")
 def verdict(m, s):
-    """The bound rule: WORSE, better or flat (see the header)."""
+    """The bound rule: WORSE, better, unresolved or flat (see the header)."""
     p, c = s["parent"]["median"], s["change"]["median"]
     gain = (c - p) if better[m] == "higher" else (p - c)
     if p and gain / abs(p) < -bound[m]:
@@ -193,6 +196,8 @@ def verdict(m, s):
     pairs_run = s["wins"] + s["losses"] + s["ties"]
     if gain > s["parent_quartile_spread"] and s["wins"] * 10 >= pairs_run * 9:
         return "better"
+    if p and s["parent_quartile_spread"] / abs(p) > bound[m]:
+        return "unresolved"
     return "flat"
 
 print(f"{'workload':<22}{'metric':<18}{'parent':>12}{'change':>12}{'change %':>10}{'wins':>6}"

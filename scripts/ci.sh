@@ -22,13 +22,18 @@
 #    MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
 #    suite, the blockstore and on-disk format suites (upgrade goldens,
-#    hostile bytes), the snapshot-read race, the ingest suites (SHA-256
+#    hostile bytes, a block nested past the parser's bound), the codec
+#    kernels (the vendored serde and serde_json crates' own tests, among
+#    them Ryū float digits against `Display` and the one-scan number parser
+#    against the one it replaced, and CRC32C's SSE4.2 path against its
+#    table), the snapshot-read race, the ingest suites (SHA-256
 #    hardware path against the portable one, weight moments and stored
 #    fingerprints bit-identical to the per-statistic and from-scratch
 #    ones, no blob left resident by a failed ingest), the serving suites
 #    (server unit tests, HTTP hammer, connection isolation, request
-#    framing, wire round trips and the JSON byte goldens) and the text
-#    suites re-run in the release profile with observability on and off.
+#    framing, wire round trips, the JSON byte goldens and a hostile nested
+#    request answered 400) and the text suites re-run in the release
+#    profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -149,6 +154,14 @@ cargo test -q -p mlake-core --test residency --test manifest_compat \
 MLAKE_OBS=off cargo test -q -p mlake-core --test residency --test manifest_compat \
   --test wal_records --test hostile_open --release
 
+step "codec kernels: float digits, number parsing, nesting bound, CRC32C paths (obs on + off)"
+cargo test -q --manifest-path vendor/serde/Cargo.toml --release
+MLAKE_OBS=off cargo test -q --manifest-path vendor/serde/Cargo.toml --release
+cargo test -q --manifest-path vendor/serde_json/Cargo.toml --release
+MLAKE_OBS=off cargo test -q --manifest-path vendor/serde_json/Cargo.toml --release
+cargo test -q -p mlake-wal --lib record --release
+MLAKE_OBS=off cargo test -q -p mlake-wal --lib record --release
+
 step "snapshot reads: concurrent readers see whole ops (obs on + off)"
 cargo test -q -p mlake-core --test snapshot_reads --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test snapshot_reads --release
@@ -162,11 +175,13 @@ cargo test -q -p mlake-core --test lake_api --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test lake_api --release
 
 step "serve: HTTP hammer, connections, framing and the wire's bytes (obs on + off)"
-cargo test -q -p mlake-server --lib --test hammer --test connections --test framing --release
+cargo test -q -p mlake-server --lib --test hammer --test connections --test framing \
+  --test nesting --release
 MLAKE_OBS=off cargo test -q -p mlake-server --lib --test hammer --test connections \
-  --test framing --release
-cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --release
-MLAKE_OBS=off cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --release
+  --test framing --test nesting --release
+cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --test nesting --release
+MLAKE_OBS=off cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity \
+  --test nesting --release
 
 step "text: BM25 / hybrid retrieval suites (obs on + off)"
 cargo test -q -p mlake-text --release
