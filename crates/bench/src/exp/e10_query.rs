@@ -135,7 +135,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut t = Table::new(
         format!("E10: MLQL query suite over {} models", gt.models.len()),
         &["query", "correct", "results", "latency", "plan head"],
-    );
+    )
+    .timing(&["latency"]);
     for case in build_cases(&lake, &gt) {
         // Parse once; run and explain share the prepared handle.
         let prepared = lake.prepare(&case.mlql).expect("query parses");
@@ -179,5 +180,6 @@ mod tests {
         for row in &t.rows {
             assert_eq!(row[1], "yes", "query '{}' incorrect: {}", row[0], row[1]);
         }
+        crate::exp::golden::assert_quick("e10", &tables);
     }
 }

@@ -174,6 +174,7 @@ mod tests {
         assert!(text < 1.0, "text recall {text} — undocumented cards leaked into BM25?");
         // ...but the vocabulary still retrieves the documented members.
         assert!(text > 0.3, "vocab text recall too low: {text}");
+        crate::exp::golden::assert_quick("e11", &tables);
     }
 
     #[test]

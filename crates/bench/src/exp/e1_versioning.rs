@@ -1,15 +1,20 @@
 //! E1 — Version-graph recovery (§3 Model Versioning; Horwitz et al., Mu et
 //! al.). Recover the directed model graph of the benchmark lake and score
 //! edge precision/recall/F1, direction accuracy and transform-kind accuracy
-//! against recorded ground truth, versus baselines.
+//! against recorded ground truth, versus baselines, and what recovery costs
+//! as the lake grows.
 
-use crate::table::{f3, Table};
+use super::median_time;
+use crate::table::{f3, ms, Table};
 use mlake_datagen::{generate_lake, GroundTruth, LakeSpec};
 use mlake_fingerprint::extrinsic::ProbeSet;
 use mlake_tensor::Seed;
 use mlake_versioning::graph::{evaluate, GraphEval, RecoveredEdge, RecoveredGraph, TrueEdge};
-use mlake_versioning::recover::{random_baseline, recover_graph, RecoveryOptions};
+use mlake_versioning::recover::{random_baseline, recover_graph, RecoveryMemo, RecoveryOptions};
 use mlake_versioning::TransformKind;
+use std::convert::Infallible;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Standard probe set matching the generated lake geometry.
 pub fn lake_probes(seed: u64) -> ProbeSet {
@@ -180,7 +185,69 @@ pub fn run(quick: bool) -> Vec<Table> {
             kind_ok.to_string(),
         ]);
     }
-    vec![t, t2]
+    vec![t, t2, cost_ladder(quick)]
+}
+
+/// E1c: recovery cost over a lake-size ladder, so E1's cost has a scaling
+/// exponent and not a point: the tiny test lake, then 20 and 40 base models
+/// × 5 derivations (120 and 240 models; 240 is the shape and seed of
+/// lakebench's `lineage-tasks` lake). `attach one` is what a lake of n − 1
+/// recovered models pays for its n-th: the memo over the first n − 1 is
+/// cloned off the clock. The quick run keeps the tiny rung only.
+fn cost_ladder(quick: bool) -> Table {
+    let ladder = |bases: usize| {
+        LakeSpec::builder()
+            .seed(2025)
+            .num_base_models(bases)
+            .derivations_per_base(5)
+            .build()
+            .expect("valid ladder rung")
+    };
+    let specs = if quick {
+        vec![LakeSpec::tiny(3)]
+    } else {
+        vec![LakeSpec::tiny(3), ladder(20), ladder(40)]
+    };
+    let reps = if quick { 1 } else { 5 };
+    let cost = ["known roots", "blind (Edmonds)", "attach one"];
+    let mut t = Table::new(
+        "E1c: recovery cost by lake size (median wall-clock)",
+        &["models", cost[0], cost[1], cost[2]],
+    )
+    .timing(&cost);
+    for spec in specs {
+        let gt = generate_lake(&spec);
+        let models: Vec<_> = gt.models.iter().map(|m| m.model.clone()).collect();
+        let probes = lake_probes(spec.seed);
+        let n = models.len();
+        let known_roots = RecoveryOptions {
+            known_roots: Some((0..n).filter(|&i| gt.models[i].depth == 0).collect()),
+            ..Default::default()
+        };
+        let recover = |opts: &RecoveryOptions| {
+            median_time(reps, || {
+                let t0 = Instant::now();
+                black_box(recover_graph(&models, Some(&probes), opts));
+                t0.elapsed()
+            })
+        };
+        let load = |i: usize| Ok::<_, Infallible>(&models[i]);
+        let mut memo = RecoveryMemo::new(RecoveryOptions::default());
+        memo.extend(n - 1, Some(&probes), load).expect("infallible loader");
+        let attach = median_time(reps, || {
+            let mut memo = memo.clone();
+            let t0 = Instant::now();
+            black_box(memo.extend(n, Some(&probes), load).expect("infallible loader"));
+            t0.elapsed()
+        });
+        t.row(vec![
+            n.to_string(),
+            ms(recover(&known_roots)),
+            ms(recover(&RecoveryOptions::default())),
+            ms(attach),
+        ]);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -190,12 +257,13 @@ mod tests {
     #[test]
     fn e1_runs_and_orders_methods() {
         let tables = run(true);
-        assert_eq!(tables.len(), 2);
+        assert_eq!(tables.len(), 3);
         let t = &tables[0];
         assert_eq!(t.rows.len(), 5);
         // F1 of the known-roots method beats the random floor.
         let f1_of = |row: usize| t.rows[row][3].parse::<f32>().unwrap();
         assert!(f1_of(0) > f1_of(4), "{} !> {}", f1_of(0), f1_of(4));
+        crate::exp::golden::assert_quick("e1", &tables);
     }
 
     #[test]

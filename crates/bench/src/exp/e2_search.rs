@@ -159,6 +159,7 @@ mod tests {
         let mrr = |r: usize| t.rows[r][3].parse::<f32>().unwrap();
         // Hybrid fingerprint must beat the random floor on lineage MRR.
         assert!(mrr(2) > mrr(4), "hybrid {} !> random {}", mrr(2), mrr(4));
+        crate::exp::golden::assert_quick("e2", &tables);
     }
 
     #[test]

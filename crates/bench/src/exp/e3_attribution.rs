@@ -75,13 +75,13 @@ pub fn run(quick: bool) -> Vec<Table> {
         }
     }
 
+    let title = format!("E3: attribution vs exact LOO (n={n} train, {num_tests} test points");
     let mut t = Table::new(
-        format!(
-            "E3: attribution vs exact LOO (n={n} train, {num_tests} test points; LOO cost {})",
-            ms(loo_time)
-        ),
+        format!("{title})"),
         &["estimator", "pearson", "spearman", "top-10 overlap", "cost"],
-    );
+    )
+    .timing(&["cost"])
+    .timed_title(format!("{title}; LOO cost {})", ms(loo_time)));
     let k = num_tests as f64;
     for (name, p, s, o, d) in acc {
         t.row(vec![
@@ -109,5 +109,6 @@ mod tests {
         // All estimators are orders of magnitude cheaper than LOO; at least
         // they must finish and report costs.
         assert!(t.rows.iter().all(|r| r[4].ends_with("ms")));
+        crate::exp::golden::assert_quick("e3", &tables);
     }
 }

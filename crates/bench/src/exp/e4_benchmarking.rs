@@ -128,5 +128,6 @@ mod tests {
         // Leaderboard table has rows with parsable accuracy.
         let acc: f32 = tables[0].rows[0][2].parse().unwrap();
         assert!((0.0..=1.0).contains(&acc));
+        crate::exp::golden::assert_quick("e4", &tables);
     }
 }

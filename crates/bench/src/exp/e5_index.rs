@@ -1,8 +1,10 @@
 //! E5 — Indexer scaling (§5 Indexer; Malkov & Yashunin). HNSW vs the
 //! exact flat scan over synthetic model embeddings: recall@10, query
 //! latency, build time — the sublinear-vs-linear crossover the paper's
-//! indexer component banks on — plus the HNSW `ef` recall/latency knob.
+//! indexer component banks on — plus the HNSW `ef` recall/latency knob and
+//! the per-insert build cost over a size ladder.
 
+use super::median_time;
 use crate::table::{f3, metrics_tables, ms, Table};
 use mlake_index::{recall_at_k, FlatIndex, HnswConfig, HnswIndex, Precision, VectorIndex};
 use mlake_tensor::Pcg64;
@@ -71,7 +73,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut t = Table::new(
         format!("E5a: index scaling (d={dim}, k=10, {num_queries} queries)"),
         &["n", "index", "precision", "build", "query", "recall@10"],
-    );
+    )
+    .timing(&["build", "query"]);
     for &n in sizes {
         let vectors = embeddings(n, dim, 31);
         let mut qrng = Pcg64::new(32);
@@ -161,7 +164,8 @@ pub fn run(quick: bool) -> Vec<Table> {
     let mut t2 = Table::new(
         format!("E5b: HNSW recall/latency vs ef (n={n}, unstructured vectors)"),
         &["ef", "query", "recall@10"],
-    );
+    )
+    .timing(&["query"]);
     for &ef in &[8usize, 16, 32, 64, 128, 256] {
         // Time the searches alone; grade recall outside the timed region.
         let t0 = Instant::now();
@@ -181,13 +185,44 @@ pub fn run(quick: bool) -> Vec<Table> {
             f3(acc / queries.len() as f32),
         ]);
     }
-    let mut tables = vec![t, t2];
+    let mut tables = vec![t, t2, build_ladder(quick)];
     // Observability readout: HNSW search latency distributions,
     // per-layer visit counters and beam expansions collected by mlake-obs
     // while the experiment ran. Empty (and therefore omitted) when
     // MLAKE_OBS=off — recall/latency numbers above are unaffected.
     tables.extend(metrics_tables("E5c", &mlake_obs::registry().snapshot()));
     tables
+}
+
+/// E5d: HNSW build cost over a size ladder at the lake's narrowest and
+/// widest fingerprint widths (64 and 136), so the indexer has a scaling
+/// exponent and not a point: a whole build of the default-config graph, one
+/// insert at a time, reported as µs per insert. The quick run keeps the
+/// smallest rung.
+fn build_ladder(quick: bool) -> Table {
+    let sizes: &[usize] = if quick { &[600] } else { &[600, 2_400, 9_600] };
+    let reps = if quick { 1 } else { 3 };
+    let mut t = Table::new(
+        "E5d: HNSW build cost by size (median wall-clock)",
+        &["d", "n", "µs/insert"],
+    )
+    .timing(&["µs/insert"]);
+    for dim in [64usize, 136] {
+        for &n in sizes {
+            let vectors = embeddings(n, dim, 1);
+            let build = median_time(reps, || {
+                let mut index = HnswIndex::new(HnswConfig::default());
+                let t0 = Instant::now();
+                for (i, v) in vectors.iter().enumerate() {
+                    index.insert(i as u64, v).expect("insert");
+                }
+                t0.elapsed()
+            });
+            let per_insert = build.as_secs_f64() * 1e6 / n as f64;
+            t.row(vec![dim.to_string(), n.to_string(), format!("{per_insert:.1}")]);
+        }
+    }
+    t
 }
 
 #[cfg(test)]
@@ -216,5 +251,6 @@ mod tests {
         let lo: f32 = t2.rows[0][2].parse().unwrap();
         let hi: f32 = t2.rows[5][2].parse().unwrap();
         assert!(hi >= lo);
+        crate::exp::golden::assert_quick("e5", &tables);
     }
 }

@@ -192,5 +192,6 @@ mod tests {
         let unrel: f32 = t2.rows[1][2].parse().unwrap();
         // Sibling deltas align at least as much as unrelated ones.
         assert!(sib >= unrel - 0.05, "sibling {sib} vs unrelated {unrel}");
+        crate::exp::golden::assert_quick("e6", &tables);
     }
 }

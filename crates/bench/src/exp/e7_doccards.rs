@@ -172,5 +172,6 @@ mod tests {
             .expect("row exists");
         let detection: f32 = inflate[2].parse().unwrap();
         assert!(detection > 0.5, "inflate detection {detection}");
+        crate::exp::golden::assert_quick("e7", &tables);
     }
 }

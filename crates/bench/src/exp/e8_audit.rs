@@ -102,5 +102,6 @@ mod tests {
         // Graph change bumps the key; card-only update does not.
         assert_ne!(t2.rows[0][2], t2.rows[1][2]);
         assert_eq!(t2.rows[1][2], t2.rows[2][2]);
+        crate::exp::golden::assert_quick("e8", &tables);
     }
 }

@@ -147,5 +147,6 @@ mod tests {
         // Smaller training sets leak at least as much (allowing noise).
         assert!(auc_small >= auc_large - 0.15, "{auc_small} vs {auc_large}");
         assert!(auc_small > 0.55, "small-set AUC {auc_small}");
+        crate::exp::golden::assert_quick("e9", &tables);
     }
 }

@@ -129,5 +129,6 @@ mod tests {
         let intrinsic_p5: f32 = t.rows[1][2].parse().unwrap();
         // Hybrid search should hold its own against intrinsic-only.
         assert!(hybrid_p5 >= intrinsic_p5 - 0.25);
+        crate::exp::golden::assert_quick("f1", &tables);
     }
 }

@@ -14,6 +14,7 @@ pub mod e11_textsearch;
 pub mod f1_viewpoints;
 
 use crate::table::Table;
+use std::time::Duration;
 
 /// Runs an experiment by id ("e1".."e11", "f1"), returning its tables.
 /// `quick` shrinks workloads for tests/CI.
@@ -39,3 +40,86 @@ pub fn run(id: &str, quick: bool) -> Option<Vec<Table>> {
 pub const ALL: [&str; 12] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "f1",
 ];
+
+/// Median of `reps` readings of `timed`, each of which times its own work
+/// (so setup it does first stays off the clock).
+pub(crate) fn median_time(reps: usize, mut timed: impl FnMut() -> Duration) -> Duration {
+    let mut readings: Vec<Duration> = (0..reps.max(1)).map(|_| timed()).collect();
+    readings.sort_unstable();
+    readings[readings.len() / 2]
+}
+
+/// The quick-run golden, `tests/fixtures/experiments-quick.txt`: the
+/// untimed render of `experiments --quick all`, one `# <id>` line per
+/// experiment followed by that experiment's tables as printed, minus their
+/// timing cells. Each experiment's unit test checks its own section.
+#[cfg(test)]
+pub(crate) mod golden {
+    use super::ALL;
+    use crate::table::Table;
+
+    const QUICK: &str = include_str!("../../tests/fixtures/experiments-quick.txt");
+
+    /// `id`'s section of the golden, one entry per line.
+    fn section(id: &str) -> Vec<&'static str> {
+        let header = format!("# {id}");
+        QUICK
+            .lines()
+            .skip_while(|l| *l != header)
+            .skip(1)
+            .take_while(|l| !l.starts_with("# "))
+            .collect()
+    }
+
+    /// Panics unless `tables` — experiment `id`'s quick run — render,
+    /// untimed, to its section of the golden; the message names the first
+    /// differing line and the table it sits in.
+    pub(crate) fn assert_quick(id: &str, tables: &[Table]) {
+        let got: String = tables
+            .iter()
+            .map(Table::render_untimed)
+            .filter(|r| !r.is_empty())
+            .map(|r| r + "\n")
+            .collect();
+        let got: Vec<&str> = got.lines().collect();
+        let want = section(id);
+        if got == want {
+            return;
+        }
+        let first = got
+            .iter()
+            .zip(&want)
+            .position(|(g, w)| g != w)
+            .unwrap_or(got.len().min(want.len()));
+        let table = want[..(first + 1).min(want.len())]
+            .iter()
+            .rev()
+            .find_map(|l| l.strip_prefix("== ")?.strip_suffix(" =="))
+            .unwrap_or("(before the first table)");
+        panic!(
+            "experiment {id} diverged from tests/fixtures/experiments-quick.txt at line {} of \
+             its section, in table '{table}':\n  got  {:?}\n  want {:?}\nsection as rendered:\n{}",
+            first + 1,
+            got.get(first),
+            want.get(first),
+            got.join("\n")
+        );
+    }
+
+    #[test]
+    fn one_section_per_experiment() {
+        let ids: Vec<&str> = QUICK.lines().filter_map(|l| l.strip_prefix("# ")).collect();
+        assert_eq!(ids, ALL);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn median_time_takes_the_middle_reading() {
+        let mut readings = [5u64, 1, 3].into_iter().map(Duration::from_millis);
+        assert_eq!(median_time(3, || readings.next().unwrap()), Duration::from_millis(3));
+    }
+}

@@ -1,14 +1,23 @@
 //! Minimal fixed-width table rendering for experiment output.
 
 /// A printable results table.
+///
+/// Cells that are wall-clock readings are marked — whole columns, a title
+/// suffix, or (for observability readouts) the whole table — so that
+/// [`Table::render_untimed`] can leave them out: what remains is a
+/// function of the seeds alone, which the quick-run golden pins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
-    /// Table title (experiment id + description).
+    /// Table title (experiment id + description), without timings.
     pub title: String,
+    /// The title as printed when it carries a timing (E3's LOO cost).
+    timed_title: Option<String>,
     /// Column headers.
     pub headers: Vec<String>,
     /// Rows of cells (each row must match `headers.len()`).
     pub rows: Vec<Vec<String>>,
+    /// Per column: true when its cells are wall-clock readings.
+    timing: Vec<bool>,
 }
 
 impl Table {
@@ -16,9 +25,37 @@ impl Table {
     pub fn new(title: impl Into<String>, headers: &[&str]) -> Table {
         Table {
             title: title.into(),
+            timed_title: None,
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
+            timing: vec![false; headers.len()],
         }
+    }
+
+    /// Marks the named columns as timings; panics on a name that is not a
+    /// header.
+    pub fn timing(mut self, columns: &[&str]) -> Table {
+        for name in columns {
+            let col = self
+                .headers
+                .iter()
+                .position(|h| h == name)
+                .unwrap_or_else(|| panic!("no column {name:?} in '{}'", self.title));
+            self.timing[col] = true;
+        }
+        self
+    }
+
+    /// Marks every column as a timing: the untimed render omits the table.
+    pub fn all_timing(mut self) -> Table {
+        self.timing.fill(true);
+        self
+    }
+
+    /// Sets the title printed with timings; `title` stays the untimed one.
+    pub fn timed_title(mut self, title: String) -> Table {
+        self.timed_title = Some(title);
+        self
     }
 
     /// Appends a row; panics in debug builds on arity mismatch.
@@ -29,36 +66,49 @@ impl Table {
 
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
-        for row in &self.rows {
-            for (w, cell) in widths.iter_mut().zip(row) {
-                *w = (*w).max(cell.len());
-            }
+        let title = self.timed_title.as_deref().unwrap_or(&self.title);
+        self.render_columns(title, |_| true)
+    }
+
+    /// Renders the table without its timing cells, column widths computed
+    /// from what is left; empty when every column is a timing.
+    pub fn render_untimed(&self) -> String {
+        if self.timing.iter().all(|&t| t) {
+            return String::new();
         }
-        let mut out = String::new();
-        out.push_str(&format!("== {} ==\n", self.title));
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            cells
-                .iter()
-                .zip(widths)
-                .map(|(c, w)| format!("{c:<w$}"))
-                .collect::<Vec<_>>()
-                .join("  ")
-        };
-        out.push_str(&fmt_row(&self.headers, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
+        self.render_columns(&self.title, |col| !self.timing[col])
     }
 
     /// Prints to stdout.
     pub fn print(&self) {
         println!("{}", self.render());
+    }
+
+    fn render_columns(&self, title: &str, keep: impl Fn(usize) -> bool) -> String {
+        let cols: Vec<usize> = (0..self.headers.len()).filter(|&col| keep(col)).collect();
+        let mut widths: Vec<usize> = cols.iter().map(|&col| self.headers[col].len()).collect();
+        for row in &self.rows {
+            for (w, &col) in widths.iter_mut().zip(&cols) {
+                *w = (*w).max(row[col].len());
+            }
+        }
+        let fmt_row = |cells: &[String]| -> String {
+            cols.iter()
+                .zip(&widths)
+                .map(|(&col, w)| format!("{:<w$}", cells[col]))
+                .collect::<Vec<_>>()
+                .join("  ")
+        };
+        let mut out = format!("== {title} ==\n");
+        out.push_str(&fmt_row(&self.headers));
+        out.push('\n');
+        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+        out.push('\n');
+        for row in &self.rows {
+            out.push_str(&fmt_row(row));
+            out.push('\n');
+        }
+        out
     }
 }
 
@@ -88,14 +138,17 @@ pub fn ns(nanos: u64) -> String {
 
 /// Renders an observability [`mlake_obs::MetricsSnapshot`] as two tables:
 /// latency histograms (count/mean/p50/p95/p99/max) and counters (gauges
-/// fold in as `value (peak)` rows). Empty sections are omitted.
+/// fold in as `value (peak)` rows). Empty sections are omitted. Both are
+/// timings as a whole: span latencies, steal counts and busy time vary run
+/// to run, and neither table exists under `MLAKE_OBS=off`.
 pub fn metrics_tables(title_prefix: &str, snap: &mlake_obs::MetricsSnapshot) -> Vec<Table> {
     let mut out = Vec::new();
     if !snap.histograms.is_empty() {
         let mut t = Table::new(
             format!("{title_prefix}: span latencies"),
             &["span", "count", "mean", "p50", "p95", "p99", "max"],
-        );
+        )
+        .all_timing();
         for h in &snap.histograms {
             t.row(vec![
                 h.name.clone(),
@@ -110,10 +163,8 @@ pub fn metrics_tables(title_prefix: &str, snap: &mlake_obs::MetricsSnapshot) -> 
         out.push(t);
     }
     if !snap.counters.is_empty() || !snap.gauges.is_empty() {
-        let mut t = Table::new(
-            format!("{title_prefix}: counters"),
-            &["metric", "value"],
-        );
+        let mut t =
+            Table::new(format!("{title_prefix}: counters"), &["metric", "value"]).all_timing();
         for (name, v) in &snap.counters {
             t.row(vec![name.clone(), v.to_string()]);
         }
@@ -142,6 +193,20 @@ mod tests {
         let lines: Vec<&str> = r.lines().collect();
         let col = lines[1].find("f1").unwrap();
         assert!(lines[3].len() > col);
+    }
+
+    #[test]
+    fn untimed_render_drops_timing_cells() {
+        let mut t = Table::new("T2: demo", &["method", "cost", "f1"])
+            .timing(&["cost"])
+            .timed_title("T2: demo (total 1234.56ms)".into());
+        t.row(vec!["ours".into(), "1234.56ms".into(), "0.91".into()]);
+        assert!(t.render().starts_with("== T2: demo (total 1234.56ms) =="));
+        assert_eq!(
+            t.render_untimed(),
+            "== T2: demo ==\nmethod  f1  \n------------\nours    0.91\n"
+        );
+        assert_eq!(t.clone().all_timing().render_untimed(), "");
     }
 
     #[test]

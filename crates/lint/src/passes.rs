@@ -13,9 +13,9 @@
 //! | `facade-span`  | every `pub fn` on a facade type (`ModelLake` in core; `Wal`/`Recovery` in wal; `Api` in server) opens an obs span |
 //! | `lock-order`   | `.lock()`/`.read()`/`.write()` in index/par/wal/server carries a `// lock-order: N` comment |
 //!
-//! Test code is exempt everywhere: files under `tests/`, `benches/` or
-//! `examples/`, the `mlake-bench` crate, and the trailing `#[cfg(test)]`
-//! region of library files.
+//! Test code is exempt everywhere: files under `tests/` or `examples/`, the
+//! `mlake-bench` crate, and the trailing `#[cfg(test)]` region of library
+//! files.
 
 use crate::lexer::{Scanned, Tok, TokKind};
 
@@ -57,17 +57,16 @@ const SAFETY_WINDOW: usize = 4;
 pub(crate) const ANNOTATION_WINDOW: usize = 3;
 pub(crate) const LOCK_WINDOW: usize = 2;
 
-/// True for paths whose whole file is test/bench/example or binary
-/// scaffolding. `src/bin/` holds ad-hoc driver binaries (panicking on bad
-/// CLI args is their error reporting), in any crate and at the root.
+/// True for paths whose whole file is test/example or binary scaffolding,
+/// or part of the experiment harness. `src/bin/` holds ad-hoc driver
+/// binaries (panicking on bad CLI args is their error reporting), in any
+/// crate and at the root.
 pub fn exempt_path(path: &str) -> bool {
     path.starts_with("crates/bench/")
         || path.contains("/tests/")
-        || path.contains("/benches/")
         || path.contains("/examples/")
         || path.contains("/src/bin/")
         || path.starts_with("tests/")
-        || path.starts_with("benches/")
         || path.starts_with("examples/")
         || path.starts_with("src/bin/")
 }
@@ -417,7 +416,6 @@ mod tests {
     fn tests_benches_and_bench_crate_exempt() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }";
         assert!(findings("crates/x/tests/api.rs", src).is_empty());
-        assert!(findings("crates/x/benches/perf.rs", src).is_empty());
         assert!(findings("crates/bench/src/lib.rs", src).is_empty());
         assert!(findings("examples/quickstart.rs", src).is_empty());
         // Binary scaffolding under src/bin/ is exempt in every crate and

@@ -20,7 +20,7 @@ pub enum SyncPolicy {
     /// [`Wal::sync`]). Amortises the fsync cost across a batch at the
     /// price of the tail of the batch being lost on a crash. The trigger
     /// is a record count, not a timer — the workspace is wall-clock-free
-    /// outside `mlake-obs` and the benches.
+    /// outside `mlake-obs` and the experiment harness.
     Batch {
         /// Records per fsync. `0` is treated as `1`.
         every: u32,

@@ -18,8 +18,9 @@
 #    lock-order inversion.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
-# 7. The equivalence, HNSW, sharding, par and versioning suites re-run under
-#    MLAKE_THREADS=1, whose output must be bit-identical.
+# 7. The equivalence, HNSW, sharding, par and versioning suites, and the
+#    experiments' quick-run golden (every id's tables minus their timing
+#    cells), re-run under MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
 #    suite, the blockstore and on-disk format suites (upgrade goldens,
 #    hostile bytes, a block nested past the parser's bound), the codec
@@ -139,6 +140,7 @@ MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
 MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
 MLAKE_THREADS=1 cargo test -q -p mlake-par
 MLAKE_THREADS=1 cargo test -q -p mlake-versioning
+MLAKE_THREADS=1 cargo test -q -p mlake-bench
 
 step "quantized recall gate: sq8 rescore within 5% of f32 (obs on + off)"
 cargo test -q -p mlake-index --test quantized --release
