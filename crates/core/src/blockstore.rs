@@ -217,7 +217,7 @@ pub(crate) fn decode_block(payload: &[u8], at: usize, origin: &Path) -> Result<B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lake::Catalogue;
+    use crate::lake::{Catalogue, SKETCH_DIM};
     use mlake_wal::RealFs;
 
     fn card(name: &str) -> ModelCard {
@@ -230,20 +230,25 @@ mod tests {
         payloads.into_iter().map(|(at, payload)| decode_block(payload, at, origin)).collect()
     }
 
-    fn model_block(name: &str, digest_seed: u8) -> ModelBlock {
+    /// A `Model` block whose fingerprints have the widths a sketch `d`
+    /// wide implies: 8 + d, d, 8 + 2d.
+    fn model_block_of_width(name: &str, digest_seed: u8, d: usize) -> ModelBlock {
         ModelBlock {
             name: name.into(),
             digest: format!("{:02x}", digest_seed).repeat(32),
             arch: "mlp:2-2:relu".into(),
             params: 8,
             card: card(name),
-            // The widths `sketch_dim` 1 implies: 8 + 1, 1, 8 + 2.
             fps: [
-                vec![1.0f32.to_bits(); 9],
-                vec![2.5f32.to_bits()],
-                vec![(-0.0f32).to_bits(); 10],
+                vec![1.0f32.to_bits(); 8 + d],
+                vec![2.5f32.to_bits(); d],
+                vec![(-0.0f32).to_bits(); 8 + 2 * d],
             ],
         }
+    }
+
+    fn model_block(name: &str, digest_seed: u8) -> ModelBlock {
+        model_block_of_width(name, digest_seed, SKETCH_DIM)
     }
 
     /// Applies segments `seqs` in order, as open does.
@@ -251,7 +256,7 @@ mod tests {
         let mut cat = Catalogue::default();
         for &seq in seqs {
             for block in read_segment(dir, vfs, seq)? {
-                cat.apply(block, 1)?;
+                cat.apply(block)?;
             }
         }
         Ok(cat)
@@ -350,6 +355,27 @@ mod tests {
         .unwrap();
         assert!(apply_chain(&dir, &vfs, &[1, 2, 3]).is_err());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The lake computes every fingerprint at [`SKETCH_DIM`], so a `Model`
+    /// block of another width is damaged or foreign bytes: corruption when
+    /// the chain is applied, before any index sees the vectors.
+    #[test]
+    fn fingerprints_of_another_width_are_corrupt() {
+        let blocks = vec![
+            Block::Model(model_block("a", 1)),
+            Block::Model(model_block_of_width("b", 2, SKETCH_DIM - 1)),
+        ];
+        let bytes = encode_segment(&blocks).unwrap();
+        let mut decoded = decode_segment(&bytes, Path::new("narrow.seg"))
+            .unwrap()
+            .into_iter();
+        let mut cat = Catalogue::default();
+        cat.apply(decoded.next().unwrap()).unwrap();
+        assert!(matches!(
+            cat.apply(decoded.next().unwrap()),
+            Err(LakeError::CorruptArtifact(_))
+        ));
     }
 
     #[test]

@@ -52,10 +52,9 @@ struct Inner<V> {
 
 /// A small LRU map from [`CacheKey`] to a cloneable query result.
 ///
-/// Capacity 0 disables the cache entirely (no storage, no `cache.*`
-/// counters). Eviction scans for the least-recently-used entry — O(n) on
-/// insert, which at the facade's default capacity (≤ a few hundred) is
-/// noise next to the query it spares.
+/// Eviction scans for the least-recently-used entry — O(n) on insert,
+/// which at the facade's capacity (`QUERY_CACHE_ENTRIES`, 128) is noise
+/// next to the query it spares.
 pub(crate) struct QueryCache<V> {
     capacity: usize,
     inner: Mutex<Inner<V>>,
@@ -72,17 +71,9 @@ impl<V: Clone> QueryCache<V> {
         }
     }
 
-    /// `true` when caching is turned off (capacity 0).
-    pub(crate) fn disabled(&self) -> bool {
-        self.capacity == 0
-    }
-
     /// Looks up `key`, refreshing its LRU stamp; counts `cache.hit` /
     /// `cache.miss`.
     pub(crate) fn get(&self, key: &CacheKey) -> Option<V> {
-        if self.disabled() {
-            return None;
-        }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -107,9 +98,6 @@ impl<V: Clone> QueryCache<V> {
     /// Inserts a value, pruning dead generations and evicting the LRU
     /// entry when full.
     pub(crate) fn put(&self, key: CacheKey, value: V) {
-        if self.disabled() {
-            return;
-        }
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
@@ -184,13 +172,5 @@ mod tests {
         cache.put(key("c", 1, 2), 3);
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key("c", 1, 2)), Some(3));
-    }
-
-    #[test]
-    fn zero_capacity_disables() {
-        let cache: QueryCache<u32> = QueryCache::new(0);
-        assert!(cache.disabled());
-        cache.put(key("a", 1, 1), 1);
-        assert_eq!(cache.get(&key("a", 1, 1)), None);
     }
 }

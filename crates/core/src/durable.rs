@@ -6,8 +6,7 @@
 //! adds to the next delta segment — its `Model` / `CardOverride` /
 //! `Dataset` / `Benchmark` block, plus one `Events` block numbering the
 //! events it appends — and appends them, as one JSON block list, as one
-//! WAL record (fsynced per the configured [`mlake_wal::SyncPolicy`])
-//! *before* [`ModelLake::apply_record`] applies them to the catalogue under
+//! WAL record, fsynced before the op returns, *before* [`ModelLake::apply_record`] applies them to the catalogue under
 //! one write guard, so a crash at any instant loses at most unacknowledged
 //! work. A `Model` block carries the fingerprints ingest computed, so
 //! replaying it touches no blob. [`ModelLake::open`] applies the segment
@@ -117,8 +116,9 @@ impl ModelLake {
         }
     }
 
-    /// Flushes any group-commit-buffered WAL records to stable storage.
-    /// A no-op on ephemeral lakes and under `SyncPolicy::Always`.
+    /// Commit barrier. Every acked op's WAL record is already fsynced, so
+    /// on a durable lake this only fails if the log broke; a no-op on
+    /// ephemeral lakes.
     pub fn sync(&self) -> Result<()> {
         let _span = mlake_obs::span("lake.sync");
         if let Some(link) = &self.wal {

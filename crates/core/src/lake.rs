@@ -36,7 +36,7 @@ use std::sync::Arc;
 /// crossed, that op persists the lake into its own directory and runs GC
 /// before it returns. A threshold of 0 disables that trigger; at least one
 /// must be positive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionPolicy {
     /// Compact once the WAL's live on-disk footprint reaches this many
     /// bytes (0 = never trigger on size).
@@ -55,33 +55,45 @@ impl Default for CompactionPolicy {
     }
 }
 
-/// Lake configuration. Probe parameters must match the model population
-/// (feature dimension, vocabulary) — defaults align with
+/// Root seed of the lake's fingerprint space: the probe set and every
+/// sketch derive from it. Nothing on disk records it, so it is a constant:
+/// every fingerprint a lake stores and every one it computes after a
+/// reopen come from the same function (DESIGN.md §13).
+pub(crate) const FINGERPRINT_SEED: u64 = 0;
+
+/// Fingerprint sketch width: `model_dna` is 8 moments ++ this many sketch
+/// values, the behaviour sketch is this wide, hybrid concatenates the two.
+pub(crate) const SKETCH_DIM: usize = 64;
+
+/// Classifier probe count / feature dimension / scale. The probe
+/// dimensions must match the model population (feature dimension,
+/// vocabulary): these and [`LM_PROBES`] align with
 /// `mlake_datagen::LakeSpec::default()`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+pub(crate) const CLASSIFIER_PROBES: (usize, usize, f32) = (32, 8, 2.5);
+
+/// LM probe context count / context length / vocabulary.
+pub(crate) const LM_PROBES: (usize, usize, usize) = (16, 2, 24);
+
+/// Capacity of each facade query-result cache (`similar`, MLQL, text), in
+/// entries. Results are keyed by `(query, event-log generation)`, so any
+/// lake mutation invalidates by construction (DESIGN.md §11).
+pub(crate) const QUERY_CACHE_ENTRIES: usize = 128;
+
+/// Lake configuration: what a caller sets when it creates or opens a lake
+/// (DESIGN.md §13). The fingerprint space (`FINGERPRINT_SEED`,
+/// `SKETCH_DIM`, `CLASSIFIER_PROBES`, `LM_PROBES`) and the query-cache size
+/// (`QUERY_CACHE_ENTRIES`) are constants of the lake, not fields.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LakeConfig {
     /// Lake name (appears in citations).
     pub name: String,
-    /// Root seed for probes and sketches.
-    pub seed: u64,
-    /// Fingerprint sketch width.
-    pub sketch_dim: usize,
-    /// Classifier probe count / feature dimension / scale.
-    pub probes: (usize, usize, f32),
-    /// LM probe context count / context length / vocabulary.
-    pub lm_probes: (usize, usize, usize),
     /// HNSW parameters for the three fingerprint indexes.
     pub hnsw: HnswConfig,
-    /// Capacity of the facade query-result caches (`similar` and MLQL
-    /// execution), in entries per cache. Results are keyed by
-    /// `(query digest, k, event-log generation)`, so any lake mutation
-    /// invalidates by construction. 0 disables caching.
-    pub query_cache: usize,
     /// Commit durability of the write-ahead log on durable lakes
     /// ([`ModelLake::create`] / [`ModelLake::open`]); ignored by
-    /// ephemeral in-memory lakes. [`mlake_wal::SyncPolicy::Always`]
-    /// fsyncs every mutation; [`mlake_wal::SyncPolicy::Batch`] group-
-    /// commits every N mutations.
+    /// ephemeral in-memory lakes. Its one value,
+    /// [`mlake_wal::SyncPolicy::Always`], fsyncs every mutation before
+    /// the op returns.
     pub wal_sync: mlake_wal::SyncPolicy,
     /// Number of sub-shards each fingerprint index is partitioned into
     /// (power of two, 1..=256). The default 1 is exactly the unsharded
@@ -99,7 +111,6 @@ pub struct LakeConfig {
     /// whose bytes are safely on disk are evicted once the cap is
     /// exceeded and page back in on demand; ephemeral lakes never evict
     /// (memory is their only copy).
-    #[serde(default)]
     pub resident_bytes: u64,
 }
 
@@ -107,12 +118,7 @@ impl Default for LakeConfig {
     fn default() -> Self {
         LakeConfig {
             name: "model-lake".into(),
-            seed: 0,
-            sketch_dim: 64,
-            probes: (32, 8, 2.5),
-            lm_probes: (16, 2, 24),
             hnsw: HnswConfig::default(),
-            query_cache: 128,
             wal_sync: mlake_wal::SyncPolicy::Always,
             shards: 1,
             compaction: None,
@@ -127,16 +133,6 @@ impl LakeConfig {
         LakeConfigBuilder {
             config: LakeConfig::default(),
         }
-    }
-
-    /// Re-runs the builder's validation on an already-constructed config.
-    ///
-    /// `LakeConfig` derives `Deserialize` so it can travel over the wire
-    /// (`mlake-proto`), which bypasses the builder; deserializers must call
-    /// this before using the value so every `LakeConfig` in a running lake
-    /// is builder-validated regardless of where it came from.
-    pub fn validated(self) -> Result<LakeConfig> {
-        LakeConfigBuilder { config: self }.build()
     }
 }
 
@@ -156,46 +152,9 @@ impl LakeConfigBuilder {
         self
     }
 
-    /// Root seed for probes and sketches.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Fingerprint sketch width.
-    pub fn sketch_dim(mut self, dim: usize) -> Self {
-        self.config.sketch_dim = dim;
-        self
-    }
-
-    /// Classifier probe count / feature dimension / scale.
-    pub fn probes(mut self, count: usize, dim: usize, scale: f32) -> Self {
-        self.config.probes = (count, dim, scale);
-        self
-    }
-
-    /// LM probe context count / context length / vocabulary size.
-    pub fn lm_probes(mut self, contexts: usize, ctx_len: usize, vocab: usize) -> Self {
-        self.config.lm_probes = (contexts, ctx_len, vocab);
-        self
-    }
-
     /// HNSW parameters for the three fingerprint indexes.
     pub fn hnsw(mut self, hnsw: HnswConfig) -> Self {
         self.config.hnsw = hnsw;
-        self
-    }
-
-    /// Query-result cache capacity in entries per cache (0 disables).
-    pub fn query_cache(mut self, capacity: usize) -> Self {
-        self.config.query_cache = capacity;
-        self
-    }
-
-    /// WAL commit durability for durable lakes (fsync every mutation vs
-    /// count-based group commit).
-    pub fn wal_sync(mut self, sync: mlake_wal::SyncPolicy) -> Self {
-        self.config.wal_sync = sync;
         self
     }
 
@@ -226,26 +185,6 @@ impl LakeConfigBuilder {
         let c = &self.config;
         if c.name.trim().is_empty() {
             return Err(LakeError::Config("lake name must not be empty".into()));
-        }
-        if c.sketch_dim == 0 {
-            return Err(LakeError::Config("sketch_dim must be positive".into()));
-        }
-        let (n_probe, probe_dim, probe_scale) = c.probes;
-        if n_probe == 0 || probe_dim == 0 {
-            return Err(LakeError::Config(format!(
-                "classifier probes need positive count and dimension, got {n_probe}x{probe_dim}"
-            )));
-        }
-        if !probe_scale.is_finite() || probe_scale <= 0.0 {
-            return Err(LakeError::Config(format!(
-                "probe scale must be finite and positive, got {probe_scale}"
-            )));
-        }
-        let (n_ctx, ctx_len, vocab) = c.lm_probes;
-        if n_ctx == 0 || ctx_len == 0 || vocab == 0 {
-            return Err(LakeError::Config(format!(
-                "LM probes need positive contexts/length/vocab, got {n_ctx}/{ctx_len}/{vocab}"
-            )));
         }
         if c.hnsw.m < 2 {
             return Err(LakeError::Config(format!(
@@ -314,14 +253,14 @@ impl Catalogue {
     /// WAL replay alike. A second `Model` block for a registered name, a card
     /// override for an unknown id and an event that does not follow the log
     /// head are corruption.
-    pub(crate) fn apply(&mut self, block: Block, sketch_dim: usize) -> Result<()> {
+    pub(crate) fn apply(&mut self, block: Block) -> Result<()> {
         let reg = &mut self.registry;
         match block {
             Block::Model(m) => {
                 let digest = Digest::from_hex(&m.digest).ok_or_else(|| {
                     LakeError::CorruptArtifact(format!("bad digest for '{}'", m.name))
                 })?;
-                let fps = checked_fingerprints(blockstore::fp_floats(&m.fps), sketch_dim)?;
+                let fps = checked_fingerprints(blockstore::fp_floats(&m.fps))?;
                 if reg.by_name.contains_key(&m.name) {
                     return Err(LakeError::CorruptArtifact(format!(
                         "model '{}' is registered twice",
@@ -405,19 +344,19 @@ impl<G: DerefMut> DerefMut for Held<G> {
 
 /// The gate every fingerprint triple passes on its way onto a registry
 /// entry — computed by [`ModelLake::model_block`], decoded from a `Model`
-/// block by [`Catalogue::apply`]: its widths must be the ones `sketch_dim`
-/// implies (`model_dna` is 8 moments ++ the sketch, the behaviour sketch is
-/// `sketch_dim` wide, hybrid concatenates the two), so the catch-up insert
-/// in [`ModelLake::ensure_indexes`] cannot fail on its input. A lake opened
-/// under a different `sketch_dim` than it was written with fails here, at
-/// open.
-fn checked_fingerprints(fps: [Vec<f32>; 3], sketch_dim: usize) -> Result<[Vec<f32>; 3]> {
-    let d = sketch_dim;
+/// block by [`Catalogue::apply`]: its widths must be the ones
+/// [`SKETCH_DIM`] implies (`model_dna` is 8 moments ++ the sketch, the
+/// behaviour sketch is `SKETCH_DIM` wide, hybrid concatenates the two), so
+/// the catch-up insert in [`ModelLake::ensure_indexes`] cannot fail on its
+/// input. The fingerprinter always computes these widths, so other widths
+/// can only come from damaged or foreign bytes: corruption, at open.
+fn checked_fingerprints(fps: [Vec<f32>; 3]) -> Result<[Vec<f32>; 3]> {
+    let d = SKETCH_DIM;
     let want = [8 + d, d, 8 + 2 * d];
     let got = [fps[0].len(), fps[1].len(), fps[2].len()];
     if got != want {
-        return Err(LakeError::Config(format!(
-            "fingerprint widths {got:?} do not match sketch_dim {d} (expected {want:?})"
+        return Err(LakeError::CorruptArtifact(format!(
+            "fingerprint widths {got:?} do not match sketch width {d} (expected {want:?})"
         )));
     }
     Ok(fps)
@@ -593,8 +532,8 @@ impl ModelLake {
     /// Creates an empty lake.
     // lint: no-span — constructor; observability may not be enabled yet
     pub fn new(config: LakeConfig) -> ModelLake {
-        let (n_probe, probe_dim, probe_scale) = config.probes;
-        let (n_ctx, ctx_len, vocab) = config.lm_probes;
+        let (n_probe, probe_dim, probe_scale) = CLASSIFIER_PROBES;
+        let (n_ctx, ctx_len, vocab) = LM_PROBES;
         let probes = ProbeSet::standard(
             probe_dim,
             n_probe,
@@ -602,14 +541,13 @@ impl ModelLake {
             vocab,
             n_ctx,
             ctx_len,
-            mlake_tensor::Seed::new(config.seed).derive("lake-probes"),
+            mlake_tensor::Seed::new(FINGERPRINT_SEED).derive("lake-probes"),
         );
-        let fingerprinter = Fingerprinter::new(config.sketch_dim, config.seed, probes);
+        let fingerprinter = Fingerprinter::new(SKETCH_DIM, FINGERPRINT_SEED, probes);
         let indexes = FingerprintKind::ALL.map(|_| {
             ShardedIndex::new(config.shards, || HnswIndex::new(config.hnsw))
                 .with_rescore_factor(config.hnsw.rescore_factor)
         });
-        let config_cache = config.query_cache;
         let resident_cap = config.resident_bytes;
         ModelLake {
             config,
@@ -622,9 +560,9 @@ impl ModelLake {
             indexes: RwLock::new(indexes),
             graph: RwLock::new(GraphState::default()),
             score_cache: RwLock::new(HashMap::new()),
-            similar_cache: QueryCache::new(config_cache),
-            mlql_cache: QueryCache::new(config_cache),
-            text_cache: QueryCache::new(config_cache),
+            similar_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
+            mlql_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
+            text_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
         }
     }
 
@@ -756,7 +694,7 @@ impl ModelLake {
         let intrinsic = self.fingerprinter.intrinsic(model);
         let extrinsic = self.fingerprinter.extrinsic(model)?;
         let hybrid = Fingerprinter::hybrid_of(&intrinsic, &extrinsic);
-        let fps = checked_fingerprints([intrinsic, extrinsic, hybrid], self.config.sketch_dim)?;
+        let fps = checked_fingerprints([intrinsic, extrinsic, hybrid])?;
         Ok(Block::Model(ModelBlock {
             name: name.into(),
             digest: digest.to_hex(),
@@ -815,7 +753,7 @@ impl ModelLake {
     pub(crate) fn apply_record(&self, blocks: Vec<Block>) -> Result<u64> {
         let mut cat = self.catalogue_mut();
         for block in blocks {
-            cat.apply(block, self.config.sketch_dim)?;
+            cat.apply(block)?;
         }
         Ok(cat.events.head())
     }

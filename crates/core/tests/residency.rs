@@ -117,27 +117,6 @@ fn task_reads_with_cached_scores_touch_no_blob() {
 }
 
 #[test]
-fn open_under_another_sketch_dim_fails_typed_at_open() {
-    // The persisted vectors are the index's input; a config that implies
-    // other widths must be refused when they enter the registry — at
-    // open — not at the first search's index insert.
-    let dir = tmp("dim");
-    let _ = std::fs::remove_dir_all(&dir);
-    {
-        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
-        lake.ingest_model("d-0", &model(30), None).unwrap();
-        lake.persist(&dir).unwrap();
-    }
-    let narrower = LakeConfig::builder().sketch_dim(32).build().unwrap();
-    assert!(matches!(
-        ModelLake::open(&dir, narrower),
-        Err(mlake_core::LakeError::Config(_))
-    ));
-    assert_eq!(ModelLake::open(&dir, LakeConfig::default()).unwrap().len(), 1);
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn resident_cap_bounds_memory_and_keeps_reads_exact() {
     let dir = tmp("cap");
     let _ = std::fs::remove_dir_all(&dir);

@@ -93,23 +93,6 @@ impl Fingerprinter {
         }
     }
 
-    /// Fingerprints a whole slice of models in parallel on the shared pool,
-    /// one [`Fingerprinter::compute`] per model, results in model order.
-    ///
-    /// Models are fingerprinted independently, so each result is identical
-    /// to the corresponding single-model call regardless of thread count.
-    /// The first error (in model order) is returned if any model fails.
-    pub fn compute_many<M: std::borrow::Borrow<Model> + Sync>(
-        &self,
-        kind: FingerprintKind,
-        models: &[M],
-    ) -> mlake_tensor::Result<Vec<Vec<f32>>> {
-        let _span = mlake_obs::span("fingerprint.batch");
-        mlake_par::par_map(models, |m| self.compute(kind, m.borrow()))
-            .into_iter()
-            .collect()
-    }
-
     /// Representation matrix of an MLP over the probe inputs (probes ×
     /// hidden units at layer `layer`), the CKA input.
     pub fn representation(&self, model: &Model, layer: usize) -> mlake_tensor::Result<Matrix> {

@@ -66,11 +66,6 @@ impl FlatIndex {
         self.rescore_factor.max(1)
     }
 
-    /// Sets the rescore pool multiplier (clamped to ≥ 1).
-    pub fn set_rescore_factor(&mut self, factor: usize) {
-        self.rescore_factor = factor.max(1);
-    }
-
     /// Keeps the SQ8 code arena in lockstep with the f32 buffer: calibrates
     /// the codec once [`SQ8_TRAIN_MIN`] rows exist (backfilling earlier
     /// rows), then encodes every new row. No-op in `F32` mode.

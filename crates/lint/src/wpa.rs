@@ -27,7 +27,7 @@
 //! Escape hatches: `// lint: panic-ok <why>` excludes a deliberate-abort
 //! panic site from `transitive-panic` (the per-file `no-panic` pass still
 //! sees it); `// lint: blocking-ok <why>` accepts a blocking call under a
-//! lock (e.g. the WAL's group-commit fsync).
+//! lock (e.g. the WAL's commit fsync).
 
 use crate::callgraph::CallGraph;
 use crate::lexer::TokKind;

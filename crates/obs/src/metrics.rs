@@ -307,15 +307,6 @@ impl Registry {
         map.entry(name).or_insert_with(|| Box::leak(Box::default()))
     }
 
-    /// [`Registry::histogram`] for a runtime-built name.
-    pub fn histogram_dyn(&self, name: &str) -> &'static Histogram {
-        let mut map = self.histograms.lock();
-        if let Some(h) = map.get(name) {
-            return h;
-        }
-        map.entry(intern(name)).or_insert_with(|| Box::leak(Box::default()))
-    }
-
     /// Snapshot of every registered metric, names sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

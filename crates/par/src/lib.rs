@@ -95,11 +95,6 @@ pub fn serial<R>(f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// True while inside a [`serial`] scope on this thread.
-pub fn is_serial() -> bool {
-    SERIAL_DEPTH.with(|d| d.get() > 0)
-}
-
 fn inline_only() -> bool {
     num_threads() == 1
         || IN_POOL.with(|c| c.get())

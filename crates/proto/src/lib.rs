@@ -17,12 +17,9 @@
 //!   dispatch on `LakeError::kind()`, never on error strings.
 //!
 //! The payload types themselves (`Model`, `ModelCard`, `Citation`,
-//! `AuditReport`, `QueryHit`, `MetricsSnapshot`, `LakeConfig`) are the
-//! facade's own types — the protocol cannot drift from the library
-//! because it *is* the library's types on the wire. `LakeConfig` is the
-//! one type whose invariants JSON cannot express; [`decode_config`]
-//! funnels every deserialized config back through the builder's
-//! validation.
+//! `AuditReport`, `QueryHit`, `MetricsSnapshot`) are the facade's own
+//! types — the protocol cannot drift from the library because it *is* the
+//! library's types on the wire.
 
 use mlake_cards::audit::AuditReport;
 use mlake_cards::{Citation, ModelCard};
@@ -31,7 +28,7 @@ use mlake_cards::{Citation, ModelCard};
 // build typed requests without depending on the card crate directly.
 pub use mlake_cards::ModelCard as WireModelCard;
 use mlake_core::hash::Digest;
-use mlake_core::{ErrorKind, GcReport, LakeConfig, LakeError, ModelId, ModelRef};
+use mlake_core::{ErrorKind, GcReport, LakeError, ModelId, ModelRef};
 use mlake_fingerprint::FingerprintKind;
 use mlake_nn::Model;
 use mlake_obs::MetricsSnapshot;
@@ -176,7 +173,7 @@ pub enum ApiRequest {
     },
     /// `ModelLake::model_names`: list registered models.
     ListModels,
-    /// `ModelLake::sync`: flush group-commit-buffered WAL records.
+    /// `ModelLake::sync`: the WAL commit barrier.
     Sync,
     /// `ModelLake::gc`: collect unreachable blobs and segments.
     Gc,
@@ -229,7 +226,7 @@ pub struct ScoredHit {
 /// Success payloads, one variant per [`ApiRequest`] variant.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum ApiResponse {
-    /// Ingest succeeded; the write is durable per the lake's `SyncPolicy`.
+    /// Ingest succeeded; on a durable lake the write is fsynced.
     Ingested {
         /// Assigned lake-local id.
         id: u64,
@@ -382,17 +379,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<ApiResponse, WireError> {
     serde_json::from_slice(bytes).map_err(|e| WireError(e.to_string()))
 }
 
-/// Parses a [`LakeConfig`] from JSON **and re-runs the builder's
-/// validation** — the only sanctioned way to deserialize a config.
-/// Deserialization bypasses `LakeConfigBuilder::build`, so a raw
-/// `from_slice` could smuggle in an invalid config (zero probes, 3
-/// shards); this funnel makes that impossible.
-pub fn decode_config(bytes: &[u8]) -> Result<LakeConfig, LakeError> {
-    let config: LakeConfig = serde_json::from_slice(bytes)
-        .map_err(|e| LakeError::Config(format!("config decode: {e}")))?;
-    config.validated()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,20 +424,6 @@ mod tests {
         let resp = ApiResponse::Error(api);
         let back = decode_response(&encode_response(&resp)).expect("decode");
         assert_eq!(resp, back);
-    }
-
-    #[test]
-    fn config_decode_is_builder_validated() {
-        let good = LakeConfig::default();
-        let bytes = serde_json::to_vec(&good).expect("encode");
-        let back = decode_config(&bytes).expect("valid config decodes");
-        assert_eq!(back, good);
-
-        let mut bad = LakeConfig::default();
-        bad.shards = 3; // not a power of two — builder rejects this
-        let bytes = serde_json::to_vec(&bad).expect("encode");
-        let err = decode_config(&bytes).expect_err("invalid config must not decode");
-        assert_eq!(err.kind(), ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! This is what stops `mlake-proto` drifting from the library — the wire
 //! representation *is* the library type, proven round-trip-stable here.
 
-use mlake_core::{CompactionPolicy, ErrorKind, LakeConfig};
-use mlake_index::{HnswConfig, Precision};
+use mlake_core::ErrorKind;
+use mlake_index::Precision;
 use mlake_proto::{
-    decode_config, decode_request, decode_response, encode_request, encode_response, status_for,
+    decode_request, decode_response, encode_request, encode_response, status_for,
     ApiError, ApiRequest, ApiResponse, ScoredHit, SimilarHit, WireRef,
 };
 use mlake_query::QueryHit;
@@ -27,69 +27,7 @@ fn precision() -> impl Strategy<Value = Precision> {
 }
 
 fn sync_policy() -> impl Strategy<Value = SyncPolicy> {
-    prop_oneof![
-        Just(SyncPolicy::Always),
-        (1u32..256).prop_map(|every| SyncPolicy::Batch { every }),
-    ]
-}
-
-fn hnsw_config() -> impl Strategy<Value = HnswConfig> {
-    (2usize..32, 1usize..128, 1usize..128, any::<u64>(), precision(), 1usize..8).prop_map(
-        |(m, ef_construction, ef_search, seed, precision, rescore_factor)| HnswConfig {
-            m,
-            ef_construction,
-            ef_search,
-            seed,
-            precision,
-            rescore_factor,
-        },
-    )
-}
-
-/// Only builder-valid configs: the wire funnel (`decode_config`) rejects
-/// everything else by construction, so invalid configs are not part of
-/// the round-trippable domain.
-fn lake_config() -> impl Strategy<Value = LakeConfig> {
-    let base = (
-        "[a-z][a-z0-9-]{0,12}",
-        any::<u64>(),
-        1usize..256,
-        (1usize..64, 1usize..32, 0.1f32..8.0),
-        (1usize..32, 1usize..8, 2usize..64),
-    );
-    let rest = (
-        hnsw_config(),
-        0usize..512,
-        sync_policy(),
-        0u32..4,
-        proptest::option::of((1u64..1_000_000, 0usize..8)),
-        0u64..1_000_000_000,
-    );
-    (base, rest).prop_map(
-        |(
-            (name, seed, sketch_dim, probes, lm_probes),
-            (hnsw, query_cache, wal_sync, shard_pow, compaction, resident_bytes),
-        )| {
-            LakeConfig {
-                name,
-                seed,
-                sketch_dim,
-                probes,
-                lm_probes,
-                hnsw,
-                query_cache,
-                wal_sync,
-                shards: 1 << shard_pow,
-                resident_bytes,
-                compaction: compaction.map(|(wal_bytes, wal_segments)| CompactionPolicy {
-                    // wal_bytes > 0 keeps the policy builder-valid even
-                    // when wal_segments lands on 0.
-                    wal_bytes,
-                    wal_segments,
-                }),
-            }
-        },
-    )
+    Just(SyncPolicy::Always)
 }
 
 fn query_hit() -> impl Strategy<Value = QueryHit> {
@@ -115,13 +53,6 @@ proptest! {
         let req = ApiRequest::Resolve { model: r };
         let back = decode_request(&encode_request(&req)).expect("decode");
         prop_assert_eq!(req, back);
-    }
-
-    #[test]
-    fn lake_config_round_trips_through_validated_decode(config in lake_config()) {
-        let bytes = serde_json::to_vec(&config).expect("encode");
-        let back = decode_config(&bytes).expect("builder-valid config decodes");
-        prop_assert_eq!(back, config);
     }
 
     #[test]

@@ -59,10 +59,10 @@ impl LakeRouter {
         names
     }
 
-    /// Flushes every registered lake: group-commit-buffered WAL records
-    /// reach stable storage. A lake runs no work of its own between ops,
-    /// so there is nothing else to wait for. The graceful-shutdown tail
-    /// (DESIGN.md §14).
+    /// Syncs every registered lake: each acked WAL record is already
+    /// fsynced, so this surfaces a broken log. A lake runs no work of its
+    /// own between ops, so there is nothing else to wait for. The
+    /// graceful-shutdown tail (DESIGN.md §14).
     pub fn sync_all(&self) -> Result<(), LakeError> {
         let lakes: Vec<Arc<ModelLake>> = {
             // lock-order: 4 (server.router)

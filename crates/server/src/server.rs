@@ -14,8 +14,8 @@
 //! (4) joins every connection thread — each finishes its in-flight
 //! request first, so every acknowledged response is fully written — and
 //! (5) syncs every routed lake. An `Ok` response to a write
-//! therefore implies the write survives the shutdown (and, with
-//! `SyncPolicy::Always`, a crash).
+//! therefore implies the write survives the shutdown, and a crash: the
+//! WAL fsyncs each record before the op returns.
 
 use crate::api::{not_found, protocol_error, Api};
 use crate::http::{HttpConn, ReadOutcome, Request, ResponseHead};

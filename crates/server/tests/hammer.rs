@@ -32,13 +32,9 @@ fn model(seed: u64) -> Model {
 }
 
 fn lake_config() -> LakeConfig {
-    // SyncPolicy::Always: a 2xx ack means the WAL record hit stable
-    // storage, which is exactly what the post-shutdown reopen checks.
-    LakeConfig::builder()
-        .name("hammer")
-        .wal_sync(mlake_wal::SyncPolicy::Always)
-        .build()
-        .unwrap()
+    // The WAL fsyncs every record before the op returns, so a 2xx ack
+    // means it hit stable storage: what the post-shutdown reopen checks.
+    LakeConfig::builder().name("hammer").build().unwrap()
 }
 
 fn ingest_body(name: &str, seed: u64) -> Vec<u8> {

@@ -202,19 +202,7 @@ pub fn conjugate_gradient(
     cg_impl(apply, b, max_iters, tol)
 }
 
-/// Matrix-free conjugate gradients: `apply` computes `A x` (plus any damping
-/// the caller folds in). This is the entry point used by Hessian-vector
-/// product based influence functions, which never materialise `A`.
-pub fn conjugate_gradient_fn(
-    apply: impl Fn(&[f32]) -> Vec<f32>,
-    b: &[f32],
-    max_iters: usize,
-    tol: f32,
-) -> Result<Vec<f32>> {
-    cg_impl(|x| Ok(apply(x)), b, max_iters, tol)
-}
-
-/// Shared CG iteration over a fallible operator: lets the dense entry point
+/// The CG iteration over a fallible operator: lets [`conjugate_gradient`]
 /// propagate `matvec` shape errors as typed [`TensorError`]s instead of
 /// panicking mid-iteration.
 fn cg_impl(

@@ -135,18 +135,6 @@ impl Matrix {
         })
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        let cols = data.len();
-        Matrix { rows: 1, cols, data }
-    }
-
-    /// An n×1 column vector.
-    pub fn col_vector(data: Vec<f32>) -> Self {
-        let rows = data.len();
-        Matrix { rows, cols: 1, data }
-    }
-
     /// Fills a new matrix by calling `f(row, col)` per element.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -252,11 +240,6 @@ impl Matrix {
     /// Immutable view of row `r`.
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
-    /// Mutable view of row `r`.
-    pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
     /// Copies column `c` into a fresh vector.
@@ -484,13 +467,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` element-wise in place.
-    pub fn map_mut(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
         }
     }
 

@@ -13,9 +13,8 @@
 //!   through, so the fault-injection harness can crash the "process" at
 //!   an exact write.
 //! * [`Wal`] — the writer: LSN-stamped appends, 4 MiB segment roll-over,
-//!   fsync-on-commit ([`SyncPolicy::Always`]) or count-based group
-//!   commit ([`SyncPolicy::Batch`]), and [`Wal::compact_to`] for folding
-//!   snapshotted prefixes away.
+//!   fsync on every commit ([`SyncPolicy::Always`], its one policy), and
+//!   [`Wal::compact_to`] for folding snapshotted prefixes away.
 //! * [`Recovery`] — the reader: replays to the last valid record,
 //!   truncates torn tails (CRC-detected), surfaces sealed-segment
 //!   corruption as a typed error, enforces LSN continuity.

@@ -8,7 +8,7 @@
 //!   write reach the file first (simulating a partial page flush);
 //! * **kill at the Nth fsync**, after the data of preceding writes has
 //!   already reached the file (simulating the
-//!   written-but-not-acknowledged window group commit exposes).
+//!   written-but-not-acknowledged window before an fsync returns).
 //!
 //! The crash-recovery matrix drives the same mutation script once with a
 //! counting-only `FailFs` to learn the total number of writes W, then

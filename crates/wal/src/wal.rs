@@ -1,4 +1,4 @@
-//! The log writer: segmented appends, group commit, compaction.
+//! The log writer: segmented appends, fsync on commit, compaction.
 
 use crate::record::{self, Lsn};
 use crate::vfs::{RealFs, VFile, Vfs};
@@ -16,15 +16,6 @@ pub enum SyncPolicy {
     /// `fsync` after every append; an `Ok` from [`Wal::append`] means the
     /// record is on stable storage.
     Always,
-    /// Group commit: `fsync` once every `every` appends (and on explicit
-    /// [`Wal::sync`]). Amortises the fsync cost across a batch at the
-    /// price of the tail of the batch being lost on a crash. The trigger
-    /// is a record count, not a timer — the workspace is wall-clock-free
-    /// outside `mlake-obs` and the experiment harness.
-    Batch {
-        /// Records per fsync. `0` is treated as `1`.
-        every: u32,
-    },
 }
 
 /// Tuning knobs for a [`Wal`].
@@ -86,8 +77,6 @@ struct Inner {
     next_lsn: Lsn,
     /// Sealed segments, oldest first.
     sealed: Vec<Sealed>,
-    /// Appends since the last fsync (group-commit counter).
-    pending: u32,
     /// A write or sync failed; the log refuses further appends because
     /// the on-disk suffix is in an unknown state.
     broken: bool,
@@ -133,9 +122,7 @@ pub(crate) fn parse_segment_name(path: &Path) -> Option<Lsn> {
 /// Appends are serialized through an internal mutex; `&self` methods make
 /// the log shareable behind an `Arc` or embeddable in a facade that is
 /// itself `Sync`. An `Ok` from [`Wal::append`] means the record is
-/// durable under [`SyncPolicy::Always`], or buffered for the next group
-/// commit under [`SyncPolicy::Batch`]; [`Wal::sync`] is the explicit
-/// commit barrier.
+/// durable: it was fsynced before the call returned.
 pub struct Wal {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
@@ -209,7 +196,6 @@ impl Wal {
                 seg_nonempty: seg.last.is_some(),
                 next_lsn,
                 sealed,
-                pending: 0,
                 broken: false,
             },
             None => {
@@ -222,7 +208,6 @@ impl Wal {
                     seg_nonempty: false,
                     next_lsn,
                     sealed,
-                    pending: 0,
                     broken: false,
                 }
             }
@@ -283,11 +268,9 @@ impl Wal {
 
     /// Appends one record and returns its LSN.
     ///
-    /// Under [`SyncPolicy::Always`] the record is fsynced before this
-    /// returns; under [`SyncPolicy::Batch`] it is fsynced once the batch
-    /// fills (or on [`Wal::sync`]). Any I/O failure marks the log broken:
-    /// subsequent appends fail with [`WalError::Broken`] because the
-    /// on-disk suffix is no longer known-good.
+    /// The record is fsynced before this returns. Any I/O failure marks
+    /// the log broken: subsequent appends fail with [`WalError::Broken`]
+    /// because the on-disk suffix is no longer known-good.
     pub fn append(&self, payload: &[u8]) -> Result<Lsn, WalError> {
         let _span = mlake_obs::span("wal.append");
         let mut inner = self.lock_inner();
@@ -300,8 +283,6 @@ impl Wal {
         // Roll to a new segment when this record would overflow the
         // current one (never leaving an empty segment behind).
         if inner.seg_nonempty && inner.seg_bytes + rec.len() as u64 > self.opts.segment_bytes {
-            // lint: blocking-ok sealing must fsync under the inner lock so a
-            // sealed segment is durable before any later append can observe it
             if let Err(e) = self.roll(&mut inner, lsn) {
                 inner.broken = true;
                 return Err(e);
@@ -315,53 +296,37 @@ impl Wal {
         inner.seg_bytes += rec.len() as u64;
         inner.seg_nonempty = true;
         inner.next_lsn = lsn + 1;
-        inner.pending += 1;
         mlake_obs::counter!("wal.bytes").add(rec.len() as u64);
 
-        let due = match self.opts.sync {
-            SyncPolicy::Always => true,
-            SyncPolicy::Batch { every } => inner.pending >= every.max(1),
-        };
-        if due {
-            // lint: blocking-ok group commit by design — the fsync must cover
-            // exactly the records written under this guard (DESIGN.md §6)
-            if let Err(e) = Self::fsync(&mut inner) {
-                inner.broken = true;
-                return Err(e);
-            }
+        // lint: blocking-ok fsync on commit — the fsync must cover exactly
+        // the record written under this guard (DESIGN.md §6)
+        if let Err(e) = Self::fsync(&mut inner) {
+            inner.broken = true;
+            return Err(e);
         }
         Ok(lsn)
     }
 
-    /// Explicit commit barrier: fsyncs any appends the group-commit
-    /// policy has buffered. A no-op when nothing is pending.
+    /// Commit barrier: every appended record is already durable, so this
+    /// only reports whether the log is still writable.
     pub fn sync(&self) -> Result<(), WalError> {
         let _span = mlake_obs::span("wal.sync");
-        let mut inner = self.lock_inner();
-        if inner.broken {
+        if self.lock_inner().broken {
             return Err(WalError::Broken);
         }
-        if inner.pending == 0 {
-            return Ok(());
-        }
-        // lint: blocking-ok commit barrier — callers ask for exactly this
-        Self::fsync(&mut inner).inspect_err(|_| inner.broken = true)
+        Ok(())
     }
 
     fn fsync(inner: &mut Inner) -> Result<(), WalError> {
         let _span = mlake_obs::span("wal.fsync");
         inner.file.sync()?;
-        inner.pending = 0;
         Ok(())
     }
 
     /// Seals the active segment and starts a fresh one whose first record
-    /// will be `next_first`. Pending appends are fsynced first so a
-    /// sealed segment is always fully durable.
+    /// will be `next_first`. Every append was fsynced when it was made, so
+    /// a sealed segment is already fully durable.
     fn roll(&self, inner: &mut Inner, next_first: Lsn) -> Result<(), WalError> {
-        if inner.pending > 0 {
-            Self::fsync(inner)?;
-        }
         let new_path = self.dir.join(segment_name(next_first));
         let new_file = self.vfs.open_append(&new_path)?;
         let old_path = std::mem::replace(&mut inner.seg_path, new_path);
@@ -394,8 +359,6 @@ impl Wal {
         // whole log can shrink to a single fresh segment.
         if inner.seg_nonempty && inner.next_lsn - 1 <= upto {
             let next = inner.next_lsn;
-            // lint: blocking-ok sealing the tail fsyncs under the inner lock
-            // so the snapshot boundary is durable before segments are dropped
             if let Err(e) = self.roll(&mut inner, next) {
                 inner.broken = true;
                 return Err(e);
@@ -490,29 +453,6 @@ mod tests {
         let (_, replay) = Wal::open(&dir, opts).unwrap();
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[0].1.len(), 200);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn batch_mode_counts_syncs() {
-        use crate::testing::FailFs;
-        let dir = fresh("batch");
-        std::fs::create_dir_all(&dir).unwrap();
-        let fs = FailFs::counting();
-        let opts = WalOptions {
-            segment_bytes: DEFAULT_SEGMENT_BYTES,
-            sync: SyncPolicy::Batch { every: 4 },
-        };
-        let (wal, _) = Wal::open_with(&dir, opts, Arc::new(Arc::clone(&fs)), 0).unwrap();
-        for _ in 0..10 {
-            wal.append(b"x").unwrap();
-        }
-        // 10 appends at every=4 → fsync after the 4th and 8th.
-        assert_eq!(fs.syncs(), 2);
-        wal.sync().unwrap(); // flushes the 2 stragglers
-        assert_eq!(fs.syncs(), 3);
-        wal.sync().unwrap(); // nothing pending → no-op
-        assert_eq!(fs.syncs(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

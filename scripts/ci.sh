@@ -52,10 +52,12 @@ cargo test -q
 
 # lakebench is a package of its own, outside the workspace: only this build
 # notices a facade or Vfs API removal that breaks it. Same target dir as
-# benchmark/run.sh; compile only, no run.
+# benchmark/run.sh; compile only, no run. --locked: its frozen Cargo.lock
+# pins the [dependencies] of every crate it links, so a change that prunes
+# or adds an edge fails here instead of silently rewriting the lock.
 step "benchmark: lakebench builds against the workspace crates"
 CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
-  cargo build --release --offline --manifest-path benchmark/Cargo.toml
+  cargo build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Four seconds' worth of cycles (three) of the lineage workload, so the
 # second and third ingest are attached to a recovery memo that has already
