@@ -6,7 +6,7 @@
 
 use super::median_time;
 use crate::table::{f3, metrics_tables, ms, Table};
-use mlake_index::{recall_at_k, FlatIndex, HnswConfig, HnswIndex, Precision, VectorIndex};
+use mlake_index::{recall_at_k, FlatIndex, HnswConfig, HnswIndex, VectorIndex};
 use mlake_tensor::Pcg64;
 use std::time::{Duration, Instant};
 
@@ -38,13 +38,10 @@ fn run_index(
     queries: &[Vec<f32>],
     truth: &FlatIndex,
 ) -> IndexRun {
-    let items: Vec<(u64, Vec<f32>)> = vectors
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as u64, v.clone()))
-        .collect();
     let t0 = Instant::now();
-    index.insert_batch(&items).expect("insert");
+    for (i, v) in vectors.iter().enumerate() {
+        index.insert(i as u64, v).expect("insert");
+    }
     let build = t0.elapsed();
     let t0 = Instant::now();
     index.search_many(queries, 10).expect("search");
@@ -72,7 +69,7 @@ pub fn run(quick: bool) -> Vec<Table> {
 
     let mut t = Table::new(
         format!("E5a: index scaling (d={dim}, k=10, {num_queries} queries)"),
-        &["n", "index", "precision", "build", "query", "recall@10"],
+        &["n", "index", "build", "query", "recall@10"],
     )
     .timing(&["build", "query"]);
     for &n in sizes {
@@ -93,30 +90,17 @@ pub fn run(quick: bool) -> Vec<Table> {
 
         let mut flat = FlatIndex::new();
         let r = run_index(&mut flat, &vectors, &queries, &truth);
-        t.row(vec![n.to_string(), "flat (exact)".into(), "f32".into(), ms(r.build), ms(r.query), f3(r.recall)]);
+        t.row(vec![n.to_string(), "flat (exact)".into(), ms(r.build), ms(r.query), f3(r.recall)]);
 
-        let mut flat_sq8 = FlatIndex::with_precision(Precision::Sq8Rescore);
-        let r = run_index(&mut flat_sq8, &vectors, &queries, &truth);
-        let sq8_tag = format!("sq8x{}", flat_sq8.rescore_factor());
-        t.row(vec![n.to_string(), "flat".into(), sq8_tag.clone(), ms(r.build), ms(r.query), f3(r.recall)]);
-
-        let hnsw_config = HnswConfig {
+        let mut hnsw = HnswIndex::new(HnswConfig {
             m: 16,
             ef_construction: 100,
             ef_search: 64,
             seed: 5,
             ..Default::default()
-        };
-        let mut hnsw = HnswIndex::new(hnsw_config);
-        let r = run_index(&mut hnsw, &vectors, &queries, &truth);
-        t.row(vec![n.to_string(), "hnsw".into(), "f32".into(), ms(r.build), ms(r.query), f3(r.recall)]);
-
-        let mut hnsw_sq8 = HnswIndex::new(HnswConfig {
-            precision: Precision::Sq8Rescore,
-            ..hnsw_config
         });
-        let r = run_index(&mut hnsw_sq8, &vectors, &queries, &truth);
-        t.row(vec![n.to_string(), "hnsw".into(), sq8_tag, ms(r.build), ms(r.query), f3(r.recall)]);
+        let r = run_index(&mut hnsw, &vectors, &queries, &truth);
+        t.row(vec![n.to_string(), "hnsw".into(), ms(r.build), ms(r.query), f3(r.recall)]);
     }
 
     // ---- ef sweep --------------------------------------------------------
@@ -155,12 +139,9 @@ pub fn run(quick: bool) -> Vec<Table> {
         seed: 5,
         ..Default::default()
     });
-    let items: Vec<(u64, Vec<f32>)> = vectors
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (i as u64, v.clone()))
-        .collect();
-    hnsw.insert_batch(&items).expect("insert");
+    for (i, v) in vectors.iter().enumerate() {
+        hnsw.insert(i as u64, v).expect("insert");
+    }
     let mut t2 = Table::new(
         format!("E5b: HNSW recall/latency vs ef (n={n}, unstructured vectors)"),
         &["ef", "query", "recall@10"],
@@ -233,19 +214,12 @@ mod tests {
     fn e5_hnsw_has_high_recall() {
         let tables = run(true);
         let t = &tables[0];
-        // Rows come in fours (flat f32, flat sq8, hnsw f32, hnsw sq8) per
-        // size; recall is the last column.
-        let flat_recall: f32 = t.rows[0][5].parse().unwrap();
+        // Rows come in pairs (flat, hnsw) per size; recall is the last
+        // column.
+        let flat_recall: f32 = t.rows[0][4].parse().unwrap();
         assert!((flat_recall - 1.0).abs() < 1e-6);
-        let flat_sq8_recall: f32 = t.rows[1][5].parse().unwrap();
-        assert!(flat_sq8_recall >= 0.95 * flat_recall, "flat sq8 recall {flat_sq8_recall}");
-        let hnsw_recall: f32 = t.rows[2][5].parse().unwrap();
+        let hnsw_recall: f32 = t.rows[1][4].parse().unwrap();
         assert!(hnsw_recall > 0.85, "hnsw recall {hnsw_recall}");
-        let hnsw_sq8_recall: f32 = t.rows[3][5].parse().unwrap();
-        assert!(
-            hnsw_sq8_recall >= 0.95 * hnsw_recall,
-            "hnsw sq8 recall {hnsw_sq8_recall} vs f32 {hnsw_recall}"
-        );
         // ef sweep is monotone-ish: recall at ef=256 >= recall at ef=8.
         let t2 = &tables[1];
         let lo: f32 = t2.rows[0][2].parse().unwrap();

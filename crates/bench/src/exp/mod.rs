@@ -49,21 +49,29 @@ pub(crate) fn median_time(reps: usize, mut timed: impl FnMut() -> Duration) -> D
     readings[readings.len() / 2]
 }
 
-/// The quick-run golden, `tests/fixtures/experiments-quick.txt`: the
-/// untimed render of `experiments --quick all`, one `# <id>` line per
+/// The experiment goldens under `tests/fixtures/`: the untimed render of
+/// `experiments --quick all` (`experiments-quick.txt`) and of
+/// `experiments all` (`experiments-full.txt`), one `# <id>` line per
 /// experiment followed by that experiment's tables as printed, minus their
-/// timing cells. Each experiment's unit test checks its own section.
+/// timing cells. Each experiment's unit test checks its own quick section;
+/// one release-only test checks every full section.
 #[cfg(test)]
 pub(crate) mod golden {
     use super::ALL;
     use crate::table::Table;
 
-    const QUICK: &str = include_str!("../../tests/fixtures/experiments-quick.txt");
+    /// A golden: its file name and its text.
+    type Golden = (&'static str, &'static str);
 
-    /// `id`'s section of the golden, one entry per line.
-    fn section(id: &str) -> Vec<&'static str> {
+    const QUICK: Golden =
+        ("experiments-quick.txt", include_str!("../../tests/fixtures/experiments-quick.txt"));
+    const FULL: Golden =
+        ("experiments-full.txt", include_str!("../../tests/fixtures/experiments-full.txt"));
+
+    /// `id`'s section of `golden`, one entry per line.
+    fn section(golden: &'static str, id: &str) -> Vec<&'static str> {
         let header = format!("# {id}");
-        QUICK
+        golden
             .lines()
             .skip_while(|l| *l != header)
             .skip(1)
@@ -71,10 +79,10 @@ pub(crate) mod golden {
             .collect()
     }
 
-    /// Panics unless `tables` — experiment `id`'s quick run — render,
-    /// untimed, to its section of the golden; the message names the first
-    /// differing line and the table it sits in.
-    pub(crate) fn assert_quick(id: &str, tables: &[Table]) {
+    /// Panics unless `tables` — a run of experiment `id` — render, untimed,
+    /// to its section of `golden`; the message names the first differing
+    /// line and the table it sits in.
+    fn assert_section((name, golden): Golden, id: &str, tables: &[Table]) {
         let got: String = tables
             .iter()
             .map(Table::render_untimed)
@@ -82,7 +90,7 @@ pub(crate) mod golden {
             .map(|r| r + "\n")
             .collect();
         let got: Vec<&str> = got.lines().collect();
-        let want = section(id);
+        let want = section(golden, id);
         if got == want {
             return;
         }
@@ -97,8 +105,8 @@ pub(crate) mod golden {
             .find_map(|l| l.strip_prefix("== ")?.strip_suffix(" =="))
             .unwrap_or("(before the first table)");
         panic!(
-            "experiment {id} diverged from tests/fixtures/experiments-quick.txt at line {} of \
-             its section, in table '{table}':\n  got  {:?}\n  want {:?}\nsection as rendered:\n{}",
+            "experiment {id} diverged from tests/fixtures/{name} at line {} of its section, in \
+             table '{table}':\n  got  {:?}\n  want {:?}\nsection as rendered:\n{}",
             first + 1,
             got.get(first),
             want.get(first),
@@ -106,10 +114,27 @@ pub(crate) mod golden {
         );
     }
 
+    /// [`assert_section`] against the quick-run golden.
+    pub(crate) fn assert_quick(id: &str, tables: &[Table]) {
+        assert_section(QUICK, id, tables);
+    }
+
     #[test]
     fn one_section_per_experiment() {
-        let ids: Vec<&str> = QUICK.lines().filter_map(|l| l.strip_prefix("# ")).collect();
-        assert_eq!(ids, ALL);
+        for (name, golden) in [QUICK, FULL] {
+            let ids: Vec<&str> = golden.lines().filter_map(|l| l.strip_prefix("# ")).collect();
+            assert_eq!(ids, ALL, "{name}");
+        }
+    }
+
+    #[test]
+    #[ignore = "full-size run (50 k-vector index builds); release only: \
+                cargo test -p mlake-bench --lib --release -- --ignored full_run"]
+    fn full_run_matches_golden() {
+        for id in ALL {
+            let tables = super::run(id, false).expect("every id in ALL runs");
+            assert_section(FULL, id, &tables);
+        }
     }
 }
 

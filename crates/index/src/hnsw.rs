@@ -35,12 +35,10 @@
 //!
 //! Cost per insert and layer: one beam, one selection over its output, and
 //! at most `cap` incremental re-prunes of a handful of dots each. Beam and
-//! domination distances are evaluated four at a time by `vector::dot_rows`;
-//! SQ8 traversal goes through the same batched interface with its integer
-//! kernel.
+//! domination distances are evaluated four at a time by `vector::dot_rows`.
 
-use crate::{par_search_many, Hit, Precision, VectorIndex, DEFAULT_RESCORE_FACTOR, SQ8_TRAIN_MIN};
-use mlake_tensor::{quant, vector, Pcg64, Sq8Codec, TensorError};
+use crate::{par_search_many, Hit, VectorIndex, DEFAULT_RESCORE_FACTOR};
+use mlake_tensor::{vector, Pcg64, TensorError};
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
@@ -79,13 +77,9 @@ pub struct HnswConfig {
     pub ef_search: usize,
     /// Seed for layer assignment.
     pub seed: u64,
-    /// Traversal precision. Graph *construction* always runs in f32 (graph
-    /// quality is built once, searched forever); under
-    /// [`Precision::Sq8Rescore`] the search beam runs on the SQ8 code
-    /// arena and the pool is re-ranked in f32.
-    pub precision: Precision,
-    /// Rescore pool multiplier for [`Precision::Sq8Rescore`]: the beam's
-    /// top `rescore_factor · k` candidates are re-ranked exactly.
+    /// Per-shard over-fetch of [`crate::ShardedIndex`]: each shard returns
+    /// its top `rescore_factor · k` before the global merge. A single
+    /// index ignores it.
     pub rescore_factor: usize,
 }
 
@@ -96,7 +90,6 @@ impl Default for HnswConfig {
             ef_construction: 100,
             ef_search: 64,
             seed: 0,
-            precision: Precision::F32,
             rescore_factor: DEFAULT_RESCORE_FACTOR,
         }
     }
@@ -139,15 +132,6 @@ struct Scratch {
     flipped: Vec<u32>,
 }
 
-/// The f32 kernel of normalised query `q` over the vector arena: cosine
-/// distance to each of `ids`, in order.
-fn f32_kernel<'a>(data: &'a [f32], q: &'a [f32]) -> impl Fn(&[u32], &mut Vec<f32>) + 'a {
-    move |ids, out| {
-        vector::dot_rows(q, data, ids, out);
-        out.iter_mut().for_each(|d| *d = 1.0 - *d);
-    }
-}
-
 /// The HNSW index.
 #[derive(Debug, Clone)]
 pub struct HnswIndex {
@@ -163,11 +147,6 @@ pub struct HnswIndex {
     rng: Pcg64,
     /// Inverse of ln(M), the geometric layer parameter.
     level_lambda: f64,
-    /// SQ8 codec, trained lazily at [`SQ8_TRAIN_MIN`] nodes
-    /// (`Sq8Rescore` only).
-    codec: Option<Sq8Codec>,
-    /// Contiguous SQ8 codes, row-parallel to `data` once the codec exists.
-    codes: Vec<u8>,
     scratch: Scratch,
 }
 
@@ -215,8 +194,6 @@ impl HnswIndex {
             max_layer: 0,
             rng: Pcg64::with_stream(config.seed, 0x484e_5357),
             level_lambda: 1.0 / (m as f64).ln(),
-            codec: None,
-            codes: Vec::new(),
             scratch: Scratch::default(),
         }
     }
@@ -232,9 +209,10 @@ impl HnswIndex {
         &self.data[idx as usize * d..(idx as usize + 1) * d]
     }
 
-    #[inline]
-    fn dist(&self, q: &[f32], idx: u32) -> f32 {
-        1.0 - vector::dot(q, self.vec_of(idx))
+    /// Cosine distance of normalised `q` to each of `ids`, in order.
+    fn dists(&self, q: &[f32], ids: &[u32], out: &mut Vec<f32>) {
+        vector::dot_rows(q, &self.data, ids, out);
+        out.iter_mut().for_each(|d| *d = 1.0 - *d);
     }
 
     fn random_layer(&mut self) -> usize {
@@ -242,63 +220,14 @@ impl HnswIndex {
         ((-u.ln() * self.level_lambda) as usize).min(31)
     }
 
-    /// Keeps the SQ8 code arena in lockstep with `data`: calibrates the
-    /// codec once [`SQ8_TRAIN_MIN`] nodes exist (backfilling earlier rows),
-    /// then encodes every new row. No-op in `F32` mode.
-    fn maintain_codes(&mut self) {
-        if !self.ensure_codec() {
-            return;
-        }
-        let Some(codec) = self.codec.take() else { return };
-        for row in (self.codes.len() / self.dim)..self.nodes.len() {
-            let v = &self.data[row * self.dim..(row + 1) * self.dim];
-            if codec.encode_into(v, &mut self.codes).is_err() {
-                break; // unreachable: row width matches the codec by construction
-            }
-        }
-        self.codec = Some(codec);
-    }
-
-    /// Trains the codec when due; `true` when a codec is available.
-    fn ensure_codec(&mut self) -> bool {
-        if self.config.precision != Precision::Sq8Rescore || self.dim == 0 {
-            return false;
-        }
-        if self.codec.is_none() {
-            if self.nodes.len() < SQ8_TRAIN_MIN {
-                return false;
-            }
-            // Rows are normalised (finite) and non-empty, so training
-            // cannot fail; if it somehow does, stay on f32 traversal.
-            match Sq8Codec::train_flat(&self.data, self.dim) {
-                Ok(c) => self.codec = Some(c),
-                Err(_) => return false,
-            }
-        }
-        true
-    }
-
-    /// The codec, iff SQ8 traversal is configured *and* the code arena
-    /// fully covers the stored vectors (below the training threshold it
-    /// does not, and searches fall back to f32 traversal).
-    fn sq8_ready(&self) -> Option<&Sq8Codec> {
-        if self.config.precision != Precision::Sq8Rescore {
-            return None;
-        }
-        let codec = self.codec.as_ref()?;
-        (self.codes.len() == self.nodes.len() * self.dim).then_some(codec)
-    }
-
     /// Greedy best-first search on one layer; returns up to `ef` closest
     /// nodes as a max-heap-drained, *unsorted* vector of (distance, idx).
-    /// `dists` is the distance kernel, "distances to these nodes, in order":
-    /// [`f32_kernel`] or raw SQ8 code distance (monomorphized per kernel).
-    /// The unvisited neighbours of a popped node are evaluated together and
-    /// then processed in list order. When `stats` is provided, tallies
-    /// visited nodes and beam expansions.
-    fn search_layer<F: Fn(&[u32], &mut Vec<f32>)>(
+    /// `q` is the normalised query. The unvisited neighbours of a popped
+    /// node are evaluated together and then processed in list order. When
+    /// `stats` is provided, tallies visited nodes and beam expansions.
+    fn search_layer(
         &self,
-        dists: &F,
+        q: &[f32],
         entry: u32,
         ef: usize,
         layer: usize,
@@ -313,7 +242,7 @@ impl HnswIndex {
         *epoch += 1;
         stamp.resize(self.nodes.len(), 0);
         stamp[entry as usize] = *epoch;
-        dists(&[entry], ds);
+        self.dists(q, &[entry], ds);
         let d0 = ds[0];
         if let Some(s) = stats.as_deref_mut() {
             s.visits += 1;
@@ -339,7 +268,7 @@ impl HnswIndex {
                 s.expansions += 1;
                 s.visits += batch.len() as u64;
             }
-            dists(batch, ds);
+            self.dists(q, batch, ds);
             for (&nb, &d) in batch.iter().zip(ds.iter()) {
                 let worst = results.peek().map(|f| f.0).unwrap_or(f32::INFINITY);
                 if results.len() < ef || d < worst {
@@ -412,13 +341,6 @@ impl HnswIndex {
     }
 
     /// Search with an explicit beam width (recall/latency knob of E5).
-    ///
-    /// Under [`Precision::Sq8Rescore`] the descent and the layer-0 beam
-    /// rank by raw integer code distance (monotone in the decoded L2 — the
-    /// shared-step s² factor cannot reorder; see `mlake_tensor::quant`),
-    /// the beam widens to at least `rescore_factor · k`, and the top pool
-    /// is re-ranked with exact f32 kernels, so returned distances match
-    /// the f32 path's semantics.
     pub fn search_ef(&self, query: &[f32], k: usize, ef: usize) -> Result<Vec<Hit>, TensorError> {
         let Some(entry) = self.entry else {
             return Ok(Vec::new());
@@ -434,65 +356,34 @@ impl HnswIndex {
         let mut q = query.to_vec();
         vector::normalize(&mut q);
         let ef = ef.max(k).max(1);
-        let Some(codec) = self.sq8_ready() else {
-            let mut found = self.traverse(entry, &f32_kernel(&self.data, &q), ef);
-            found.sort_by(|a, b| {
-                a.0.total_cmp(&b.0)
-                    .then(self.nodes[a.1 as usize].id.cmp(&self.nodes[b.1 as usize].id))
-            });
-            return Ok(found
-                .into_iter()
-                .take(k)
-                .map(|(d, i)| Hit {
-                    id: self.nodes[i as usize].id,
-                    distance: d,
-                })
-                .collect());
-        };
-        let qc = codec.encode(&q)?;
-        let dim = self.dim;
-        let codes = &self.codes;
-        let pool = self.config.rescore_factor.max(1).saturating_mul(k);
-        // Raw code distances fit f32 exactly up to dim·255² < 2²⁴
-        // (dim ≤ 258); beyond that the cast only coarsens ties.
-        let dists = |ids: &[u32], out: &mut Vec<f32>| {
-            out.clear();
-            out.extend(ids.iter().map(|&i| {
-                let at = i as usize * dim;
-                quant::l2_distance_sq_u8(&qc, &codes[at..at + dim]) as f32
-            }));
-        };
-        let mut found = self.traverse(entry, &dists, ef.max(pool));
+        let mut found = self.traverse(entry, &q, ef);
         found.sort_by(|a, b| {
             a.0.total_cmp(&b.0)
                 .then(self.nodes[a.1 as usize].id.cmp(&self.nodes[b.1 as usize].id))
         });
-        found.truncate(pool);
-        let mut hits: Vec<Hit> = found
+        Ok(found
             .into_iter()
-            .map(|(_, i)| Hit {
+            .take(k)
+            .map(|(d, i)| Hit {
                 id: self.nodes[i as usize].id,
-                distance: self.dist(&q, i),
+                distance: d,
             })
-            .collect();
-        hits.sort_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
-        hits.truncate(k);
-        Ok(hits)
+            .collect())
     }
 
     /// Greedy descent from `entry`: on each of `layers` in turn, hop to the
     /// closest neighbour until none improves. Tallies evaluated nodes per
     /// layer into `visits`.
-    fn descend<F: Fn(&[u32], &mut Vec<f32>)>(
+    fn descend(
         &self,
-        dists: &F,
+        q: &[f32],
         entry: u32,
         layers: impl Iterator<Item = usize>,
         scratch: &mut Scratch,
         visits: &mut [u64; LAYER_VISITS.len()],
     ) -> u32 {
         let Scratch { batch, dists: ds, .. } = scratch;
-        dists(&[entry], ds);
+        self.dists(q, &[entry], ds);
         let (mut ep, mut ep_dist) = (entry, ds[0]);
         for layer in layers {
             loop {
@@ -502,7 +393,7 @@ impl HnswIndex {
                     batch.extend(links.iter().map(|l| l.to));
                 }
                 visits[layer.min(LAYER_VISITS.len() - 1)] += batch.len() as u64;
-                dists(batch, ds);
+                self.dists(q, batch, ds);
                 for (&nb, &d) in batch.iter().zip(ds.iter()) {
                     if d < ep_dist {
                         ep = nb;
@@ -518,15 +409,15 @@ impl HnswIndex {
         ep
     }
 
-    /// Greedy upper-layer descent followed by the layer-0 beam under an
-    /// arbitrary distance kernel; flushes visit counters once per call.
-    fn traverse<F: Fn(&[u32], &mut Vec<f32>)>(&self, entry: u32, dists: &F, ef: usize) -> Vec<(f32, u32)> {
+    /// Greedy upper-layer descent followed by the layer-0 beam for the
+    /// normalised query `q`; flushes visit counters once per call.
+    fn traverse(&self, entry: u32, q: &[f32], ef: usize) -> Vec<(f32, u32)> {
         let obs = mlake_obs::enabled();
         let mut layer_visits = [0u64; LAYER_VISITS.len()];
         let mut scratch = Scratch::default();
-        let ep = self.descend(dists, entry, (1..=self.max_layer).rev(), &mut scratch, &mut layer_visits);
+        let ep = self.descend(q, entry, (1..=self.max_layer).rev(), &mut scratch, &mut layer_visits);
         let mut stats = SearchStats::default();
-        let found = self.search_layer(dists, ep, ef, 0, &mut scratch, obs.then_some(&mut stats));
+        let found = self.search_layer(q, ep, ef, 0, &mut scratch, obs.then_some(&mut stats));
         if obs {
             layer_visits[0] += stats.visits;
             for (l, &v) in layer_visits.iter().enumerate() {
@@ -573,47 +464,42 @@ impl VectorIndex for HnswIndex {
             // First node becomes the entry point.
             self.entry = Some(new_idx);
             self.max_layer = layer;
-            self.maintain_codes();
             return Ok(());
         };
 
         let mut scratch = std::mem::take(&mut self.scratch);
-        {
-            let dists = f32_kernel(&self.data, &q);
-            // Descend to the new node's top layer.
-            let above = ((layer + 1)..=self.max_layer).rev();
-            let mut ep = self.descend(&dists, entry, above, &mut scratch, &mut [0; LAYER_VISITS.len()]);
-            // Connect on each layer from min(layer, max_layer) down to 0.
-            for l in (0..=layer.min(self.max_layer)).rev() {
-                let cap = self.max_degree(l);
-                let found = self.search_layer(&dists, ep, self.config.ef_construction, l, &mut scratch, None);
-                let mut links: Vec<Link> =
-                    found.into_iter().map(|(dist, to)| Link { to, dist, state: UNEXAMINED }).collect();
-                self.select_neighbors(&mut links, cap, &mut scratch);
-                // Keep the closest candidate (always kept, so first) as next
-                // layer's entry point.
-                if let Some(best) = links.first() {
-                    ep = best.to;
-                }
-                // Bidirectional links: the back-link's distance is the link's,
-                // and only an over-full list is re-selected.
-                for &Link { to: nb, dist, .. } in &links {
-                    let mut theirs = std::mem::take(&mut self.nodes[nb as usize].neighbors[l]);
-                    theirs.push(Link { to: new_idx, dist, state: UNEXAMINED });
-                    if theirs.len() > cap {
-                        self.select_neighbors(&mut theirs, cap, &mut scratch);
-                    }
-                    self.nodes[nb as usize].neighbors[l] = theirs;
-                }
-                self.nodes[new_idx as usize].neighbors[l] = links;
+        // Descend to the new node's top layer.
+        let above = ((layer + 1)..=self.max_layer).rev();
+        let mut ep = self.descend(&q, entry, above, &mut scratch, &mut [0; LAYER_VISITS.len()]);
+        // Connect on each layer from min(layer, max_layer) down to 0.
+        for l in (0..=layer.min(self.max_layer)).rev() {
+            let cap = self.max_degree(l);
+            let found = self.search_layer(&q, ep, self.config.ef_construction, l, &mut scratch, None);
+            let mut links: Vec<Link> =
+                found.into_iter().map(|(dist, to)| Link { to, dist, state: UNEXAMINED }).collect();
+            self.select_neighbors(&mut links, cap, &mut scratch);
+            // Keep the closest candidate (always kept, so first) as next
+            // layer's entry point.
+            if let Some(best) = links.first() {
+                ep = best.to;
             }
+            // Bidirectional links: the back-link's distance is the link's,
+            // and only an over-full list is re-selected.
+            for &Link { to: nb, dist, .. } in &links {
+                let mut theirs = std::mem::take(&mut self.nodes[nb as usize].neighbors[l]);
+                theirs.push(Link { to: new_idx, dist, state: UNEXAMINED });
+                if theirs.len() > cap {
+                    self.select_neighbors(&mut theirs, cap, &mut scratch);
+                }
+                self.nodes[nb as usize].neighbors[l] = theirs;
+            }
+            self.nodes[new_idx as usize].neighbors[l] = links;
         }
         self.scratch = scratch;
         if layer > self.max_layer {
             self.max_layer = layer;
             self.entry = Some(new_idx);
         }
-        self.maintain_codes();
         Ok(())
     }
 
@@ -767,82 +653,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sq8_rescore_preserves_recall_and_exact_distances() {
-        let vecs = random_vectors(600, 16, 41);
-        let sq8_config = HnswConfig {
-            seed: 9,
-            precision: Precision::Sq8Rescore,
-            ..Default::default()
-        };
-        let mut sq8 = HnswIndex::new(sq8_config);
-        let mut f32_idx = HnswIndex::new(HnswConfig { seed: 9, ..Default::default() });
-        let mut flat = FlatIndex::new();
-        for (i, v) in vecs.iter().enumerate() {
-            sq8.insert(i as u64, v).unwrap();
-            f32_idx.insert(i as u64, v).unwrap();
-            flat.insert(i as u64, v).unwrap();
-        }
-        assert!(sq8.sq8_ready().is_some());
-        assert_eq!(sq8.codes.len(), 600 * 16);
-        let queries = random_vectors(30, 16, 42);
-        let recall = |idx: &HnswIndex| crate::eval::recall_at_k(idx, &flat, &queries, 10).unwrap();
-        let (rq, rf) = (recall(&sq8), recall(&f32_idx));
-        assert!(rq >= 0.95 * rf, "sq8 recall {rq} vs f32 recall {rf}");
-        // Rescoring returns exact f32 distances for the ids it keeps.
-        let truth = flat.search(&queries[0], 10).unwrap();
-        for h in sq8.search(&queries[0], 10).unwrap() {
-            if let Some(t) = truth.iter().find(|t| t.id == h.id) {
-                assert_eq!(t.distance, h.distance);
-            }
-        }
-    }
-
-    #[test]
-    fn insert_batch_is_the_insert_loop() {
-        // HNSW has one build routine: a batch, at any thread count, leaves
-        // the same graph, RNG state (the Debug rendering), SQ8 codec and
-        // code arena as the insert loop, and answers searches identically.
-        let vecs = random_vectors(400, 8, 43);
-        let items: Vec<(u64, Vec<f32>)> =
-            vecs.iter().enumerate().map(|(i, v)| (i as u64, v.clone())).collect();
-        for precision in [Precision::F32, Precision::Sq8Rescore] {
-            let config = HnswConfig { seed: 4, precision, rescore_factor: 3, ..Default::default() };
-            let mut batched = HnswIndex::new(config);
-            batched.insert_batch(&items).unwrap();
-            let mut looped = HnswIndex::new(config);
-            for (id, v) in &items {
-                looped.insert(*id, v).unwrap();
-            }
-            assert_eq!(batched.sq8_ready().is_some(), precision == Precision::Sq8Rescore);
-            assert_eq!(batched.codec, looped.codec);
-            assert_eq!(batched.codes, looped.codes);
-            assert_eq!(format!("{batched:?}"), format!("{looped:?}"));
-            assert_eq!(
-                batched.search_many(&vecs[..20], 5).unwrap(),
-                looped.search_many(&vecs[..20], 5).unwrap()
-            );
-        }
-    }
-
-    #[test]
-    fn sq8_below_threshold_falls_back_to_f32() {
-        let vecs = random_vectors(SQ8_TRAIN_MIN - 2, 8, 44);
-        let mut sq8 = HnswIndex::new(HnswConfig {
-            seed: 2,
-            precision: Precision::Sq8Rescore,
-            ..Default::default()
-        });
-        let mut f32_idx = HnswIndex::new(HnswConfig { seed: 2, ..Default::default() });
-        for (i, v) in vecs.iter().enumerate() {
-            sq8.insert(i as u64, v).unwrap();
-            f32_idx.insert(i as u64, v).unwrap();
-        }
-        assert!(sq8.sq8_ready().is_none());
-        let q = &vecs[3];
-        assert_eq!(sq8.search(q, 5).unwrap(), f32_idx.search(q, 5).unwrap());
-    }
-
     /// Algorithm 4 from scratch over (distance, idx) candidates, as
     /// `select_neighbors` was before links remembered anything: the oracle
     /// the incremental walk must equal.
@@ -949,9 +759,7 @@ mod tests {
     /// Renders the graph (entry point, `max_layer`, per node id / top layer /
     /// per layer degree and FNV-1a of the neighbour ids in stored order —
     /// the full lists would make the fixture ten times larger and say no
-    /// more) and the bits of 32 top-10 answers, per width, seed and
-    /// precision. The graph is rendered once per width and seed: build is
-    /// always f32, and the test asserts both precisions built the same one.
+    /// more) and the bits of 32 top-10 answers, per width and seed.
     fn render_golden() -> String {
         use std::fmt::Write;
         let graph = |idx: &HnswIndex| {
@@ -978,23 +786,20 @@ mod tests {
                 (0..16).map(|i| points[i * 61 + 60 - (i % 2) * 17].1.clone()).collect();
             queries.extend(random_vectors(16, dim, 5 + dim as u64));
             for seed in [0u64, 9] {
-                let mut graphs = Vec::new();
-                for precision in [Precision::F32, Precision::Sq8Rescore] {
-                    let mut idx = HnswIndex::new(HnswConfig { seed, precision, ..Default::default() });
-                    idx.insert_batch(&points).unwrap();
-                    graphs.push(graph(&idx));
-                    writeln!(out, "# d={dim} seed={seed} {precision:?} answers").unwrap();
-                    for (qi, q) in queries.iter().enumerate() {
-                        write!(out, "q{qi}").unwrap();
-                        for h in idx.search(q, 10).unwrap() {
-                            write!(out, " {}:{:08x}", h.id, h.distance.to_bits()).unwrap();
-                        }
-                        out.push('\n');
-                    }
+                let mut idx = HnswIndex::new(HnswConfig { seed, ..Default::default() });
+                for (id, v) in &points {
+                    idx.insert(*id, v).unwrap();
                 }
-                assert_eq!(graphs[0], graphs[1], "precision changed the graph (d={dim} seed={seed})");
+                writeln!(out, "# d={dim} seed={seed} F32 answers").unwrap();
+                for (qi, q) in queries.iter().enumerate() {
+                    write!(out, "q{qi}").unwrap();
+                    for h in idx.search(q, 10).unwrap() {
+                        write!(out, " {}:{:08x}", h.id, h.distance.to_bits()).unwrap();
+                    }
+                    out.push('\n');
+                }
                 writeln!(out, "# d={dim} seed={seed} graph").unwrap();
-                out.push_str(&graphs[0]);
+                out.push_str(&graph(&idx));
             }
         }
         out

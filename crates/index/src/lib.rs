@@ -15,8 +15,7 @@
 //!
 //! [`sharded::ShardedIndex`] composes either into `N` digest-routed
 //! sub-shards searched scatter-gather, so search cost scales with shard
-//! size and cores rather than lake size; it is also where a build goes
-//! parallel — shards build concurrently, each one sequentially.
+//! size and cores rather than lake size.
 //!
 //! All indexes use cosine distance over L2-normalised vectors, matching the
 //! fingerprint metric.
@@ -33,31 +32,9 @@ pub use sharded::ShardedIndex;
 
 use mlake_tensor::TensorError;
 
-/// Scan/traversal precision of an index.
-///
-/// Under [`Precision::Sq8Rescore`] the index keeps an SQ8 code arena
-/// (`mlake_tensor::quant`) alongside the f32 data: candidate generation —
-/// the flat block scan or the HNSW beam — runs on integer kernels over the
-/// codes, then the top `rescore_factor · k` candidates are re-ranked with
-/// the exact f32 kernels. Returned distances therefore always match the
-/// [`Precision::F32`] path's semantics; quantization only costs recall when
-/// it pushes a true neighbour out of the rescore pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize, serde::Deserialize)]
-pub enum Precision {
-    /// Full-precision f32 storage and kernels (the default).
-    #[default]
-    F32,
-    /// SQ8 codes drive candidate generation; f32 re-ranks the pool.
-    Sq8Rescore,
-}
-
-/// Default rescore pool multiplier for [`Precision::Sq8Rescore`].
+/// Default per-shard over-fetch of [`sharded::ShardedIndex`]
+/// ([`HnswConfig::rescore_factor`]).
 pub const DEFAULT_RESCORE_FACTOR: usize = 4;
-
-/// Vector count at which SQ8 indexes calibrate their codec. Earlier
-/// inserts scan in f32 (the sample is too small to be representative);
-/// when the threshold is crossed the whole arena is backfilled.
-pub const SQ8_TRAIN_MIN: usize = 64;
 
 /// A search hit: external id plus cosine distance (smaller is closer).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,19 +50,6 @@ pub trait VectorIndex {
     /// Inserts a vector under an external id. Ids must be unique; dimensions
     /// must match the index's first insert.
     fn insert(&mut self, id: u64, vector: &[f32]) -> Result<(), TensorError>;
-
-    /// Inserts a batch of vectors.
-    ///
-    /// The default — which both leaf indexes take — is the sequential
-    /// insert loop, stopping at the first error.
-    /// [`sharded::ShardedIndex`] overrides it to build its shards
-    /// concurrently, each through this loop.
-    fn insert_batch(&mut self, items: &[(u64, Vec<f32>)]) -> Result<(), TensorError> {
-        for (id, v) in items {
-            self.insert(*id, v)?;
-        }
-        Ok(())
-    }
 
     /// Returns up to `k` nearest neighbours, ascending by distance.
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TensorError>;

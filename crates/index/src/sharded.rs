@@ -6,8 +6,8 @@
 //! so placement is content-addressed and stable across re-opens). Search
 //! fans out over `mlake_par` — one scatter task per shard, each shard
 //! returning its own top `rescore_factor · k` candidates — and the gather
-//! half merges the per-shard pools into a global top-`k` with the same
-//! u64-packed `select_nth_unstable` selection the flat SQ8 scan uses.
+//! half merges the per-shard pools into a global top-`k` with a u64-packed
+//! `select_nth_unstable` selection.
 //!
 //! # Merge invariant
 //!
@@ -19,22 +19,13 @@
 //! (the flat scan) every shard's top `≥ k` candidates is a superset of the
 //! global winners that live in that shard, so the merged result is
 //! **bit-identical** to the unsharded index over the same vectors — at any
-//! `N` and any `MLAKE_THREADS`. For approximate inner indexes (HNSW) the
-//! guarantee holds at equal precision: each shard runs the same beam over a
-//! smaller graph, so recall is ≥ the single-graph configuration while
-//! per-query latency scales with shard size on multi-core hosts.
+//! `N` and any `MLAKE_THREADS`. For approximate inner indexes (HNSW) each
+//! shard runs the same beam over a smaller graph, so recall is ≥ the
+//! single-graph configuration while per-query latency scales with shard
+//! size on multi-core hosts.
 //!
 //! `N = 1` (the default lake configuration) bypasses the scatter entirely
 //! and forwards to the single inner index.
-//!
-//! # Build determinism
-//!
-//! Both inner indexes build by the sequential insert loop, so a shard is a
-//! pure function of the order its vectors arrive in.
-//! [`VectorIndex::insert_batch`] here is the one parallel build: shards
-//! build concurrently, each in its bucket's item order, so the built index
-//! — HNSW graphs included — and every search over it are bit-identical at
-//! any `MLAKE_THREADS`.
 
 use crate::{par_search_many, Hit, VectorIndex, DEFAULT_RESCORE_FACTOR};
 use mlake_tensor::TensorError;
@@ -93,11 +84,10 @@ fn unpack_hit(key: u64) -> Hit {
 /// `(total_cmp(distance), id)`.
 ///
 /// The hot path packs each candidate into a u64 and selects with
-/// `select_nth_unstable` — O(n) selection, no comparator calls — exactly
-/// the pool the flat SQ8 scan builds. Ids wider than 32 bits cannot pack
-/// losslessly; that (lake ids are dense and small, so it never happens
-/// there) falls back to comparator-based selection with identical ordering
-/// semantics.
+/// `select_nth_unstable` — O(n) selection, no comparator calls. Ids wider
+/// than 32 bits cannot pack losslessly; that (lake ids are dense and
+/// small, so it never happens there) falls back to comparator-based
+/// selection with identical ordering semantics.
 fn merge_top_k(mut pool: Vec<Hit>, k: usize) -> Vec<Hit> {
     if k == 0 || pool.is_empty() {
         return Vec::new();
@@ -180,46 +170,6 @@ impl<I: VectorIndex + Send + Sync> VectorIndex for ShardedIndex<I> {
     /// routing key (content digests) use [`ShardedIndex::insert_by_key`].
     fn insert(&mut self, id: u64, vector: &[f32]) -> Result<(), TensorError> {
         self.insert_by_key(id, id, vector)
-    }
-
-    /// Batched build: items are bucketed per shard (routing on id, as
-    /// [`VectorIndex::insert`] does) and the shards build concurrently —
-    /// one scatter task per shard, each preserving its bucket's original
-    /// item order, so the per-shard graphs are independent of thread
-    /// count. The first error in shard order wins.
-    fn insert_batch(&mut self, items: &[(u64, Vec<f32>)]) -> Result<(), TensorError> {
-        if self.shards.len() == 1 {
-            return self.shards[0].insert_batch(items);
-        }
-        let mut buckets: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); self.shards.len()];
-        for (id, v) in items {
-            buckets[self.route(*id)].push((*id, v.clone()));
-        }
-        type ShardBuild<I> = (I, Vec<(u64, Vec<f32>)>, Result<(), TensorError>);
-        let shards = std::mem::take(&mut self.shards);
-        let mut work: Vec<ShardBuild<I>> = shards
-            .into_iter()
-            .zip(buckets)
-            .map(|(s, b)| (s, b, Ok(())))
-            .collect();
-        mlake_par::par_chunks_mut(&mut work, 1, |_, chunk| {
-            let (shard, bucket, res) = &mut chunk[0];
-            *res = shard.insert_batch(bucket);
-        });
-        let mut first_err = None;
-        self.shards = work
-            .into_iter()
-            .map(|(shard, _, res)| {
-                if let (Err(e), None) = (res, first_err.as_ref()) {
-                    first_err = Some(e);
-                }
-                shard
-            })
-            .collect();
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     fn search(&self, query: &[f32], k: usize) -> Result<Vec<Hit>, TensorError> {
@@ -351,21 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_build_matches_incremental() {
-        let data = vecs(120, 8, 3);
-        let mut a = ShardedIndex::new(4, FlatIndex::new);
-        for (id, v) in &data {
-            a.insert(*id, v).unwrap();
-        }
-        let mut b = ShardedIndex::new(4, FlatIndex::new);
-        b.insert_batch(&data).unwrap();
-        let q = &data[5].1;
-        let ha = a.search(q, 9).unwrap();
-        let hb = b.search(q, 9).unwrap();
-        assert_eq!(ha, hb);
-    }
-
-    #[test]
     fn errors_propagate_from_shards() {
         let mut idx = ShardedIndex::new(4, FlatIndex::new);
         idx.insert(0, &[1.0, 0.0]).unwrap();
@@ -379,7 +314,9 @@ mod tests {
     fn search_many_matches_search() {
         let data = vecs(90, 8, 11);
         let mut idx = ShardedIndex::new(4, FlatIndex::new);
-        idx.insert_batch(&data).unwrap();
+        for (id, v) in &data {
+            idx.insert(*id, v).unwrap();
+        }
         let queries: Vec<Vec<f32>> = data.iter().take(6).map(|(_, v)| v.clone()).collect();
         let batched = idx.search_many(&queries, 5).unwrap();
         for (q, want) in queries.iter().zip(&batched) {

@@ -1,7 +1,7 @@
 //! Determinism property test for the sharded scatter-gather path.
 //!
-//! The tentpole invariant: merged results are **bit-identical** to the
-//! single-shard path at equal precision, for every shard count N ∈
+//! The invariant: merged results are **bit-identical** to the
+//! single-shard path, for every shard count N ∈
 //! {1, 2, 4, 8} and every thread count. The thread-count axis is covered
 //! twice: in-process by comparing each parallel run against the exact
 //! serial program (`mlake_par::serial`), and across processes by ci.sh
@@ -9,6 +9,12 @@
 
 use mlake_index::{FlatIndex, HnswConfig, HnswIndex, ShardedIndex, VectorIndex};
 use proptest::prelude::*;
+
+fn build<I: VectorIndex>(idx: &mut I, data: &[(u64, Vec<f32>)]) {
+    for (id, v) in data {
+        idx.insert(*id, v).unwrap();
+    }
+}
 
 fn embeddings(n: usize, dim: usize, seed: u64) -> Vec<(u64, Vec<f32>)> {
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -58,14 +64,12 @@ proptest! {
     ) {
         let data = embeddings(n, dim, seed);
         let mut flat = FlatIndex::new();
-        for (id, v) in &data {
-            flat.insert(*id, v).unwrap();
-        }
+        build(&mut flat, &data);
         let q = &data[(seed as usize) % data.len()].1;
         let want = flat.search(q, k).unwrap();
         for shards in [1usize, 2, 4, 8] {
             let mut idx = ShardedIndex::new(shards, FlatIndex::new);
-            idx.insert_batch(&data).unwrap();
+            build(&mut idx, &data);
             let parallel = idx.search(q, k).unwrap();
             let serial = mlake_par::serial(|| idx.search(q, k).unwrap());
             assert_bit_identical(&parallel, &want, &format!("N={shards} vs flat"));
@@ -75,14 +79,12 @@ proptest! {
 }
 
 /// HNSW inner shards at an effectively-exhaustive beam (ef ≥ shard size):
-/// equal precision, so the merge must still reproduce the exact top-k.
+/// the merge must still reproduce the exact top-k.
 #[test]
 fn sharded_hnsw_exhaustive_beam_matches_flat() {
     let data = embeddings(96, 12, 42);
     let mut flat = FlatIndex::new();
-    for (id, v) in &data {
-        flat.insert(*id, v).unwrap();
-    }
+    build(&mut flat, &data);
     let cfg = HnswConfig {
         ef_search: 256, // ≥ every shard's size: the beam is exhaustive
         ef_construction: 256,
@@ -90,9 +92,7 @@ fn sharded_hnsw_exhaustive_beam_matches_flat() {
     };
     for shards in [1usize, 2, 4, 8] {
         let mut idx = ShardedIndex::new(shards, || HnswIndex::new(cfg));
-        for (id, v) in &data {
-            idx.insert(*id, v).unwrap();
-        }
+        build(&mut idx, &data);
         for probe in [0usize, 17, 63] {
             let q = &data[probe].1;
             let want = flat.search(q, 8).unwrap();
@@ -104,22 +104,22 @@ fn sharded_hnsw_exhaustive_beam_matches_flat() {
     }
 }
 
-/// HNSW inner shards built by `insert_batch` — the one parallel build —
-/// under a narrow beam (graphs that differ answer differently): the
-/// shards build concurrently, each sequentially, so the serial program and
-/// the default-threads run must answer every query bit-identically.
+/// HNSW inner shards built by the insert loop under a narrow beam (graphs
+/// that differ answer differently): the build under the serial program and
+/// under default threads, each searched the same way, must answer every
+/// query bit-identically.
 #[test]
 fn sharded_hnsw_batch_build_is_thread_count_independent() {
     for shards in [1usize, 4] {
         let data = embeddings(400 * shards, 12, 5);
         let cfg = HnswConfig { m: 6, ef_construction: 24, ef_search: 12, ..HnswConfig::default() };
-        let build = || {
+        let built = || {
             let mut idx = ShardedIndex::new(shards, || HnswIndex::new(cfg));
-            idx.insert_batch(&data).unwrap();
+            build(&mut idx, &data);
             idx
         };
-        let parallel = build();
-        let serial = mlake_par::serial(build);
+        let parallel = built();
+        let serial = mlake_par::serial(built);
         let queries: Vec<Vec<f32>> = data.iter().step_by(7).map(|(_, v)| v.clone()).collect();
         let got = parallel.search_many(&queries, 10).unwrap();
         let want = mlake_par::serial(|| serial.search_many(&queries, 10).unwrap());
@@ -135,7 +135,7 @@ fn sharded_hnsw_batch_build_is_thread_count_independent() {
 fn repeated_searches_are_stable() {
     let data = embeddings(128, 16, 9);
     let mut idx = ShardedIndex::new(8, FlatIndex::new);
-    idx.insert_batch(&data).unwrap();
+    build(&mut idx, &data);
     let q = &data[7].1;
     let first = idx.search(q, 10).unwrap();
     for _ in 0..20 {

@@ -4,7 +4,6 @@
 //! representation *is* the library type, proven round-trip-stable here.
 
 use mlake_core::ErrorKind;
-use mlake_index::Precision;
 use mlake_proto::{
     decode_request, decode_response, encode_request, encode_response, status_for,
     ApiError, ApiRequest, ApiResponse, ScoredHit, SimilarHit, WireRef,
@@ -22,14 +21,6 @@ fn wire_ref() -> impl Strategy<Value = WireRef> {
     ]
 }
 
-fn precision() -> impl Strategy<Value = Precision> {
-    prop_oneof![Just(Precision::F32), Just(Precision::Sq8Rescore)]
-}
-
-fn sync_policy() -> impl Strategy<Value = SyncPolicy> {
-    Just(SyncPolicy::Always)
-}
-
 fn query_hit() -> impl Strategy<Value = QueryHit> {
     (
         any::<u64>(),
@@ -45,6 +36,13 @@ fn query_hit() -> impl Strategy<Value = QueryHit> {
         })
 }
 
+#[test]
+fn sync_policy_round_trip() {
+    let s = SyncPolicy::Always;
+    let back: SyncPolicy = serde_json::from_slice(&serde_json::to_vec(&s).unwrap()).unwrap();
+    assert_eq!(back, s);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -53,14 +51,6 @@ proptest! {
         let req = ApiRequest::Resolve { model: r };
         let back = decode_request(&encode_request(&req)).expect("decode");
         prop_assert_eq!(req, back);
-    }
-
-    #[test]
-    fn precision_and_sync_policy_round_trip(p in precision(), s in sync_policy()) {
-        let p2: Precision = serde_json::from_slice(&serde_json::to_vec(&p).unwrap()).unwrap();
-        prop_assert_eq!(p2, p);
-        let s2: SyncPolicy = serde_json::from_slice(&serde_json::to_vec(&s).unwrap()).unwrap();
-        prop_assert_eq!(s2, s);
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! * [`Matrix`] — row-major dense matrix with the usual algebra.
 //! * [`rng`] — a from-scratch PCG64 generator and seed-derivation helpers.
 //! * [`vector`] — free functions over `&[f32]` slices (dot, norms, cosine…).
-//! * [`quant`] — SQ8 scalar quantization: per-dimension affine `u8` codec
-//!   and unrolled integer distance kernels for cache-resident scans.
 //! * [`linalg`] — power iteration, Jacobi eigendecomposition, truncated SVD,
 //!   conjugate-gradient solves (used by influence functions).
 //! * [`stats`] — moments, quantiles, correlations, histograms.
@@ -24,14 +22,12 @@ pub mod error;
 pub mod init;
 pub mod linalg;
 pub mod matrix;
-pub mod quant;
 pub mod rng;
 pub mod stats;
 pub mod vector;
 
 pub use error::TensorError;
 pub use matrix::Matrix;
-pub use quant::Sq8Codec;
 pub use rng::{Pcg64, Seed};
 
 /// Crate-wide `Result` alias.

@@ -156,20 +156,6 @@ pub fn effective_rank(a: &Matrix, rel_tol: f32) -> Result<usize> {
     Ok(svs.iter().filter(|&&s| s >= rel_tol * top).count())
 }
 
-/// Stable-rank `‖A‖_F² / σ₁²` — a smooth, cheap proxy for rank used when the
-/// full spectrum is too expensive.
-pub fn stable_rank(a: &Matrix, rng: &mut Pcg64) -> Result<f32> {
-    let fro = a.frobenius_norm();
-    if fro == 0.0 {
-        return Ok(0.0);
-    }
-    let sigma = top_singular_value(a, 40, rng)?;
-    if sigma == 0.0 {
-        return Ok(0.0);
-    }
-    Ok((fro * fro) / (sigma * sigma))
-}
-
 /// Solves `A x = b` for symmetric positive-definite `A` by conjugate
 /// gradients with Tikhonov damping `A + damping·I` (the standard trick for
 /// influence functions where the Hessian may be ill-conditioned).
@@ -362,15 +348,6 @@ mod tests {
         let low = u.matmul(&v).unwrap();
         assert_eq!(effective_rank(&low, 0.05).unwrap(), 1);
         assert!(effective_rank(&full, 0.01).unwrap() >= 6);
-    }
-
-    #[test]
-    fn stable_rank_bounds() {
-        let mut rng = Pcg64::new(9);
-        let id = Matrix::identity(6);
-        let sr = stable_rank(&id, &mut rng).unwrap();
-        assert!((sr - 6.0).abs() < 0.2, "stable rank of identity {sr}");
-        assert_eq!(stable_rank(&Matrix::zeros(3, 3), &mut rng).unwrap(), 0.0);
     }
 
     #[test]

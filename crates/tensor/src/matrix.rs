@@ -403,11 +403,6 @@ impl Matrix {
         self.zip_with(rhs, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) product.
-    pub fn hadamard(&self, rhs: &Matrix) -> Result<Matrix> {
-        self.zip_with(rhs, "hadamard", |a, b| a * b)
-    }
-
     fn zip_with(
         &self,
         rhs: &Matrix,
@@ -510,21 +505,6 @@ impl Matrix {
                 *v -= m;
             }
         }
-    }
-
-    /// Extracts a sub-matrix of whole rows `[start, end)`.
-    pub fn slice_rows(&self, start: usize, end: usize) -> Result<Matrix> {
-        if start > end || end > self.rows {
-            return Err(TensorError::OutOfBounds {
-                index: (start, end),
-                shape: self.shape(),
-            });
-        }
-        Ok(Matrix {
-            rows: end - start,
-            cols: self.cols,
-            data: self.data[start * self.cols..end * self.cols].to_vec(),
-        })
     }
 
     /// Gathers the given rows (with repetition allowed) into a new matrix.
@@ -664,11 +644,6 @@ mod tests {
         let b = m(1, 3, &[4.0, 5.0, 6.0]);
         assert!(approx_eq_slice(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0], 0.0));
         assert!(approx_eq_slice(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0], 0.0));
-        assert!(approx_eq_slice(
-            a.hadamard(&b).unwrap().as_slice(),
-            &[4.0, 10.0, 18.0],
-            0.0
-        ));
         assert!(a.add(&Matrix::zeros(2, 2)).is_err());
     }
 
@@ -709,14 +684,10 @@ mod tests {
     #[test]
     fn slicing_and_selection() {
         let a = m(3, 2, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let s = a.slice_rows(1, 3).unwrap();
-        assert_eq!(s.shape(), (2, 2));
-        assert_eq!(s.row(0), &[3.0, 4.0]);
         let sel = a.select_rows(&[2, 0, 2]).unwrap();
         assert_eq!(sel.row(0), &[5.0, 6.0]);
         assert_eq!(sel.row(1), &[1.0, 2.0]);
         assert!(a.select_rows(&[3]).is_err());
-        assert!(a.slice_rows(2, 1).is_err());
     }
 
     #[test]

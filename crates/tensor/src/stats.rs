@@ -149,13 +149,6 @@ pub fn histogram(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<usize> {
     counts
 }
 
-/// Normalised histogram (sums to 1 unless the input is empty).
-pub fn histogram_density(xs: &[f32], lo: f32, hi: f32, bins: usize) -> Vec<f32> {
-    let counts = histogram(xs, lo, hi, bins);
-    let total = xs.len().max(1) as f32;
-    counts.into_iter().map(|c| c as f32 / total).collect()
-}
-
 /// Summary of a weight distribution: the building block of intrinsic
 /// fingerprints.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -312,8 +305,6 @@ mod tests {
     fn histogram_buckets_and_clamping() {
         let h = histogram(&[-1.0, 0.1, 0.5, 0.9, 2.0], 0.0, 1.0, 2);
         assert_eq!(h, vec![2, 3]);
-        let d = histogram_density(&[0.25, 0.75], 0.0, 1.0, 2);
-        assert_eq!(d, vec![0.5, 0.5]);
         let degenerate = histogram(&[1.0, 2.0], 5.0, 5.0, 3);
         assert_eq!(degenerate, vec![2, 0, 0]);
     }

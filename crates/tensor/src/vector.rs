@@ -78,18 +78,6 @@ pub fn l2_norm(a: &[f32]) -> f32 {
     a.iter().map(|&x| f64::from(x) * f64::from(x)).sum::<f64>().sqrt() as f32
 }
 
-/// L1 norm.
-#[inline]
-pub fn l1_norm(a: &[f32]) -> f32 {
-    a.iter().map(|&x| f64::from(x.abs())).sum::<f64>() as f32
-}
-
-/// L∞ norm.
-#[inline]
-pub fn linf_norm(a: &[f32]) -> f32 {
-    a.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-}
-
 /// Squared Euclidean distance.
 ///
 /// Four independent `f64` accumulation chains (summed lane 0 → 3 at the
@@ -203,18 +191,6 @@ pub fn argmax(a: &[f32]) -> Option<usize> {
     best.map(|(i, _)| i)
 }
 
-/// Index of the minimum element (first on ties); `None` when empty.
-pub fn argmin(a: &[f32]) -> Option<usize> {
-    let mut best: Option<(usize, f32)> = None;
-    for (i, &x) in a.iter().enumerate() {
-        match best {
-            Some((_, bx)) if bx <= x => {}
-            _ => best = Some((i, x)),
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
 /// Numerically stable softmax into a fresh vector.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     if logits.is_empty() {
@@ -268,8 +244,6 @@ mod tests {
     #[test]
     fn norms() {
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-6);
-        assert!((l1_norm(&[3.0, -4.0]) - 7.0).abs() < 1e-6);
-        assert!((linf_norm(&[3.0, -4.0]) - 4.0).abs() < 1e-6);
         assert_eq!(l2_norm(&[]), 0.0);
     }
 
@@ -310,11 +284,9 @@ mod tests {
     }
 
     #[test]
-    fn argmax_argmin_ties_and_empty() {
+    fn argmax_ties_and_empty() {
         assert_eq!(argmax(&[1.0, 3.0, 3.0, 2.0]), Some(1));
-        assert_eq!(argmin(&[1.0, -3.0, -3.0]), Some(1));
         assert_eq!(argmax(&[]), None);
-        assert_eq!(argmin(&[]), None);
     }
 
     #[test]

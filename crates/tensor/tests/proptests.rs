@@ -124,56 +124,6 @@ proptest! {
         prop_assert!((scaled.frobenius_norm() - expected).abs() < 1e-2);
     }
 
-    #[test]
-    fn sq8_roundtrip_error_within_half_step(
-        rows in proptest::collection::vec(proptest::collection::vec(-10.0f32..10.0, 8), 2..12)
-    ) {
-        let codec = mlake_tensor::Sq8Codec::train(&rows).unwrap();
-        let half = codec.step() / 2.0;
-        for row in &rows {
-            let decoded = codec.decode(&codec.encode(row).unwrap()).unwrap();
-            for (x, y) in row.iter().zip(&decoded) {
-                // In-range values (the training sample is in range by
-                // definition) decode within half a quantization step.
-                prop_assert!((x - y).abs() <= half * 1.001, "{} vs {} (step {})", x, y, codec.step());
-            }
-        }
-    }
-
-    #[test]
-    fn sq8_l2_kernel_error_bounded_vs_f32_kernel(
-        rows in proptest::collection::vec(proptest::collection::vec(-5.0f32..5.0, 12), 2..10)
-    ) {
-        // |l2_u8 − l2_f32| ≤ 2s·√(n·l2_f32²) + n·s²  (per-dim error ≤ s,
-        // cross terms bounded by Cauchy–Schwarz), with 1.5× slack for
-        // float rounding.
-        let codec = mlake_tensor::Sq8Codec::train(&rows).unwrap();
-        let s = codec.step();
-        let n = rows[0].len() as f32;
-        let ca = codec.encode(&rows[0]).unwrap();
-        let cb = codec.encode(&rows[1]).unwrap();
-        let exact = vector::l2_distance_sq(&rows[0], &rows[1]);
-        let quant = codec.l2_distance_sq(&ca, &cb);
-        let bound = 1.5 * (2.0 * s * (n * exact).sqrt() + n * s * s) + 1e-4;
-        prop_assert!((quant - exact).abs() <= bound, "{} vs {} (bound {})", quant, exact, bound);
-    }
-
-    #[test]
-    fn sq8_dot_kernel_error_bounded_vs_f32_kernel(
-        rows in proptest::collection::vec(proptest::collection::vec(-5.0f32..5.0, 12), 2..10)
-    ) {
-        // |dot_u8 − dot_f32| ≤ (s/2)·(‖a‖₁ + ‖b‖₁) + n·(s/2)²  with slack.
-        let codec = mlake_tensor::Sq8Codec::train(&rows).unwrap();
-        let h = codec.step() / 2.0;
-        let n = rows[0].len() as f32;
-        let ca = codec.encode(&rows[0]).unwrap();
-        let cb = codec.encode(&rows[1]).unwrap();
-        let exact = vector::dot(&rows[0], &rows[1]);
-        let quant = codec.dot(&ca, &cb);
-        let bound = 1.5 * (h * (vector::l1_norm(&rows[0]) + vector::l1_norm(&rows[1])) + n * h * h) + 1e-3;
-        prop_assert!((quant - exact).abs() <= bound, "{} vs {} (bound {})", quant, exact, bound);
-    }
-
     /// The batched one-to-many kernel is `dot`, bit for bit, for every row:
     /// widths 0–150 (non-multiples of 4 included) and 0–9 rows per call, so
     /// both the four-at-a-time path and its 1–3 row remainder run.
@@ -190,21 +140,5 @@ proptest! {
             let want = vector::dot(&q, &arena[r as usize * d..(r as usize + 1) * d]);
             prop_assert_eq!(got.to_bits(), want.to_bits(), "d={} row {} of {:?}", d, r, rows);
         }
-    }
-
-    #[test]
-    fn sq8_raw_l2_matches_naive(
-        a in proptest::collection::vec(any::<u8>(), 0..70),
-        seed in any::<u64>()
-    ) {
-        let mut rng = Pcg64::new(seed);
-        let b: Vec<u8> = (0..a.len()).map(|_| (rng.next_u64() & 0xff) as u8).collect();
-        let naive: u64 = a.iter().zip(&b).map(|(&x, &y)| {
-            let d = i64::from(x) - i64::from(y);
-            (d * d) as u64
-        }).sum();
-        prop_assert_eq!(mlake_tensor::quant::l2_distance_sq_u8(&a, &b), naive);
-        let naive_dot: u64 = a.iter().zip(&b).map(|(&x, &y)| u64::from(x) * u64::from(y)).sum();
-        prop_assert_eq!(mlake_tensor::quant::dot_u8(&a, &b), naive_dot);
     }
 }

@@ -21,20 +21,21 @@
 # 7. The equivalence, HNSW, sharding, par and versioning suites, and the
 #    experiments' quick-run golden (every id's tables minus their timing
 #    cells), re-run under MLAKE_THREADS=1, whose output must be bit-identical.
-# 8. The SQ8 recall gate, the crash-recovery matrix with the auto-compaction
-#    suite, the blockstore and on-disk format suites (upgrade goldens,
-#    hostile bytes, a block nested past the parser's bound), the codec
-#    kernels (the vendored serde and serde_json crates' own tests, among
-#    them Ryū float digits against `Display` and the one-scan number parser
-#    against the one it replaced, and CRC32C's SSE4.2 path against its
-#    table), the snapshot-read race, the ingest suites (SHA-256
-#    hardware path against the portable one, weight moments and stored
-#    fingerprints bit-identical to the per-statistic and from-scratch
-#    ones, no blob left resident by a failed ingest), the serving suites
-#    (server unit tests, HTTP hammer, connection isolation, request
-#    framing, wire round trips, the JSON byte goldens and a hostile nested
-#    request answered 400) and the text suites re-run in the release
-#    profile with observability on and off.
+# 8. The experiments' full-size golden (every id's full-run tables minus
+#    their timing cells) runs in release with observability on. The
+#    crash-recovery matrix with the auto-compaction suite, the blockstore
+#    and on-disk format suites (upgrade goldens, hostile bytes, a block
+#    nested past the parser's bound), the codec kernels (the vendored serde
+#    and serde_json crates' own tests, among them Ryū float digits against
+#    `Display` and the one-scan number parser against the one it replaced,
+#    and CRC32C's SSE4.2 path against its table), the snapshot-read race,
+#    the ingest suites (SHA-256 hardware path against the portable one,
+#    weight moments and stored fingerprints bit-identical to the
+#    per-statistic and from-scratch ones, no blob left resident by a failed
+#    ingest), the serving suites (server unit tests, HTTP hammer, connection
+#    isolation, request framing, wire round trips, the JSON byte goldens and
+#    a hostile nested request answered 400) and the text suites re-run in
+#    the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates.
 # --quick stops after stage 5.
@@ -144,9 +145,8 @@ MLAKE_THREADS=1 cargo test -q -p mlake-par
 MLAKE_THREADS=1 cargo test -q -p mlake-versioning
 MLAKE_THREADS=1 cargo test -q -p mlake-bench
 
-step "quantized recall gate: sq8 rescore within 5% of f32 (obs on + off)"
-cargo test -q -p mlake-index --test quantized --release
-MLAKE_OBS=off cargo test -q -p mlake-index --test quantized --release
+step "experiments: full-size golden (release, obs on)"
+cargo test -q -p mlake-bench --lib --release -- --ignored full_run
 
 step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction (obs on + off)"
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
