@@ -347,9 +347,10 @@ impl<G: DerefMut> DerefMut for Held<G> {
 /// block by [`Catalogue::apply`]: its widths must be the ones
 /// [`SKETCH_DIM`] implies (`model_dna` is 8 moments ++ the sketch, the
 /// behaviour sketch is `SKETCH_DIM` wide, hybrid concatenates the two), so
-/// the catch-up insert in [`ModelLake::ensure_indexes`] cannot fail on its
-/// input. The fingerprinter always computes these widths, so other widths
-/// can only come from damaged or foreign bytes: corruption, at open.
+/// no insert in [`ModelLake::with_index`], whether it builds a kind's graph
+/// on its first read or catches a built one up, can fail on its input. The
+/// fingerprinter always computes these widths, so other widths can only
+/// come from damaged or foreign bytes: corruption, at open.
 fn checked_fingerprints(fps: [Vec<f32>; 3]) -> Result<[Vec<f32>; 3]> {
     let d = SKETCH_DIM;
     let want = [8 + d, d, 8 + 2 * d];
@@ -379,6 +380,14 @@ fn entry_architecture(entry: &ModelEntry) -> Result<Architecture> {
 /// before reciprocal-rank fusion: deeper pools let RRF reward mid-list
 /// agreement between the text and vector rankings.
 pub(crate) const HYBRID_POOL_FACTOR: usize = 3;
+
+/// The child spans of `lake.index.build`, one per fingerprint kind, indexed
+/// by `kind as usize`: a trace shows which kinds' graphs a read paid for.
+static INDEX_BUILD_SPANS: [&str; 3] = [
+    "lake.index.build.intrinsic",
+    "lake.index.build.extrinsic",
+    "lake.index.build.hybrid",
+];
 
 /// The fielded text document of one model (DESIGN.md §16): every card
 /// section plus the identity metadata, each under its own [`TextField`]
@@ -512,11 +521,12 @@ pub struct ModelLake {
     /// catalogue: a read that needs the graph caught up does that first.
     pub(crate) op_lock: parking_lot::Mutex<SegState>,
     fingerprinter: Fingerprinter,
-    /// One HNSW index per fingerprint kind, in [`FingerprintKind::ALL`]
-    /// order: a projection of the registry's `ModelEntry::fps`, caught up
-    /// to the reader's catalogue by [`ModelLake::ensure_indexes`] before a
-    /// search reads it. Its own `len()` is the watermark.
-    indexes: RwLock<[ShardedIndex<HnswIndex>; 3]>,
+    /// One HNSW index slot per fingerprint kind, in [`FingerprintKind::ALL`]
+    /// order: a projection of the registry's `ModelEntry::fps`, `None` until
+    /// a search first reads that kind. [`ModelLake::with_index`] builds it
+    /// then and catches every built kind up to the reader's catalogue, so
+    /// all built kinds share one `len()`, the watermark.
+    indexes: RwLock<[Option<ShardedIndex<HnswIndex>>; 3]>,
     /// The recovered version graph and the recovery memo behind it.
     graph: RwLock<GraphState>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
@@ -544,10 +554,6 @@ impl ModelLake {
             mlake_tensor::Seed::new(FINGERPRINT_SEED).derive("lake-probes"),
         );
         let fingerprinter = Fingerprinter::new(SKETCH_DIM, FINGERPRINT_SEED, probes);
-        let indexes = FingerprintKind::ALL.map(|_| {
-            ShardedIndex::new(config.shards, || HnswIndex::new(config.hnsw))
-                .with_rescore_factor(config.hnsw.rescore_factor)
-        });
         let resident_cap = config.resident_bytes;
         ModelLake {
             config,
@@ -557,7 +563,7 @@ impl ModelLake {
             wal: None,
             op_lock: parking_lot::Mutex::new(SegState::default()),
             fingerprinter,
-            indexes: RwLock::new(indexes),
+            indexes: RwLock::new([None, None, None]),
             graph: RwLock::new(GraphState::default()),
             score_cache: RwLock::new(HashMap::new()),
             similar_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
@@ -904,8 +910,7 @@ impl ModelLake {
         }
         // The anchor is the bits the index was built from: no blob fault.
         let fps = &cat.find(ModelRef::Id(id))?.fps;
-        self.ensure_indexes(cat)?;
-        let hits = self.indexes.read()[kind as usize].search(&fps[kind as usize], k + 1)?;
+        let hits = self.with_index(cat, kind, |index| index.search(&fps[kind as usize], k + 1))??;
         let out: Vec<(ModelId, f32)> = hits
             .into_iter()
             .filter(|h| h.id != id.0)
@@ -1341,30 +1346,59 @@ impl ModelLake {
         self.catalogue().events.events().to_vec()
     }
 
-    /// Catches the fingerprint indexes up to `cat` (DESIGN.md §15): inserts
-    /// entries `[index len .. registry len)` in id order, so the HNSW graphs
-    /// are the same however the models arrived and wherever the searches fell
-    /// between them; a reopened lake pays its HNSW build on its first search.
-    /// Vectors route to sub-shards by content digest, not by the lake-local
-    /// id, so every restart routes every model to the same shard.
-    // lint: no-span — the catch-up opens lake.index.build itself; the
-    // no-op fast path is one uncontended read probe on a search miss
-    pub(crate) fn ensure_indexes(&self, cat: &Catalogue) -> Result<()> {
+    /// Runs `read` on the `kind` fingerprint index caught up to `cat`
+    /// (DESIGN.md §15). A kind's graph is built on that kind's first read;
+    /// after that every built kind catches up together, inserting entries
+    /// `[watermark .. registry len)` in id order, so each HNSW graph is the
+    /// same however the models arrived, wherever the searches fell between
+    /// them and whenever its kind was first read, and no read builds a graph
+    /// it does not read. Vectors route to sub-shards by content digest, not
+    /// by the lake-local id, so every restart routes every model to the same
+    /// shard. The fast path is one read probe; the catch-up opens
+    /// `lake.index.build` with one child span per kind it inserts into.
+    /// A build runs under the indexes' write guard, so searches of every
+    /// kind wait for it. Deferring a kind's build saves its work only if
+    /// that kind is never read; otherwise the same build runs later, on
+    /// that kind's first read.
+    fn with_index<R>(
+        &self,
+        cat: &Catalogue,
+        kind: FingerprintKind,
+        read: impl FnOnce(&ShardedIndex<HnswIndex>) -> R,
+    ) -> Result<R> {
         let models = &cat.registry.models;
-        if self.indexes.read()[0].len() == models.len() {
-            return Ok(());
+        let want = kind as usize;
+        if let Some(index) = &self.indexes.read()[want] {
+            if index.len() == models.len() {
+                return Ok(read(index));
+            }
         }
+        let catch_up = |index: &mut ShardedIndex<HnswIndex>, k: usize| -> Result<()> {
+            if index.len() < models.len() {
+                let _span = mlake_obs::span(INDEX_BUILD_SPANS[k]);
+                for e in &models[index.len()..] {
+                    index.insert_by_key(e.digest.route_key(), e.id.0, &e.fps[k])?;
+                }
+            }
+            Ok(())
+        };
         let _span = mlake_obs::span("lake.index.build");
         let mut idx = self.indexes.write();
         // A concurrent search on the same catalogue may have caught part of
-        // the suffix up.
-        let done = idx[0].len();
-        for e in &models[done..] {
-            for (index, fp) in idx.iter_mut().zip(e.fps.iter()) {
-                index.insert_by_key(e.digest.route_key(), e.id.0, fp)?;
+        // the suffix up, or built this kind.
+        for (k, slot) in idx.iter_mut().enumerate() {
+            if k != want {
+                if let Some(index) = slot {
+                    catch_up(index, k)?;
+                }
             }
         }
-        Ok(())
+        let index = idx[want].get_or_insert_with(|| {
+            ShardedIndex::new(self.config.shards, || HnswIndex::new(self.config.hnsw))
+                .with_rescore_factor(self.config.hnsw.rescore_factor)
+        });
+        catch_up(index, want)?;
+        Ok(read(index))
     }
 }
 
@@ -1607,5 +1641,36 @@ mod tests {
         let lake = ModelLake::new(LakeConfig::default());
         let _read = lake.catalogue();
         let _again = lake.catalogue();
+    }
+
+    /// A read builds only the graph of the kind it reads; once built, a
+    /// kind catches up with every later read of any kind.
+    #[test]
+    fn a_read_builds_only_the_graph_it_reads() {
+        use mlake_datagen::{generate_lake, LakeSpec};
+        let dir = std::env::temp_dir().join(format!("mlake-lake-lazy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let gt = generate_lake(&LakeSpec::tiny(9));
+        let (old, new) = gt.models.split_at(gt.models.len() - 1);
+        {
+            let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+            for m in old {
+                lake.ingest_model(&m.name, &m.model, None).unwrap();
+            }
+            lake.persist(&dir).unwrap();
+        }
+        let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
+        let built = |lake: &ModelLake| {
+            let idx = lake.indexes.read();
+            idx.each_ref().map(|slot| slot.as_ref().map(|index| index.len()))
+        };
+        assert_eq!(built(&lake), [None, None, None], "open builds no graph");
+        lake.similar(ModelId(0), FingerprintKind::Hybrid, 3).unwrap();
+        assert_eq!(built(&lake), [None, None, Some(old.len())]);
+        lake.ingest_model(&new[0].name, &new[0].model, None).unwrap();
+        lake.similar(ModelId(0), FingerprintKind::Intrinsic, 3).unwrap();
+        let n = gt.models.len();
+        assert_eq!(built(&lake), [Some(n), None, Some(n)]);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -33,10 +33,11 @@
 //! superblock's `last_lsn`, each through [`ModelLake::apply_record`] — the
 //! function live ops change the catalogue through. That is pure metadata,
 //! no model blobs: the fingerprints a `Model` block carries land on the
-//! registry entry (the first search builds the HNSW indexes from them, the
-//! first text read the text index from the cards), and artifact bytes page
-//! in lazily through the store's residency layer on first touch. An older
-//! superblock is [`LakeError::UnsupportedManifest`] until [`ModelLake::upgrade`].
+//! registry entry (a kind's first search builds that kind's HNSW graph
+//! from them, the first text read the text index from the cards), and
+//! artifact bytes page in lazily through the store's residency layer on
+//! first touch. An older superblock is [`LakeError::UnsupportedManifest`]
+//! until [`ModelLake::upgrade`].
 
 use crate::blockstore::{self, Block, ModelBlock};
 use crate::durable::canonical_dir;
@@ -255,12 +256,13 @@ impl ModelLake {
     }
 
     /// Opens a persisted lake: loads the superblock and applies the segment
-    /// chain in order — metadata only; model blobs page in lazily on first touch
-    /// and the fingerprint indexes (restored from persisted fingerprints,
-    /// never recomputed) build on first search. Then the write-ahead log
-    /// replays past the superblock's `last_lsn`. The returned lake is
-    /// durable: further mutations append to the same WAL. Any version but
-    /// [`MANIFEST_VERSION`] is [`LakeError::UnsupportedManifest`].
+    /// chain in order — metadata only; model blobs page in lazily on first
+    /// touch and each fingerprint kind's index (restored from persisted
+    /// fingerprints, never recomputed) builds on that kind's first search.
+    /// Then the write-ahead log replays past the superblock's `last_lsn`.
+    /// The returned lake is durable: further mutations append to the same
+    /// WAL. Any version but [`MANIFEST_VERSION`] is
+    /// [`LakeError::UnsupportedManifest`].
     ///
     /// `config` must use the same probe/sketch parameters the lake was
     /// created with for fingerprints to match; the lake name is restored

@@ -398,8 +398,16 @@ mod tests {
         assert!(store.admit(db, b.clone(), true));
         assert_eq!(store.len(), 1, "one blob evicted to fit the cap");
         assert!(store.resident_bytes() <= 100);
+        // With the backing files gone, `contains` answers from residency
+        // alone: the most recent blob stayed, the least recent went.
+        std::fs::remove_file(ResidentStore::blob_path(&dir, &da)).unwrap();
+        std::fs::remove_file(ResidentStore::blob_path(&dir, &db)).unwrap();
+        assert!(store.contains(&db), "the most recently admitted blob stays resident");
+        assert!(!store.contains(&da), "the least recently used blob is evicted");
         // The evicted blob still reads back — by faulting in — and the
         // fault-in itself re-evicts to stay under the cap.
+        std::fs::write(ResidentStore::blob_path(&dir, &da), &a).unwrap();
+        std::fs::write(ResidentStore::blob_path(&dir, &db), &b).unwrap();
         assert_eq!(store.get(&da).unwrap(), a);
         assert!(store.resident_bytes() <= 100);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -349,8 +349,9 @@ fn count_queries() {
     );
 }
 
-/// `similar` under every kind plus `hybrid_search`, around every model,
-/// as raw bits.
+/// `similar` and MLQL `SIMILAR TO … USING` under every kind plus
+/// `hybrid_search`, around every model, as raw bits: every answer a
+/// fingerprint index serves.
 fn search_bits(lake: &ModelLake, query: &str) -> Vec<Vec<(u64, u32)>> {
     let bits = |hits: Vec<(ModelId, f32)>| hits.iter().map(|(m, s)| (m.0, s.to_bits())).collect();
     let mut out = Vec::new();
@@ -359,20 +360,43 @@ fn search_bits(lake: &ModelLake, query: &str) -> Vec<Vec<(u64, u32)>> {
             out.push(bits(lake.similar(id, kind, 4).unwrap()));
         }
         out.push(bits(lake.hybrid_search(query, id, FingerprintKind::Hybrid, 4).unwrap()));
+        let name = lake.entry(id).unwrap().name;
+        for using in ["weights", "behavior", "hybrid"] {
+            let mlql = format!("FIND MODELS SIMILAR TO MODEL '{name}' USING {using} TOP 4");
+            let hits = lake.prepare(&mlql).unwrap().run().unwrap();
+            out.push(hits.iter().map(|h| (h.id, h.similarity.unwrap().to_bits())).collect());
+        }
     }
     out
 }
 
+/// HNSW is a pure function of insert order, and each kind's graph takes
+/// the registry in id order: built on that kind's first read, then caught
+/// up with every read of any kind. So every answer is the same however a
+/// vector reached the registry (live ingest, segment fold, WAL-tail replay,
+/// ingest after a lazy open) and wherever each kind was first read. The
+/// beam is narrow enough that a graph built in another order answers
+/// otherwise.
 #[test]
 fn search_is_bit_identical_however_a_vector_reached_the_registry() {
     let gt = generate_lake(&LakeSpec::tiny(17));
     let n = gt.models.len();
     let query = gt.family_vocab(gt.models[0].family).join(" ");
+    let narrow = mlake_index::HnswConfig {
+        m: 2,
+        ef_construction: 2,
+        ef_search: 2,
+        ..mlake_index::HnswConfig::default()
+    };
+    let config = || LakeConfig::builder().hnsw(narrow).build().unwrap();
     let ingest = |lake: &ModelLake, ids: std::ops::Range<usize>| {
         for i in ids {
             let m = &gt.models[i];
             lake.ingest_model(&m.name, &m.model, Some(honest_card(&gt, i))).unwrap();
         }
+    };
+    let read = |lake: &ModelLake, kind| {
+        lake.similar(ModelId(0), kind, 3).unwrap();
     };
     let tmp = |tag: &str| {
         let dir = std::env::temp_dir().join(format!("mlake-api-{tag}-{}", std::process::id()));
@@ -380,37 +404,64 @@ fn search_is_bit_identical_however_a_vector_reached_the_registry() {
         dir
     };
 
-    // Live ingest: the indexes catch up once, on the first search.
-    let live = ModelLake::new(LakeConfig::default());
-    ingest(&live, 0..n);
-    let want = search_bits(&live, &query);
+    // Reference: every kind read after every ingest, so every graph is
+    // caught up insert by insert.
+    let eager = ModelLake::new(config());
+    for i in 0..n {
+        ingest(&eager, i..i + 1);
+        FingerprintKind::ALL.into_iter().for_each(|kind| read(&eager, kind));
+    }
+    let want = search_bits(&eager, &query);
 
-    // Segment fold on reopen, and WAL-tail replay on reopen with no persist.
+    // Live ingest, each kind first read after 1, n/2 or n ingests, rotated
+    // so that every kind takes every point.
+    let points = [1, n / 2, n];
+    for rot in 0..3 {
+        let lake = ModelLake::new(config());
+        for i in 0..n {
+            ingest(&lake, i..i + 1);
+            for kind in FingerprintKind::ALL {
+                if points[(kind as usize + rot) % 3] == i + 1 {
+                    read(&lake, kind);
+                }
+            }
+        }
+        assert_eq!(search_bits(&lake, &query), want, "rotation {rot}");
+    }
+
+    // Segment fold on reopen, and WAL-tail replay on reopen with no
+    // persist. Intrinsic and extrinsic are read before the reopen, hybrid
+    // only after it.
     for persist in [true, false] {
         let dir = tmp(if persist { "fold" } else { "replay" });
         {
-            let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
-            ingest(&lake, 0..n);
+            let lake = ModelLake::create(&dir, config()).unwrap();
+            ingest(&lake, 0..n / 2);
+            read(&lake, FingerprintKind::Intrinsic);
+            read(&lake, FingerprintKind::Extrinsic);
+            ingest(&lake, n / 2..n);
             if persist {
                 lake.persist(&dir).unwrap();
             }
         }
-        let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
+        let reopened = ModelLake::open(&dir, config()).unwrap();
         assert_eq!(search_bits(&reopened, &query), want, "persist={persist}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    // Ingest following a lazy open: a search catches the persisted ids
-    // up, then the fresh ids catch up behind them, in id order.
+    // Ingest following a lazy open: extrinsic is built from the persisted
+    // ids, the fresh ids catch up behind them, hybrid is built from all of
+    // them, and intrinsic last.
     let dir = tmp("mixed");
     {
-        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        let lake = ModelLake::create(&dir, config()).unwrap();
         ingest(&lake, 0..n / 2);
         lake.persist(&dir).unwrap();
     }
-    let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
-    reopened.similar(ModelId(0), FingerprintKind::Hybrid, 3).unwrap();
+    let reopened = ModelLake::open(&dir, config()).unwrap();
+    read(&reopened, FingerprintKind::Extrinsic);
     ingest(&reopened, n / 2..n);
+    read(&reopened, FingerprintKind::Hybrid);
     assert_eq!(search_bits(&reopened, &query), want, "ingest after lazy open");
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -167,3 +167,69 @@ fn readers_see_whole_ops() {
         total.whole
     );
 }
+
+/// `similar` around every model under `kind`, as raw bits.
+fn kind_bits(lake: &ModelLake, kind: FingerprintKind) -> Vec<Vec<(u64, u32)>> {
+    (0..lake.len() as u64)
+        .map(|id| {
+            let hits = lake.similar(ModelId(id), kind, 4).unwrap();
+            hits.iter().map(|(m, s)| (m.0, s.to_bits())).collect()
+        })
+        .collect()
+}
+
+/// On a freshly reopened lake, three threads each make the first read of a
+/// different kind and then read the other two: however the builds and
+/// catch-ups interleave, every answer equals a sequential reader's. The
+/// beam is narrow, so a graph built in another order would answer otherwise.
+#[test]
+fn first_reads_of_every_kind_race_to_the_sequential_answers() {
+    let narrow = mlake_index::HnswConfig {
+        m: 2,
+        ef_construction: 2,
+        ef_search: 2,
+        ..mlake_index::HnswConfig::default()
+    };
+    let config = || LakeConfig::builder().hnsw(narrow).build().unwrap();
+    let dir = std::env::temp_dir().join(format!("mlake-first-reads-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let gt = generate_lake(&LakeSpec::tiny(11));
+    {
+        // Half the models reach the reopen through the segment fold, half
+        // through WAL replay.
+        let lake = ModelLake::create(&dir, config()).unwrap();
+        let (folded, replayed) = gt.models.split_at(gt.models.len() / 2);
+        for m in folded {
+            lake.ingest_model(&m.name, &m.model, None).unwrap();
+        }
+        lake.persist(&dir).unwrap();
+        for m in replayed {
+            lake.ingest_model(&m.name, &m.model, None).unwrap();
+        }
+    }
+    let sequential = {
+        let lake = ModelLake::open(&dir, config()).unwrap();
+        FingerprintKind::ALL.map(|kind| kind_bits(&lake, kind))
+    };
+    for round in 0..4 {
+        let lake = Arc::new(ModelLake::open(&dir, config()).unwrap());
+        let start = Arc::new(std::sync::Barrier::new(3));
+        let readers = FingerprintKind::ALL.map(|first| {
+            let (lake, start) = (Arc::clone(&lake), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let mut seen = [(); 3].map(|_| Vec::new());
+                for k in 0..3 {
+                    let kind = FingerprintKind::ALL[(first as usize + k) % 3];
+                    seen[kind as usize] = kind_bits(&lake, kind);
+                }
+                seen
+            })
+        });
+        for (first, reader) in FingerprintKind::ALL.iter().zip(readers) {
+            let seen = reader.join().expect("reader panicked");
+            assert_eq!(seen, sequential, "round {round}: the reader that first read {first:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

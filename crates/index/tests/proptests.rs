@@ -86,7 +86,7 @@ proptest! {
 
     /// Searches interleaved with inserts leave no trace: the final graph
     /// answers exactly as one built by the inserts alone (the lake's
-    /// `ensure_indexes` catches indexes up whenever searches fall between
+    /// `with_index` catches indexes up whenever searches fall between
     /// ingests, and a rebuilt index must equal a caught-up one).
     #[test]
     fn searches_between_inserts_do_not_change_the_graph(vs in vectors(60, 6), seed in any::<u64>()) {

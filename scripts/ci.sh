@@ -18,9 +18,11 @@
 #    lock-order inversion.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
-# 7. The equivalence, HNSW, sharding, par and versioning suites, and the
-#    experiments' quick-run golden (every id's tables minus their timing
-#    cells), re-run under MLAKE_THREADS=1, whose output must be bit-identical.
+# 7. The equivalence, HNSW, sharding, par and versioning suites, the lake's
+#    search bit-identity test (a kind's graph built on its first read, at
+#    any point, equals one caught up insert by insert), and the experiments'
+#    quick-run golden (every id's tables minus their timing cells), re-run
+#    under MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The experiments' full-size golden (every id's full-run tables minus
 #    their timing cells) runs in release with observability on. The
 #    crash-recovery matrix with the auto-compaction suite, the blockstore
@@ -70,8 +72,9 @@ step "benchmark: lineage-tasks smoke run (output checks, failed = 0)"
 
 # 1500 ops of the write workload — three seconds' worth, the shortest run
 # that reaches a restart (op 1380): after the reopen the probe searches must
-# return the bits they returned before it, i.e. the index rebuilt from the
-# registry equals the one caught up insert by insert.
+# return the bits they returned before it, i.e. each kind's graph, rebuilt
+# from the registry on that kind's first read after the reopen, equals the
+# one caught up insert by insert.
 step "benchmark: store-write-restart smoke run (restart check, failed = 0)"
 "${CARGO_TARGET_DIR:-target}/release/lakebench" --workload store-write-restart --seconds 3 --trace 0
 
@@ -141,6 +144,8 @@ step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
 MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
+MLAKE_THREADS=1 cargo test -q -p mlake-core --test lake_api \
+  search_is_bit_identical_however_a_vector_reached_the_registry
 MLAKE_THREADS=1 cargo test -q -p mlake-par
 MLAKE_THREADS=1 cargo test -q -p mlake-versioning
 MLAKE_THREADS=1 cargo test -q -p mlake-bench
