@@ -83,6 +83,10 @@ pub struct TextIndex {
     params: Bm25Params,
     /// term → postings sorted by `(doc, field)`.
     terms: BTreeMap<String, Vec<Posting>>,
+    /// doc → its distinct terms, sorted and joined by spaces (the
+    /// tokenizer splits on them, so no term holds one): the postings lists
+    /// `remove` edits, in one allocation per doc.
+    doc_terms: BTreeMap<u64, String>,
     /// doc → total token count across all fields (BM25 document length).
     doc_len: BTreeMap<u64, u32>,
     /// Sum of all document lengths (for the average).
@@ -109,6 +113,7 @@ impl TextIndex {
             tokenizer,
             params,
             terms: BTreeMap::new(),
+            doc_terms: BTreeMap::new(),
             doc_len: BTreeMap::new(),
             total_len: 0,
         }
@@ -158,13 +163,23 @@ impl TextIndex {
                 len = len.saturating_add(1);
             }
         }
+        let (mut distinct, mut last) = (String::new(), 0);
         for ((term, field), tf) in counts {
+            // Terms are never empty, so the first one always differs.
+            if distinct[last..] != term {
+                if !distinct.is_empty() {
+                    distinct.push(' ');
+                }
+                last = distinct.len();
+                distinct.push_str(&term);
+            }
             let postings = self.terms.entry(term).or_default();
             let at = postings
                 .binary_search_by(|p| (p.doc, p.field).cmp(&(doc, field)))
                 .unwrap_or_else(|i| i);
             postings.insert(at, Posting { doc, tf, field });
         }
+        self.doc_terms.insert(doc, distinct);
         self.doc_len.insert(doc, len);
         self.total_len += u64::from(len);
     }
@@ -176,10 +191,19 @@ impl TextIndex {
             return false;
         };
         self.total_len -= u64::from(len);
-        self.terms.retain(|_, postings| {
-            postings.retain(|p| p.doc != doc);
-            !postings.is_empty()
-        });
+        let doc_terms = self.doc_terms.remove(&doc).unwrap_or_default();
+        for term in doc_terms.split(' ') {
+            let Some(postings) = self.terms.get_mut(term) else {
+                continue;
+            };
+            // The doc's postings are one run: one per field it used.
+            let from = postings.partition_point(|p| p.doc < doc);
+            let to = from + postings[from..].partition_point(|p| p.doc == doc);
+            postings.drain(from..to);
+            if postings.is_empty() {
+                self.terms.remove(term);
+            }
+        }
         true
     }
 

@@ -25,8 +25,10 @@
 #    under MLAKE_THREADS=1, whose output must be bit-identical.
 # 8. The experiments' full-size golden (every id's full-run tables minus
 #    their timing cells) runs in release with observability on. The
-#    crash-recovery matrix with the auto-compaction suite, the blockstore
-#    and on-disk format suites (upgrade goldens, hostile bytes, a block
+#    index suites (the HNSW graph-and-answers golden among them, since
+#    lakebench runs release code), the crash-recovery matrix with the
+#    auto-compaction suite, the blockstore and on-disk format suites
+#    (upgrade goldens, hostile bytes, a block
 #    nested past the parser's bound), the codec kernels (the vendored serde
 #    and serde_json crates' own tests, among them Ryū float digits against
 #    `Display` and the one-scan number parser against the one it replaced,
@@ -152,6 +154,10 @@ MLAKE_THREADS=1 cargo test -q -p mlake-bench
 
 step "experiments: full-size golden (release, obs on)"
 cargo test -q -p mlake-bench --lib --release -- --ignored full_run
+
+step "index: HNSW golden, selection and sharding suites in release (obs on + off)"
+cargo test -q -p mlake-index --release
+MLAKE_OBS=off cargo test -q -p mlake-index --release
 
 step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction (obs on + off)"
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
