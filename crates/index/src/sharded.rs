@@ -101,8 +101,7 @@ fn merge_top_k(mut pool: Vec<Hit>, k: usize) -> Vec<Hit> {
         keys.sort_unstable();
         return keys.into_iter().map(unpack_hit).collect();
     }
-    let cmp =
-        |a: &Hit, b: &Hit| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id));
+    let cmp = |a: &Hit, b: &Hit| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id));
     if pool.len() > k {
         pool.select_nth_unstable_by(k - 1, cmp);
         pool.truncate(k);
@@ -237,7 +236,15 @@ mod tests {
     #[test]
     fn order_key_roundtrips_and_orders() {
         let samples = [
-            0.0f32, -0.0, 1.0, -1.0, 1e-7, -1e-7, f32::MAX, f32::MIN_POSITIVE, 2.0,
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            1e-7,
+            -1e-7,
+            f32::MAX,
+            f32::MIN_POSITIVE,
+            2.0,
         ];
         for &a in &samples {
             assert_eq!(distance_of(order_of(a)).to_bits(), a.to_bits());

@@ -4,14 +4,10 @@ use mlake_index::{FlatIndex, HnswConfig, HnswIndex, VectorIndex};
 use proptest::prelude::*;
 
 fn vectors(n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
-    proptest::collection::vec(
-        proptest::collection::vec(-5.0f32..5.0, dim..=dim),
-        n..=n,
-    )
-    .prop_filter("non-degenerate vectors", |vs| {
-        vs.iter()
-            .all(|v| v.iter().any(|&x| x.abs() > 1e-3))
-    })
+    proptest::collection::vec(proptest::collection::vec(-5.0f32..5.0, dim..=dim), n..=n)
+        .prop_filter("non-degenerate vectors", |vs| {
+            vs.iter().all(|v| v.iter().any(|&x| x.abs() > 1e-3))
+        })
 }
 
 proptest! {

@@ -33,11 +33,7 @@ fn embeddings(n: usize, dim: usize, seed: u64) -> Vec<(u64, Vec<f32>)> {
         .collect()
 }
 
-fn assert_bit_identical(
-    got: &[mlake_index::Hit],
-    want: &[mlake_index::Hit],
-    label: &str,
-) {
+fn assert_bit_identical(got: &[mlake_index::Hit], want: &[mlake_index::Hit], label: &str) {
     assert_eq!(got.len(), want.len(), "{label}: result length");
     for (g, w) in got.iter().zip(want) {
         assert_eq!(g.id, w.id, "{label}: id order");
@@ -112,7 +108,12 @@ fn sharded_hnsw_exhaustive_beam_matches_flat() {
 fn sharded_hnsw_batch_build_is_thread_count_independent() {
     for shards in [1usize, 4] {
         let data = embeddings(400 * shards, 12, 5);
-        let cfg = HnswConfig { m: 6, ef_construction: 24, ef_search: 12, ..HnswConfig::default() };
+        let cfg = HnswConfig {
+            m: 6,
+            ef_construction: 24,
+            ef_search: 12,
+            ..HnswConfig::default()
+        };
         let built = || {
             let mut idx = ShardedIndex::new(shards, || HnswIndex::new(cfg));
             build(&mut idx, &data);

@@ -60,12 +60,20 @@ mod tests {
             found: "'legal'".into(),
         };
         assert!(e.to_string().contains("expected LIMIT"));
-        assert!(QueryError::UnknownEntity { kind: "model", name: "x".into() }
+        assert!(QueryError::UnknownEntity {
+            kind: "model",
+            name: "x".into()
+        }
+        .to_string()
+        .contains("unknown model"));
+        assert!(QueryError::Lex {
+            position: 3,
+            message: "bad char".into()
+        }
+        .to_string()
+        .contains("byte 3"));
+        assert!(QueryError::Execution("boom".into())
             .to_string()
-            .contains("unknown model"));
-        assert!(QueryError::Lex { position: 3, message: "bad char".into() }
-            .to_string()
-            .contains("byte 3"));
-        assert!(QueryError::Execution("boom".into()).to_string().contains("boom"));
+            .contains("boom"));
     }
 }

@@ -129,9 +129,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, QueryError> {
             c if c.is_ascii_digit() => {
                 let start = i;
                 let mut j = i;
-                while j < bytes.len()
-                    && ((bytes[j] as char).is_ascii_digit() || bytes[j] == b'.')
-                {
+                while j < bytes.len() && ((bytes[j] as char).is_ascii_digit() || bytes[j] == b'.') {
                     j += 1;
                 }
                 let text = &input[start..j];
