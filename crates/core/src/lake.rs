@@ -26,6 +26,7 @@ use mlake_query::{execute, parse, FieldValue, QueryError, QueryHit, QueryTarget}
 use mlake_versioning::{RecoveredEdge, RecoveredGraph, RecoveryMemo, RecoveryOptions};
 use mlake_wal::lockorder::{self, ranks, OrderToken};
 use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::borrow::Cow;
 use std::collections::{BTreeSet, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
@@ -1510,7 +1511,7 @@ impl QueryTarget for LakeView<'_> {
         (0..self.cat.registry.models.len() as u64).collect()
     }
 
-    fn field(&self, id: u64, field: &str) -> Option<FieldValue> {
+    fn field(&self, id: u64, field: &str) -> Option<FieldValue<'_>> {
         let entry = self.cat.registry.model(ModelId(id))?;
         if let Some(bench) = field.strip_prefix("score:") {
             // Benchmarks may be expensive; rely on the cache, computing on
@@ -1518,29 +1519,21 @@ impl QueryTarget for LakeView<'_> {
             let score = self.lake.score_on(self.cat, ModelId(id), bench).ok()?;
             return Some(FieldValue::Num(f64::from(score.value)));
         }
+        fn text(s: &str) -> FieldValue<'_> {
+            FieldValue::Str(Cow::Borrowed(s))
+        }
+        fn list(l: &[String]) -> FieldValue<'_> {
+            FieldValue::StrList(Cow::Borrowed(l))
+        }
         match field {
-            "name" => Some(FieldValue::Str(entry.name.clone())),
-            "arch" => Some(FieldValue::Str(entry.arch.clone())),
+            "name" => Some(text(&entry.name)),
+            "arch" => Some(text(&entry.arch)),
             "params" => Some(FieldValue::Num(entry.params as f64)),
-            "domain" => entry
-                .card
-                .domains
-                .first()
-                .map(|d| FieldValue::Str(d.clone())),
-            "domains" => Some(FieldValue::StrList(entry.card.domains.clone())),
-            "task" | "tags" => Some(FieldValue::StrList(entry.card.task_tags.clone())),
-            "transform" => entry
-                .card
-                .lineage
-                .transform
-                .clone()
-                .map(FieldValue::Str),
-            "base_model" => entry
-                .card
-                .lineage
-                .base_model
-                .clone()
-                .map(FieldValue::Str),
+            "domain" => entry.card.domains.first().map(|d| text(d)),
+            "domains" => Some(list(&entry.card.domains)),
+            "task" | "tags" => Some(list(&entry.card.task_tags)),
+            "transform" => entry.card.lineage.transform.as_deref().map(text),
+            "base_model" => entry.card.lineage.base_model.as_deref().map(text),
             "completeness" => Some(FieldValue::Num(f64::from(entry.card.completeness()))),
             "depth" => {
                 let graph = self.graph.as_ref()?;

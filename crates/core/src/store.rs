@@ -418,7 +418,7 @@ mod tests {
         let store = ResidentStore::new();
         let mut digests = Vec::new();
         for i in 0..16u8 {
-            digests.push(store.put(&vec![i; 128]));
+            digests.push(store.put(&[i; 128]));
         }
         assert_eq!(store.len(), 16);
         for d in &digests {

@@ -25,8 +25,12 @@ use mlake_nn::{Activation, Mlp, Model};
 use mlake_tensor::{init::Init, Pcg64};
 use mlake_wal::testing::FailFs;
 use mlake_wal::Vfs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+/// What recovery must reproduce: the event log, and each model's name and
+/// parameters.
+type LakeState = (Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>);
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("mlake-crash-{tag}-{}", std::process::id()))
@@ -74,7 +78,7 @@ fn apply_op(lake: &ModelLake, i: usize) -> Result<(), LakeError> {
 
 /// Reference states: events + (name, params) per model after each op
 /// prefix, computed on an ephemeral lake (no WAL, no disk).
-fn reference_states() -> Vec<(Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>)> {
+fn reference_states() -> Vec<LakeState> {
     let lake = ModelLake::new(LakeConfig::default());
     let mut states = vec![(lake.events(), vec![])];
     for i in 0..N_OPS {
@@ -92,7 +96,7 @@ fn reference_states() -> Vec<(Vec<mlake_core::event::Event>, Vec<(String, Vec<f3
     states
 }
 
-fn lake_state(lake: &ModelLake) -> (Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>) {
+fn lake_state(lake: &ModelLake) -> LakeState {
     let models = lake
         .model_names()
         .into_iter()
@@ -107,7 +111,7 @@ fn lake_state(lake: &ModelLake) -> (Vec<mlake_core::event::Event>, Vec<(String, 
 /// Runs the script against a lake created through `fs` with `config`,
 /// returning how many ops were acknowledged (`Ok`) before the injected
 /// crash. `None` when the create itself died.
-fn drive_with(dir: &PathBuf, fs: &Arc<FailFs>, config: LakeConfig) -> Option<usize> {
+fn drive_with(dir: &Path, fs: &Arc<FailFs>, config: LakeConfig) -> Option<usize> {
     let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(fs));
     let lake = ModelLake::create_with(dir, config, vfs).ok()?;
     let mut acked = 0;
@@ -120,7 +124,7 @@ fn drive_with(dir: &PathBuf, fs: &Arc<FailFs>, config: LakeConfig) -> Option<usi
     Some(acked)
 }
 
-fn drive(dir: &PathBuf, fs: &Arc<FailFs>) -> Option<usize> {
+fn drive(dir: &Path, fs: &Arc<FailFs>) -> Option<usize> {
     drive_with(dir, fs, LakeConfig::default())
 }
 
@@ -129,9 +133,9 @@ fn drive(dir: &PathBuf, fs: &Arc<FailFs>) -> Option<usize> {
 /// in-flight op may have become durable), and reopening again must change
 /// nothing.
 fn check_recovered_with(
-    dir: &PathBuf,
+    dir: &Path,
     acked: usize,
-    refs: &[(Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>)],
+    refs: &[LakeState],
     label: &str,
     config: &LakeConfig,
 ) {
@@ -155,7 +159,7 @@ fn check_recovered_with(
     assert_eq!(lake_state(&again), got, "{label}: recovery is not idempotent");
 }
 
-fn check_recovered(dir: &PathBuf, acked: usize, refs: &[(Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>)], label: &str) {
+fn check_recovered(dir: &Path, acked: usize, refs: &[LakeState], label: &str) {
     check_recovered_with(dir, acked, refs, label, &LakeConfig::default());
 }
 
@@ -318,7 +322,7 @@ fn copy_tree(from: &std::path::Path, to: &std::path::Path) {
 /// Builds a lake whose directory carries every kind of garbage GC
 /// collects: dead segments (a major fold replaced the first chain), an
 /// orphan blob, and stranded temp files. Returns the expected state.
-fn build_garbage_template(dir: &PathBuf) -> (Vec<mlake_core::event::Event>, Vec<(String, Vec<f32>)>) {
+fn build_garbage_template(dir: &PathBuf) -> LakeState {
     let _ = std::fs::remove_dir_all(dir);
     let lake = ModelLake::create(dir, LakeConfig::default()).unwrap();
     // One persist per ingest grows the segment chain past the fold

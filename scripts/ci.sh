@@ -15,7 +15,8 @@
 #    return the same bits across a reopen and that no acked write is lost.
 # 5. mlake-lint must report nothing outside lint.allow, must find exactly
 #    the seven lock ranks of DESIGN.md §10, and must reject a seeded
-#    lock-order inversion.
+#    lock-order inversion; the index and query crates must be
+#    rustfmt-clean.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
 # 7. The equivalence, HNSW, sharding, par and versioning suites, the lake's
@@ -41,7 +42,7 @@
 #    a hostile nested request answered 400) and the text suites re-run in
 #    the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
-#    serving crates.
+#    serving crates, their tests and examples included (--all-targets).
 # --quick stops after stage 5.
 
 set -euo pipefail
@@ -133,6 +134,9 @@ echo "$out" | grep -q 'lock-cycle' || {
 }
 echo "seeded inversion correctly rejected"
 
+step "fmt: mlake-index and mlake-query are rustfmt-clean"
+cargo fmt --check -p mlake-index -p mlake-query
+
 if [[ "${1:-}" == "--quick" ]]; then
   echo "quick mode: skipping the obs-off, determinism and release re-runs and clippy"
   exit 0
@@ -204,8 +208,8 @@ MLAKE_OBS=off cargo test -q -p mlake-text --release
 cargo test -q -p mlake-core --test text_search --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test text_search --release
 
-step "clippy -D warnings (parallel + observability + serving crates)"
-cargo clippy -q -p mlake-par -p mlake-tensor -p mlake-index \
+step "clippy -D warnings (parallel + observability + serving crates, all targets)"
+cargo clippy -q --all-targets -p mlake-par -p mlake-tensor -p mlake-index \
   -p mlake-fingerprint -p mlake-datagen -p mlake-bench \
   -p mlake-obs -p mlake-core -p mlake-query -p mlake-lint \
   -p mlake-wal -p mlake-proto -p mlake-server -p mlake-load \
