@@ -238,10 +238,11 @@ thread_local! {
 /// Reusable buffers: the beam's epoch-stamped visited set, its two heaps
 /// and the batch it is evaluating; the selection's id sets, its dominated
 /// entries and the run it is merging; the new node's candidate links and
-/// the full neighbour row being re-selected. `insert` reuses the index's
-/// own; a `&self` search reuses its thread's ([`SEARCH_SCRATCH`]), which
-/// serves any index: the epoch is bumped for every beam, so no stamp left
-/// by an earlier search, of this index or another, reads as visited.
+/// the full neighbour row being re-selected; a search's normalised query.
+/// `insert` reuses the index's own; a `&self` search reuses its thread's
+/// ([`SEARCH_SCRATCH`]), which serves any index: the epoch is bumped for
+/// every beam, so no stamp left by an earlier search, of this index or
+/// another, reads as visited.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// `stamp[i] == epoch` ⇔ the current beam has visited node `i`.
@@ -259,6 +260,7 @@ struct Scratch {
     run: Vec<Link>,
     links: Vec<Link>,
     row: Vec<Link>,
+    query: Vec<f32>,
 }
 
 /// The HNSW index.
@@ -618,10 +620,8 @@ impl HnswIndex {
             });
         }
         let _span = mlake_obs::span("hnsw.search");
-        let mut q = query.to_vec();
-        vector::normalize(&mut q);
         let ef = ef.max(k).max(1);
-        let mut hits = self.traverse(entry, &q, ef);
+        let mut hits = self.traverse(entry, query, ef);
         // Ids are unique, so (distance, id) is a total order.
         hits.sort_unstable_by(|a, b| a.distance.total_cmp(&b.distance).then(a.id.cmp(&b.id)));
         hits.truncate(k);
@@ -668,22 +668,28 @@ impl HnswIndex {
         ep
     }
 
-    /// Greedy upper-layer descent followed by the layer-0 beam for the
-    /// normalised query `q`, on the thread's [`SEARCH_SCRATCH`]; returns the
-    /// beam's output unsorted and flushes visit counters once per call.
-    fn traverse(&self, entry: u32, q: &[f32], ef: usize) -> Vec<Hit> {
+    /// Greedy upper-layer descent followed by the layer-0 beam for `query`,
+    /// on the thread's [`SEARCH_SCRATCH`]; returns the beam's output unsorted
+    /// and flushes visit counters once per call.
+    fn traverse(&self, entry: u32, query: &[f32], ef: usize) -> Vec<Hit> {
         let obs = mlake_obs::enabled();
         let mut layer_visits = [0u64; LAYER_VISITS.len()];
         let mut scratch = SEARCH_SCRATCH.take();
+        // Normalised in the scratch's buffer, held apart while the beam
+        // borrows the rest of the scratch.
+        let mut q = std::mem::take(&mut scratch.query);
+        q.clear();
+        q.extend_from_slice(query);
+        vector::normalize(&mut q);
         let ep = self.descend(
-            q,
+            &q,
             entry,
             (1..=self.max_layer).rev(),
             &mut scratch,
             &mut layer_visits,
         );
         let mut stats = SearchStats::default();
-        self.search_layer(q, ep, ef, 0, &mut scratch, obs.then_some(&mut stats));
+        self.search_layer(&q, ep, ef, 0, &mut scratch, obs.then_some(&mut stats));
         let found = scratch
             .results
             .drain()
@@ -692,6 +698,7 @@ impl HnswIndex {
                 distance,
             })
             .collect();
+        scratch.query = q;
         SEARCH_SCRATCH.set(scratch);
         if obs {
             layer_visits[0] += stats.visits;
