@@ -71,7 +71,8 @@ pub enum LakeError {
         name: String,
     },
     /// Invalid lake configuration rejected by
-    /// [`crate::lake::LakeConfigBuilder::build`].
+    /// [`crate::lake::LakeConfigBuilder::build`], or recovery options
+    /// rejected by [`crate::ModelLake::rebuild_version_graph`].
     Config(String),
     /// Stored artifact failed integrity or decode checks.
     CorruptArtifact(String),

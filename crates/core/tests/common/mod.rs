@@ -89,8 +89,8 @@ pub fn state(lake: &ModelLake) -> String {
     out
 }
 
-/// [`state`], then every model's citation (the first one's graph
-/// catch-up appends an event, so the head comes last).
+/// [`state`], then every model's citation, then the log head, which the
+/// citations leave where it was: a graph catch-up writes nothing.
 pub fn render(lake: &ModelLake) -> String {
     let mut out = state(lake);
     for id in (0..lake.len() as u64).map(ModelId) {

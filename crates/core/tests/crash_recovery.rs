@@ -500,8 +500,8 @@ fn upgrade_crash_at_every_write_and_fsync_keeps_the_golden() {
             upgraded.is_err(),
             "{kind} kill {k}: upgrade survived the injected crash"
         );
-        // Rendering logs a graph catch-up, so the retry runs on a copy of
-        // the crashed directory.
+        // The retry runs on a copy of the directory as the crash left it,
+        // before the open below attaches a WAL to it.
         let retry = tmp(&format!("up-{kind}-{k}-retry"));
         let _ = std::fs::remove_dir_all(&retry);
         common::copy_tree(&dir, &retry);

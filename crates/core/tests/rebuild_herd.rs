@@ -1,17 +1,27 @@
-//! Readers that find the version graph stale rebuild it once, not once each.
+//! Readers that find the version graph stale catch it up once, not once
+//! each, and log nothing.
 //!
 //! `version_graph()` and the reads built on it (`cite`, `lineage_path`,
-//! `evidence_for`) check for a cached graph without `op_lock`; the rebuild
+//! `evidence_for`) check for a cached graph without `op_lock`; the catch-up
 //! takes it. Staleness must be checked again under the lock, or every
 //! connection thread that saw the stale graph after one ingest runs its own
-//! whole-lake rebuild back to back, each appending a `GraphRebuilt` record
-//! and event and emptying the result caches.
+//! whole-lake recovery back to back. The catch-up itself appends no event:
+//! only an explicit `rebuild_version_graph` logs a `GraphRebuilt` record.
+//!
+//! One test, on purpose: it reads the process-global count of the
+//! `lake.graph.rebuild` span, which every recovery opens.
 
 use mlake_core::event::EventKind;
 use mlake_core::populate::{populate_from_ground_truth, CardPolicy};
 use mlake_core::{LakeConfig, ModelId, ModelLake};
 use mlake_datagen::{generate_lake, LakeSpec};
 use std::sync::Barrier;
+
+/// Recoveries run so far in this process (0 with observability off).
+fn recoveries() -> u64 {
+    let snapshot = mlake_obs::registry().snapshot();
+    snapshot.histogram("lake.graph.rebuild").map_or(0, |h| h.count)
+}
 
 fn rebuilds(lake: &ModelLake) -> usize {
     lake.events()
@@ -28,7 +38,8 @@ fn stale_graph_is_rebuilt_once_for_a_herd_of_readers() {
     populate_from_ground_truth(&lake, &gt, CardPolicy::Honest).unwrap();
     lake.version_graph().unwrap();
     lake.ingest_model("newcomer", &gt.models[0].model, None).unwrap();
-    let before = rebuilds(&lake);
+    let events = lake.events().len();
+    let before = recoveries();
 
     let barrier = Barrier::new(READERS);
     let citations: Vec<_> = std::thread::scope(|s| {
@@ -43,11 +54,20 @@ fn stale_graph_is_rebuilt_once_for_a_herd_of_readers() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    assert_eq!(rebuilds(&lake) - before, 1, "one stale graph, one rebuild");
+    if mlake_obs::enabled() {
+        assert_eq!(recoveries() - before, 1, "one stale graph, one catch-up");
+    }
+    assert_eq!(lake.events().len(), events, "a catch-up appended an event");
+    assert_eq!(citations[0].graph_timestamp, lake.graph_timestamp());
     for c in &citations[1..] {
         assert_eq!(c, &citations[0]);
     }
-    // An explicit rebuild still always rebuilds.
+    // An explicit rebuild still always rebuilds, and logs one event.
+    let logged = rebuilds(&lake);
     lake.rebuild_version_graph(None).unwrap();
-    assert_eq!(rebuilds(&lake) - before, 2);
+    if mlake_obs::enabled() {
+        assert_eq!(recoveries() - before, 2);
+    }
+    assert_eq!(lake.events().len(), events + 1);
+    assert_eq!(rebuilds(&lake), logged + 1);
 }

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 
 /// sha256 of the corpus encodings, each prefixed by its length.
-const CORPUS_GOLDEN: &str = "cfffe48fdfe628260443b77403a95fcbe042cddf4a500feb3bd89531233878b0";
+const CORPUS_GOLDEN: &str = "a0d666e0396c1edc262e33f51f59b7d3119736d1e870d96ca95fbb2fd2ed7ecf";
 /// sha256 of the files the scripted history leaves in its lake and in an
 /// export of it, each prefixed by its path.
 const HISTORY_GOLDEN: &str = "062dd2ca007132e8bebc6e231755f4585ae51361b88eb7db553b1da50dd3a493";

@@ -28,7 +28,9 @@
 #    their timing cells) runs in release with observability on. The
 #    index suites (the HNSW graph-and-answers golden among them, since
 #    lakebench runs release code), the crash-recovery matrix with the
-#    auto-compaction suite, the blockstore and on-disk format suites
+#    auto-compaction suite, the lineage-read suites (one catch-up per stale
+#    graph, equal to a from-scratch recovery, and no read writes), the
+#    blockstore and on-disk format suites
 #    (upgrade goldens, hostile bytes, a block
 #    nested past the parser's bound), the codec kernels (the vendored serde
 #    and serde_json crates' own tests, among them Ryū float digits against
@@ -166,6 +168,15 @@ MLAKE_OBS=off cargo test -q -p mlake-index --release
 step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction (obs on + off)"
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
+
+# A stale version graph is caught up once per herd of readers, equals a
+# from-scratch recovery, and is published without a WAL write, fsync or
+# event; a rooted graph's citations survive a reopen.
+step "lineage reads: graph catch-up, herd, reads-never-write (obs on + off)"
+cargo test -q -p mlake-core --test graph_catch_up --test rebuild_herd \
+  --test reads_never_write --release
+MLAKE_OBS=off cargo test -q -p mlake-core --test graph_catch_up --test rebuild_herd \
+  --test reads_never_write --release
 
 step "blockstore: lazy residency, refcounting GC, upgrade goldens, hostile bytes (obs on + off)"
 cargo test -q -p mlake-core --test residency --test manifest_compat \
