@@ -227,7 +227,7 @@ mod tests {
         let cases: Vec<(LakeError, ErrorKind)> = vec![
             (LakeError::NotFound { kind: "model", name: "ghost".into() }, NotFound),
             (LakeError::Duplicate { kind: "model", name: "twin".into() }, Conflict),
-            (LakeError::Config("shards must be a power of two".into()), InvalidInput),
+            (LakeError::Config("lake name must not be empty".into()), InvalidInput),
             (LakeError::CorruptArtifact("digest mismatch".into()), Corrupt),
             (LakeError::UnsupportedManifest { found: 9, supported: 2 }, Unavailable),
             (

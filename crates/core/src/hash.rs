@@ -39,16 +39,6 @@ impl Digest {
     pub fn short(&self) -> String {
         self.to_hex()[..8].to_string()
     }
-
-    /// Shard routing key: the first 8 digest bytes as a little-endian u64.
-    /// SHA-256 output is uniform, so masking the low bits spreads models
-    /// evenly over power-of-two shard counts, and the key is a pure
-    /// function of artifact content — replay and reopen route identically.
-    pub fn route_key(&self) -> u64 {
-        u64::from_le_bytes([
-            self.0[0], self.0[1], self.0[2], self.0[3], self.0[4], self.0[5], self.0[6], self.0[7],
-        ])
-    }
 }
 
 impl std::fmt::Debug for Digest {
@@ -349,19 +339,6 @@ mod tests {
         assert_eq!(d.short().len(), 8);
         assert_eq!(format!("{d}"), hex);
         assert!(format!("{d:?}").starts_with("Digest("));
-    }
-
-    #[test]
-    fn route_key_is_le_prefix_and_stable() {
-        let d = sha256(b"model lake");
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&d.0[..8]);
-        assert_eq!(d.route_key(), u64::from_le_bytes(prefix));
-        // Stable across calls and round trips (routing must be replayable).
-        assert_eq!(
-            Digest::from_hex(&d.to_hex()).map(|x| x.route_key()),
-            Some(d.route_key())
-        );
     }
 
     #[test]

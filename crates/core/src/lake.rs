@@ -20,7 +20,7 @@ use mlake_cards::{
     {verify_card, CardEvidence, VerificationReport},
 };
 use mlake_fingerprint::{extrinsic::ProbeSet, FingerprintKind, Fingerprinter};
-use mlake_index::{HnswConfig, HnswIndex, ShardedIndex, VectorIndex};
+use mlake_index::{HnswConfig, HnswIndex, VectorIndex};
 use mlake_nn::{Architecture, Model};
 use mlake_query::{execute, parse, FieldValue, QueryError, QueryHit, QueryTarget};
 use mlake_versioning::{RecoveredEdge, RecoveredGraph, RecoveryMemo, RecoveryOptions};
@@ -96,10 +96,8 @@ pub struct LakeConfig {
     /// [`mlake_wal::SyncPolicy::Always`], fsyncs every mutation before
     /// the op returns.
     pub wal_sync: mlake_wal::SyncPolicy,
-    /// Number of sub-shards each fingerprint index is partitioned into
-    /// (power of two, 1..=256). The default 1 is exactly the unsharded
-    /// behavior; with N > 1 vectors route by model digest and searches
-    /// scatter-gather over the shards (DESIGN.md §13).
+    /// Always 1, and the lake does not read it: each fingerprint kind has
+    /// one HNSW graph. The frozen end-to-end benchmark still reads it.
     pub shards: usize,
     /// Automatic compaction trigger policy for durable lakes (`None`
     /// keeps compaction explicit via [`ModelLake::persist`]); the op that
@@ -159,13 +157,6 @@ impl LakeConfigBuilder {
         self
     }
 
-    /// Number of sub-shards per fingerprint index (power of two,
-    /// 1..=256). 1 — the default — is exactly the unsharded path.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
     /// Enables automatic compaction under `policy` on durable lakes: the
     /// op that crosses a threshold compacts before it returns (DESIGN.md
     /// §13).
@@ -197,12 +188,6 @@ impl LakeConfigBuilder {
             return Err(LakeError::Config(
                 "hnsw ef_construction and ef_search must be positive".into(),
             ));
-        }
-        if c.shards == 0 || !c.shards.is_power_of_two() || c.shards > 256 {
-            return Err(LakeError::Config(format!(
-                "shards must be a power of two in 1..=256, got {}",
-                c.shards
-            )));
         }
         if let Some(p) = &c.compaction {
             if p.wal_bytes == 0 && p.wal_segments == 0 {
@@ -529,7 +514,7 @@ pub struct ModelLake {
     /// a search first reads that kind. [`ModelLake::with_index`] builds it
     /// then and catches every built kind up to the reader's catalogue, so
     /// all built kinds share one `len()`, the watermark.
-    indexes: RwLock<[Option<ShardedIndex<HnswIndex>>; 3]>,
+    indexes: RwLock<[Option<HnswIndex>; 3]>,
     /// The recovered version graph and the recovery memo behind it.
     graph: RwLock<GraphState>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
@@ -1384,9 +1369,7 @@ impl ModelLake {
     /// `[watermark .. registry len)` in id order, so each HNSW graph is the
     /// same however the models arrived, wherever the searches fell between
     /// them and whenever its kind was first read, and no read builds a graph
-    /// it does not read. Vectors route to sub-shards by content digest, not
-    /// by the lake-local id, so every restart routes every model to the same
-    /// shard. The fast path is one read probe; the catch-up opens
+    /// it does not read. The fast path is one read probe; the catch-up opens
     /// `lake.index.build` with one child span per kind it inserts into.
     /// A build runs under the indexes' write guard, so searches of every
     /// kind wait for it. Deferring a kind's build saves its work only if
@@ -1396,7 +1379,7 @@ impl ModelLake {
         &self,
         cat: &Catalogue,
         kind: FingerprintKind,
-        read: impl FnOnce(&ShardedIndex<HnswIndex>) -> R,
+        read: impl FnOnce(&HnswIndex) -> R,
     ) -> Result<R> {
         let models = &cat.registry.models;
         let want = kind as usize;
@@ -1405,11 +1388,11 @@ impl ModelLake {
                 return Ok(read(index));
             }
         }
-        let catch_up = |index: &mut ShardedIndex<HnswIndex>, k: usize| -> Result<()> {
+        let catch_up = |index: &mut HnswIndex, k: usize| -> Result<()> {
             if index.len() < models.len() {
                 let _span = mlake_obs::span(INDEX_BUILD_SPANS[k]);
                 for e in &models[index.len()..] {
-                    index.insert_by_key(e.digest.route_key(), e.id.0, &e.fps[k])?;
+                    index.insert(e.id.0, &e.fps[k])?;
                 }
             }
             Ok(())
@@ -1425,10 +1408,7 @@ impl ModelLake {
                 }
             }
         }
-        let index = idx[want].get_or_insert_with(|| {
-            ShardedIndex::new(self.config.shards, || HnswIndex::new(self.config.hnsw))
-                .with_rescore_factor(self.config.hnsw.rescore_factor)
-        });
+        let index = idx[want].get_or_insert_with(|| HnswIndex::new(self.config.hnsw));
         catch_up(index, want)?;
         Ok(read(index))
     }

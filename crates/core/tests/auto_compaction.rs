@@ -233,7 +233,4 @@ fn builder_rejects_vacuous_policy() {
         })
         .build()
         .is_err());
-    assert!(LakeConfig::builder().shards(3).build().is_err());
-    assert!(LakeConfig::builder().shards(512).build().is_err());
-    assert!(LakeConfig::builder().shards(8).build().is_ok());
 }

@@ -226,13 +226,11 @@ fn kill_at_every_fsync_never_loses_an_acked_op() {
     }
 }
 
-/// The sharded + auto-compaction configuration exercised by the two
-/// sweeps below: four sub-shards per index and a compaction policy
-/// aggressive enough that every op persists and collects garbage before it
-/// returns.
-fn sharded_auto_config() -> LakeConfig {
+/// The auto-compaction configuration exercised by the two sweeps below: a
+/// compaction policy aggressive enough that every op persists and collects
+/// garbage before it returns.
+fn auto_config() -> LakeConfig {
     LakeConfig::builder()
-        .shards(4)
         .compaction(mlake_core::CompactionPolicy {
             wal_bytes: 1,
             wal_segments: 0,
@@ -241,23 +239,23 @@ fn sharded_auto_config() -> LakeConfig {
         .unwrap()
 }
 
-/// Runs one kill sweep of the script under [`sharded_auto_config`]: for
+/// Runs one kill sweep of the script under [`auto_config`]: for
 /// each kill point, a crashed run whose recovery must satisfy the
 /// durability contract. An op whose compaction is killed still returns
 /// `Ok` — its WAL record is durable — so it counts as acked. Reference
-/// states are reused verbatim: neither the shard count nor compaction
-/// affects events or model bytes.
-fn sharded_auto_sweep(label: &str, kill_points: u64, fail_fs: impl Fn(u64) -> Arc<FailFs>) {
+/// states are reused verbatim: compaction affects neither events nor model
+/// bytes.
+fn auto_sweep(label: &str, kill_points: u64, fail_fs: impl Fn(u64) -> Arc<FailFs>) {
     let refs = reference_states();
     for kill in 1..=kill_points {
         let dir = tmp(&format!("{label}-{kill}"));
         let _ = std::fs::remove_dir_all(&dir);
         let fs = fail_fs(kill);
-        let acked = drive_with(&dir, &fs, sharded_auto_config());
+        let acked = drive_with(&dir, &fs, auto_config());
         assert!(fs.is_dead(), "{label} kill point {kill} never reached");
         match acked {
             None => {
-                if let Ok(rec) = ModelLake::open(&dir, sharded_auto_config()) {
+                if let Ok(rec) = ModelLake::open(&dir, auto_config()) {
                     assert_eq!(lake_state(&rec), refs[0], "{label} {kill}: partial create");
                 }
             }
@@ -266,42 +264,42 @@ fn sharded_auto_sweep(label: &str, kill_points: u64, fail_fs: impl Fn(u64) -> Ar
                 acked,
                 &refs,
                 &format!("{label} {kill}"),
-                &sharded_auto_config(),
+                &auto_config(),
             ),
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// Counting pass under [`sharded_auto_config`], in a directory of its own
+/// Counting pass under [`auto_config`], in a directory of its own
 /// per `label`: (writes, syncs) the whole script issues, compactions
 /// included.
-fn sharded_auto_counts(label: &str) -> (u64, u64) {
+fn auto_counts(label: &str) -> (u64, u64) {
     let dir = tmp(&format!("count-{label}"));
     let _ = std::fs::remove_dir_all(&dir);
     let fs = FailFs::counting();
-    assert_eq!(drive_with(&dir, &fs, sharded_auto_config()), Some(N_OPS));
+    assert_eq!(drive_with(&dir, &fs, auto_config()), Some(N_OPS));
     std::fs::remove_dir_all(&dir).unwrap();
     (fs.writes(), fs.syncs())
 }
 
-/// `kill_at_every_write_never_loses_an_acked_op` with sharded indexes and
-/// an op-driven compaction after every op, torn prefixes included.
+/// `kill_at_every_write_never_loses_an_acked_op` with an op-driven
+/// compaction after every op, torn prefixes included.
 #[test]
-fn sharded_auto_compaction_kill_at_every_write_recovers_exactly() {
-    let (total_writes, _) = sharded_auto_counts("sa-w");
+fn auto_compaction_kill_at_every_write_recovers_exactly() {
+    let (total_writes, _) = auto_counts("sa-w");
     assert!(total_writes > 5, "script issues only {total_writes} writes");
-    sharded_auto_sweep("sa-w", total_writes, |kill| {
+    auto_sweep("sa-w", total_writes, |kill| {
         FailFs::kill_at_write(kill, [0usize, 1, 7][(kill % 3) as usize])
     });
 }
 
 /// The fsync twin of the sweep above.
 #[test]
-fn sharded_auto_compaction_kill_at_every_fsync_recovers_exactly() {
-    let (_, total_syncs) = sharded_auto_counts("sa-s");
+fn auto_compaction_kill_at_every_fsync_recovers_exactly() {
+    let (_, total_syncs) = auto_counts("sa-s");
     assert!(total_syncs > 5, "script issues only {total_syncs} syncs");
-    sharded_auto_sweep("sa-s", total_syncs, FailFs::kill_at_sync);
+    auto_sweep("sa-s", total_syncs, FailFs::kill_at_sync);
 }
 
 /// Recursively copies a lake directory (template → scratch) so each GC

@@ -83,57 +83,3 @@ fn mlql_run_caches_and_invalidates_on_mutation() {
     }
     let _ = gt;
 }
-
-/// A lake's caches are its own, so the shard count is not in the cache
-/// key. At an exhaustive beam (ef ≥ lake size) the sharded and unsharded
-/// answers are bit-identical, so serving each layout from its own warm
-/// cache must reproduce the same results — and the hits must come from
-/// the cache, not a recompute.
-#[test]
-fn sharded_lake_serves_repeats_from_its_own_cache() {
-    let exhaustive = mlake_index::HnswConfig {
-        ef_search: 4096,
-        ef_construction: 4096,
-        ..mlake_index::HnswConfig::default()
-    };
-    let sharded_cfg = LakeConfig::builder()
-        .shards(4)
-        .hnsw(exhaustive)
-        .build()
-        .unwrap();
-    let flat_cfg = LakeConfig::builder().hnsw(exhaustive).build().unwrap();
-    let (sharded, _gt) = populated(sharded_cfg);
-    let (flat, _gt2) = populated(flat_cfg);
-
-    let a = sharded.similar(ModelId(0), FingerprintKind::Hybrid, 5).unwrap();
-    let b = flat.similar(ModelId(0), FingerprintKind::Hybrid, 5).unwrap();
-    assert_eq!(a.len(), b.len());
-    for ((ia, sa), (ib, sb)) in a.iter().zip(&b) {
-        assert_eq!(ia, ib, "sharded vs flat id order at exhaustive beam");
-        assert_eq!(sa.to_bits(), sb.to_bits(), "similarity bits");
-    }
-
-    // Warm-cache repeats on the sharded lake are counted hits and stay
-    // bit-identical.
-    let (h0, _) = cache_counters();
-    let again = sharded.similar(ModelId(0), FingerprintKind::Hybrid, 5).unwrap();
-    assert_eq!(a, again);
-    if mlake_obs::enabled() {
-        let (h1, _) = cache_counters();
-        assert!(h1 > h0, "sharded repeat did not count a cache.hit");
-    }
-
-    // Same for MLQL: both layouts agree, and the sharded lake's repeat is
-    // a cache hit.
-    let q = "FIND MODELS WHERE task = 'classification' ORDER BY name ASC";
-    let qa = sharded.prepare(q).unwrap().run().unwrap();
-    let qb = flat.prepare(q).unwrap().run().unwrap();
-    assert_eq!(qa, qb);
-    let (h2, _) = cache_counters();
-    let qa2 = sharded.prepare(q).unwrap().run().unwrap();
-    assert_eq!(qa, qa2);
-    if mlake_obs::enabled() {
-        let (h3, _) = cache_counters();
-        assert!(h3 > h2, "sharded MLQL repeat did not count a cache.hit");
-    }
-}

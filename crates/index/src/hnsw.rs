@@ -67,7 +67,7 @@
 //! reuses its thread's [`Scratch`] (visited stamps, heaps, batch), and the
 //! final sort resolves each result's id once and sorts `(distance, id)`.
 
-use crate::{par_search_many, Hit, VectorIndex, DEFAULT_RESCORE_FACTOR};
+use crate::{par_search_many, Hit, VectorIndex};
 use mlake_tensor::{vector, Pcg64, TensorError};
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -108,9 +108,8 @@ pub struct HnswConfig {
     pub ef_search: usize,
     /// Seed for layer assignment.
     pub seed: u64,
-    /// Per-shard over-fetch of [`crate::ShardedIndex`]: each shard returns
-    /// its top `rescore_factor · k` before the global merge. A single
-    /// index ignores it.
+    /// Not read by any index. The frozen end-to-end benchmark still passes
+    /// it to [`crate::ShardedIndex::with_rescore_factor`], which ignores it.
     pub rescore_factor: usize,
 }
 
@@ -121,7 +120,7 @@ impl Default for HnswConfig {
             ef_construction: 100,
             ef_search: 64,
             seed: 0,
-            rescore_factor: DEFAULT_RESCORE_FACTOR,
+            rescore_factor: 4,
         }
     }
 }

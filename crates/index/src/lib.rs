@@ -13,9 +13,9 @@
 //!   sequential [`VectorIndex::insert`], so a graph is a pure function of
 //!   the insert order.
 //!
-//! [`sharded::ShardedIndex`] composes either into `N` digest-routed
-//! sub-shards searched scatter-gather, so search cost scales with shard
-//! size and cores rather than lake size.
+//! The lake keeps one HNSW graph per fingerprint kind.
+//! [`sharded::ShardedIndex`] is a forwarding wrapper over one index, kept
+//! only for the frozen end-to-end benchmark that still names it.
 //!
 //! All indexes use cosine distance over L2-normalised vectors, matching the
 //! fingerprint metric.
@@ -31,10 +31,6 @@ pub use hnsw::{HnswConfig, HnswIndex};
 pub use sharded::ShardedIndex;
 
 use mlake_tensor::TensorError;
-
-/// Default per-shard over-fetch of [`sharded::ShardedIndex`]
-/// ([`HnswConfig::rescore_factor`]).
-pub const DEFAULT_RESCORE_FACTOR: usize = 4;
 
 /// A search hit: external id plus cosine distance (smaller is closer).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,6 +1,6 @@
 //! Property-based invariants across the two index implementations.
 
-use mlake_index::{FlatIndex, HnswConfig, HnswIndex, VectorIndex};
+use mlake_index::{FlatIndex, Hit, HnswConfig, HnswIndex, VectorIndex};
 use proptest::prelude::*;
 
 fn vectors(n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
@@ -13,7 +13,8 @@ fn vectors(n: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// With ef >= n, HNSW returns exactly the flat-scan answer.
+    /// With ef >= n, HNSW returns exactly the flat-scan answer, ids and
+    /// distance bits.
     #[test]
     fn hnsw_exact_when_ef_covers_all(vs in vectors(24, 6), seed in any::<u64>()) {
         let mut hnsw = HnswIndex::new(HnswConfig {
@@ -27,10 +28,11 @@ proptest! {
             hnsw.insert(i as u64, v).unwrap();
             flat.insert(i as u64, v).unwrap();
         }
+        let bits = |hits: Vec<Hit>| -> Vec<(u64, u32)> {
+            hits.iter().map(|x| (x.id, x.distance.to_bits())).collect()
+        };
         for v in vs.iter().take(5) {
-            let h: Vec<u64> = hnsw.search(v, 4).unwrap().iter().map(|x| x.id).collect();
-            let f: Vec<u64> = flat.search(v, 4).unwrap().iter().map(|x| x.id).collect();
-            prop_assert_eq!(h, f);
+            prop_assert_eq!(bits(hnsw.search(v, 4).unwrap()), bits(flat.search(v, 4).unwrap()));
         }
     }
 

@@ -2,7 +2,9 @@
 //! visited stamps and heaps). One thread alternating searches over two
 //! indexes of different sizes, and the pool's workers answering batches,
 //! must each return the bits of the same search made on a thread that has
-//! never searched before.
+//! never searched before. So must the same query repeated on one thread,
+//! and a copy of the graph built under the serial program
+//! (`mlake_par::serial`) answering the pool's batches.
 //!
 //! This is the only test in this binary: it sets `MLAKE_THREADS=2` before
 //! the pool's first region, which reads it once per process.
@@ -48,6 +50,7 @@ fn reused_search_scratch_answers_like_a_fresh_one() {
     std::env::set_var("MLAKE_THREADS", "2");
     let small = build(50, 3);
     let large = build(900, 4);
+    let serial_large = mlake_par::serial(|| build(900, 4));
     let queries = random_vectors(24, 16, 5);
     let want = |index: &HnswIndex| -> Vec<Vec<(u64, u32)>> {
         queries.iter().map(|q| fresh(index, q)).collect()
@@ -76,12 +79,22 @@ fn reused_search_scratch_answers_like_a_fresh_one() {
         }
     }
 
+    // One query repeated on one thread.
+    for _ in 0..20 {
+        assert_eq!(
+            bits(&large.search(&queries[7], K).unwrap()),
+            want_large[7],
+            "repeat"
+        );
+    }
+
     // The pool: each worker's scratch serves queries of both indexes.
     assert_eq!(mlake_par::num_threads(), 2);
     for (index, want, label) in [
         (&large, &want_large, "large"),
         (&small, &want_small, "small"),
         (&large, &want_large, "large"),
+        (&serial_large, &want_large, "serially built large"),
     ] {
         let batched = index.search_many(&queries, K).unwrap();
         let got: Vec<_> = batched.iter().map(|hits| bits(hits)).collect();

@@ -432,19 +432,6 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
     par_map_index(items.len(), grain, |i| f(&items[i]))
 }
 
-/// Scatter region: runs `f(i)` once per task `i in 0..n`, one pool task
-/// per item, collecting results in index order.
-///
-/// The scatter half of scatter-gather fan-outs (one task per index shard,
-/// one task per replica, …) where `n` is small and each task is coarse —
-/// unlike [`par_map`], no grain batching is applied, so even `n = 2` tasks
-/// run concurrently. Result order is index order regardless of thread
-/// count; with `MLAKE_THREADS=1` or inside [`serial`] the tasks run
-/// inline in ascending order — exactly the serial program.
-pub fn par_scatter<R: Send>(n: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    par_map_index(n, 1, f)
-}
-
 /// Runs `f(chunk_index, chunk)` over `chunk_len`-sized chunks of `data`
 /// in parallel (the final chunk may be shorter).
 pub fn par_chunks_mut<T: Send>(

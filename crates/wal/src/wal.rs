@@ -41,8 +41,6 @@ impl Default for WalOptions {
 #[derive(Debug, Clone)]
 pub(crate) struct Sealed {
     pub(crate) path: PathBuf,
-    #[allow(dead_code)]
-    pub(crate) first: Lsn,
     pub(crate) last: Lsn,
     /// Byte length of the sealed file, so the live-size accounting a
     /// compaction trigger reads never touches the filesystem.
@@ -175,7 +173,6 @@ impl Wal {
             } else if let Some(last) = seg.last {
                 sealed.push(Sealed {
                     path: seg.path.clone(),
-                    first: seg.first,
                     last,
                     bytes: seg.len,
                 });
@@ -333,7 +330,6 @@ impl Wal {
         let old_bytes = inner.seg_bytes;
         inner.sealed.push(Sealed {
             path: old_path,
-            first: inner.seg_first,
             last: next_first - 1,
             bytes: old_bytes,
         });

@@ -6,6 +6,7 @@
 #   scripts/bench_record.sh --pairs N --parent REV [--workload W]... [--seed S]
 #                           [--seconds T] [--trace 0|1] [--out FILE]
 #   scripts/bench_record.sh --diff A.json B.json
+#   scripts/bench_record.sh --rejudge FILE
 #
 # --pairs: the change is the working tree, recorded as the commit it sits on
 # plus its count of uncommitted files. The parent is exported with
@@ -21,22 +22,29 @@
 # Each workload x end-to-end metric then gets a verdict by the bound rule,
 # with `bound` and `better` read from BENCHMARK.json: WORSE when the median
 # moved the wrong way by more than the bound (a fraction of the parent's
-# median); better when the change won at least 9 in 10 pairs and its median
-# moved the right way by more than the parent's quartile spread; unresolved
-# when neither holds and the parent's own quartile spread is wider than the
-# bound (a fraction of its median), since then the runs cannot tell a move
-# of the bound's size from noise; flat otherwise. The last line names every
-# WORSE row.
+# median); better when the change won at least 9 in 10 pairs, its median
+# moved the right way by more than the parent's quartile spread, and so did
+# the median of the metric's raw.* twin (by more than the parent's raw
+# quartile spread); unresolved when neither holds and the parent's own
+# quartile spread is wider than the bound (a fraction of its median), since
+# then the runs cannot tell a move of the bound's size from noise; flat
+# otherwise. A row the corrected metric alone would call better reads
+# unresolved when the raw twin disagrees. Each row prints its raw twin's
+# change in percent and flags `raw disagrees` when the twin did not move
+# the way the verdict says (better or WORSE) by more than its parent's
+# quartile spread. A metric with no raw twin (space_amp) is judged on
+# itself. The last line names every WORSE row.
 #
 # --diff: for every workload and metric in both files, the change side's
 # median in A, in B, and the difference in percent.
+# --rejudge: reprints the verdict table of a stored record by the rule above.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 die() { echo "bench_record: $*" >&2; exit 2; }
 
 pairs="" parent="" seed=1 seconds=15 trace=0 out="target/bench_record/BENCH.json"
-workloads=() diff=()
+workloads=() diff=() rejudge=""
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --pairs) pairs="$2"; shift 2 ;;
@@ -47,9 +55,63 @@ while [[ $# -gt 0 ]]; do
     --trace) trace="$2"; shift 2 ;;
     --out) out="$2"; shift 2 ;;
     --diff) diff=("$2" "$3"); shift 3 ;;
+    --rejudge) rejudge="$2"; shift 2 ;;
     *) die "unknown argument '$1'" ;;
   esac
 done
+
+# The verdict table of one record file, by the bound rule of the header.
+read -r -d '' verdicts <<'EOF' || true
+import json, sys
+path = sys.argv[1]
+record = json.load(open(path))
+end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
+better = {m["name"]: m["better"] for m in end_to_end}
+bound = {m["name"]: m["bound"] for m in end_to_end}
+
+def gain(m, s):
+    """How far the change's median moved the right way, and the parent's spread."""
+    p, c = s["parent"]["median"], s["change"]["median"]
+    return (c - p) if better[m] == "higher" else (p - c), s["parent"]["q3"] - s["parent"]["q1"]
+
+def verdict(m, s, raw):
+    """WORSE, better, unresolved or flat, and whether the raw twin disagrees."""
+    p = s["parent"]["median"]
+    g, spread = gain(m, s)
+    rg, rspread = gain(m, raw) if raw else (None, None)
+    if p and g / abs(p) < -bound[m]:
+        return "WORSE", raw is not None and not -rg > rspread
+    pairs_run = s["wins"] + s["losses"] + s["ties"]
+    if g > spread and s["wins"] * 10 >= pairs_run * 9:
+        if raw is None or rg > rspread:
+            return "better", False
+        return "unresolved", True
+    if p and spread / abs(p) > bound[m]:
+        return "unresolved", False
+    return "flat", False
+
+print(f"{'workload':<22}{'metric':<18}{'parent':>12}{'change':>12}{'change %':>10}{'raw %':>8}"
+      f"{'wins':>6}{'bound':>8}  verdict")
+worse = []
+for w, wr in record["workloads"].items():
+    for m in better:
+        s = wr["summary"].get(m)
+        if not s:
+            continue
+        raw = wr["summary"].get("raw." + m)
+        pct = s["median_change_pct"]
+        pct = f"{pct:+.1f}" if pct is not None else "-"
+        raw_pct = raw["median_change_pct"] if raw else None
+        raw_pct = f"{raw_pct:+.1f}" if raw_pct is not None else "-"
+        v, disagrees = verdict(m, s, raw)
+        if v == "WORSE":
+            worse.append(f"{w} {m}")
+        flag = " (raw disagrees)" if disagrees else ""
+        print(f"{w:<22}{m:<18}{s['parent']['median']:>12.6g}{s['change']['median']:>12.6g}"
+              f"{pct:>10}{raw_pct:>8}{s['wins']:>3}/{len(wr['runs'])}{bound[m] * 100:>6.0f} %  {v}{flag}")
+print(f"# record: {path}")
+print(f"bench_record: WORSE: {', '.join(worse)}" if worse else "bench_record: no WORSE row")
+EOF
 
 if [[ ${#diff[@]} -eq 2 ]]; then
   exec python3 - "${diff[@]}" <<'EOF'
@@ -68,6 +130,10 @@ for w, wa in a["workloads"].items():
         pct = f"{(y - x) / x * 100:+.1f} %" if x else "-"
         print(f"{w:<22}{m:<20}{x:>14.6g}{y:>14.6g}{pct:>10}")
 EOF
+fi
+
+if [[ -n "$rejudge" ]]; then
+  exec python3 -c "$verdicts" "$rejudge"
 fi
 
 [[ -n "$pairs" && -n "$parent" ]] || die "need --pairs N --parent REV, or --diff A B"
@@ -117,7 +183,6 @@ workloads = sys.argv[12:]
 pairs = int(pairs)
 end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
 better = {m["name"]: m["better"] for m in end_to_end}
-bound = {m["name"]: m["bound"] for m in end_to_end}
 kept = ("raw.setup_s", "raw.throughput_ops_s", "raw.read_p50_ms", "machine.handover_us")
 
 def parse(path):
@@ -187,34 +252,6 @@ os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
 with open(out, "w") as f:
     json.dump(record, f, indent=1)
     f.write("\n")
-def verdict(m, s):
-    """The bound rule: WORSE, better, unresolved or flat (see the header)."""
-    p, c = s["parent"]["median"], s["change"]["median"]
-    gain = (c - p) if better[m] == "higher" else (p - c)
-    if p and gain / abs(p) < -bound[m]:
-        return "WORSE"
-    pairs_run = s["wins"] + s["losses"] + s["ties"]
-    if gain > s["parent_quartile_spread"] and s["wins"] * 10 >= pairs_run * 9:
-        return "better"
-    if p and s["parent_quartile_spread"] / abs(p) > bound[m]:
-        return "unresolved"
-    return "flat"
-
-print(f"{'workload':<22}{'metric':<18}{'parent':>12}{'change':>12}{'change %':>10}{'wins':>6}"
-      f"{'bound':>8}  verdict")
-worse = []
-for w, wr in record["workloads"].items():
-    for m in better:
-        s = wr["summary"].get(m)
-        if s:
-            pct = s["median_change_pct"]
-            pct = f"{pct:+.1f}" if pct is not None else "-"
-            v = verdict(m, s)
-            if v == "WORSE":
-                worse.append(f"{w} {m}")
-            print(f"{w:<22}{m:<18}{s['parent']['median']:>12.6g}{s['change']['median']:>12.6g}"
-                  f"{pct:>10}{s['wins']:>3}/{len(wr['runs'])}{bound[m] * 100:>6.0f} %  {v}")
-print(f"# record written to {out}")
-print(f"bench_record: WORSE: {', '.join(worse)}" if worse else "bench_record: no WORSE row")
 EOF
+python3 -c "$verdicts" "$out"
 rm -rf "$runs"

@@ -19,7 +19,7 @@
 #    rustfmt-clean.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
-# 7. The equivalence, HNSW, sharding, par and versioning suites, the lake's
+# 7. The equivalence, HNSW, par and versioning suites, the lake's
 #    search bit-identity test (a kind's graph built on its first read, at
 #    any point, equals one caught up insert by insert), and the experiments'
 #    quick-run golden (every id's tables minus their timing cells), re-run
@@ -151,7 +151,7 @@ MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
-MLAKE_THREADS=1 cargo test -q -p mlake-index --test sharded_determinism
+MLAKE_THREADS=1 cargo test -q -p mlake-index --test proptests --test search_scratch
 MLAKE_THREADS=1 cargo test -q -p mlake-core --test lake_api \
   search_is_bit_identical_however_a_vector_reached_the_registry
 MLAKE_THREADS=1 cargo test -q -p mlake-par
@@ -161,7 +161,7 @@ MLAKE_THREADS=1 cargo test -q -p mlake-bench
 step "experiments: full-size golden (release, obs on)"
 cargo test -q -p mlake-bench --lib --release -- --ignored full_run
 
-step "index: HNSW golden, selection and sharding suites in release (obs on + off)"
+step "index: HNSW golden, selection and determinism suites in release (obs on + off)"
 cargo test -q -p mlake-index --release
 MLAKE_OBS=off cargo test -q -p mlake-index --release
 
