@@ -20,8 +20,8 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 
 /// Cache key: the query as asked, plus the lake generation. A lake's
-/// caches are its own, so nothing about its layout (shard count, index
-/// parameters) belongs in the key.
+/// caches are its own, so nothing about its layout (index parameters)
+/// belongs in the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
     pub query: CachedQuery,
