@@ -2,7 +2,8 @@
 //! frozen end-to-end benchmark (`benchmark/src/probes.rs`) still builds its
 //! replica of the lake's hybrid index through it. The lake holds one
 //! [`crate::HnswIndex`] per fingerprint kind and never shards; nothing in
-//! the workspace constructs this type.
+//! the workspace constructs this type outside its tests
+//! (`tests/sharded_determinism.rs` checks its answers are HNSW's).
 
 use crate::{Hit, VectorIndex};
 use mlake_tensor::TensorError;

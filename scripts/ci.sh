@@ -151,7 +151,8 @@ MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
-MLAKE_THREADS=1 cargo test -q -p mlake-index --test proptests --test search_scratch
+MLAKE_THREADS=1 cargo test -q -p mlake-index --test proptests --test search_scratch \
+  --test sharded_determinism
 MLAKE_THREADS=1 cargo test -q -p mlake-core --test lake_api \
   search_is_bit_identical_however_a_vector_reached_the_registry
 MLAKE_THREADS=1 cargo test -q -p mlake-par
