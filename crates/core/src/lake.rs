@@ -202,10 +202,10 @@ impl LakeConfigBuilder {
     }
 }
 
-/// Segment bookkeeping for incremental persistence (DESIGN.md §15): the
-/// live segment chain plus high-water marks recording how much of the
-/// catalogue the chain already covers, so `persist()` writes only the
-/// delta. It is what `op_lock` guards: a function that takes a
+/// The writer's state (DESIGN.md §15): the live segment chain plus
+/// high-water marks recording how much of the catalogue the chain already
+/// covers, so `persist()` writes only the delta, and the version graph's
+/// recovery memo. It is what `op_lock` guards: a function that takes a
 /// `&mut SegState` runs under the op lock (or inside the single-threaded
 /// open, before the lake is shared).
 #[derive(Debug, Default)]
@@ -223,6 +223,9 @@ pub(crate) struct SegState {
     pub(crate) benchmarks: BTreeSet<String>,
     /// Events already covered by `live` (log prefix length).
     pub(crate) events: usize,
+    /// Recovery over a prefix of the registry, which the graph catch-up and
+    /// `rebuild_version_graph` extend by the suffix it lacks.
+    pub(crate) memo: RecoveryMemo,
 }
 
 /// The catalogue (DESIGN.md §12): the registry and the event log, one value
@@ -424,7 +427,9 @@ pub(crate) fn text_document(
 }
 
 /// A version graph as the lake publishes it: what recovery returned, plus
-/// what the reads on it would otherwise work out per call.
+/// what the reads on it would otherwise work out per call. The default is
+/// the graph of an empty registry.
+#[derive(Default)]
 struct PublishedGraph {
     graph: RecoveredGraph,
     /// Per model, the position in `graph.edges` of the edge it is the child
@@ -470,27 +475,6 @@ impl PublishedGraph {
     }
 }
 
-/// The version graph as a projection of the registry, caught up on demand
-/// like the fingerprint indexes.
-#[derive(Default)]
-struct GraphState {
-    /// Recovery over a prefix of the registry. An ingest leaves it behind;
-    /// [`ModelLake::current_graph`] extends it by the suffix it lacks.
-    memo: RecoveryMemo,
-    /// The graph of the last catch-up; stale once it covers fewer models
-    /// than the registry holds. Shared out as an `Arc` so a task read
-    /// borrows it instead of copying every edge.
-    published: Option<Arc<PublishedGraph>>,
-}
-
-/// The full-text index (DESIGN.md §16), caught up by
-/// [`ModelLake::with_text`] to `seq`, the event-log head it covers.
-#[derive(Default)]
-struct TextState {
-    index: mlake_text::TextIndex,
-    seq: u64,
-}
-
 /// The model lake.
 pub struct ModelLake {
     pub(crate) config: LakeConfig,
@@ -501,7 +485,9 @@ pub struct ModelLake {
     /// every mutating facade op appends to before touching state above.
     /// See `crate::durable` and DESIGN.md §12.
     pub(crate) wal: Option<crate::durable::WalLink>,
-    text: RwLock<TextState>,
+    /// The full-text index (DESIGN.md §16) and the event-log head it
+    /// covers, its watermark.
+    text: RwLock<(mlake_text::TextIndex, u64)>,
     /// Serializes mutating facade ops so WAL append order always equals
     /// in-memory apply order (replay must reproduce state exactly), and
     /// guards the incremental-persist marks (DESIGN.md §15): the guard is
@@ -509,14 +495,15 @@ pub struct ModelLake {
     /// catalogue: a read that needs the graph caught up does that first.
     pub(crate) op_lock: parking_lot::Mutex<SegState>,
     fingerprinter: Fingerprinter,
-    /// One HNSW index slot per fingerprint kind, in [`FingerprintKind::ALL`]
-    /// order: a projection of the registry's `ModelEntry::fps`, `None` until
+    /// One HNSW graph per fingerprint kind, in [`FingerprintKind::ALL`]
+    /// order: a projection of the registry's `ModelEntry::fps`, empty until
     /// a search first reads that kind. [`ModelLake::with_index`] builds it
     /// then and catches every built kind up to the reader's catalogue, so
     /// all built kinds share one `len()`, the watermark.
-    indexes: RwLock<[Option<HnswIndex>; 3]>,
-    /// The recovered version graph and the recovery memo behind it.
-    graph: RwLock<GraphState>,
+    indexes: RwLock<[HnswIndex; 3]>,
+    /// The version graph, watermarked by its `num_models`. Shared out as an
+    /// `Arc` so a task read borrows it instead of copying every edge.
+    graph: RwLock<Arc<PublishedGraph>>,
     score_cache: RwLock<HashMap<(u64, String), Score>>,
     /// `similar()` results keyed by (query digest, k, event generation).
     similar_cache: QueryCache<Vec<(ModelId, f32)>>,
@@ -543,16 +530,17 @@ impl ModelLake {
         );
         let fingerprinter = Fingerprinter::new(SKETCH_DIM, FINGERPRINT_SEED, probes);
         let resident_cap = config.resident_bytes;
+        let indexes = std::array::from_fn(|_| HnswIndex::new(config.hnsw));
         ModelLake {
             config,
             store: ResidentStore::with_cap(resident_cap),
             catalogue: RwLock::new(Catalogue::default()),
-            text: RwLock::new(TextState::default()),
+            text: RwLock::new(Default::default()),
             wal: None,
             op_lock: parking_lot::Mutex::new(SegState::default()),
             fingerprinter,
-            indexes: RwLock::new([None, None, None]),
-            graph: RwLock::new(GraphState::default()),
+            indexes: RwLock::new(indexes),
+            graph: RwLock::new(Default::default()),
             score_cache: RwLock::new(HashMap::new()),
             similar_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
             mlql_cache: QueryCache::new(QUERY_CACHE_ENTRIES),
@@ -983,28 +971,32 @@ impl ModelLake {
         Ok(out)
     }
 
-    /// Runs `read` on the text index caught up to `cat`: the models that
+    /// Runs `read` on the text index [`caught_up`] to `cat`: the models that
     /// `ModelIngested` / `CardUpdated` events past its watermark name are
     /// reindexed, once each, from their current cards. The index layout does
     /// not depend on insertion order (DESIGN.md §16), so neither do rankings.
     fn with_text<R>(&self, cat: &Catalogue, read: impl FnOnce(&mlake_text::TextIndex) -> R) -> R {
-        let head = cat.events.head();
-        let text = self.text.read();
-        if text.seq == head {
-            return read(&text.index);
-        }
-        drop(text);
-        let mut text = self.text.write();
-        let fresh: BTreeSet<ModelId> = cat.events.events()[text.seq as usize..]
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::ModelIngested | EventKind::CardUpdated))
-            .filter_map(|e| cat.registry.id_of(&e.subject))
-            .collect();
-        for e in fresh.into_iter().filter_map(|id| cat.registry.model(id)) {
-            text.index.insert(e.id.0, &text_document(&e.name, &e.arch, &e.card));
-        }
-        text.seq = head;
-        read(&text.index)
+        let Ok((hits, _)) = caught_up(
+            &self.text,
+            cat,
+            |(_, seq), cat| *seq != cat.events.head(),
+            |cat| ((), cat),
+            "lake.text.build",
+            |(index, seq), _, cat| {
+                let fresh: BTreeSet<ModelId> = cat.events.events()[*seq as usize..]
+                    .iter()
+                    .filter(|e| matches!(e.kind, EventKind::ModelIngested | EventKind::CardUpdated))
+                    .filter_map(|e| cat.registry.id_of(&e.subject))
+                    .collect();
+                for e in fresh.into_iter().filter_map(|id| cat.registry.model(id)) {
+                    index.insert(e.id.0, &text_document(&e.name, &e.arch, &e.card));
+                }
+                *seq = cat.events.head();
+                Ok::<_, std::convert::Infallible>(())
+            },
+            |(index, _)| read(index),
+        );
+        hits
     }
 
     // ------------------------------------------------------------------
@@ -1017,7 +1009,6 @@ impl ModelLake {
     /// `known_roots` follows hub practice where foundation models are
     /// known; pass `None` for blind recovery. A root that names no model
     /// is [`LakeError::NotFound`], an empty root list [`LakeError::Config`].
-    // lint: no-span — the recovery spans itself
     pub fn rebuild_version_graph(
         &self,
         known_roots: Option<Vec<ModelId>>,
@@ -1032,55 +1023,41 @@ impl ModelLake {
             None => None,
         };
         let subject = crate::event::graph_subject(roots.as_deref())?;
-        let graph = self.rebuild_graph_locked(&seg, roots)?;
+        let graph = {
+            let _span = mlake_obs::span("lake.graph.rebuild");
+            self.recover(&mut seg, &self.catalogue(), roots)?
+        };
         // The graph is derived state: its record is the event alone.
         let timestamp = self.commit(&mut seg, Vec::new(), &[(EventKind::GraphRebuilt, &subject)])?;
-        Ok(self.publish(graph, timestamp).graph.clone())
+        *self.graph.write() = Arc::new(PublishedGraph::new(graph.clone(), timestamp));
+        Ok(graph)
     }
 
-    /// Catches the recovery memo up to the registry under `known_roots` and
-    /// returns its graph; `_seg` is the `op_lock` guard, the one exclusion
-    /// between recoveries. Logs, applies and publishes nothing: the callers
-    /// do what each needs. A memo recovered under the same options is
-    /// extended by the registry suffix it does not cover, which decodes the
-    /// newcomers and the members of the architecture groups they join and
-    /// nothing else (`RecoveryMemo::extend`; cost model in its module doc).
-    /// A memo recovered under other options — the blind catch-up after a
+    /// Extends the recovery memo in `seg`, the `op_lock` guard, to `cat`'s
+    /// registry under `known_roots` and returns its graph; logs, applies and
+    /// publishes nothing. Extending decodes the newcomers and the members
+    /// of the architecture groups they join and nothing else
+    /// (`RecoveryMemo::extend`; cost model in its module doc). A memo
+    /// recovered under other options — the blind catch-up after a
     /// `rebuild_version_graph(Some(roots))`, or the reverse — is discarded
-    /// and recovery starts from nothing, decoding every model. Either way
-    /// the graph is the one `recover_graph` returns over the whole lake.
-    fn rebuild_graph_locked(
+    /// and recovery starts from nothing. Either way the graph is the one
+    /// `recover_graph` returns over the whole lake.
+    fn recover(
         &self,
-        _seg: &SegState,
+        seg: &mut SegState,
+        cat: &Catalogue,
         known_roots: Option<Vec<usize>>,
     ) -> Result<RecoveredGraph> {
-        let _span = mlake_obs::span("lake.graph.rebuild");
         let opts = RecoveryOptions {
             known_roots,
             ..RecoveryOptions::default()
         };
-        // The memo leaves the lock for the duration: only `op_lock` holders
-        // touch it, and readers of `published` are not held up behind blob
-        // decodes.
-        let mut memo = std::mem::take(&mut self.graph.write().memo);
-        if memo.options() != &opts {
-            memo = RecoveryMemo::new(opts);
+        if seg.memo.options() != &opts {
+            seg.memo = RecoveryMemo::new(opts);
         }
-        let recovered = {
-            let cat = self.catalogue();
-            memo.extend(cat.registry.models.len(), Some(&self.fingerprinter.probes), |i| {
-                self.load(&cat.find(ModelRef::Id(ModelId(i as u64)))?.digest)
-            })
-        };
-        self.graph.write().memo = memo;
-        recovered
-    }
-
-    /// Makes `graph`, named by `timestamp`, the one graph reads see.
-    fn publish(&self, graph: RecoveredGraph, timestamp: u64) -> Arc<PublishedGraph> {
-        let published = Arc::new(PublishedGraph::new(graph, timestamp));
-        self.graph.write().published = Some(Arc::clone(&published));
-        published
+        seg.memo.extend(cat.registry.models.len(), Some(&self.fingerprinter.probes), |i| {
+            self.load(&cat.find(ModelRef::Id(ModelId(i as u64)))?.digest)
+        })
     }
 
     /// The current version graph, caught up if an ingest made it stale.
@@ -1090,41 +1067,33 @@ impl ModelLake {
         Ok(self.current_graph()?.0.graph.clone())
     }
 
-    /// The published graph with a graph read's one catalogue guard, the graph
-    /// covering exactly that catalogue. A stale graph (fewer models than the
-    /// registry, or none since an open) is caught up first, under `op_lock`,
-    /// with no catalogue guard held across the recovery; `op_lock` is let go
-    /// only once the guard is taken, so no op lands in between. Staleness is
-    /// re-checked under `op_lock`, so k readers that find the graph stale
-    /// after one ingest run one catch-up, not k. The catch-up writes
-    /// nothing: it recovers under the options of the log's latest graph
-    /// event — blind after an ingest or a `"*"` rebuild, under the named
-    /// roots after a `roots:` one — and publishes with that event's seq, so
-    /// a key `@v<t>` names the same graph before and after a reopen.
+    /// The published graph [`caught_up`] to a graph read's one catalogue
+    /// guard, returned with it. The catch-up recovers under the options of
+    /// the log's latest graph event — blind after an ingest or a `"*"`
+    /// rebuild, under the named roots after a `roots:` one — and publishes
+    /// with that event's seq, so a key `@v<t>` names the same graph before
+    /// and after a reopen.
     fn current_graph(&self) -> Result<(Arc<PublishedGraph>, CatalogueRead<'_>)> {
-        let fresh = |cat: &Catalogue| {
-            let g = self.graph.read().published.clone()?;
-            (g.graph.num_models == cat.registry.models.len()).then_some(g)
-        };
-        let cat = self.catalogue();
-        if let Some(g) = fresh(&cat) {
-            return Ok((g, cat));
-        }
-        drop(cat);
-        let seg = self.op_lock.lock();
-        let published = fresh(&self.catalogue());
-        let g = match published {
-            Some(g) => g,
-            None => {
-                let (timestamp, known_roots) = match self.catalogue().events.graph_event() {
+        caught_up(
+            &self.graph,
+            self.catalogue(),
+            |g, cat| g.graph.num_models != cat.registry.models.len(),
+            |cat| {
+                drop(cat);
+                let seg = self.op_lock.lock();
+                (seg, self.catalogue())
+            },
+            "lake.graph.rebuild",
+            |g, seg, cat| {
+                let (timestamp, known_roots) = match cat.events.graph_event() {
                     Some(e) => (e.seq, e.known_roots()?),
                     None => (0, None),
                 };
-                let graph = self.rebuild_graph_locked(&seg, known_roots)?;
-                self.publish(graph, timestamp)
-            }
-        };
-        Ok((g, self.catalogue()))
+                *g = Arc::new(PublishedGraph::new(self.recover(seg, cat, known_roots)?, timestamp));
+                Ok(())
+            },
+            Arc::clone,
+        )
     }
 
     /// Lineage path of a model from its recovered root, root first, as names.
@@ -1363,55 +1332,79 @@ impl ModelLake {
         self.catalogue().events.events().to_vec()
     }
 
-    /// Runs `read` on the `kind` fingerprint index caught up to `cat`
+    /// Runs `read` on the `kind` fingerprint index [`caught_up`] to `cat`
     /// (DESIGN.md §15). A kind's graph is built on that kind's first read;
-    /// after that every built kind catches up together, inserting entries
-    /// `[watermark .. registry len)` in id order, so each HNSW graph is the
-    /// same however the models arrived, wherever the searches fell between
-    /// them and whenever its kind was first read, and no read builds a graph
-    /// it does not read. The fast path is one read probe; the catch-up opens
-    /// `lake.index.build` with one child span per kind it inserts into.
-    /// A build runs under the indexes' write guard, so searches of every
-    /// kind wait for it. Deferring a kind's build saves its work only if
-    /// that kind is never read; otherwise the same build runs later, on
-    /// that kind's first read.
+    /// after that every built (non-empty) kind catches up together,
+    /// inserting entries `[watermark .. registry len)` in id order, so each
+    /// HNSW graph is the same however the models arrived, wherever the
+    /// searches fell between them and whenever its kind was first read.
+    /// `lake.index.build` has one child span per kind a catch-up extends.
     fn with_index<R>(
         &self,
         cat: &Catalogue,
         kind: FingerprintKind,
         read: impl FnOnce(&HnswIndex) -> R,
     ) -> Result<R> {
-        let models = &cat.registry.models;
         let want = kind as usize;
-        if let Some(index) = &self.indexes.read()[want] {
-            if index.len() == models.len() {
-                return Ok(read(index));
-            }
-        }
-        let catch_up = |index: &mut HnswIndex, k: usize| -> Result<()> {
-            if index.len() < models.len() {
-                let _span = mlake_obs::span(INDEX_BUILD_SPANS[k]);
-                for e in &models[index.len()..] {
-                    index.insert(e.id.0, &e.fps[k])?;
+        caught_up(
+            &self.indexes,
+            cat,
+            |idx, cat| idx[want].len() != cat.registry.models.len(),
+            |cat| ((), cat),
+            "lake.index.build",
+            |idx, _, cat| {
+                let models = &cat.registry.models;
+                for (k, index) in idx.iter_mut().enumerate() {
+                    if (k == want || !index.is_empty()) && index.len() < models.len() {
+                        let _span = mlake_obs::span(INDEX_BUILD_SPANS[k]);
+                        for e in &models[index.len()..] {
+                            index.insert(e.id.0, &e.fps[k])?;
+                        }
+                    }
                 }
-            }
-            Ok(())
-        };
-        let _span = mlake_obs::span("lake.index.build");
-        let mut idx = self.indexes.write();
-        // A concurrent search on the same catalogue may have caught part of
-        // the suffix up, or built this kind.
-        for (k, slot) in idx.iter_mut().enumerate() {
-            if k != want {
-                if let Some(index) = slot {
-                    catch_up(index, k)?;
-                }
-            }
-        }
-        let index = idx[want].get_or_insert_with(|| HnswIndex::new(self.config.hnsw));
-        catch_up(index, want)?;
-        Ok(read(index))
+                Ok::<_, LakeError>(())
+            },
+            |idx| read(&idx[want]),
+        )
+        .map(|(hits, _)| hits)
     }
+}
+
+/// The one catch-up protocol of the catalogue's projections (DESIGN.md
+/// §15): the HNSW graphs ([`ModelLake::with_index`]), the text index
+/// ([`ModelLake::with_text`]) and the version graph
+/// ([`ModelLake::current_graph`]). Each sits behind its own `lock` with its
+/// own watermark and supplies `behind` (whether it lags the catalogue
+/// `cat`), `extend` (catch it up by the suffix it lacks) and `read`. The
+/// fast path is one probe under the read guard. On a miss `exclude` runs,
+/// then the write guard is taken and `behind` checked again, so k readers
+/// that miss on one catalogue run one catch-up, in `span`, not k. The
+/// graph's `exclude` lets `cat` go, takes `op_lock` as a writer does (the
+/// memo is writer state, and a writer queued on the catalogue would stall
+/// every read for the whole recovery) and takes the catalogue again; the
+/// others add nothing. A catch-up writes nothing: no WAL record, no event.
+/// Returns the answer and the catalogue it describes.
+fn caught_up<C: Deref<Target = Catalogue>, S, X, R, E>(
+    lock: &RwLock<S>,
+    cat: C,
+    behind: impl Fn(&S, &Catalogue) -> bool,
+    exclude: impl FnOnce(C) -> (X, C),
+    span: &'static str,
+    extend: impl FnOnce(&mut S, &mut X, &Catalogue) -> std::result::Result<(), E>,
+    read: impl FnOnce(&S) -> R,
+) -> std::result::Result<(R, C), E> {
+    let state = lock.read();
+    if !behind(&state, &cat) {
+        return Ok((read(&state), cat));
+    }
+    drop(state);
+    let (mut held, cat) = exclude(cat);
+    let mut state = lock.write();
+    if behind(&state, &cat) {
+        let _span = mlake_obs::span(span);
+        extend(&mut state, &mut held, &cat)?;
+    }
+    Ok((read(&state), cat))
 }
 
 /// An MLQL query parsed once against a lake, executable many times.
@@ -1666,7 +1659,7 @@ mod tests {
         let lake = ModelLake::open(&dir, LakeConfig::default()).unwrap();
         let built = |lake: &ModelLake| {
             let idx = lake.indexes.read();
-            idx.each_ref().map(|slot| slot.as_ref().map(|index| index.len()))
+            idx.each_ref().map(|index| (!index.is_empty()).then(|| index.len()))
         };
         assert_eq!(built(&lake), [None, None, None], "open builds no graph");
         lake.similar(ModelId(0), FingerprintKind::Hybrid, 3).unwrap();
@@ -1675,6 +1668,68 @@ mod tests {
         lake.similar(ModelId(0), FingerprintKind::Intrinsic, 3).unwrap();
         let n = gt.models.len();
         assert_eq!(built(&lake), [Some(n), None, Some(n)]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// k readers that all miss on one catalogue run one catch-up: the
+    /// driver checks `behind` again under the exclusion. Here `exclude`
+    /// holds each reader until all k have missed, which forces the herd
+    /// that `rebuild_herd.rs` can only hope its threads form.
+    #[test]
+    fn a_herd_that_misses_together_runs_one_catch_up() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        const HERD: usize = 4;
+        let (lock, cat) = (RwLock::new(0u32), Catalogue::default());
+        let (barrier, extends) = (std::sync::Barrier::new(HERD), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            for _ in 0..HERD {
+                s.spawn(|| {
+                    let read = caught_up(
+                        &lock,
+                        &cat,
+                        |watermark, _| *watermark == 0,
+                        |cat| (barrier.wait(), cat),
+                        "lake.test.catch_up",
+                        |watermark, _, _| {
+                            extends.fetch_add(1, Ordering::SeqCst);
+                            *watermark += 1;
+                            Ok::<_, LakeError>(())
+                        },
+                        |watermark| *watermark,
+                    );
+                    assert_eq!(read.unwrap().0, 1);
+                });
+            }
+        });
+        assert_eq!(extends.load(Ordering::SeqCst), 1, "k readers ran k catch-ups");
+    }
+
+    /// A persist moves the marks `op_lock` guards and keeps the recovery
+    /// memo beside them, so the next graph catch-up decodes no model the
+    /// memo already covers.
+    #[test]
+    fn a_persist_keeps_the_recovery_memo() {
+        use mlake_datagen::{generate_lake, LakeSpec};
+        let dir = std::env::temp_dir().join(format!("mlake-lake-memo-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let gt = generate_lake(&LakeSpec::tiny(5));
+        let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
+        for m in &gt.models {
+            lake.ingest_model(&m.name, &m.model, None).unwrap();
+        }
+        lake.version_graph().unwrap();
+        lake.persist(&dir).unwrap();
+        let mut loads = 0;
+        let mut seg = lake.op_lock.lock();
+        let probes = Some(&lake.fingerprinter.probes);
+        seg.memo
+            .extend(gt.models.len(), probes, |i| {
+                loads += 1;
+                lake.load(&lake.catalogue().registry.models[i].digest)
+            })
+            .unwrap();
+        assert_eq!(loads, 0, "the persist dropped the recovery memo");
+        drop(seg);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

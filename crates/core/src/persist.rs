@@ -245,9 +245,11 @@ impl ModelLake {
         vfs.write_atomic(&dir.join("manifest.json"), &json)?;
 
         if let Some(link) = own {
-            // The swap landed: advance the marks to the persisted cut.
+            // The swap landed: advance the marks to the persisted cut. The
+            // recovery memo stays: its registry prefix is still the lake's.
             covered.live = superblock.segments;
             covered.next_seq = seq + 1;
+            covered.memo = std::mem::take(&mut seg.memo);
             *seg = covered;
             // The chain is the new recovery base: drop the covered WAL prefix.
             link.wal.compact_to(last_lsn)?;

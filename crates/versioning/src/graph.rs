@@ -19,8 +19,8 @@ pub struct RecoveredEdge {
     pub distance: f32,
 }
 
-/// A recovered version graph over `num_models` models.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A recovered version graph over `num_models` models (the default: none).
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RecoveredGraph {
     /// Number of models considered.
     pub num_models: usize,

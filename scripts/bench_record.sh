@@ -33,7 +33,14 @@
 # change in percent and flags `raw disagrees` when the twin did not move
 # the way the verdict says (better or WORSE) by more than its parent's
 # quartile spread. A metric with no raw twin (space_amp) is judged on
-# itself. The last line names every WORSE row.
+# itself. A row is also flagged `bimodal` when either side's runs split into
+# two clusters further apart than the bound: cut at the widest gap between
+# neighbouring sorted runs that leaves two or more runs on each side, the
+# two clusters' medians differ by more than the bound (a fraction of that
+# side's median). Such a row's median lands in one cluster or the other
+# from record to record, so read it through its raw twin. A bimodal row
+# that would read better or flat reads unresolved; neither flag replaces
+# or removes a WORSE. The last line names every WORSE row.
 #
 # --diff: for every workload and metric in both files, the change side's
 # median in A, in B, and the difference in percent.
@@ -74,6 +81,21 @@ def gain(m, s):
     p, c = s["parent"]["median"], s["change"]["median"]
     return (c - p) if better[m] == "higher" else (p - c), s["parent"]["q3"] - s["parent"]["q1"]
 
+def median(xs):
+    xs = sorted(xs)
+    return (xs[(len(xs) - 1) // 2] + xs[len(xs) // 2]) / 2
+
+def bimodal(m, runs):
+    """Whether either side's runs of `m` form two clusters further apart than the bound."""
+    for side in ("parent", "change"):
+        xs = sorted(r[side]["metrics"][m] for r in runs if r[side] and m in r[side]["metrics"])
+        if len(xs) < 4 or not median(xs):
+            continue
+        cut = max(range(2, len(xs) - 1), key=lambda i: xs[i] - xs[i - 1])
+        if median(xs[cut:]) - median(xs[:cut]) > bound[m] * abs(median(xs)):
+            return True
+    return False
+
 def verdict(m, s, raw):
     """WORSE, better, unresolved or flat, and whether the raw twin disagrees."""
     p = s["parent"]["median"]
@@ -104,9 +126,13 @@ for w, wr in record["workloads"].items():
         raw_pct = raw["median_change_pct"] if raw else None
         raw_pct = f"{raw_pct:+.1f}" if raw_pct is not None else "-"
         v, disagrees = verdict(m, s, raw)
+        split = bimodal(m, wr["runs"])
+        if split and v in ("better", "flat"):
+            v = "unresolved"
         if v == "WORSE":
             worse.append(f"{w} {m}")
-        flag = " (raw disagrees)" if disagrees else ""
+        flags = ["raw disagrees"] * disagrees + ["bimodal"] * split
+        flag = f" ({', '.join(flags)})" if flags else ""
         print(f"{w:<22}{m:<18}{s['parent']['median']:>12.6g}{s['change']['median']:>12.6g}"
               f"{pct:>10}{raw_pct:>8}{s['wins']:>3}/{len(wr['runs'])}{bound[m] * 100:>6.0f} %  {v}{flag}")
 print(f"# record: {path}")

@@ -19,7 +19,9 @@
 #    rustfmt-clean.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
 #    behaviourally inert.
-# 7. The equivalence, HNSW, par and versioning suites, the lake's
+# 7. The equivalence, HNSW, par and versioning suites (of the index
+#    crate's integration suites, the property tests: search_scratch sets
+#    its own thread count), the lake's
 #    search bit-identity test (a kind's graph built on its first read, at
 #    any point, equals one caught up insert by insert), and the experiments'
 #    quick-run golden (every id's tables minus their timing cells), re-run
@@ -29,7 +31,8 @@
 #    index suites (the HNSW graph-and-answers golden among them, since
 #    lakebench runs release code), the crash-recovery matrix with the
 #    auto-compaction suite, the lineage-read suites (one catch-up per stale
-#    graph, equal to a from-scratch recovery, and no read writes), the
+#    projection, a graph equal to a from-scratch recovery, and no read
+#    writes), the
 #    blockstore and on-disk format suites
 #    (upgrade goldens, hostile bytes, a block
 #    nested past the parser's bound), the codec kernels (the vendored serde
@@ -151,8 +154,7 @@ MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
 MLAKE_THREADS=1 cargo test -q -p mlake-index hnsw
-MLAKE_THREADS=1 cargo test -q -p mlake-index --test proptests --test search_scratch \
-  --test sharded_determinism
+MLAKE_THREADS=1 cargo test -q -p mlake-index --test proptests
 MLAKE_THREADS=1 cargo test -q -p mlake-core --test lake_api \
   search_is_bit_identical_however_a_vector_reached_the_registry
 MLAKE_THREADS=1 cargo test -q -p mlake-par
@@ -170,8 +172,9 @@ step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction 
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 
-# A stale version graph is caught up once per herd of readers, equals a
-# from-scratch recovery, and is published without a WAL write, fsync or
+# A stale projection (the version graph, an HNSW graph, the text index) is
+# caught up once per herd of readers; a caught-up graph equals a
+# from-scratch recovery and is published without a WAL write, fsync or
 # event; a rooted graph's citations survive a reopen.
 step "lineage reads: graph catch-up, herd, reads-never-write (obs on + off)"
 cargo test -q -p mlake-core --test graph_catch_up --test rebuild_herd \
