@@ -2,19 +2,21 @@
 //!
 //! A [`Block`] is the lake's one mutation record. A persisted lake is a
 //! **superblock** (`manifest.json`, format v4) naming an ordered chain of
-//! immutable segment files under `<dir>/segs/<seq>.seg`. Each segment
-//! holds the *delta* of catalogue state since the previous one: model
-//! registrations (with their fingerprints, so reopening never recomputes
-//! them), card overrides, dataset/benchmark registrations, and the
-//! event-log slice. A WAL record is the same thing at op granularity: the
-//! blocks one facade op adds to the next delta, plus the `Events` block
-//! numbering its events (`crate::durable`). Open applies the chain's
-//! segments in sequence order, then the WAL tail, through
-//! `Catalogue::apply`, the one function that changes the catalogue; later
-//! blocks override earlier ones (a `CardOverride` replaces the card a
-//! `Model` block carried). A major compaction or an export writes the
-//! catalogue from memory as one segment — the delta since zero marks —
-//! never by re-reading the chain. Everything else a lake serves — vector
+//! immutable segment files under `<dir>/segs/<seq>.seg`, then the sealed
+//! WAL segments past its `last_lsn`. A segment is a *fold*: the whole
+//! catalogue, written from memory — never by re-reading the chain — as
+//! model registrations (with their fingerprints and current cards, so
+//! reopening never recomputes them), dataset/benchmark registrations, and
+//! the event log. A WAL record holds the same blocks at op granularity: the
+//! blocks one facade op changes the catalogue by, plus the `Events` block
+//! numbering its events (`crate::durable`); a persist seals the WAL
+//! segment holding them as the delta instead of writing them again. Open
+//! applies the chain's segments in sequence order, then the WAL tail,
+//! through `Catalogue::apply`, the one function that changes the
+//! catalogue; later blocks override earlier ones (a `CardOverride`
+//! replaces the card a `Model` block carried). A v4 lake written while
+//! persists wrote delta segments may hold several segments, card
+//! overrides among them; they apply the same way. Everything else a lake serves — vector
 //! indexes, the text index — is derived from the catalogue, never stored;
 //! a v3 segment that stored the text index is `crate::legacy`'s to read.
 //!
@@ -46,13 +48,13 @@ pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"MLSG";
 /// Segment format version.
 pub(crate) const SEGMENT_VERSION: u16 = 1;
 
-/// One catalogue delta record inside a segment, in apply order.
+/// One catalogue record inside a segment or a WAL record, in apply order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) enum Block {
     /// A model registration: everything the registry needs, plus the
     /// three fingerprints so reopening never touches the blob.
     Model(ModelBlock),
-    /// A card replacement for an already-persisted model.
+    /// A card replacement for an already-registered model.
     CardOverride {
         /// Lake-local model id (its position in the model list).
         id: u64,
@@ -71,7 +73,7 @@ pub(crate) enum Block {
         /// Its domain label.
         domain: Option<String>,
     },
-    /// The event-log slice this segment's delta covers.
+    /// The event-log slice this record covers.
     Events {
         /// Events, oldest first.
         events: Vec<Event>,

@@ -2,8 +2,8 @@
 //!
 //! A durable lake accretes unreachable files in three ways: **orphan
 //! blobs** (an ingest crashed between the atomic blob write and the WAL
-//! record that would reference it), **dead segments** (superseded by a
-//! major compaction, or written just before a crash that prevented the
+//! record that would reference it), **dead segments** (folds superseded
+//! by a later fold, or written just before a crash that prevented the
 //! superblock swap), and **stray temp files** (a `write_atomic` that died
 //! between creating `<path>.tmp` and the rename). None of them are ever
 //! read again — the superblock and the registry are the only roots — so

@@ -1,9 +1,10 @@
 //! The formats before superblock v4 — v1/v2 whole-state manifests, v3
 //! segments that may end in a `TextIndex` block, v3 WAL records that may be
 //! one-op `WalOp`s — and the one way out of them, [`ModelLake::upgrade`]
-//! (DESIGN.md §12): read the lake through the converters below, then
-//! persist it into its own directory from zero marks. The superblock swap
-//! is the commit point; the old chain is left for [`ModelLake::gc`].
+//! (DESIGN.md §12): read the lake through the converters below, then fold
+//! the whole catalogue into one segment in its own directory. The
+//! superblock swap is the commit point; the old chain is left for
+//! [`ModelLake::gc`].
 
 use crate::blockstore::{self, Block};
 use crate::error::{LakeError, Result};
@@ -85,9 +86,9 @@ impl ModelLake {
             lake.apply_record(legacy_segment(dir, &vfs, seq)?)?;
         }
         lake.attach_wal(dir, Arc::clone(&vfs), sb.last_lsn, ModelLake::legacy_record)?;
-        // Zero marks, so the whole catalogue, in a segment past the old chain.
+        // The whole catalogue, in a segment past the old chain.
         let next_seq = sb.segments.iter().max().map_or(1, |seq| seq + 1);
-        lake.persist_locked(&mut SegState { next_seq, ..SegState::default() }, dir, &vfs)
+        lake.fold(&mut SegState { next_seq, ..SegState::default() }, dir, &vfs)
     }
 
     /// A v1/v2 manifest's catalogue as one record: its datasets and

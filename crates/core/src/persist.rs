@@ -7,31 +7,32 @@
 //!   segs/<seq>.seg             immutable, checksummed block segments
 //!   manifest.json              superblock (v4): the live segment chain
 //!                              and the WAL LSN the chain covers
-//!   wal/<lsn>.wal              write-ahead log segments (mlake-wal)
+//!   wal/<lsn>.wal              write-ahead log segments (mlake-wal); the
+//!                              sealed ones are the persisted deltas
 //! ```
 //!
-//! **Writer.** [`ModelLake::persist`] — or the op that crosses a
-//! [`crate::lake::CompactionPolicy`], through the same
-//! [`ModelLake::persist_locked`] — runs under `op_lock`, whose guard *is*
-//! the persist marks, and walks the catalogue once, under one read guard,
-//! for the **delta** since those marks: the models, card overrides,
-//! dataset/benchmark registrations and events the live chain does not yet
-//! cover. The card overrides are the models below the model mark that a
-//! `CardUpdated` event past the event mark names. Into the lake's own
-//! directory that delta lands as one new segment and the superblock swaps
-//! to the extended chain — cost O(ops since last persist), not O(lake). A
-//! major compaction (the chain would outgrow [`MAX_LIVE_SEGMENTS`]) and an
-//! export into any other directory write the delta since zero marks — the
-//! whole catalogue, from memory — as a single segment. An ephemeral lake's
-//! marks are zero and its chain empty, so its delta *is* the catalogue.
-//! Every file lands via temp-file + rename; a crash mid-persist leaves
-//! either the old superblock or the new one, never a torn mix (at worst
-//! an unreachable segment for GC).
+//! **Writer.** Every op's blocks are already on disk, in the one WAL
+//! record the op appended, so the lake's history is written once.
+//! [`ModelLake::persist`] into the lake's own directory runs under
+//! `op_lock` and seals the WAL's active segment ([`mlake_wal::Wal::seal`]):
+//! that sealed segment *is* the delta since the last persist. It writes
+//! nothing else — no segment, no superblock — so its cost is O(1). The
+//! chain a reopen applies is the superblock's segments, then every sealed
+//! WAL segment past its `last_lsn`. Once that chain would pass
+//! [`MAX_LIVE_SEGMENTS`], and on the first persist of a lake whose chain
+//! is empty, the persist **folds** instead (`ModelLake::fold`): it writes
+//! the whole catalogue, from memory, as one segment, swaps the superblock
+//! to it and compacts away the WAL it covers. A fold is the only writer of
+//! segments; create, an export into any other directory, an upgrade and
+//! the compaction policy fold too. Every file lands via temp-file +
+//! rename; a crash mid-fold leaves either the old superblock or the new
+//! one, never a torn mix (at worst an unreachable segment for GC).
 //!
 //! **Reader.** [`ModelLake::open`] reads the superblock, applies each
 //! segment of the chain in order, then every WAL record past the
-//! superblock's `last_lsn`, each through [`ModelLake::apply_record`] — the
-//! function live ops change the catalogue through. That is pure metadata,
+//! superblock's `last_lsn` — the sealed segments persists left, then the
+//! active one — each through [`ModelLake::apply_record`], the function live
+//! ops change the catalogue through. That is pure metadata,
 //! no model blobs: the fingerprints a `Model` block carries land on the
 //! registry entry (a kind's first search builds that kind's HNSW graph
 //! from them, the first text read the text index from the cards), and
@@ -42,7 +43,6 @@
 use crate::blockstore::{self, Block, ModelBlock};
 use crate::durable::canonical_dir;
 use crate::error::{LakeError, Result};
-use crate::event::EventKind;
 use crate::hash::Digest;
 use crate::lake::{Catalogue, LakeConfig, ModelLake, SegState};
 use crate::registry::BenchmarkEntry;
@@ -57,9 +57,10 @@ use std::sync::Arc;
 /// through [`ModelLake::upgrade`].
 pub const MANIFEST_VERSION: u32 = 4;
 
-/// Once the live chain would grow past this many segments, persist writes
-/// the whole catalogue as a single segment instead of appending a delta,
-/// bounding the chain open applies.
+/// Once the chain — the superblock's segments plus the sealed WAL segments
+/// past its `last_lsn` — would grow past this many, persist folds the
+/// whole catalogue into a single segment instead of sealing, bounding the
+/// chain open applies.
 const MAX_LIVE_SEGMENTS: usize = 8;
 
 /// The superblock: the live segment chain and the WAL position it covers.
@@ -87,106 +88,78 @@ impl SuperBlock {
     }
 }
 
-/// Marks covering all of `cat`; the caller sets the chain.
-fn catalogue_marks(cat: &Catalogue) -> SegState {
-    SegState {
-        models: cat.registry.models.len(),
-        datasets: cat.registry.datasets.len(),
-        benchmarks: cat.registry.benchmarks.keys().cloned().collect(),
-        events: cat.events.events().len(),
-        ..SegState::default()
-    }
-}
-
-/// The catalogue delta since the persist marks in `seg`, as blocks, plus
-/// the marks that cover the catalogue once those blocks are durable. The
-/// only place the catalogue is walked for persistence; at zero marks the
-/// delta is the whole catalogue. The caller holds `op_lock` and the read
-/// guard `cat` comes from, so catalogue and marks are one consistent cut.
-pub(crate) fn delta_since(cat: &Catalogue, seg: &SegState) -> (Vec<Block>, SegState) {
+/// The whole catalogue as one segment's blocks: every model with its
+/// current card, the datasets, the benchmarks in name order, then the
+/// event log. The only place the catalogue is walked for persistence.
+fn catalogue_blocks(cat: &Catalogue) -> Vec<Block> {
     let reg = &cat.registry;
-    let mut blocks = Vec::new();
-    for entry in &reg.models[seg.models..] {
-        blocks.push(Block::Model(ModelBlock {
+    let models = reg.models.iter().map(|entry| {
+        Block::Model(ModelBlock {
             name: entry.name.clone(),
             digest: entry.digest.to_hex(),
             arch: entry.arch.clone(),
             params: entry.params,
             card: entry.card.clone(),
             fps: blockstore::fp_bits(&entry.fps),
-        }));
-    }
-    // Cards replaced on already-persisted models, in id order: the ones a
-    // `CardUpdated` event past the event mark names. The Model blocks
-    // above carry their current card already.
-    let events = cat.events.events();
-    let dirty: std::collections::BTreeSet<u64> = events[seg.events..]
-        .iter()
-        .filter(|e| e.kind == EventKind::CardUpdated)
-        .filter_map(|e| reg.id_of(&e.subject))
-        .map(|id| id.0)
-        .filter(|&id| (id as usize) < seg.models)
-        .collect();
-    for id in dirty {
-        let card = reg.models[id as usize].card.clone();
-        blocks.push(Block::CardOverride { id, card });
-    }
-    for dataset in &reg.datasets[seg.datasets..] {
-        blocks.push(Block::Dataset {
-            dataset: dataset.clone(),
-        });
-    }
-    let mut benchmarks: Vec<&BenchmarkEntry> = reg
-        .benchmarks
-        .values()
-        .filter(|e| !seg.benchmarks.contains(&e.benchmark.name))
-        .collect();
+        })
+    });
+    let datasets = reg.datasets.iter().map(|dataset| Block::Dataset {
+        dataset: dataset.clone(),
+    });
+    let mut benchmarks: Vec<&BenchmarkEntry> = reg.benchmarks.values().collect();
     benchmarks.sort_by(|a, b| a.benchmark.name.cmp(&b.benchmark.name));
-    for e in benchmarks {
-        blocks.push(Block::Benchmark {
-            benchmark: e.benchmark.clone(),
-            domain: e.domain.clone(),
-        });
-    }
-    if events.len() > seg.events {
+    let benchmarks = benchmarks.into_iter().map(|e| Block::Benchmark {
+        benchmark: e.benchmark.clone(),
+        domain: e.domain.clone(),
+    });
+    let mut blocks: Vec<Block> = models.chain(datasets).chain(benchmarks).collect();
+    let events = cat.events.events();
+    if !events.is_empty() {
         blocks.push(Block::Events {
-            events: events[seg.events..].to_vec(),
+            events: events.to_vec(),
         });
     }
-    (blocks, catalogue_marks(cat))
+    blocks
 }
 
 impl ModelLake {
-    /// Persists the lake into `dir` (created if absent). On a durable lake
-    /// persisting into its own directory this is incremental: one delta
-    /// segment (if anything changed), a superblock swap, and WAL
-    /// compaction — cost O(ops since last persist). Persisting anywhere
-    /// else exports the full lake.
-    // lint: no-span — persist_locked opens the lake.persist span
+    /// Persists the lake into `dir` (created if absent). Into the lake's
+    /// own directory this seals the WAL's active segment — the delta since
+    /// the last persist, already on disk — and writes nothing else, until
+    /// the chain would pass [`MAX_LIVE_SEGMENTS`]: that persist, and the
+    /// first one of a lake whose chain is empty, folds the whole catalogue
+    /// into one segment instead. Persisting anywhere else exports the full
+    /// lake.
     pub fn persist(&self, dir: &Path) -> Result<()> {
+        let _span = mlake_obs::span("lake.persist");
+        // Hold the op lock so the cut and its last_lsn are one consistent
+        // view of the lake; it excludes every mutator of the chain too.
+        let mut seg = self.op_lock.lock();
+        let own = self.wal.as_ref().filter(|link| link.dir == canonical_dir(dir));
+        // A chain to extend: the WAL's active segment joins it as it is.
+        if let Some(link) = own.filter(|_| !seg.live.is_empty()) {
+            link.wal.seal()?;
+            if seg.live.len() + link.wal.sealed_count() <= MAX_LIVE_SEGMENTS {
+                return Ok(());
+            }
+        }
         let vfs = self
             .wal
             .as_ref()
             .map(|l| Arc::clone(&l.vfs))
             .unwrap_or_else(RealFs::shared);
-        // Hold the op lock so the cut and its last_lsn are one consistent
-        // view of the lake; it excludes every mutator of the marks too.
-        self.persist_locked(&mut self.op_lock.lock(), dir, &vfs)
+        self.fold(&mut seg, dir, &vfs)
     }
 
-    /// The persist body shared by [`ModelLake::persist`], create and the
-    /// compaction trigger: one consistent cut of the lake under the
-    /// `op_lock` (`seg` is the guard), written as the delta since the last
-    /// persist (own directory) or as the whole catalogue in one segment
-    /// (major compaction, or any other directory — which leaves the lake's
-    /// own chain, marks and WAL untouched).
-    pub(crate) fn persist_locked(
-        &self,
-        seg: &mut SegState,
-        dir: &Path,
-        vfs: &Arc<dyn Vfs>,
-    ) -> Result<()> {
-        let _span = mlake_obs::span("lake.persist");
+    /// Writes the whole catalogue, from memory, into `dir` as one segment
+    /// and swaps the superblock to it: the only writer of segments. Into
+    /// the lake's own directory — a persist's fold, the compaction policy,
+    /// an upgrade — the segment becomes the whole chain and the WAL prefix
+    /// it covers is dropped. Anywhere else — create, an export — the blobs
+    /// are copied too, and the lake's own chain and WAL stay untouched.
+    /// `seg` is the `op_lock` guard, so the catalogue and its `last_lsn`
+    /// are one consistent cut.
+    pub(crate) fn fold(&self, seg: &mut SegState, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
         // The lake's own directory under any spelling (relative, `..`, a
         // symlink) is still its own directory: compare resolved identities.
         let own = self
@@ -202,11 +175,9 @@ impl ModelLake {
             });
         }
         vfs.create_dir_all(dir)?;
-        let rewrite = own.is_none() || seg.live.len() + 1 > MAX_LIVE_SEGMENTS;
         let seq = if own.is_some() { seg.next_seq.max(1) } else { 1 };
-        let zero = SegState::default();
         let cat = self.catalogue();
-        let (blocks, mut covered) = delta_since(&cat, if rewrite { &zero } else { seg });
+        let blocks = catalogue_blocks(&cat);
         let digests: Vec<Digest> = match own {
             Some(_) => Vec::new(),
             None => cat.registry.models.iter().map(|e| e.digest).collect(),
@@ -228,7 +199,7 @@ impl ModelLake {
         // Segment first, superblock second: a crash between the two leaves
         // the old superblock pointing at the old chain and one unreachable
         // segment for GC. Never a torn state.
-        let mut segments = if rewrite { Vec::new() } else { seg.live.clone() };
+        let mut segments = Vec::new();
         if !blocks.is_empty() {
             blockstore::write_segment(dir, vfs, seq, &blocks)?;
             segments.push(seq);
@@ -245,12 +216,10 @@ impl ModelLake {
         vfs.write_atomic(&dir.join("manifest.json"), &json)?;
 
         if let Some(link) = own {
-            // The swap landed: advance the marks to the persisted cut. The
-            // recovery memo stays: its registry prefix is still the lake's.
-            covered.live = superblock.segments;
-            covered.next_seq = seq + 1;
-            covered.memo = std::mem::take(&mut seg.memo);
-            *seg = covered;
+            // The swap landed: the segment is the chain. The recovery memo
+            // stays: its registry prefix is still the lake's.
+            seg.live = superblock.segments;
+            seg.next_seq = seq + 1;
             // The chain is the new recovery base: drop the covered WAL prefix.
             link.wal.compact_to(last_lsn)?;
         }
@@ -261,7 +230,8 @@ impl ModelLake {
     /// chain in order — metadata only; model blobs page in lazily on first
     /// touch and each fingerprint kind's index (restored from persisted
     /// fingerprints, never recomputed) builds on that kind's first search.
-    /// Then the write-ahead log replays past the superblock's `last_lsn`.
+    /// Then the write-ahead log replays past the superblock's `last_lsn`:
+    /// the sealed segments persists left, then the active one.
     /// The returned lake is durable: further mutations append to the same
     /// WAL. Any version but [`MANIFEST_VERSION`] is
     /// [`LakeError::UnsupportedManifest`].
@@ -294,15 +264,12 @@ impl ModelLake {
         for &seq in &sb.segments {
             lake.apply_record(blockstore::read_segment(dir, &vfs, seq)?)?;
         }
-        // The lake is not shared yet: open builds the persist marks here
-        // and hands them to `op_lock` once the lake is whole. Everything the
-        // chain covers is persisted; WAL-replayed ops count as fresh again.
-        let mut seg = catalogue_marks(&lake.catalogue());
+        // The lake is not shared yet: hand the chain to `op_lock` directly.
+        let seg = lake.op_lock.get_mut();
         seg.next_seq = sb.segments.iter().copied().max().unwrap_or(0) + 1;
         seg.live = sb.segments;
         // Replay everything the superblock does not cover, in LSN order.
         lake.attach_wal(dir, vfs, sb.last_lsn, ModelLake::block_list)?;
-        *lake.op_lock.get_mut() = seg;
         Ok(lake)
     }
 }
@@ -520,6 +487,13 @@ mod tests {
         )
     }
 
+    /// The chain a reopen applies: the superblock's segments, then the
+    /// sealed WAL segments — every WAL file but the active tail.
+    fn chain_len(dir: &Path) -> usize {
+        let sb = SuperBlock::decode(&std::fs::read(dir.join("manifest.json")).unwrap()).unwrap();
+        sb.segments.len() + std::fs::read_dir(dir.join("wal")).unwrap().count() - 1
+    }
+
     #[test]
     fn repeated_persists_append_deltas_and_major_fold_bounds_the_chain() {
         let dir = tmp("delta");
@@ -541,19 +515,16 @@ mod tests {
                 lake.update_card(ModelId(0), card).unwrap();
             }
             lake.persist(&dir).unwrap();
-            let sb: SuperBlock =
-                serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).unwrap())
-                    .unwrap();
-            chain_lens.push(sb.segments.len());
-            assert!(
-                sb.segments.len() <= MAX_LIVE_SEGMENTS,
-                "persist {i}: chain {:?} exceeds the fold bound",
-                sb.segments
-            );
+            chain_lens.push(chain_len(&dir));
         }
-        // The chain grew by one per persist until a major fold reset it.
-        assert!(chain_lens.windows(2).any(|w| w[1] > w[0]), "deltas appended");
-        assert!(chain_lens.windows(2).any(|w| w[1] < w[0]), "a major fold ran");
+        // The first persist folds the empty chain into one segment; each
+        // later one seals one WAL segment onto it, until the one that would
+        // pass the bound folds again.
+        assert_eq!(
+            chain_lens,
+            [1, 2, 3, 4, 5, 6, 7, 8, 1, 2, 3, 4],
+            "the chain broke its grow-then-fold cadence"
+        );
         // An idle persist adds no segment.
         let before: SuperBlock =
             serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).unwrap()).unwrap();

@@ -398,64 +398,101 @@ fn gc_crash_at_every_remove_preserves_full_state() {
     std::fs::remove_dir_all(&template).unwrap();
 }
 
-/// `persist()` is temp-file + rename all the way down: a crash at any
-/// write or fsync during persist must leave the previous snapshot + WAL
-/// fully recoverable — never a torn manifest, never lost ops.
+/// Ops the lake holds before the persist window below.
+const BEFORE_WINDOW: usize = N_OPS - 2;
+
+/// The persist window: a persist that folds (the chain is empty), one op,
+/// a persist that seals that op's WAL segment, and the script's last op,
+/// appended to the fresh segment the seal opened. Returns how many ops of
+/// the script are acknowledged when it stops.
+fn persist_window(lake: &ModelLake, dir: &Path) -> usize {
+    if lake.persist(dir).is_err() || apply_op(lake, BEFORE_WINDOW).is_err() {
+        return BEFORE_WINDOW;
+    }
+    if lake.persist(dir).is_err() || apply_op(lake, BEFORE_WINDOW + 1).is_err() {
+        return BEFORE_WINDOW + 1;
+    }
+    N_OPS
+}
+
+/// A lake holding the script's first `BEFORE_WINDOW` ops, built
+/// undisturbed on the real filesystem.
+fn build_before_window(dir: &Path) {
+    let _ = std::fs::remove_dir_all(dir);
+    let lake = ModelLake::create(dir, LakeConfig::default()).unwrap();
+    for i in 0..BEFORE_WINDOW {
+        apply_op(&lake, i).unwrap();
+    }
+}
+
+/// A persist folds with temp-file + rename all the way down, or seals the
+/// WAL segment its ops' records are already durable in: a crash at any
+/// write or fsync of a folding persist, a sealing one, and the ops around
+/// them must leave the previous snapshot + WAL fully recoverable — never a
+/// torn manifest, never lost ops.
 #[test]
 fn crash_during_persist_preserves_full_state() {
     let refs = reference_states();
-    // Counting pass: writes/syncs before persist vs during persist.
+    // Counting pass: the writes and syncs of the open + persist window.
     let dir = tmp("count-p");
-    let _ = std::fs::remove_dir_all(&dir);
+    build_before_window(&dir);
     let fs = FailFs::counting();
-    assert_eq!(drive(&dir, &fs), Some(N_OPS));
-    let (w_script, s_script) = (fs.writes(), fs.syncs());
     {
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fs));
         let lake = ModelLake::open_with(&dir, LakeConfig::default(), vfs).unwrap();
-        lake.persist(&dir).unwrap();
+        assert_eq!(persist_window(&lake, &dir), N_OPS);
     }
-    let (w_persist, s_persist) = (fs.writes() - w_script, fs.syncs() - s_script);
-    assert!(w_persist > 0, "persist issued no writes");
+    let (w_window, s_window) = (fs.writes(), fs.syncs());
+    assert!(w_window > 0, "the window issued no writes");
+    // The fold wrote the one segment and dropped the WAL it covers; the
+    // seal left the op after it in a sealed segment and the last op in
+    // the fresh tail.
+    let names = |sub: &str| -> Vec<String> {
+        let entries = std::fs::read_dir(dir.join(sub)).unwrap();
+        entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect()
+    };
+    assert_eq!(names("segs").len(), 1, "segments {:?}", names("segs"));
+    assert_eq!(names("wal").len(), 2, "the sealing persist sealed no WAL segment");
+    #[derive(serde::Deserialize)]
+    struct SuperBlock {
+        last_lsn: u64,
+    }
+    let manifest = std::fs::read(dir.join("manifest.json")).unwrap();
+    let last_lsn = serde_json::from_slice::<SuperBlock>(&manifest).unwrap().last_lsn;
+    for name in names("wal") {
+        let first: u64 = name.trim_end_matches(".wal").parse().unwrap();
+        assert!(first > last_lsn, "the fold left WAL segment {name} it covers");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 
-    // Crash at every write and every fsync inside the open + persist
-    // window (the counting pass above measured exactly that window, on an
-    // identical on-disk state).
+    // Crash at every write and every fsync inside the window (the counting
+    // pass above measured exactly that window, on an identical on-disk
+    // state).
     let mut cases: Vec<(&str, u64)> = Vec::new();
-    for k in 1..=w_persist {
+    for k in 1..=w_window {
         cases.push(("write", k));
     }
-    for k in 1..=s_persist {
+    for k in 1..=s_window {
         cases.push(("sync", k));
     }
     for (kind, k) in cases {
         let dir = tmp(&format!("kp-{kind}-{k}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        // Build the lake undisturbed on the real filesystem first.
-        {
-            let lake = ModelLake::create(&dir, LakeConfig::default()).unwrap();
-            for i in 0..N_OPS {
-                apply_op(&lake, i).unwrap();
-            }
-        }
+        build_before_window(&dir);
         // Reopen through FailFs armed to die on the k-th write/fsync, then
-        // persist. The open itself may be the victim; either way the crash
-        // lands before the new manifest is in place.
+        // run the window. The open itself may be the victim.
         let fs = match kind {
             "write" => FailFs::kill_at_write(k, 0),
             _ => FailFs::kill_at_sync(k),
         };
         let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(&fs));
-        if let Ok(lake) = ModelLake::open_with(&dir, LakeConfig::default(), vfs) {
-            assert!(
-                lake.persist(&dir).is_err(),
-                "{kind} kill {k}: persist survived the injected crash"
-            );
-        }
+        let acked = match ModelLake::open_with(&dir, LakeConfig::default(), vfs) {
+            Ok(lake) => persist_window(&lake, &dir),
+            Err(_) => BEFORE_WINDOW,
+        };
+        assert!(acked < N_OPS, "{kind} kill {k}: the window survived the injected crash");
         assert!(fs.is_dead(), "{kind} kill point {k} never reached");
-        // The previous snapshot + WAL must recover the complete state.
-        check_recovered(&dir, N_OPS, &refs, &format!("persist {kind} kill {k}"));
+        // The previous snapshot + WAL must recover every acked op.
+        check_recovered(&dir, acked, &refs, &format!("persist {kind} kill {k}"));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Durability substrate for the model lake (DESIGN.md §12). The facade
 //! appends every mutating operation here *before* touching in-memory
-//! state; `ModelLake::open` is snapshot-load + WAL replay; `persist()`
-//! is "compact now".
+//! state; `ModelLake::open` is snapshot-load + WAL replay. The log is the
+//! lake's only copy of its history since the last snapshot: `persist()`
+//! seals the active segment ([`Wal::seal`]) as the delta, and a fold —
+//! a new snapshot — drops the segments it covers ([`Wal::compact_to`]).
 //!
 //! The crate is layered bottom-up:
 //!
@@ -13,8 +15,9 @@
 //!   through, so the fault-injection harness can crash the "process" at
 //!   an exact write.
 //! * [`Wal`] — the writer: LSN-stamped appends, 4 MiB segment roll-over,
-//!   fsync on every commit ([`SyncPolicy::Always`], its one policy), and
-//!   [`Wal::compact_to`] for folding snapshotted prefixes away.
+//!   fsync on every commit ([`SyncPolicy::Always`], its one policy),
+//!   [`Wal::seal`] to close the active segment, and [`Wal::compact_to`]
+//!   for folding snapshotted prefixes away.
 //! * [`Recovery`] — the reader: replays to the last valid record,
 //!   truncates torn tails (CRC-detected), surfaces sealed-segment
 //!   corruption as a typed error, enforces LSN continuity.
@@ -22,8 +25,8 @@
 //!   injector behind the recovery test matrix.
 //!
 //! Zero external dependencies; instrumented with `mlake-obs`
-//! (`wal.append` / `wal.fsync` / `wal.replay` / `wal.compact` spans,
-//! `wal.bytes` counter, `wal.segments` gauge).
+//! (`wal.append` / `wal.fsync` / `wal.replay` / `wal.seal` /
+//! `wal.compact` spans, `wal.bytes` counter, `wal.segments` gauge).
 
 pub mod record;
 pub mod recovery;

@@ -241,12 +241,6 @@ impl Wal {
         self.lock_inner().next_lsn - 1
     }
 
-    /// Number of live segment files (sealed + active tail).
-    // lint: no-span — trivial accessor
-    pub fn segment_count(&self) -> usize {
-        self.lock_inner().sealed.len() + 1
-    }
-
     /// Number of sealed (no longer written) segments awaiting compaction.
     // lint: no-span — trivial accessor
     pub fn sealed_count(&self) -> usize {
@@ -341,24 +335,40 @@ impl Wal {
         Ok(())
     }
 
-    /// Drops sealed segments whose every record has LSN `<= upto` — the
-    /// caller just folded those records into a snapshot. The active tail
-    /// segment is first sealed (if non-empty) so it too can be collected
-    /// when fully covered. Records above `upto` are untouched.
-    pub fn compact_to(&self, upto: Lsn) -> Result<(), WalError> {
-        let _span = mlake_obs::span("wal.compact");
+    /// Seals the active segment and starts a fresh one, so every record
+    /// appended so far sits in a sealed segment; does nothing when the
+    /// active segment holds no record. Every append was fsynced when it was
+    /// made, so the sealed segment is already durable, and a crash after
+    /// the seal leaves an empty tail, which recovery accepts.
+    pub fn seal(&self) -> Result<(), WalError> {
+        let _span = mlake_obs::span("wal.seal");
         let mut inner = self.lock_inner();
         if inner.broken {
             return Err(WalError::Broken);
         }
-        // Seal the tail if the snapshot covers everything in it, so the
-        // whole log can shrink to a single fresh segment.
-        if inner.seg_nonempty && inner.next_lsn - 1 <= upto {
+        if inner.seg_nonempty {
             let next = inner.next_lsn;
             if let Err(e) = self.roll(&mut inner, next) {
                 inner.broken = true;
                 return Err(e);
             }
+        }
+        Ok(())
+    }
+
+    /// Drops sealed segments whose every record has LSN `<= upto` — the
+    /// caller just folded those records into a snapshot. When `upto`
+    /// covers the whole log the active segment is sealed first, so it too
+    /// is collected and the log shrinks to one fresh segment. Records above
+    /// `upto` are untouched.
+    pub fn compact_to(&self, upto: Lsn) -> Result<(), WalError> {
+        let _span = mlake_obs::span("wal.compact");
+        if self.head() <= upto {
+            self.seal()?;
+        }
+        let mut inner = self.lock_inner();
+        if inner.broken {
+            return Err(WalError::Broken);
         }
         let (drop_now, keep): (Vec<_>, Vec<_>) =
             std::mem::take(&mut inner.sealed)
@@ -423,7 +433,7 @@ mod tests {
         for _ in 0..5 {
             wal.append(&[7u8; 10]).unwrap();
         }
-        assert_eq!(wal.segment_count(), 3);
+        assert_eq!(wal.sealed_count(), 2);
         let names: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
@@ -445,7 +455,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, opts).unwrap();
         wal.append(&[1u8; 200]).unwrap(); // bigger than a whole segment
         wal.append(b"next").unwrap(); // rolls into a new segment
-        assert_eq!(wal.segment_count(), 2);
+        assert_eq!(wal.sealed_count(), 1);
         let (_, replay) = Wal::open(&dir, opts).unwrap();
         assert_eq!(replay.records.len(), 2);
         assert_eq!(replay.records[0].1.len(), 200);
@@ -488,7 +498,7 @@ mod tests {
         );
         assert_eq!(wal.append(b"three").unwrap(), 3);
         // Still one segment: the tail was resumed, not replaced.
-        assert_eq!(wal.segment_count(), 1);
+        assert_eq!(wal.sealed_count(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -522,19 +532,44 @@ mod tests {
         for _ in 0..6 {
             wal.append(&[9u8; 10]).unwrap();
         }
-        assert_eq!(wal.segment_count(), 3);
+        assert_eq!(wal.sealed_count(), 2);
         // Snapshot covers LSNs 1..=4: the first two segments go.
         wal.compact_to(4).unwrap();
-        assert_eq!(wal.segment_count(), 1);
+        assert_eq!(wal.sealed_count(), 0);
         let (_, replay) = Wal::open_with(&dir, opts, RealFs::shared(), 4).unwrap();
         assert_eq!(replay.records.iter().map(|r| r.0).collect::<Vec<_>>(), [5, 6]);
         // Snapshot covers everything: tail is sealed and dropped too.
         let (wal, _) = Wal::open_with(&dir, opts, RealFs::shared(), 4).unwrap();
         wal.compact_to(6).unwrap();
-        assert_eq!(wal.segment_count(), 1); // one fresh empty segment
+        assert_eq!(wal.sealed_count(), 0); // one fresh empty segment
         let (wal, replay) = Wal::open_with(&dir, opts, RealFs::shared(), 6).unwrap();
         assert_eq!(replay.records.len(), 0);
         assert_eq!(wal.append(b"after").unwrap(), 7);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn seal_seals_a_nonempty_tail_only() {
+        let dir = fresh("seal");
+        let (wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        wal.seal().unwrap();
+        assert_eq!(wal.sealed_count(), 0, "an empty tail was sealed");
+        wal.append(b"one").unwrap();
+        wal.append(b"two").unwrap();
+        wal.seal().unwrap();
+        wal.seal().unwrap();
+        assert_eq!(wal.sealed_count(), 1);
+        assert_eq!(wal.append(b"three").unwrap(), 3);
+        let names: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names.len(), 2);
+        assert!(names.contains(&segment_name(3)), "{names:?}");
+        drop(wal);
+        let (wal, replay) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(replay.records.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2, 3]);
+        assert_eq!(wal.sealed_count(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -29,13 +29,15 @@
 # 8. The experiments' full-size golden (every id's full-run tables minus
 #    their timing cells) runs in release with observability on. The
 #    index suites (the HNSW graph-and-answers golden among them, since
-#    lakebench runs release code), the crash-recovery matrix with the
+#    lakebench runs release code), the crash-recovery matrix (a crash in
+#    a persist that seals the WAL segment or folds the catalogue) with the
 #    auto-compaction suite, the lineage-read suites (one catch-up per stale
 #    projection, a graph equal to a from-scratch recovery, and no read
 #    writes), the
 #    blockstore and on-disk format suites
 #    (upgrade goldens, hostile bytes, a block
-#    nested past the parser's bound), the codec kernels (the vendored serde
+#    nested past the parser's bound, a persist that seals one WAL segment
+#    the size of its ops and writes no segment), the codec kernels (the vendored serde
 #    and serde_json crates' own tests, among them Ryū float digits against
 #    `Display` and the one-scan number parser against the one it replaced,
 #    and CRC32C's SSE4.2 path against its table), the snapshot-read race,
@@ -168,7 +170,7 @@ step "index: HNSW golden, selection and determinism suites in release (obs on + 
 cargo test -q -p mlake-index --release
 MLAKE_OBS=off cargo test -q -p mlake-index --release
 
-step "crash recovery: kill-at-every-write/fsync/remove sweeps + auto compaction (obs on + off)"
+step "crash recovery: kill-at-every-write/fsync/remove sweeps, a persist that seals or folds, auto compaction (obs on + off)"
 cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
 
@@ -182,11 +184,11 @@ cargo test -q -p mlake-core --test graph_catch_up --test rebuild_herd \
 MLAKE_OBS=off cargo test -q -p mlake-core --test graph_catch_up --test rebuild_herd \
   --test reads_never_write --release
 
-step "blockstore: lazy residency, refcounting GC, upgrade goldens, hostile bytes (obs on + off)"
+step "blockstore: lazy residency, refcounting GC, upgrade goldens, hostile bytes, sealing persist (obs on + off)"
 cargo test -q -p mlake-core --test residency --test manifest_compat \
-  --test wal_records --test hostile_open --release
+  --test wal_records --test hostile_open --test delta_segment --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test residency --test manifest_compat \
-  --test wal_records --test hostile_open --release
+  --test wal_records --test hostile_open --test delta_segment --release
 
 step "codec kernels: float digits, number parsing, nesting bound, CRC32C paths (obs on + off)"
 cargo test -q --manifest-path vendor/serde/Cargo.toml --release
