@@ -1,13 +1,26 @@
 //! Minimal HTTP/1.1 client: one keep-alive connection, blocking
 //! request/response, `Content-Length` bodies — the exact subset
 //! `mlake-server` speaks.
+//!
+//! A request crosses the socket in one write: its head and body are
+//! assembled in a buffer the connection owns and reuses. A response is
+//! parsed where it lands in the connection's read buffer: the head
+//! terminator scan resumes where the last read ended, body reads ask for
+//! the bytes `Content-Length` still owes, and bytes past the response stay
+//! buffered for the next call.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+/// The least a read asks the socket for.
+const READ_CHUNK: usize = 4096;
+
 /// One keep-alive client connection.
 pub struct HttpClient {
     stream: TcpStream,
+    /// The request being sent, head then body.
+    out: Vec<u8>,
+    /// Bytes read and not yet consumed by a response.
     buf: Vec<u8>,
 }
 
@@ -18,18 +31,44 @@ pub struct HttpResponse {
     pub status: u16,
     /// Body bytes.
     pub body: Vec<u8>,
-    /// Lowercased headers.
-    pub headers: Vec<(String, String)>,
+    /// The head as received, status line included, terminator excluded.
+    head: Vec<u8>,
 }
 
 impl HttpResponse {
-    /// First value of a (lowercase) header name.
+    /// First value of a header; the name matches case-insensitively.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
+        header_in(&self.head, name)
     }
+}
+
+/// First value of header `name` in a response head: each line after the
+/// status line that holds a `:`, name and value trimmed.
+fn header_in<'a>(head: &'a [u8], name: &str) -> Option<&'a str> {
+    head.split(|&b| b == b'\n').skip(1).find_map(|line| {
+        let colon = line.iter().position(|&b| b == b':')?;
+        let (n, v) = (&line[..colon], &line[colon + 1..]);
+        if n.trim_ascii().eq_ignore_ascii_case(name.as_bytes()) {
+            std::str::from_utf8(v.trim_ascii()).ok()
+        } else {
+            None
+        }
+    })
+}
+
+/// The status code: the second space-separated field of the first line.
+fn status_in(head: &[u8]) -> io::Result<u16> {
+    let line = head.split(|&b| b == b'\n').next().unwrap_or(b"");
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    line.split(|&b| b == b' ')
+        .nth(1)
+        .and_then(|s| std::str::from_utf8(s).ok()?.parse().ok())
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad status line: '{}'", String::from_utf8_lossy(line)),
+            )
+        })
 }
 
 impl HttpClient {
@@ -39,19 +78,22 @@ impl HttpClient {
         stream.set_nodelay(true)?;
         Ok(HttpClient {
             stream,
+            out: Vec::new(),
             buf: Vec::new(),
         })
     }
 
-    /// Sends one request and reads the full response.
+    /// Sends one request, head and body in one write, and reads the full
+    /// response.
     pub fn request(&mut self, method: &str, path: &str, body: &[u8]) -> io::Result<HttpResponse> {
-        let head = format!(
+        self.out.clear();
+        write!(
+            self.out,
             "{method} {path} HTTP/1.1\r\nHost: mlake\r\nContent-Length: {}\r\n\r\n",
             body.len()
-        );
-        self.stream.write_all(head.as_bytes())?;
-        self.stream.write_all(body)?;
-        self.stream.flush()?;
+        )?;
+        self.out.extend_from_slice(body);
+        self.stream.write_all(&self.out)?;
         self.read_response()
     }
 
@@ -66,62 +108,60 @@ impl HttpClient {
     }
 
     fn read_response(&mut self) -> io::Result<HttpResponse> {
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break pos;
+            if let Some(pos) = self.buf[scanned..]
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+            {
+                break scanned + pos;
             }
-            if !self.fill()? {
+            // A terminator split across reads starts in the last 3 bytes.
+            scanned = self.buf.len().saturating_sub(3);
+            if !self.fill(READ_CHUNK)? {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "eof mid-response-head",
                 ));
             }
         };
-        let head = String::from_utf8_lossy(&self.buf[..head_end]).into_owned();
-        let mut lines = head.split("\r\n");
-        let status_line = lines.next().unwrap_or("");
-        let status: u16 = status_line
-            .split(' ')
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad status line: '{status_line}'"),
-                )
-            })?;
-        let mut headers = Vec::new();
-        for line in lines {
-            if let Some((n, v)) = line.split_once(':') {
-                headers.push((n.trim().to_ascii_lowercase(), v.trim().to_string()));
-            }
-        }
-        let content_len: usize = headers
-            .iter()
-            .find(|(n, _)| n == "content-length")
-            .and_then(|(_, v)| v.parse().ok())
+        let head = &self.buf[..head_end];
+        let status = status_in(head)?;
+        let content_len: usize = header_in(head, "content-length")
+            .and_then(|v| v.parse().ok())
             .unwrap_or(0);
-        self.buf.drain(..head_end + 4);
-        while self.buf.len() < content_len {
-            if !self.fill()? {
+        let body_start = head_end + 4;
+        let end = body_start + content_len;
+        while self.buf.len() < end {
+            if !self.fill(end - self.buf.len())? {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "eof mid-response-body",
                 ));
             }
         }
-        let body = self.buf.drain(..content_len).collect();
-        Ok(HttpResponse {
+        let response = HttpResponse {
             status,
-            body,
-            headers,
-        })
+            body: self.buf[body_start..end].to_vec(),
+            head: self.buf[..head_end].to_vec(),
+        };
+        self.buf.drain(..end);
+        Ok(response)
     }
 
-    fn fill(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 4096];
-        let n = self.stream.read(&mut chunk)?;
-        self.buf.extend_from_slice(&chunk[..n]);
+    /// One read straight into the buffer's tail, asking for at least
+    /// `want` bytes' room (never less than [`READ_CHUNK`]); false at EOF.
+    fn fill(&mut self, want: usize) -> io::Result<bool> {
+        let len = self.buf.len();
+        self.buf.resize(len + want.max(READ_CHUNK), 0);
+        let n = match self.stream.read(&mut self.buf[len..]) {
+            Ok(n) => n,
+            Err(e) => {
+                self.buf.truncate(len);
+                return Err(e);
+            }
+        };
+        self.buf.truncate(len + n);
         Ok(n > 0)
     }
 }

@@ -30,7 +30,7 @@ impl Api {
     /// plus the HTTP status it should travel under.
     pub fn handle(&self, req: ApiRequest) -> (u16, ApiResponse) {
         let _span = mlake_obs::span(span_name(&req));
-        mlake_obs::registry().counter("http.requests").inc();
+        mlake_obs::counter!("http.requests").inc();
         match self.dispatch(req) {
             Ok(resp) => (200, resp),
             Err(e) => {

@@ -93,10 +93,10 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = stream else { continue };
-                    mlake_obs::registry().counter("http.conns").inc();
+                    mlake_obs::counter!("http.conns").inc();
                     // Moved into the thread: released when it ends, by
                     // return or by unwinding, or when it fails to spawn.
-                    let live = GaugeGuard::raise("http.conns.live");
+                    let live = GaugeGuard::raise(mlake_obs::gauge!("http.conns.live"));
                     let ctx = Arc::clone(&ctx);
                     let spawned = std::thread::Builder::new()
                         .name("mlake-conn".into())
@@ -123,7 +123,7 @@ impl Server {
                         // sees a reset and retries) instead of crashing
                         // the acceptor.
                         Err(_) => {
-                            mlake_obs::registry().counter("http.conns.spawn_failed").inc();
+                            mlake_obs::counter!("http.conns.spawn_failed").inc();
                         }
                     }
                 }
@@ -177,8 +177,7 @@ struct ConnCtx {
 struct GaugeGuard(&'static mlake_obs::Gauge);
 
 impl GaugeGuard {
-    fn raise(name: &'static str) -> GaugeGuard {
-        let gauge = mlake_obs::registry().gauge(name);
+    fn raise(gauge: &'static mlake_obs::Gauge) -> GaugeGuard {
         gauge.add(1);
         GaugeGuard(gauge)
     }
@@ -207,7 +206,7 @@ impl<'a> Admitted<'a> {
         }
         Some(Admitted {
             in_flight,
-            _gauge: GaugeGuard::raise("http.in_flight"),
+            _gauge: GaugeGuard::raise(mlake_obs::gauge!("http.in_flight")),
         })
     }
 }
@@ -308,7 +307,7 @@ fn serve_lake(
     ctx: &ConnCtx,
 ) -> io::Result<()> {
     let Some(_slot) = Admitted::admit(&ctx.in_flight, ctx.config.max_in_flight) else {
-        mlake_obs::registry().counter("http.shed").inc();
+        mlake_obs::counter!("http.shed").inc();
         let body = protocol_error(
             ErrorKind::Unavailable,
             503,

@@ -8,11 +8,14 @@
 #   scripts/bench_record.sh --diff A.json B.json
 #   scripts/bench_record.sh --rejudge FILE
 #
-# --pairs: the change is the working tree, recorded as the commit it sits on
-# plus its count of uncommitted files. The parent is exported with
-# `git archive` into target/bench_record/parent-<commit>/ and built there
-# with its own target directory; the working tree builds into target/ as
-# benchmark/run.sh does.
+# --pairs: the change is the working tree's tracked files as they stand,
+# recorded as the commit they sit on plus the count of uncommitted files.
+# Both sides are exported with `git archive`, the parent into
+# target/bench_record/parent-<commit>/ and the change (a `git stash create`
+# snapshot, or HEAD on a clean tree) into
+# target/bench_record/change-<tree>/, both names 12 hex digits long. Each
+# export builds and runs in its own directory with its own target
+# directory, so the two binaries differ only by code.
 # Pair i runs the parent first when i is odd and the change first when it is
 # even. Every run's end-to-end metrics, raw.* times, machine.handover_us,
 # attempted and failed are kept, and each metric gets both sides' medians
@@ -170,24 +173,33 @@ if [[ ${#workloads[@]} -eq 0 ]]; then
   mapfile -t workloads < <(python3 -c 'import json; [print(w["name"]) for w in json.load(open("BENCHMARK.json"))["workloads"]]')
 fi
 
+snapshot="$(git stash create)"
+change_tree="$(git rev-parse "${snapshot:-HEAD}^{tree}")"
+
 work="target/bench_record"
-tree="$work/parent-${parent_commit:0:12}"
+parent_dir="$work/parent-${parent_commit:0:12}"
+change_dir="$work/change-${change_tree:0:12}"
 runs="$work/runs-$$"
 mkdir -p "$runs"
-if [[ ! -f "$tree/benchmark/run.sh" ]]; then
-  rm -rf "$tree"
-  mkdir -p "$tree"
-  git archive "$parent_commit" | tar -x -C "$tree"
-fi
-echo "bench_record: building the parent (${parent_commit:0:12}) and the working tree" >&2
-(cd "$tree" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet \
-  --manifest-path benchmark/Cargo.toml)
-CARGO_TARGET_DIR=target cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+# Exports are named by content, so one that holds its run.sh is reused.
+export_tree() {
+  local rev="$1" dir="$2"
+  if [[ ! -f "$dir/benchmark/run.sh" ]]; then
+    rm -rf "$dir"
+    mkdir -p "$dir"
+    git archive "$rev" | tar -x -C "$dir"
+  fi
+  (cd "$dir" && CARGO_TARGET_DIR=target cargo build --release --offline --quiet \
+    --manifest-path benchmark/Cargo.toml)
+}
+echo "bench_record: building the parent (${parent_commit:0:12}) and the change (tree ${change_tree:0:12})" >&2
+export_tree "$parent_commit" "$parent_dir"
+export_tree "${snapshot:-HEAD}" "$change_dir"
 
-# One run: the side's run.sh from its own tree; stdout kept whole.
+# One run: the side's run.sh from its own export; stdout kept whole.
 run_side() {
   local side="$1" workload="$2" pair="$3" dir
-  if [[ "$side" == parent ]]; then dir="$tree"; else dir="."; fi
+  if [[ "$side" == parent ]]; then dir="$parent_dir"; else dir="$change_dir"; fi
   echo "bench_record: $workload pair $pair $side" >&2
   (cd "$dir" && CARGO_TARGET_DIR=target bash benchmark/run.sh --workload "$workload" \
     --seed "$seed" --seconds "$seconds" --trace "$trace") \
@@ -202,10 +214,10 @@ for workload in "${workloads[@]}"; do
 done
 
 python3 - "$runs" "$out" "$pairs" "$seed" "$seconds" "$trace" "$parent" "$parent_commit" \
-  "$change_commit" "$dirty" "$(nproc)" "${workloads[@]}" <<'EOF'
+  "$change_commit" "$dirty" "$change_tree" "$(nproc)" "${workloads[@]}" <<'EOF'
 import json, os, sys
-runs, out, pairs, seed, seconds, trace, rev, pc, cc, dirty, nproc = sys.argv[1:12]
-workloads = sys.argv[12:]
+runs, out, pairs, seed, seconds, trace, rev, pc, cc, dirty, ct, nproc = sys.argv[1:13]
+workloads = sys.argv[13:]
 pairs = int(pairs)
 end_to_end = json.load(open("BENCHMARK.json"))["end_to_end"]
 better = {m["name"]: m["better"] for m in end_to_end}
@@ -239,7 +251,7 @@ def spread(xs):
 record = {
     "schema": "mlake-bench-record/1",
     "parent": {"rev": rev, "commit": pc},
-    "change": {"tree_on": cc, "uncommitted_files": int(dirty)},
+    "change": {"tree_on": cc, "uncommitted_files": int(dirty), "tree": ct},
     "settings": {"pairs": pairs, "seed": int(seed), "seconds": float(seconds),
                  "trace": int(trace), "nproc": int(nproc),
                  "order": "pair i runs the parent first when i is odd"},

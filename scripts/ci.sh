@@ -45,8 +45,9 @@
 #    weight moments and stored fingerprints bit-identical to the
 #    per-statistic and from-scratch ones, no blob left resident by a failed
 #    ingest), the serving suites (server unit tests, HTTP hammer, connection
-#    isolation, request framing, wire round trips, the JSON byte goldens and
-#    a hostile nested request answered 400) and the text suites re-run in
+#    isolation, request framing, the client against a scripted server, wire
+#    round trips, the JSON byte goldens and a hostile nested request
+#    answered 400) and the text suites re-run in
 #    the release profile with observability on and off.
 # 9. Clippy denies warnings across the parallel, observability, storage and
 #    serving crates, their tests and examples included (--all-targets).
@@ -210,11 +211,13 @@ MLAKE_OBS=off cargo test -q -p mlake-tensor --lib stats --release
 cargo test -q -p mlake-core --test lake_api --release
 MLAKE_OBS=off cargo test -q -p mlake-core --test lake_api --release
 
-step "serve: HTTP hammer, connections, framing and the wire's bytes (obs on + off)"
+step "serve: HTTP hammer, connections, framing, the client and the wire's bytes (obs on + off)"
 cargo test -q -p mlake-server --lib --test hammer --test connections --test framing \
   --test nesting --release
 MLAKE_OBS=off cargo test -q -p mlake-server --lib --test hammer --test connections \
   --test framing --test nesting --release
+cargo test -q -p mlake-load --release
+MLAKE_OBS=off cargo test -q -p mlake-load --release
 cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity --test nesting --release
 MLAKE_OBS=off cargo test -q -p mlake-proto --test wire_roundtrip --test json_identity \
   --test nesting --release
