@@ -16,9 +16,8 @@
 //! since the last fold: `persist()` seals the WAL's active segment as the
 //! delta, and once the chain would pass eight links it folds — writes the
 //! whole catalogue as one segment, then drops the WAL segments it covers.
-//! With a [`crate::lake::CompactionPolicy`], the op whose record crosses a
-//! threshold folds itself, after its record is applied and before it
-//! returns ([`ModelLake::maybe_compact`]): the lake has one writer.
+//! No op folds or seals: only `persist` rewrites the chain, so a served
+//! lake's WAL is bounded by its owner's persists.
 //!
 //! A v4 superblock means every record past its `last_lsn` is a block list.
 //! The one-op records older lakes wrote are read only by
@@ -34,7 +33,7 @@
 use crate::blockstore::Block;
 use crate::error::{LakeError, Result};
 use crate::hash::Digest;
-use crate::lake::{LakeConfig, ModelLake, SegState};
+use crate::lake::{LakeConfig, ModelLake};
 use mlake_wal::{RealFs, Vfs, Wal};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -138,39 +137,6 @@ impl ModelLake {
             .map_err(|e| LakeError::Internal(format!("wal record encode: {e}")))?;
         link.wal.append(&payload)?;
         Ok(())
-    }
-
-    /// The compaction trigger (DESIGN.md §13), run by every committed op
-    /// after its record is applied. Once the live WAL footprint or the
-    /// sealed-segment backlog crosses the configured
-    /// [`crate::lake::CompactionPolicy`], the op that crossed it folds the
-    /// whole catalogue into the lake's own directory and then collects
-    /// garbage, under the `op_lock` it holds (`seg` is the guard). It folds
-    /// rather than seals: a seal leaves both thresholds crossed, so every
-    /// later op would seal again. Its WAL record is durable already, so a
-    /// failed compaction or GC is counted (`compact.errors`) and dropped:
-    /// the op still succeeds, and the next trigger or explicit persist
-    /// retries from scratch. Without a policy this is one `Option` check.
-    pub(crate) fn maybe_compact(&self, seg: &mut SegState) {
-        let (Some(policy), Some(link)) = (&self.config.compaction, &self.wal) else {
-            return;
-        };
-        let by_bytes = policy.wal_bytes > 0 && link.wal.live_bytes() >= policy.wal_bytes;
-        let by_segments =
-            policy.wal_segments > 0 && link.wal.sealed_count() >= policy.wal_segments;
-        if !(by_bytes || by_segments) {
-            return;
-        }
-        let _span = mlake_obs::span("lake.compact");
-        let outcome = self
-            .fold(seg, &link.dir, &link.vfs)
-            .and_then(|()| self.gc_locked(seg));
-        if mlake_obs::enabled() {
-            match outcome {
-                Ok(_) => mlake_obs::counter!("compact.runs").inc(),
-                Err(_) => mlake_obs::counter!("compact.errors").inc(),
-            }
-        }
     }
 
     /// Durable half of ingestion: writes the artifact blob atomically, so

@@ -20,13 +20,12 @@
 //! The collector runs under the `op_lock`, so no ingest or persist can
 //! add a reference concurrently; deletion order is therefore free, and a
 //! crash at *any* point during GC only leaves some garbage uncollected —
-//! the next run (explicit [`ModelLake::gc`] or the pass an op makes after
-//! the compaction it triggered) picks it up. GC never deletes a reachable
+//! the next [`ModelLake::gc`] picks it up. GC never deletes a reachable
 //! file.
 
 use crate::blockstore;
 use crate::error::Result;
-use crate::lake::{ModelLake, SegState};
+use crate::lake::ModelLake;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -52,24 +51,18 @@ impl GcReport {
 
 impl ModelLake {
     /// Collects unreachable on-disk state: orphan blobs from crashed
-    /// ingests, segments superseded by compaction, and stray temp files
+    /// ingests, segments superseded by a fold, and stray temp files
     /// (DESIGN.md §15). Ephemeral lakes return an empty report. Safe to
     /// call at any time; a crash mid-GC leaves the lake fully
     /// recoverable (only garbage is ever deleted).
     pub fn gc(&self) -> Result<GcReport> {
         let _span = mlake_obs::span("lake.gc");
-        // Exclude all mutators: no new blob or segment can become
-        // reachable while the sweep runs.
-        self.gc_locked(&self.op_lock.lock())
-    }
-
-    /// The GC body, shared by [`ModelLake::gc`] and the compaction
-    /// trigger; `seg` is the `op_lock` guard. A no-op (empty report) on
-    /// ephemeral lakes — nothing is on disk to collect.
-    pub(crate) fn gc_locked(&self, seg: &SegState) -> Result<GcReport> {
         let Some(link) = &self.wal else {
             return Ok(GcReport::default());
         };
+        // Exclude all mutators: no new blob or segment can become
+        // reachable while the sweep runs.
+        let seg = self.op_lock.lock();
         let mut report = GcReport::default();
 
         // Live roots.

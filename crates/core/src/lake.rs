@@ -31,31 +31,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-/// When automatic compaction runs (DESIGN.md §13). Attached to a durable
-/// lake via [`LakeConfigBuilder::compaction`]; after every
-/// committed op the lake checks these thresholds and, when either is
-/// crossed, that op folds the lake into one segment in its own directory
-/// and runs GC before it returns. A threshold of 0 disables that trigger;
-/// at least one must be positive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionPolicy {
-    /// Compact once the WAL's live on-disk footprint reaches this many
-    /// bytes (0 = never trigger on size).
-    pub wal_bytes: u64,
-    /// Compact once this many sealed WAL segments await collection
-    /// (0 = never trigger on segment count).
-    pub wal_segments: usize,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            wal_bytes: 4 * 1024 * 1024,
-            wal_segments: 4,
-        }
-    }
-}
-
 /// Root seed of the lake's fingerprint space: the probe set and every
 /// sketch derive from it. Nothing on disk records it, so it is a constant:
 /// every fingerprint a lake stores and every one it computes after a
@@ -99,11 +74,6 @@ pub struct LakeConfig {
     /// Always 1, and the lake does not read it: each fingerprint kind has
     /// one HNSW graph. The frozen end-to-end benchmark still reads it.
     pub shards: usize,
-    /// Automatic compaction trigger policy for durable lakes (`None`
-    /// keeps compaction explicit via [`ModelLake::persist`]); the op that
-    /// crosses a threshold compacts before it returns. Ignored by
-    /// ephemeral in-memory lakes, which have nothing to compact.
-    pub compaction: Option<CompactionPolicy>,
     /// Resident-set cap in bytes for the blob store's in-memory cache
     /// (DESIGN.md §15). `0` — the default — is unbounded, the pre-v3
     /// behavior. On a durable lake with a cap, least-recently-used blobs
@@ -120,7 +90,6 @@ impl Default for LakeConfig {
             hnsw: HnswConfig::default(),
             wal_sync: mlake_wal::SyncPolicy::Always,
             shards: 1,
-            compaction: None,
             resident_bytes: 0,
         }
     }
@@ -157,14 +126,6 @@ impl LakeConfigBuilder {
         self
     }
 
-    /// Enables automatic compaction under `policy` on durable lakes: the
-    /// op that crosses a threshold compacts before it returns (DESIGN.md
-    /// §13).
-    pub fn compaction(mut self, policy: CompactionPolicy) -> Self {
-        self.config.compaction = Some(policy);
-        self
-    }
-
     /// Caps the blob store's resident set at `bytes` (0 = unbounded).
     /// Cold blobs page back in from disk on first touch (DESIGN.md §15).
     pub fn resident_bytes(mut self, bytes: u64) -> Self {
@@ -188,15 +149,6 @@ impl LakeConfigBuilder {
             return Err(LakeError::Config(
                 "hnsw ef_construction and ef_search must be positive".into(),
             ));
-        }
-        if let Some(p) = &c.compaction {
-            if p.wal_bytes == 0 && p.wal_segments == 0 {
-                return Err(LakeError::Config(
-                    "compaction needs a positive wal_bytes or \
-                     wal_segments threshold"
-                        .into(),
-                ));
-            }
         }
         Ok(self.config)
     }
@@ -701,12 +653,13 @@ impl ModelLake {
     }
 
     /// Logs one op's record (see [`ModelLake::with_events`]) as one WAL
-    /// record on a durable lake, applies it, then compacts if the op
-    /// crossed the compaction policy. Returns the sequence number of the
-    /// op's last event. `seg` is the `op_lock` guard.
+    /// record on a durable lake and applies it. Returns the sequence
+    /// number of the op's last event. `_seg` is the `op_lock` guard: no
+    /// commit reads it, but taking it makes every commit run under the op
+    /// lock. No op folds or seals; `persist` bounds the chain.
     fn commit(
         &self,
-        seg: &mut SegState,
+        _seg: &mut SegState,
         blocks: Vec<Block>,
         events: &[(EventKind, &str)],
     ) -> Result<u64> {
@@ -721,7 +674,6 @@ impl ModelLake {
         if changes_a_card {
             self.with_text(&self.catalogue(), |_| ());
         }
-        self.maybe_compact(seg);
         Ok(head)
     }
 

@@ -44,5 +44,5 @@ pub mod store;
 
 pub use error::{ErrorKind, LakeError};
 pub use gc::GcReport;
-pub use lake::{CompactionPolicy, LakeConfig, LakeConfigBuilder, ModelLake, PreparedQuery};
+pub use lake::{LakeConfig, LakeConfigBuilder, ModelLake, PreparedQuery};
 pub use registry::{ModelId, ModelRef};

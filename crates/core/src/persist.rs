@@ -23,8 +23,8 @@
 //! is empty, the persist **folds** instead (`ModelLake::fold`): it writes
 //! the whole catalogue, from memory, as one segment, swaps the superblock
 //! to it and compacts away the WAL it covers. A fold is the only writer of
-//! segments; create, an export into any other directory, an upgrade and
-//! the compaction policy fold too. Every file lands via temp-file +
+//! segments; create, an export into any other directory and an upgrade
+//! fold too. No op folds or seals. Every file lands via temp-file +
 //! rename; a crash mid-fold leaves either the old superblock or the new
 //! one, never a torn mix (at worst an unreachable segment for GC).
 //!
@@ -153,10 +153,10 @@ impl ModelLake {
 
     /// Writes the whole catalogue, from memory, into `dir` as one segment
     /// and swaps the superblock to it: the only writer of segments. Into
-    /// the lake's own directory — a persist's fold, the compaction policy,
-    /// an upgrade — the segment becomes the whole chain and the WAL prefix
-    /// it covers is dropped. Anywhere else — create, an export — the blobs
-    /// are copied too, and the lake's own chain and WAL stay untouched.
+    /// the lake's own directory — a persist's fold, an upgrade — the
+    /// segment becomes the whole chain and the WAL prefix it covers is
+    /// dropped. Anywhere else — create, an export — the blobs are copied
+    /// too, and the lake's own chain and WAL stay untouched.
     /// `seg` is the `op_lock` guard, so the catalogue and its `last_lsn`
     /// are one consistent cut.
     pub(crate) fn fold(&self, seg: &mut SegState, dir: &Path, vfs: &Arc<dyn Vfs>) -> Result<()> {
@@ -453,13 +453,14 @@ mod tests {
         assert!(lake.is_durable());
         let gt = generate_lake(&LakeSpec::tiny(2));
         populate_from_ground_truth(&lake, &gt, CardPolicy::Honest).unwrap();
+        // The lake's chain is empty, so its first persist is a fold.
         lake.persist(&dir).unwrap();
         let sb: SuperBlock =
             serde_json::from_slice(&std::fs::read(dir.join("manifest.json")).unwrap()).unwrap();
         assert_eq!(sb.version, MANIFEST_VERSION);
         assert!(sb.last_lsn > 0, "durable mutations must advance last_lsn");
-        assert!(!sb.segments.is_empty(), "the delta landed as a segment");
-        // Compaction happened: reopening replays nothing, state intact.
+        assert!(!sb.segments.is_empty(), "the fold wrote no segment");
+        // The fold covers the WAL: reopening replays nothing, state intact.
         let reopened = ModelLake::open(&dir, LakeConfig::default()).unwrap();
         assert_eq!(reopened.len(), lake.len());
         assert_eq!(reopened.events(), lake.events());

@@ -108,12 +108,12 @@ fn lake_state(lake: &ModelLake) -> LakeState {
     (lake.events(), models)
 }
 
-/// Runs the script against a lake created through `fs` with `config`,
-/// returning how many ops were acknowledged (`Ok`) before the injected
-/// crash. `None` when the create itself died.
-fn drive_with(dir: &Path, fs: &Arc<FailFs>, config: LakeConfig) -> Option<usize> {
+/// Runs the script against a lake created through `fs`, returning how
+/// many ops were acknowledged (`Ok`) before the injected crash. `None`
+/// when the create itself died.
+fn drive(dir: &Path, fs: &Arc<FailFs>) -> Option<usize> {
     let vfs: Arc<dyn Vfs> = Arc::new(Arc::clone(fs));
-    let lake = ModelLake::create_with(dir, config, vfs).ok()?;
+    let lake = ModelLake::create_with(dir, LakeConfig::default(), vfs).ok()?;
     let mut acked = 0;
     for i in 0..N_OPS {
         if apply_op(&lake, i).is_err() {
@@ -124,22 +124,11 @@ fn drive_with(dir: &Path, fs: &Arc<FailFs>, config: LakeConfig) -> Option<usize>
     Some(acked)
 }
 
-fn drive(dir: &Path, fs: &Arc<FailFs>) -> Option<usize> {
-    drive_with(dir, fs, LakeConfig::default())
-}
-
-/// After a crash with `acked` acknowledged ops, recovery (under `config`)
-/// must land on the reference state for `acked` or `acked + 1` ops (the
-/// in-flight op may have become durable), and reopening again must change
-/// nothing.
-fn check_recovered_with(
-    dir: &Path,
-    acked: usize,
-    refs: &[LakeState],
-    label: &str,
-    config: &LakeConfig,
-) {
-    let rec = ModelLake::open(dir, config.clone())
+/// After a crash with `acked` acknowledged ops, recovery must land on the
+/// reference state for `acked` or `acked + 1` ops (the in-flight op may
+/// have become durable), and reopening again must change nothing.
+fn check_recovered(dir: &Path, acked: usize, refs: &[LakeState], label: &str) {
+    let rec = ModelLake::open(dir, LakeConfig::default())
         .unwrap_or_else(|e| panic!("{label}: recovery failed after {acked} acked ops: {e}"));
     let got = lake_state(&rec);
     let matched = (acked..=(acked + 1).min(N_OPS)).find(|&m| refs[m] == got);
@@ -154,13 +143,9 @@ fn check_recovered_with(
     );
     drop(rec);
     // Idempotence: a second recovery run is bit-identical.
-    let again = ModelLake::open(dir, config.clone())
+    let again = ModelLake::open(dir, LakeConfig::default())
         .unwrap_or_else(|e| panic!("{label}: second recovery failed: {e}"));
     assert_eq!(lake_state(&again), got, "{label}: recovery is not idempotent");
-}
-
-fn check_recovered(dir: &Path, acked: usize, refs: &[LakeState], label: &str) {
-    check_recovered_with(dir, acked, refs, label, &LakeConfig::default());
 }
 
 #[test]
@@ -224,82 +209,6 @@ fn kill_at_every_fsync_never_loses_an_acked_op() {
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// The auto-compaction configuration exercised by the two sweeps below: a
-/// compaction policy aggressive enough that every op persists and collects
-/// garbage before it returns.
-fn auto_config() -> LakeConfig {
-    LakeConfig::builder()
-        .compaction(mlake_core::CompactionPolicy {
-            wal_bytes: 1,
-            wal_segments: 0,
-        })
-        .build()
-        .unwrap()
-}
-
-/// Runs one kill sweep of the script under [`auto_config`]: for
-/// each kill point, a crashed run whose recovery must satisfy the
-/// durability contract. An op whose compaction is killed still returns
-/// `Ok` — its WAL record is durable — so it counts as acked. Reference
-/// states are reused verbatim: compaction affects neither events nor model
-/// bytes.
-fn auto_sweep(label: &str, kill_points: u64, fail_fs: impl Fn(u64) -> Arc<FailFs>) {
-    let refs = reference_states();
-    for kill in 1..=kill_points {
-        let dir = tmp(&format!("{label}-{kill}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let fs = fail_fs(kill);
-        let acked = drive_with(&dir, &fs, auto_config());
-        assert!(fs.is_dead(), "{label} kill point {kill} never reached");
-        match acked {
-            None => {
-                if let Ok(rec) = ModelLake::open(&dir, auto_config()) {
-                    assert_eq!(lake_state(&rec), refs[0], "{label} {kill}: partial create");
-                }
-            }
-            Some(acked) => check_recovered_with(
-                &dir,
-                acked,
-                &refs,
-                &format!("{label} {kill}"),
-                &auto_config(),
-            ),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-/// Counting pass under [`auto_config`], in a directory of its own
-/// per `label`: (writes, syncs) the whole script issues, compactions
-/// included.
-fn auto_counts(label: &str) -> (u64, u64) {
-    let dir = tmp(&format!("count-{label}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    let fs = FailFs::counting();
-    assert_eq!(drive_with(&dir, &fs, auto_config()), Some(N_OPS));
-    std::fs::remove_dir_all(&dir).unwrap();
-    (fs.writes(), fs.syncs())
-}
-
-/// `kill_at_every_write_never_loses_an_acked_op` with an op-driven
-/// compaction after every op, torn prefixes included.
-#[test]
-fn auto_compaction_kill_at_every_write_recovers_exactly() {
-    let (total_writes, _) = auto_counts("sa-w");
-    assert!(total_writes > 5, "script issues only {total_writes} writes");
-    auto_sweep("sa-w", total_writes, |kill| {
-        FailFs::kill_at_write(kill, [0usize, 1, 7][(kill % 3) as usize])
-    });
-}
-
-/// The fsync twin of the sweep above.
-#[test]
-fn auto_compaction_kill_at_every_fsync_recovers_exactly() {
-    let (_, total_syncs) = auto_counts("sa-s");
-    assert!(total_syncs > 5, "script issues only {total_syncs} syncs");
-    auto_sweep("sa-s", total_syncs, FailFs::kill_at_sync);
 }
 
 /// Recursively copies a lake directory (template → scratch) so each GC

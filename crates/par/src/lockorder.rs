@@ -7,10 +7,10 @@
 //! | rank | lock                                             |
 //! |------|--------------------------------------------------|
 //! | 4    | `server.router` — lake-router map `RwLock`       |
-//! | 7    | `server.conns` — connection join-handle list     |
 //! | 8    | `core.catalogue` — the lake's catalogue `RwLock` |
 //! | 10   | `par.queue` — pool job deque mutex               |
 //! | 20   | `par.latch` — per-region latch mutex             |
+//! | 45   | `store.resident` — blob residency table          |
 //! | 50   | `wal.inner` — WAL writer state mutex             |
 //!
 //! In debug builds every tracked acquisition is recorded in a
@@ -43,10 +43,6 @@ pub mod ranks {
     /// routing resolves a lake handle before any lake/pool lock is taken,
     /// and never while one is held.
     pub const SERVER_ROUTER: u32 = 4;
-    /// `mlake-server` connection join-handle list. Touched only by the
-    /// acceptor (push) and shutdown (drain); never taken by connection
-    /// threads themselves, so it cannot invert against request locks.
-    pub const SERVER_CONNS: u32 = 7;
     /// `mlake-core` catalogue `RwLock` (`ModelLake::catalogue`): registry
     /// plus event log. Below the pool ranks, because a read holds it
     /// across the MLQL parallel scan, and below the store and the WAL,

@@ -22,13 +22,12 @@ use crate::http::{HttpConn, ReadOutcome, Request, ResponseHead};
 use crate::router::LakeRouter;
 use mlake_core::{ErrorKind, ModelLake};
 use mlake_fingerprint::FingerprintKind;
-use mlake_par::lockorder::{self, ranks};
 use mlake_proto::{decode_request, encode_response_into, ApiRequest, WireRef};
 use serde::{Content, Deserialize};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -64,8 +63,9 @@ impl Default for ServerConfig {
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The accept loop; it owns the handles of the connection threads it
+    /// spawned and returns those still running when it exits.
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
     router: Arc<LakeRouter>,
 }
 
@@ -75,7 +75,6 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
         let ctx = Arc::new(ConnCtx {
             router: Arc::clone(&router),
@@ -83,11 +82,11 @@ impl Server {
             shutdown: Arc::clone(&shutdown),
             config,
         });
-        let accept_conns = Arc::clone(&conns);
         let accept_flag = Arc::clone(&shutdown);
         let acceptor = std::thread::Builder::new()
             .name("mlake-accept".into())
             .spawn(move || {
+                let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 for stream in listener.incoming() {
                     if accept_flag.load(Ordering::Acquire) {
                         break;
@@ -106,13 +105,6 @@ impl Server {
                         });
                     match spawned {
                         Ok(handle) => {
-                            let _ord = lockorder::acquire(
-                                ranks::SERVER_CONNS,
-                                "server.conns",
-                            );
-                            // lock-order: 7 (server.conns)
-                            let mut conns =
-                                accept_conns.lock().unwrap_or_else(|e| e.into_inner());
                             // Keep only threads still running: the list
                             // tracks live connections, not every one ever
                             // accepted.
@@ -127,13 +119,13 @@ impl Server {
                         }
                     }
                 }
+                conns
             })?;
 
         Ok(Server {
             addr: local,
             shutdown,
             acceptor: Some(acceptor),
-            conns,
             router,
         })
     }
@@ -146,21 +138,23 @@ impl Server {
     /// Graceful shutdown; see the module docs for the ordered sequence.
     /// Returns the first lake sync error, after the sequence completes.
     pub fn shutdown(mut self) -> Result<(), mlake_core::LakeError> {
-        self.shutdown.store(true, Ordering::Release);
-        // Wake the blocking accept with a throwaway loopback connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        let conns = {
-            let _ord = lockorder::acquire(ranks::SERVER_CONNS, "server.conns");
-            // lock-order: 7 (server.conns)
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(|e| e.into_inner()))
-        };
-        for conn in conns {
+        for conn in self.stop() {
             let _ = conn.join();
         }
         self.router.sync_all()
+    }
+
+    /// Steps (1)–(3) of the shutdown sequence: stops accepting and returns
+    /// the handles of the connection threads still running when the
+    /// acceptor exited. Empty once the acceptor has stopped.
+    fn stop(&mut self) -> Vec<JoinHandle<()>> {
+        let Some(acceptor) = self.acceptor.take() else {
+            return Vec::new();
+        };
+        self.shutdown.store(true, Ordering::Release);
+        // Wake the blocking accept with a throwaway loopback connection.
+        let _ = TcpStream::connect(self.addr);
+        acceptor.join().unwrap_or_default()
     }
 }
 
@@ -513,7 +507,7 @@ mod tests {
     fn finished_connections_are_not_tracked() {
         use std::io::{Read, Write};
         let router = Arc::new(LakeRouter::new());
-        let server = Server::bind(router, "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut server = Server::bind(router, "127.0.0.1:0", ServerConfig::default()).unwrap();
         for _ in 0..64 {
             let mut stream = TcpStream::connect(server.addr()).unwrap();
             stream
@@ -523,8 +517,12 @@ mod tests {
             stream.read_to_end(&mut resp).unwrap();
             assert!(resp.starts_with(b"HTTP/1.1 200"));
         }
-        let tracked = server.conns.lock().unwrap().len();
+        let conns = server.stop();
+        let tracked = conns.len();
         assert!(tracked <= 8, "{tracked} join handles tracked after 64 closed connections");
+        for conn in conns {
+            conn.join().unwrap();
+        }
         server.shutdown().unwrap();
     }
 

@@ -42,9 +42,6 @@ impl Default for WalOptions {
 pub(crate) struct Sealed {
     pub(crate) path: PathBuf,
     pub(crate) last: Lsn,
-    /// Byte length of the sealed file, so the live-size accounting a
-    /// compaction trigger reads never touches the filesystem.
-    pub(crate) bytes: u64,
 }
 
 /// Segment metadata the recovery reader hands back so [`Wal::open_with`]
@@ -174,7 +171,6 @@ impl Wal {
                 sealed.push(Sealed {
                     path: seg.path.clone(),
                     last,
-                    bytes: seg.len,
                 });
             } else {
                 // A full-sized segment with no valid record cannot occur
@@ -247,16 +243,6 @@ impl Wal {
         self.lock_inner().sealed.len()
     }
 
-    /// Total bytes in live segments (sealed + active tail) — the log's
-    /// on-disk footprint a snapshot has not yet folded away. A lake's
-    /// compaction trigger reads this after every op it commits; it is pure
-    /// in-memory accounting, no filesystem access.
-    // lint: no-span — trivial accessor on the mutation hot path
-    pub fn live_bytes(&self) -> u64 {
-        let inner = self.lock_inner();
-        inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.seg_bytes
-    }
-
     /// Appends one record and returns its LSN.
     ///
     /// The record is fsynced before this returns. Any I/O failure marks
@@ -321,11 +307,9 @@ impl Wal {
         let new_path = self.dir.join(segment_name(next_first));
         let new_file = self.vfs.open_append(&new_path)?;
         let old_path = std::mem::replace(&mut inner.seg_path, new_path);
-        let old_bytes = inner.seg_bytes;
         inner.sealed.push(Sealed {
             path: old_path,
             last: next_first - 1,
-            bytes: old_bytes,
         });
         inner.file = new_file;
         inner.seg_first = next_first;
@@ -570,36 +554,6 @@ mod tests {
         let (wal, replay) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(replay.records.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2, 3]);
         assert_eq!(wal.sealed_count(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn live_bytes_tracks_appends_rolls_and_compaction() {
-        let dir = fresh("livebytes");
-        let opts = WalOptions {
-            segment_bytes: 64,
-            sync: SyncPolicy::Always,
-        };
-        let (wal, _) = Wal::open(&dir, opts).unwrap();
-        assert_eq!(wal.live_bytes(), 0);
-        assert_eq!(wal.sealed_count(), 0);
-        for _ in 0..6 {
-            wal.append(&[9u8; 10]).unwrap();
-        }
-        // Each record is 32 bytes; two per 64-byte segment → 2 sealed.
-        assert_eq!(wal.sealed_count(), 2);
-        let before = wal.live_bytes();
-        assert_eq!(before, 6 * 32);
-        // Reopen: accounting must survive recovery. The full tail segment
-        // is sealed on reopen (no room left), so a fresh empty tail opens.
-        drop(wal);
-        let (wal, _) = Wal::open(&dir, opts).unwrap();
-        assert_eq!(wal.live_bytes(), before);
-        assert_eq!(wal.sealed_count(), 3);
-        // Compaction drops the covered bytes; records 5..=6 stay.
-        wal.compact_to(4).unwrap();
-        assert_eq!(wal.sealed_count(), 1);
-        assert_eq!(wal.live_bytes(), 2 * 32);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

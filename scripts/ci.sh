@@ -14,7 +14,7 @@
 # 4. A 3-second `store-write-restart` smoke run checks that probe searches
 #    return the same bits across a reopen and that no acked write is lost.
 # 5. mlake-lint must report nothing outside lint.allow, must find exactly
-#    the seven lock ranks of DESIGN.md §10, and must reject a seeded
+#    the six lock ranks of DESIGN.md §10, and must reject a seeded
 #    lock-order inversion; the index and query crates must be
 #    rustfmt-clean.
 # 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
@@ -30,8 +30,8 @@
 #    their timing cells) runs in release with observability on. The
 #    index suites (the HNSW graph-and-answers golden among them, since
 #    lakebench runs release code), the crash-recovery matrix (a crash in
-#    a persist that seals the WAL segment or folds the catalogue) with the
-#    auto-compaction suite, the lineage-read suites (one catch-up per stale
+#    a persist that seals the WAL segment or folds the catalogue), the
+#    lineage-read suites (one catch-up per stale
 #    projection, a graph equal to a from-scratch recovery, and no read
 #    writes), the
 #    blockstore and on-disk format suites
@@ -94,8 +94,8 @@ mkdir -p target/lint
 cargo run -q -p mlake-lint --release -- --json target/lint/report.json crates src
 
 # A new lock rank (or a dropped one) must show up as a diff to this line.
-step "lint: the lock hierarchy is exactly ranks 4 7 8 10 20 45 50"
-want_ranks="4 7 8 10 20 45 50"
+step "lint: the lock hierarchy is exactly ranks 4 8 10 20 45 50"
+want_ranks="4 8 10 20 45 50"
 got_ranks="$(cargo run -q -p mlake-lint --release -- --locks crates src \
   | awk 'NR > 1 { print $1 }' | paste -sd' ')"
 if [[ "$got_ranks" != "$want_ranks" ]]; then
@@ -171,9 +171,9 @@ step "index: HNSW golden, selection and determinism suites in release (obs on + 
 cargo test -q -p mlake-index --release
 MLAKE_OBS=off cargo test -q -p mlake-index --release
 
-step "crash recovery: kill-at-every-write/fsync/remove sweeps, a persist that seals or folds, auto compaction (obs on + off)"
-cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
-MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --test auto_compaction --release
+step "crash recovery: kill-at-every-write/fsync/remove sweeps, a persist that seals or folds (obs on + off)"
+cargo test -q -p mlake-core --test crash_recovery --release
+MLAKE_OBS=off cargo test -q -p mlake-core --test crash_recovery --release
 
 # A stale projection (the version graph, an HNSW graph, the text index) is
 # caught up once per herd of readers; a caught-up graph equals a
