@@ -1,166 +1,43 @@
 //! The `mlake-lint` CLI.
 //!
 //! ```text
-//! mlake-lint [--baseline <path>] [--update-baseline] [--no-baseline]
-//!            [--json <path|->] [--locks] <root>...
+//! mlake-lint <root>...
 //! ```
 //!
 //! Scans every `.rs` file under the given roots (relative to the current
 //! directory), runs the five per-file passes plus the three whole-program
-//! passes, and matches findings against the `lint.allow` baseline.
-//! `--json` additionally writes the machine-readable report (schema
-//! `mlake-lint/1`, see [`mlake_lint::json`]) to a file or stdout (`-`).
-//! `--locks` prints the lock-rank table reconstructed from `lock-order:`
-//! annotations and exits. Exit codes: 0 = clean (modulo baseline),
-//! 1 = new findings, 2 = usage/IO error.
+//! passes, and prints the findings (with their call chains), the lock-rank
+//! table reconstructed from `// lock-order:` annotations, and one summary
+//! line. Exit codes: 0 = no findings, 1 = findings, 2 = usage/IO error.
 
-use mlake_lint::{json, lint_tree, lock_table, Baseline};
-use std::path::{Path, PathBuf};
+use mlake_lint::lint_tree;
+use std::path::Path;
 use std::process::ExitCode;
-
-struct Options {
-    roots: Vec<PathBuf>,
-    baseline_path: PathBuf,
-    update_baseline: bool,
-    use_baseline: bool,
-    json_path: Option<PathBuf>,
-    locks: bool,
-}
-
-fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        roots: Vec::new(),
-        baseline_path: PathBuf::from("lint.allow"),
-        update_baseline: false,
-        use_baseline: true,
-        json_path: None,
-        locks: false,
-    };
-    let mut i = 0usize;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .ok_or_else(|| "--baseline requires a path".to_string())?;
-                opts.baseline_path = PathBuf::from(p);
-            }
-            "--update-baseline" => opts.update_baseline = true,
-            "--no-baseline" => opts.use_baseline = false,
-            "--json" => {
-                i += 1;
-                let p = args
-                    .get(i)
-                    .ok_or_else(|| "--json requires a path (or `-` for stdout)".to_string())?;
-                opts.json_path = Some(PathBuf::from(p));
-            }
-            "--locks" => opts.locks = true,
-            flag if flag.starts_with('-') && flag != "-" => {
-                return Err(format!("unknown flag: {flag}"));
-            }
-            root => opts.roots.push(PathBuf::from(root)),
-        }
-        i += 1;
-    }
-    if opts.roots.is_empty() {
-        return Err(
-            "usage: mlake-lint [--baseline <path>] [--update-baseline] [--no-baseline] [--json <path|->] [--locks] <root>..."
-                .into(),
-        );
-    }
-    Ok(opts)
-}
 
 fn run() -> Result<bool, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args)?;
-    let base = Path::new(".");
-    let roots: Vec<&Path> = opts.roots.iter().map(PathBuf::as_path).collect();
-
-    if opts.locks {
-        let table = lock_table(base, &roots).map_err(|e| format!("scan failed: {e}"))?;
-        println!("rank  name                  acquisition sites");
-        for (rank, (names, count)) in &table {
-            let name = names.iter().cloned().collect::<Vec<_>>().join(", ");
-            println!("{rank:>4}  {name:<20}  {count}");
-        }
-        return Ok(true);
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-')) {
+        return Err(format!("unknown flag: {flag}"));
     }
-
-    let findings = lint_tree(base, &roots).map_err(|e| format!("scan failed: {e}"))?;
-
-    if opts.update_baseline {
-        let text = Baseline::render(&findings);
-        std::fs::write(&opts.baseline_path, text)
-            .map_err(|e| format!("writing {}: {e}", opts.baseline_path.display()))?;
-        println!(
-            "mlake-lint: wrote {} entries to {}",
-            findings.len(),
-            opts.baseline_path.display()
-        );
-        return Ok(true);
+    if args.is_empty() {
+        return Err("usage: mlake-lint <root>...".into());
     }
+    let roots: Vec<&Path> = args.iter().map(Path::new).collect();
+    let report = lint_tree(Path::new("."), &roots).map_err(|e| format!("scan failed: {e}"))?;
 
-    let baseline = if opts.use_baseline {
-        match std::fs::read_to_string(&opts.baseline_path) {
-            Ok(text) => Baseline::parse(&text)?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Baseline::default(),
-            Err(e) => return Err(format!("reading {}: {e}", opts.baseline_path.display())),
-        }
-    } else {
-        Baseline::default()
-    };
-
-    let report = baseline.matches(&findings);
-
-    if let Some(json_path) = &opts.json_path {
-        // Per-finding baselined flags: a finding is baselined iff it is
-        // not in the (multiset-matched) new list.
-        let mut new_left = report.new_findings.clone();
-        let baselined: Vec<bool> = findings
-            .iter()
-            .map(|f| match new_left.iter().position(|n| n == f) {
-                Some(k) => {
-                    new_left.remove(k);
-                    false
-                }
-                None => true,
-            })
-            .collect();
-        let text = json::render(&findings, &baselined, &report.stale);
-        if json_path.as_os_str() == "-" {
-            print!("{text}");
-        } else {
-            std::fs::write(json_path, text)
-                .map_err(|e| format!("writing {}: {e}", json_path.display()))?;
-        }
-    }
-
-    for f in &report.new_findings {
-        println!("{}:{}: [{}] {}", f.path, f.line, f.pass, f.message);
+    for f in &report.findings {
+        println!("{f}");
         for (i, hop) in f.chain.iter().enumerate() {
             println!("    {}{hop}", if i == 0 { "chain: " } else { "  → " });
         }
     }
-    for e in &report.stale {
-        eprintln!(
-            "mlake-lint: stale baseline entry (fixed — delete from {}): {}\t{}\t{}",
-            opts.baseline_path.display(),
-            e.pass,
-            e.path,
-            e.snippet
-        );
+    println!("rank  name                  acquisition sites");
+    for (rank, (names, count)) in &report.ranks {
+        let name = names.iter().cloned().collect::<Vec<_>>().join(", ");
+        println!("{rank:>4}  {name:<20}  {count}");
     }
-    let allowed = findings.len() - report.new_findings.len();
-    println!(
-        "mlake-lint: {} findings ({} new, {} baselined), {} stale baseline entries",
-        findings.len(),
-        report.new_findings.len(),
-        allowed,
-        report.stale.len()
-    );
-    Ok(report.new_findings.is_empty())
+    println!("mlake-lint: {} findings", report.findings.len());
+    Ok(report.findings.is_empty())
 }
 
 fn main() -> ExitCode {

@@ -15,10 +15,12 @@
 //!   ring buffer (fixed memory, oldest records overwritten).
 //! * [`metrics`] — a process-global registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s and log-scale latency [`metrics::Histogram`]s
-//!   (p50/p95/p99). Handles are `&'static` and lock-free on the hot path;
-//!   the registry lock is only taken on first lookup of a name (the
+//!   (p50/p95/p99). Handles are `&'static` and lock-free once held. The
 //!   [`counter!`]/[`gauge!`]/[`histogram!`] macros cache the handle in a
-//!   per-call-site `OnceLock`).
+//!   per-call-site `OnceLock`, so they take the registry lock only on a
+//!   call site's first use. Every span end does take it: `SpanGuard`'s
+//!   `Drop` looks the span's histogram up by name (ROADMAP item 15 owns
+//!   the fix).
 //! * [`recorder`] — the ring buffer of recently finished spans, for
 //!   after-the-fact inspection of individual operations.
 //!

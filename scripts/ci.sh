@@ -13,12 +13,12 @@
 #    across three ingest → graph catch-up cycles.
 # 4. A 3-second `store-write-restart` smoke run checks that probe searches
 #    return the same bits across a reopen and that no acked write is lost.
-# 5. mlake-lint must report nothing outside lint.allow, must find exactly
-#    the six lock ranks of DESIGN.md §10, and must reject a seeded
-#    lock-order inversion; the index and query crates must be
+# 5. One mlake-lint run must report no finding and print exactly the six
+#    lock ranks of DESIGN.md §10, and the linter must reject a seeded
+#    lock-order inversion; the index, query and lint crates must be
 #    rustfmt-clean.
-# 6. Tier-1 and the lint re-run under MLAKE_OBS=off, which must be
-#    behaviourally inert.
+# 6. Tier-1 re-runs under MLAKE_OBS=off, which must be behaviourally
+#    inert.
 # 7. The equivalence, HNSW, par and versioning suites (of the index
 #    crate's integration suites, the property tests: search_scratch sets
 #    its own thread count), the lake's
@@ -89,17 +89,21 @@ step "benchmark: lineage-tasks smoke run (output checks, failed = 0)"
 step "benchmark: store-write-restart smoke run (restart check, failed = 0)"
 "${CARGO_TARGET_DIR:-target}/release/lakebench" --workload store-write-restart --seconds 3 --trace 0
 
-step "lint: mlake-lint over crates/ and src/ (lint.allow baseline; json artifact)"
-mkdir -p target/lint
-cargo run -q -p mlake-lint --release -- --json target/lint/report.json crates src
-
-# A new lock rank (or a dropped one) must show up as a diff to this line.
-step "lint: the lock hierarchy is exactly ranks 4 8 10 20 45 50"
+# Any finding fails the run. The same run prints the lock-rank table
+# between its header and the summary line; a new lock rank (or a dropped
+# one) must show up as a diff to want_ranks.
+step "lint: mlake-lint over crates/ and src/ finds nothing; the lock hierarchy is exactly ranks 4 8 10 20 45 50"
+lint_out="$(cargo run -q -p mlake-lint --release -- crates src)" || {
+  echo "$lint_out"
+  exit 1
+}
+echo "$lint_out"
 want_ranks="4 8 10 20 45 50"
-got_ranks="$(cargo run -q -p mlake-lint --release -- --locks crates src \
-  | awk 'NR > 1 { print $1 }' | paste -sd' ')"
+got_ranks="$(echo "$lint_out" \
+  | awk '/^rank  name/ { table = 1; next } /^mlake-lint:/ { table = 0 } table { print $1 }' \
+  | paste -sd' ')"
 if [[ "$got_ranks" != "$want_ranks" ]]; then
-  echo "mlake-lint --locks found ranks '$got_ranks', expected '$want_ranks'"
+  echo "mlake-lint's rank table lists ranks '$got_ranks', expected '$want_ranks'"
   exit 1
 fi
 
@@ -130,7 +134,7 @@ impl Pair {
 }
 EOF
 lint_bin="$(pwd)/target/release/mlake-lint"
-if out="$(cd "$fixture" && "$lint_bin" --no-baseline crates 2>&1)"; then
+if out="$(cd "$fixture" && "$lint_bin" crates 2>&1)"; then
   echo "fixture with inverted lock order unexpectedly passed mlake-lint:"
   echo "$out"
   exit 1
@@ -142,8 +146,8 @@ echo "$out" | grep -q 'lock-cycle' || {
 }
 echo "seeded inversion correctly rejected"
 
-step "fmt: mlake-index and mlake-query are rustfmt-clean"
-cargo fmt --check -p mlake-index -p mlake-query
+step "fmt: mlake-index, mlake-query and mlake-lint are rustfmt-clean"
+cargo fmt --check -p mlake-index -p mlake-query -p mlake-lint
 
 if [[ "${1:-}" == "--quick" ]]; then
   echo "quick mode: skipping the obs-off, determinism and release re-runs and clippy"
@@ -152,7 +156,6 @@ fi
 
 step "observability off: tier-1 re-run under MLAKE_OBS=off"
 MLAKE_OBS=off cargo test -q
-MLAKE_OBS=off cargo run -q -p mlake-lint --release -- --json target/lint/report-obs-off.json crates src
 
 step "determinism: equivalence suites under MLAKE_THREADS=1"
 MLAKE_THREADS=1 cargo test -q -p mlake-tensor --test parallel_equivalence
