@@ -404,7 +404,9 @@ impl Workspace {
             .map(|v| {
                 v.iter()
                     .copied()
-                    .filter(|&id| self.crate_visible(from, &self.files[self.fns[id].file].crate_name))
+                    .filter(|&id| {
+                        self.crate_visible(from, &self.files[self.fns[id].file].crate_name)
+                    })
                     .collect()
             })
             .unwrap_or_default()
@@ -421,7 +423,9 @@ impl Workspace {
             .map(|v| {
                 v.iter()
                     .copied()
-                    .filter(|&id| self.crate_visible(from, &self.files[self.fns[id].file].crate_name))
+                    .filter(|&id| {
+                        self.crate_visible(from, &self.files[self.fns[id].file].crate_name)
+                    })
                     .filter(|&id| match (args, self.fns[id].arity) {
                         (Some(a), Some(b)) => a == b,
                         _ => true,
